@@ -46,7 +46,6 @@ from .ingest import (
 )
 from .propagation import (
     ImputationReport,
-    InitPolicy,
     Message,
     PropagationConfig,
     PropagationState,

@@ -286,7 +286,7 @@ def _read_imputed(path: Path, bundle: DatasetBundle) -> dict[tuple[int, int], fl
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
-            if not line.strip():
+            if not line.strip() or line.startswith("#"):
                 continue
             fields = line.split("\t")
             if len(fields) != 5:

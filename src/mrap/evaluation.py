@@ -18,7 +18,14 @@ import numpy as np
 from .attributes import Status
 from .ingest import DatasetBundle, Split
 from .propagation import PropagationConfig, run
-from .regression import AdmissionConfig, ModelRegistry, PathKey, build_registry, extract_pairs
+from .regression import (
+    AdmissionConfig,
+    ModelRegistry,
+    PathKey,
+    build_registry,
+    extract_pairs,
+    ragged,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -62,27 +69,32 @@ def baseline_local(bundle: DatasetBundle) -> dict[Target, float]:
     """Targets get the mean observed same-type value over neighboring nodes.
 
     Each neighboring node counts once even when connected through several
-    edges. Targets without an attributed neighbor fall back to the Global
-    value.
+    edges, and values are summed in ascending neighbor id order. Targets
+    without an attributed neighbor fall back to the Global value.
     """
     attrs = bundle.attrs
-    graph = bundle.graph
+    n_entities, n_types = bundle.graph.n_entities, attrs.n_types
+    head, _, tail = bundle.graph.edge_array.T
+    # distinct (entity, neighbor) pairs over both edge directions, ascending
+    pairs = np.unique(np.concatenate([tail * n_entities + head, head * n_entities + tail]))
+    entity, neighbor = np.divmod(pairs, n_entities)
+    first = np.searchsorted(entity, np.arange(n_entities + 1))
+
+    targets = bundle.target_indices()
+    t_entity, t_attr = attrs.entity_ids[targets], attrs.attr_ids[targets]
+    row, k = ragged(first[t_entity + 1] - first[t_entity])
+    nb = neighbor[first[t_entity[row]] + k]
+    # entries are sorted by (entity, attr), so their codes are ascending
+    codes = attrs.entity_ids * n_types + attrs.attr_ids
+    want = nb * n_types + t_attr[row]
+    idx = np.minimum(np.searchsorted(codes, want), len(codes) - 1)
+    hit = (codes[idx] == want) & (attrs.status[idx] == Status.OBSERVED)
+    total = np.bincount(row[hit], weights=attrs.values[idx[hit]], minlength=len(targets))
+    count = np.bincount(row[hit], minlength=len(targets))
+
     out: dict[Target, float] = {}
-    for t in bundle.target_indices():
-        entity = int(attrs.entity_ids[t])
-        attr = int(attrs.attr_ids[t])
-        seen: set[int] = set()
-        total = 0.0
-        count = 0
-        for neighbor, _ in graph.neighbors(entity):
-            if neighbor in seen:
-                continue
-            seen.add(neighbor)
-            idx = attrs.index.get((neighbor, attr))
-            if idx is not None and attrs.status[idx] == Status.OBSERVED:
-                total += float(attrs.values[idx])
-                count += 1
-        out[(entity, attr)] = total / count if count else attrs.mean_value(attr)
+    for e, a, s, c in zip(t_entity.tolist(), t_attr.tolist(), total.tolist(), count.tolist()):
+        out[(e, a)] = s / c if c else attrs.mean_value(a)
     return out
 
 

@@ -4,13 +4,17 @@ Entity and relation labels are interned to dense integer ids. Every stored
 edge ``(head, relation, tail)`` yields two adjacency entries: the tail sees
 ``(head, relation, FORWARD)`` and the head sees ``(tail, relation, REVERSE)``,
 so a node can enumerate incident edges in both traversal directions. The
-graph is immutable after construction and safe for concurrent reads.
+adjacency and the edge array are derived from the edge list on first use.
+The graph is immutable after construction and safe for concurrent reads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 
 class Vocabulary:
@@ -89,17 +93,16 @@ class Edge(NamedTuple):
 
 @dataclass
 class KnowledgeGraph:
-    """Deduplicated typed edges plus per-entity oriented adjacency.
+    """Deduplicated typed edges, sorted, plus per-entity oriented adjacency.
 
     ``adjacency[v]`` lists ``(neighbor, OrientedRelation)`` pairs sorted by
-    (neighbor id, relation id, direction), which fixes the reduction order of
-    everything downstream that sums over neighbors.
+    (neighbor id, relation id, direction). It is built on first use: the
+    pipeline itself works on :attr:`edge_array`.
     """
 
     entities: Vocabulary
     relations: Vocabulary
     edges: list[Edge]
-    adjacency: list[list[tuple[int, OrientedRelation]]] = field(repr=False)
 
     @property
     def n_entities(self) -> int:
@@ -112,6 +115,22 @@ class KnowledgeGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as an ``(n_edges, 3)`` int64 array of (head, relation, tail) rows."""
+        return np.array(self.edges, dtype=np.int64).reshape(-1, 3)
+
+    @cached_property
+    def adjacency(self) -> list[list[tuple[int, OrientedRelation]]]:
+        adjacency: list[list[tuple[int, OrientedRelation]]] = [[] for _ in range(self.n_entities)]
+        for h, r, t in self.edges:
+            # Self-loops deliberately get one entry per direction on the same node.
+            adjacency[t].append((h, OrientedRelation(r, Direction.FORWARD)))
+            adjacency[h].append((t, OrientedRelation(r, Direction.REVERSE)))
+        for entries in adjacency:
+            entries.sort(key=lambda item: (item[0], item[1].relation, item[1].direction))
+        return adjacency
 
     def neighbors(self, v: int) -> list[tuple[int, OrientedRelation]]:
         """All incident entries of ``v``, both orientations, in sorted order."""
@@ -150,12 +169,4 @@ def build_graph(
         entities.add(label)
 
     edges.sort()
-    adjacency: list[list[tuple[int, OrientedRelation]]] = [[] for _ in range(len(entities))]
-    for h, r, t in edges:
-        # Self-loops deliberately get one entry per direction on the same node.
-        adjacency[t].append((h, OrientedRelation(r, Direction.FORWARD)))
-        adjacency[h].append((t, OrientedRelation(r, Direction.REVERSE)))
-    for entries in adjacency:
-        entries.sort(key=lambda item: (item[0], item[1].relation, item[1].direction))
-
-    return KnowledgeGraph(entities=entities, relations=relations, edges=edges, adjacency=adjacency)
+    return KnowledgeGraph(entities=entities, relations=relations, edges=edges)

@@ -4,10 +4,16 @@ Each iteration computes, for every missing attribute entry, the
 inverse-variance weighted mean of all predictions flowing in over admitted
 message paths (relational paths cross an edge, inner paths stay within a
 node), then mixes it with the previous value through the damping factor.
-Observed entries are clamped to their loaded values throughout. Updates are
-synchronous: iteration k reads only the k-1 buffer, and message sums run in
-a fixed path order, so results are bit-reproducible regardless of worker
-count.
+Observed entries are clamped to their loaded values throughout.
+
+The update is affine, so :func:`run` compiles the paths once into an
+operator over the live targets (missing entries that receive a message):
+``x <- (1 - d) x + d (A x + c)``. ``A`` holds ``w * eta / q`` per path
+between two live entries, with ``q`` the target's total weight; ``c`` folds
+in the intercepts and every prediction from a fixed source (an observed
+entry or a silent target). Updates are synchronous: iteration k reads only
+the k-1 values, and sums run in a fixed path order, so results are
+bit-reproducible.
 
 Missing entries start at the global mean of their attribute type, so targets
 that never receive a message degrade to the per-type mean baseline.
@@ -15,8 +21,8 @@ that never receive a message degrade to the per-type mean baseline.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import IO, NamedTuple
 
 import numpy as np
@@ -25,13 +31,9 @@ from .attributes import AttributeTable, Status
 from .errors import SingularSystemError
 from .graph import Direction
 from .ingest import DatasetBundle
-from .regression import ModelRegistry, PathKey, RegressionModel
+from .regression import EntryIndex, ModelRegistry, PathKey, relation_span
 
 logger = logging.getLogger(__name__)
-
-
-class InitPolicy(Enum):
-    GLOBAL_MEAN = "global_mean"
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,6 @@ class PropagationConfig:
     max_iters: int = 200
     no_cross: bool = False
     no_inner: bool = False
-    init_policy: InitPolicy = InitPolicy.GLOBAL_MEAN
 
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
@@ -115,66 +116,52 @@ class _Paths(NamedTuple):
         return len(self.src)
 
 
-def _build_paths(bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig) -> _Paths:
-    """Enumerate every active path between tracked entries, in fixed order."""
+def _link(
+    bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every active path as (src, tgt, model id), plus the models' eta, tau and weight rows.
+
+    Paths come edge by edge in stored edge order, each edge's forward paths
+    before its reverse ones, then the inner paths entity by entity. This
+    fixes the order in which each target's messages are summed.
+    """
     graph, attrs = bundle.graph, bundle.attrs
-    fwd: dict[int, dict[tuple[int, int], RegressionModel]] = {}
-    rev: dict[int, dict[tuple[int, int], RegressionModel]] = {}
-    inner: dict[tuple[int, int], RegressionModel] = {}
+    n_types, attr = attrs.n_types, attrs.attr_ids
+    shape = (2, relation_span(graph, registry), n_types, n_types)
+    relational = np.full(shape, -1, dtype=np.int32)  # direction, relation, dep, indep
+    inner = np.full((n_types, n_types), -1, dtype=np.int32)  # dep, indep
+    params = []
     for key, model in registry.models.items():
         if not cfg.allows(key):
             continue
         if key.is_inner:
-            inner[(key.dep, key.indep)] = model
-        elif key.direction is Direction.FORWARD:
-            fwd.setdefault(key.relation, {})[(key.dep, key.indep)] = model  # type: ignore[arg-type]
+            inner[key.dep, key.indep] = len(params)
         else:
-            rev.setdefault(key.relation, {})[(key.dep, key.indep)] = model  # type: ignore[arg-type]
+            relational[key.direction, key.relation, key.dep, key.indep] = len(params)
+        params.append((model.eta, model.tau, model.weight))
+    models = np.array(params, dtype=np.float64).reshape(-1, 3).T.copy()
 
-    attr_of = attrs.attr_ids
-    at: list[list[int]] = attrs.per_entity
-    src: list[int] = []
-    tgt: list[int] = []
-    models: list[RegressionModel] = []
+    index = EntryIndex.of(attrs, graph.n_entities)
+    edge, head_e, tail_e = index.edge_pairs(graph)
+    relation = graph.edge_array[edge, 1]
+    fwd = relational[Direction.FORWARD, relation, attr[tail_e], attr[head_e]]
+    rev = relational[Direction.REVERSE, relation, attr[head_e], attr[tail_e]]
+    f, r = fwd >= 0, rev >= 0
+    # a stable sort of two runs that are each in edge order is one merge
+    order = np.argsort(np.concatenate([edge[f], edge[r]]), kind="stable")
+    dep_e, src_e = index.node_pairs()
+    ind = inner[attr[dep_e], attr[src_e]]
+    i = ind >= 0
+    src = np.concatenate([np.concatenate([head_e[f], tail_e[r]])[order], src_e[i]])
+    tgt = np.concatenate([np.concatenate([tail_e[f], head_e[r]])[order], dep_e[i]])
+    mid = np.concatenate([np.concatenate([fwd[f], rev[r]])[order], ind[i]])
+    return src, tgt, mid, models
 
-    def link(m: RegressionModel, s: int, t: int) -> None:
-        src.append(s)
-        tgt.append(t)
-        models.append(m)
 
-    for head, relation, tail in graph.edges:
-        fwd_p = fwd.get(relation)
-        if fwd_p:
-            for et in at[tail]:
-                for eh in at[head]:
-                    m = fwd_p.get((int(attr_of[et]), int(attr_of[eh])))
-                    if m is not None:
-                        link(m, eh, et)
-        rev_p = rev.get(relation)
-        if rev_p:
-            for eh in at[head]:
-                for et in at[tail]:
-                    m = rev_p.get((int(attr_of[eh]), int(attr_of[et])))
-                    if m is not None:
-                        link(m, et, eh)
-    if inner:
-        for entity in range(graph.n_entities):
-            entries = at[entity]
-            for i_dep in entries:
-                for i_src in entries:
-                    if i_dep == i_src:
-                        continue
-                    m = inner.get((int(attr_of[i_dep]), int(attr_of[i_src])))
-                    if m is not None:
-                        link(m, i_src, i_dep)
-
-    return _Paths(
-        src=np.asarray(src, dtype=np.int64),
-        tgt=np.asarray(tgt, dtype=np.int64),
-        eta=np.asarray([m.eta for m in models], dtype=np.float64),
-        tau=np.asarray([m.tau for m in models], dtype=np.float64),
-        weight=np.asarray([m.weight for m in models], dtype=np.float64),
-    )
+def _build_paths(bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig) -> _Paths:
+    """Enumerate every active path between tracked entries, in fixed order."""
+    src, tgt, mid, (eta, tau, weight) = _link(bundle, registry, cfg)
+    return _Paths(src=src, tgt=tgt, eta=eta[mid], tau=tau[mid], weight=weight[mid])
 
 
 def collect_messages(
@@ -279,6 +266,101 @@ def loss(
     return _paths_loss(_build_paths(bundle, registry, cfg), values)
 
 
+class _Operator(NamedTuple):
+    """The compiled update ``x <- (1 - d) x + d (A x + c)`` over the live targets.
+
+    ``moving`` holds the paths with a live endpoint. Its first ``len(a)``
+    paths, live source to live target, are the entries of ``A``, so one
+    gather of source values per iteration feeds both the update and the
+    loss. Paths between fixed entries add a constant to the loss.
+    """
+
+    live: np.ndarray  # entry index per row, grouped by attribute type
+    moving: _Paths
+    row: np.ndarray  # row of each A entry
+    a: np.ndarray  # w * eta / q per A entry
+    c: np.ndarray  # per row: intercepts and fixed-source predictions, over q
+    fixed_loss: float
+
+    def sources(self, values: np.ndarray) -> np.ndarray:
+        """Source values of the moving paths."""
+        return np.take(values, self.moving.src)
+
+    def estimate(self, sources: np.ndarray) -> np.ndarray:
+        """Weighted message mean per live target, from :meth:`sources` output."""
+        ax = np.bincount(self.row, weights=self.a * sources[: len(self.a)], minlength=len(self.live))
+        return ax + self.c
+
+    def loss(self, values: np.ndarray, sources: np.ndarray) -> float:
+        """:func:`loss` at ``values``, whose moving-path sources are ``sources``."""
+        m = self.moving
+        pred = m.eta * sources
+        pred += m.tau
+        resid = np.take(values, m.tgt)
+        resid -= pred
+        return self.fixed_loss + float(np.dot(np.multiply(m.weight, resid, out=pred), resid))
+
+
+def _compile(
+    bundle: DatasetBundle,
+    registry: ModelRegistry,
+    cfg: PropagationConfig,
+    values: np.ndarray,
+) -> tuple[_Operator, np.ndarray, np.ndarray]:
+    """The operator at the initial ``values``, plus message count and total weight per entry."""
+    attrs = bundle.attrs
+    n = attrs.n_entries
+    clock = time.perf_counter()
+    src, tgt, mid, (eta, tau, weight) = _link(bundle, registry, cfg)
+    logger.info("paths: %d built in %.3f s", len(src), time.perf_counter() - clock)
+
+    clock = time.perf_counter()
+    to_live = (attrs.status == Status.MISSING)[tgt]  # a target with a message is live
+    n_msgs = np.bincount(tgt[to_live], minlength=n)
+    weight_sum = np.bincount(tgt[to_live], weights=weight[mid[to_live]], minlength=n)
+    targets = bundle.target_indices()
+    live = targets[n_msgs[targets] > 0]
+    live = live[np.argsort(attrs.attr_ids[live], kind="stable")]
+    row_of = np.full(n, -1, dtype=np.int64)
+    row_of[live] = np.arange(len(live))
+    from_live = row_of[src] >= 0
+
+    fixed = ~(to_live | from_live)
+    m = mid[fixed]
+    fixed_loss = _paths_loss(_Paths(src[fixed], tgt[fixed], eta[m], tau[m], weight[m]), values)
+
+    # c: every path's intercept plus the predictions of fixed sources, over q
+    p = np.flatnonzero(to_live)
+    m = mid[p]
+    term = tau[m]
+    f = ~from_live[p]
+    term[f] += eta[m[f]] * values[src[p[f]]]
+    term *= weight[m]
+    term /= weight_sum[tgt[p]]
+    c = np.bincount(row_of[tgt[p]], weights=term, minlength=len(live))
+    del p, m, term, f
+
+    # moving paths, live -> live (the entries of A) first
+    entries = to_live & from_live
+    n_a = int(entries.sum())
+    p = np.concatenate([np.flatnonzero(entries), np.flatnonzero(to_live ^ from_live)])
+    del to_live, from_live, entries
+    src, tgt, mid = src[p], tgt[p], mid[p]
+    del p
+    a = weight[mid[:n_a]] * eta[mid[:n_a]]
+    a /= weight_sum[tgt[:n_a]]
+    moving = _Paths(src, tgt, eta[mid], tau[mid], weight[mid])
+    op = _Operator(live, moving, row_of[moving.tgt[:n_a]], a, c, fixed_loss)
+    logger.info(
+        "operator: %d entries over %d live targets, %d moving paths, compiled in %.3f s",
+        n_a,
+        len(live),
+        moving.n,
+        time.perf_counter() - clock,
+    )
+    return op, n_msgs, weight_sum
+
+
 def run(
     bundle: DatasetBundle,
     registry: ModelRegistry,
@@ -294,45 +376,36 @@ def run(
     """
     cfg = cfg or PropagationConfig()
     attrs = bundle.attrs
-    n = attrs.n_entries
-    paths = _build_paths(bundle, registry, cfg)
-    missing = attrs.status == Status.MISSING
-    upd = (
-        _Paths(*(a[missing[paths.tgt]] for a in paths)) if paths.n else paths
-    )
-
     targets = bundle.target_indices()
-    n_msgs = np.bincount(upd.tgt, minlength=n).astype(np.int64) if upd.n else np.zeros(n, np.int64)
-    weight_sum = (
-        np.bincount(upd.tgt, weights=upd.weight, minlength=n) if upd.n else np.zeros(n)
-    )
-    live = targets[n_msgs[targets] > 0]
-
     if initial is None:
         values = _init_values(bundle)
     else:
         values = attrs.values.copy()
         values[targets] = np.asarray(initial, dtype=np.float64)[targets]
+    op, n_msgs, weight_sum = _compile(bundle, registry, cfg, values)
+
     ranges = _target_ranges(bundle)
     tol = {attr: cfg.conv_frac * rng for attr, rng in ranges.items()}
     type_labels = {attr: attrs.types.label(attr) for attr in ranges}
-    target_attr = attrs.attr_ids[targets]
+    live_attr = attrs.attr_ids[op.live]
+    type_starts = np.flatnonzero(np.diff(live_attr, prepend=-1))
+    live_types = live_attr[type_starts]
 
     trace: list[tuple[int, str, float, float]] = []
     per_type_delta = {attr: 0.0 for attr in ranges}
     converged = not ranges  # nothing to impute converges immediately
     iteration = 0
+    clock = time.perf_counter()
+    sources = op.sources(values)
     for iteration in range(1, cfg.max_iters + 1):
-        new = values.copy()
-        if upd.n:
-            preds = upd.eta * values[upd.src] + upd.tau
-            num = np.bincount(upd.tgt, weights=upd.weight * preds, minlength=n)
-            est = num[live] / weight_sum[live]
-            new[live] = (1.0 - cfg.damping) * values[live] + cfg.damping * est
-        deltas = np.abs(new[targets] - values[targets])
         max_delta = np.zeros(attrs.n_types)
-        np.maximum.at(max_delta, target_attr, deltas)
-        loss_now = _paths_loss(paths, new)
+        if len(op.live):
+            prev = values[op.live]
+            new = (1.0 - cfg.damping) * prev + cfg.damping * op.estimate(sources)
+            values[op.live] = new
+            max_delta[live_types] = np.maximum.reduceat(np.abs(new - prev), type_starts)
+            sources = op.sources(values)
+        loss_now = op.loss(values, sources)
         converged = True
         for attr in ranges:
             d = float(max_delta[attr])
@@ -342,9 +415,11 @@ def run(
             # tolerance) is zero for a constant-valued type
             if not (d < tol[attr] or d == 0.0):
                 converged = False
-        values = new
         if converged:
             break
+    logger.info(
+        "iterations: %d in %.3f s, converged=%s", iteration, time.perf_counter() - clock, converged
+    )
 
     if not converged:
         logger.warning("propagation did not converge in %d iterations", cfg.max_iters)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
@@ -280,56 +280,93 @@ def derive_reverse(model: RegressionModel, eta_min: float = 0.0) -> RegressionMo
     )
 
 
-def _observed_attr_lists(attrs: AttributeTable) -> list[list[tuple[int, float]]]:
-    """Per entity: (attr id, value) of OBSERVED entries, ascending attr id."""
-    out: list[list[tuple[int, float]]] = []
-    for entries in attrs.per_entity:
-        out.append(
-            [
-                (int(attrs.attr_ids[i]), float(attrs.values[i]))
-                for i in entries
-                if attrs.status[i] == Status.OBSERVED
-            ]
+# -- the edge x entry join ---------------------------------------------------------
+
+
+def ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, position within the row) of every element of rows of the given lengths."""
+    rows = np.repeat(np.arange(counts.size), counts)
+    pos = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return rows, pos
+
+
+class EntryIndex(NamedTuple):
+    """CSR index of attribute entries per entity.
+
+    ``entries[starts[e]:starts[e] + counts[e]]`` are the entry indices of
+    entity ``e``, ascending by attribute id.
+    """
+
+    entries: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, attrs: AttributeTable, n_entities: int, mask: np.ndarray | None = None) -> "EntryIndex":
+        """Index every entry, or only those selected by the boolean ``mask``."""
+        entries = np.arange(attrs.n_entries) if mask is None else np.flatnonzero(mask)
+        counts = np.bincount(attrs.entity_ids[entries], minlength=n_entities)
+        return cls(entries, np.cumsum(counts) - counts, counts)
+
+    def edge_pairs(self, graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(edge, head entry, tail entry) for every entry pair across every edge.
+
+        Pairs come edge by edge in stored edge order, tail entries major.
+        """
+        head, tail = graph.edge_array[:, 0], graph.edge_array[:, 2]
+        n_head = self.counts[head]
+        edge, k = ragged(n_head * self.counts[tail])
+        i_tail, i_head = np.divmod(k, n_head[edge])
+        return (
+            edge,
+            self.entries[self.starts[head[edge]] + i_head],
+            self.entries[self.starts[tail[edge]] + i_tail],
         )
-    return out
+
+    def node_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, second) for every ordered pair of distinct entries of one entity.
+
+        Pairs come entity by entity in id order, first entries major.
+        """
+        entity, k = ragged(self.counts * self.counts)
+        i, j = np.divmod(k, self.counts[entity])
+        keep = i != j
+        base = self.starts[entity[keep]]
+        return self.entries[base + i[keep]], self.entries[base + j[keep]]
+
+
+def _groups(codes: np.ndarray, ys: np.ndarray, xs: np.ndarray):
+    """(code, ys, xs) slices per distinct code, codes ascending.
+
+    The stable sort keeps each group's pairs in their original order.
+    """
+    order = np.argsort(codes, kind="stable")
+    codes, ys, xs = codes[order], ys[order], xs[order]
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    ends = np.append(starts[1:], codes.size)
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        yield int(codes[lo]), ys[lo:hi], xs[lo:hi]
 
 
 def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = None) -> ModelRegistry:
     """Fit and admit models for every forward relational and inner key.
 
-    A single pass over the edges groups training pairs by (relation, dep,
-    indep); inner pairs are grouped per unordered attribute pair in the
-    canonical direction. Each admitted fit also registers its derived
+    One join over OBSERVED entries yields every training pair; relational
+    pairs are grouped by (relation, dep, indep) and inner pairs per unordered
+    attribute pair in the canonical direction, each group in the pair order
+    :func:`extract_pairs` uses. Each admitted fit also registers its derived
     opposite-direction model when the slope is invertible. Rejection reasons
     are tallied in ``registry.rejections``.
     """
     admission = admission or AdmissionConfig()
     graph, attrs = bundle.graph, bundle.attrs
-    observed_at = _observed_attr_lists(attrs)
-
-    rel_groups: dict[tuple[int, int, int], tuple[list[float], list[float]]] = {}
-    for head, relation, tail in graph.edges:
-        for dep, y_val in observed_at[tail]:
-            for indep, x_val in observed_at[head]:
-                ys, xs = rel_groups.setdefault((relation, dep, indep), ([], []))
-                ys.append(y_val)
-                xs.append(x_val)
-
-    inner_groups: dict[tuple[int, int], tuple[list[float], list[float]]] = {}
-    for entity in range(graph.n_entities):
-        obs = observed_at[entity]
-        for i in range(len(obs)):
-            for j in range(i + 1, len(obs)):
-                indep, x_val = obs[i]
-                dep, y_val = obs[j]  # canonical: regress higher attr id on lower
-                ys, xs = inner_groups.setdefault((dep, indep), ([], []))
-                ys.append(y_val)
-                xs.append(x_val)
+    n_types, attr, values = attrs.n_types, attrs.attr_ids, attrs.values
+    observed = EntryIndex.of(attrs, graph.n_entities, attrs.status == Status.OBSERVED)
 
     models: dict[PathKey, RegressionModel] = {}
     rejections: Counter[str] = Counter()
 
-    def admit(key: PathKey, ys: list[float], xs: list[float]) -> None:
+    def admit(key: PathKey, ys: np.ndarray, xs: np.ndarray) -> None:
         if admission.excludes(key, graph, attrs):
             rejections["excluded"] += 1
             return
@@ -337,7 +374,7 @@ def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = No
             rejections["insufficient_support"] += 1
             return
         try:
-            eta, tau, sigma2, fit = fit_simple_regression(np.asarray(ys), np.asarray(xs))
+            eta, tau, sigma2, fit = fit_simple_regression(ys, xs)
         except DegenerateRegressorError:
             rejections["degenerate_regressor"] += 1
             return
@@ -364,18 +401,29 @@ def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = No
             return
         models[reverse.key] = reverse
 
-    for relation, dep, indep in sorted(rel_groups):
-        ys, xs = rel_groups[(relation, dep, indep)]
-        admit(PathKey.relational(dep, indep, relation, Direction.FORWARD), ys, xs)
-    for dep, indep in sorted(inner_groups):
-        ys, xs = inner_groups[(dep, indep)]
-        admit(PathKey.inner(dep, indep), ys, xs)
+    edge, head_e, tail_e = observed.edge_pairs(graph)
+    codes = (graph.edge_array[edge, 1] * n_types + attr[tail_e]) * n_types + attr[head_e]
+    for code, ys, xs in _groups(codes, values[tail_e], values[head_e]):
+        relation, dep, indep = np.unravel_index(code, (graph.n_relations, n_types, n_types))
+        admit(PathKey.relational(int(dep), int(indep), int(relation), Direction.FORWARD), ys, xs)
+
+    dep_e, indep_e = observed.node_pairs()
+    canonical = attr[dep_e] > attr[indep_e]  # regress the higher attr id on the lower
+    dep_e, indep_e = dep_e[canonical], indep_e[canonical]
+    codes = attr[dep_e] * n_types + attr[indep_e]
+    for code, ys, xs in _groups(codes, values[dep_e], values[indep_e]):
+        admit(PathKey.inner(*divmod(code, n_types)), ys, xs)
 
     registry = ModelRegistry(models=models, admission=admission, rejections=dict(rejections))
     logger.info(
         "registry: %d models admitted, rejections %s", len(registry), registry.rejections
     )
     return registry
+
+
+def relation_span(graph: KnowledgeGraph, registry: ModelRegistry) -> int:
+    """One more than the largest relation id of the graph or of a registry key."""
+    return max([graph.n_relations] + [k.relation + 1 for k in registry.models if not k.is_inner])
 
 
 def count_paths(graph: KnowledgeGraph, registry: ModelRegistry, attrs: AttributeTable) -> int:
@@ -385,29 +433,23 @@ def count_paths(graph: KnowledgeGraph, registry: ModelRegistry, attrs: Attribute
     that can carry a prediction out of it: over each edge in both directions,
     plus all within-node attribute pairs.
     """
-    fwd_by_indep: dict[tuple[int, int], int] = Counter()
-    rev_by_indep: dict[tuple[int, int], int] = Counter()
-    inner_by_indep: dict[int, int] = Counter()
+    # model count by (direction, relation, indep)
+    by_indep = np.zeros((2, relation_span(graph, registry), attrs.n_types), dtype=np.int64)
+    inner_by_indep = np.zeros(attrs.n_types, dtype=np.int64)
     for key in registry.models:
         if key.is_inner:
             inner_by_indep[key.indep] += 1
-        elif key.direction is Direction.FORWARD:
-            fwd_by_indep[(key.relation, key.indep)] += 1  # type: ignore[index]
         else:
-            rev_by_indep[(key.relation, key.indep)] += 1  # type: ignore[index]
+            by_indep[key.direction, key.relation, key.indep] += 1
 
-    attr_lists = [
-        [int(attrs.attr_ids[i]) for i in entries] for entries in attrs.per_entity
-    ]
-    total = 0
-    for head, relation, tail in graph.edges:
-        for attr in attr_lists[head]:  # head entries flow forward to the tail
-            total += fwd_by_indep.get((relation, attr), 0)
-        for attr in attr_lists[tail]:  # tail entries flow reverse to the head
-            total += rev_by_indep.get((relation, attr), 0)
-    for attr_list in attr_lists:
-        for attr in attr_list:
-            total += inner_by_indep.get(attr, 0)
+    index = EntryIndex.of(attrs, graph.n_entities)
+    head, relation, tail = graph.edge_array.T
+    total = int(inner_by_indep[attrs.attr_ids].sum())
+    # head entries flow forward to the tail, tail entries flow reverse to the head
+    for direction, end in ((Direction.FORWARD, head), (Direction.REVERSE, tail)):
+        edge, k = ragged(index.counts[end])
+        source = index.entries[index.starts[end[edge]] + k]
+        total += int(by_indep[direction, relation[edge], attrs.attr_ids[source]].sum())
     return total
 
 

@@ -183,19 +183,22 @@ def write_cli_dataset(dir_path, n_people: int = 40, seed: int = 0):
     return triples_path, attrs_path
 
 
-def random_instance(rng: np.random.Generator, max_nodes: int = 20):
+def random_instance(rng: np.random.Generator, max_nodes: int = 20, quirks: bool = False):
     """Random connected multi-relational instance with planted models.
 
     Node values are affine views of a latent per-node scalar plus noise, so
     moderate planted slopes keep the damped iteration contractive on most
     draws. At least two observed entries per attribute type guarantee
-    positive ranges and defined global means.
+    positive ranges and defined global means. ``quirks`` adds the corner
+    cases of the edge x entry join: a self-loop, one node pair linked under
+    two relations, an entity without attributes, and an isolated entity with
+    attributes.
     """
     from mrap.regression import derive_reverse
 
     n = int(rng.integers(5, max_nodes + 1))
     names = [f"n{i}" for i in range(n)]
-    n_rel = int(rng.integers(1, 5))
+    n_rel = int(rng.integers(2 if quirks else 1, 5))
     n_types = int(rng.integers(1, 4))
     rels = [f"r{j}" for j in range(n_rel)]
     type_names = tuple(f"t{k}" for k in range(n_types))
@@ -224,6 +227,12 @@ def random_instance(rng: np.random.Generator, max_nodes: int = 20):
                 observed[(names[i], type_names[k])] = value
             else:
                 missing[(names[i], type_names[k])] = value
+    if quirks:
+        a, b = names[int(rng.integers(n))], names[int(rng.integers(n))]
+        triples += [(a, rels[0], a), (a, rels[0], b), (a, rels[1], b)]
+        triples += [("bare", rels[-1], names[0]), (names[-1], rels[0], "bare")]
+        for k, attr in enumerate(type_names):
+            (observed if k % 2 else missing)[("loner", attr)] = float(rng.normal(0, 3))
     bundle = make_bundle(triples, observed, missing, attr_order=type_names)
 
     models = []

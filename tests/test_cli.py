@@ -1,3 +1,6 @@
+import logging
+import re
+
 import pytest
 
 from helpers import write_cli_dataset
@@ -83,6 +86,27 @@ class TestPipeline:
         assert len((half / "imputed.tsv").read_text().splitlines()) > len(
             (full / "imputed.tsv").read_text().splitlines()
         )
+
+    def test_eval_skips_comment_lines_in_imputed(self, dataset, tmp_path):
+        out = tmp_path / "out"
+        base = _args(dataset, out, "--seed", "1", "--min-support", "3")
+        assert main(["impute", *base]) == EXIT_OK
+        assert main(["eval", *base]) == EXIT_OK
+        plain = (out / "report.csv").read_bytes()
+        imputed = out / "imputed.tsv"
+        imputed.write_text("# mrap imputed values\n" + imputed.read_text(), encoding="utf-8")
+        assert main(["eval", *base]) == EXIT_OK
+        assert (out / "report.csv").read_bytes() == plain
+
+    def test_info_log_times_propagation_layers(self, dataset, tmp_path, caplog):
+        base = _args(dataset, tmp_path / "out", "--seed", "1", "--min-support", "3")
+        with caplog.at_level(logging.INFO, logger="mrap.propagation"):
+            assert main(["impute", *base]) == EXIT_OK
+        text = "\n".join(r.getMessage() for r in caplog.records if r.name == "mrap.propagation")
+        # one line per layer, each with its count and seconds
+        assert re.search(r"^paths: \d+ built in \d+\.\d+ s$", text, re.M)
+        assert re.search(r"^operator: \d+ entries .* compiled in \d+\.\d+ s$", text, re.M)
+        assert re.search(r"^iterations: \d+ in \d+\.\d+ s, converged=True$", text, re.M)
 
     def test_ablation_flags_thread_through(self, dataset, tmp_path):
         out_a = tmp_path / "a"

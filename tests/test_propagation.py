@@ -16,6 +16,7 @@ from mrap.graph import Direction
 from mrap.ingest import Split
 from mrap.propagation import (
     PropagationConfig,
+    _build_paths,
     aggregate,
     collect_messages,
     combine,
@@ -135,6 +136,40 @@ class TestCollectMessages:
         assert len(msgs) == 1
         only = msgs[0].key
         assert not only.is_inner and not only.is_cross
+
+
+def _oracle_paths(bundle, registry, cfg):
+    """Sorted (src entry, tgt entry, eta, tau, weight) of every message, per target."""
+    attrs = bundle.attrs
+    out = []
+    for tgt in range(attrs.n_entries):
+        target = (int(attrs.entity_ids[tgt]), int(attrs.attr_ids[tgt]))
+        for msg in collect_messages(bundle, registry, attrs.values, target, cfg):
+            src = attrs.index[(msg.source_entity, msg.key.indep)]
+            model = registry.get(msg.key)
+            out.append((src, tgt, model.eta, model.tau, model.weight))
+    return sorted(out)
+
+
+class TestBuildPaths:
+    @pytest.mark.parametrize(
+        "cfg",
+        [PropagationConfig(), PropagationConfig(no_inner=True), PropagationConfig(no_cross=True)],
+        ids=["full", "no_inner", "no_cross"],
+    )
+    def test_join_matches_per_target_oracle(self, cfg):
+        # self-loops, parallel edges, attribute-less and isolated entities
+        rng = np.random.default_rng(37)
+        for _ in range(15):
+            bundle, registry = random_instance(rng, quirks=True)
+            paths = _build_paths(bundle, registry, cfg)
+            got = sorted(zip(*(column.tolist() for column in paths)))
+            assert got == _oracle_paths(bundle, registry, cfg)
+
+    def test_no_models_no_paths(self):
+        rng = np.random.default_rng(38)
+        bundle, _ = random_instance(rng, quirks=True)
+        assert _build_paths(bundle, registry_of(), PropagationConfig()).n == 0
 
 
 class TestRun:
@@ -386,6 +421,16 @@ class TestLoss:
         losses = [row[3] for row in report.trace]
         assert len(losses) >= 2
         assert losses[-1] <= losses[0]
+
+    def test_trace_loss_equals_loss_over_all_paths(self):
+        # the compiled loss splits paths into moving ones and a constant
+        rng = np.random.default_rng(39)
+        for _ in range(10):
+            bundle, registry = random_instance(rng, quirks=True)
+            for cfg in (PropagationConfig(max_iters=1), PropagationConfig(no_inner=True, max_iters=7)):
+                state, report = run(bundle, registry, cfg)
+                want = loss(bundle, registry, state, cfg)
+                assert report.trace[-1][3] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_no_cross_admits_fewer_paths_than_no_inner(self):
         rng = np.random.default_rng(36)

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from helpers import make_bundle, make_model, registry_of, target_of
+from helpers import make_bundle, make_model, random_instance, registry_of, target_of
 
 from mrap.errors import (
     DataError,
@@ -267,7 +267,61 @@ class TestBuildRegistry:
         assert derived.eta == pytest.approx(1.0 / fitted.eta, rel=1e-12)
 
 
+class TestRegistryOnRandomInstances:
+    def test_every_key_equals_its_extracted_fit_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        admission = AdmissionConfig(min_support=2)
+        fitted = 0
+        for _ in range(10):
+            bundle, _ = random_instance(rng, quirks=True)
+            graph, attrs = bundle.graph, bundle.attrs
+            registry = build_registry(bundle, admission)
+            keys = [
+                PathKey.relational(dep, indep, rel, Direction.FORWARD)
+                for rel in range(graph.n_relations)
+                for dep in range(attrs.n_types)
+                for indep in range(attrs.n_types)
+            ] + [PathKey.inner(dep, indep) for dep in range(attrs.n_types) for indep in range(dep)]
+            for key in keys:
+                ys, xs = extract_pairs(bundle, key)
+                try:
+                    eta, tau, sigma2, fit = fit_simple_regression(ys, xs)
+                except (InsufficientSupportError, DegenerateRegressorError):
+                    assert key not in registry
+                    continue
+                model = registry.get(key)
+                assert model is not None and not model.fit.derived_reverse
+                assert (model.eta, model.tau, model.fit) == (eta, tau, fit)
+                dep_range = attrs.value_range(key.dep)
+                assert model.sigma2 == max(sigma2, 1e-12 * dep_range * dep_range or 1e-12)
+                fitted += 1
+            assert sum(not m.fit.derived_reverse for m in registry.models.values()) == sum(
+                1 for key in keys if key in registry
+            )
+        assert fitted > 50
+
+
+def _brute_force_path_count(graph, registry, attrs):
+    """Per model, the tracked entries that can send a message over it."""
+    total = 0
+    for key in registry.models:
+        if key.is_inner:
+            total += int((attrs.attr_ids == key.indep).sum())
+            continue
+        for head, relation, tail in graph.edges:
+            source = head if key.direction is Direction.FORWARD else tail
+            total += relation == key.relation and (source, key.indep) in attrs.index
+    return total
+
+
 class TestCountPaths:
+    def test_matches_brute_force_on_random_instances(self):
+        rng = np.random.default_rng(42)
+        for _ in range(15):
+            bundle, registry = random_instance(rng, quirks=True)
+            count = count_paths(bundle.graph, registry, bundle.attrs)
+            assert count == _brute_force_path_count(bundle.graph, registry, bundle.attrs)
+
     def _setup(self, with_reverse, y_at_v):
         observed = {("n", "x"): 2.0}
         if y_at_v:
