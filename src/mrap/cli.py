@@ -465,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="attrA,attrB[,link]",
         help="skip models for an attribute pair (repeatable; link = relation or INNER)",
     )
-    common.add_argument("--threads", type=int, metavar="N", help="worker cap (results identical)")
+    common.add_argument("--threads", type=int, metavar="N", help="validated, otherwise unused")
     common.add_argument("--eval-split", choices=("dev", "test"), dest="eval_split")
 
     parser = argparse.ArgumentParser(

@@ -15,6 +15,13 @@ entry or a silent target). Updates are synchronous: iteration k reads only
 the k-1 values, and sums run in a fixed path order, so results are
 bit-reproducible.
 
+The diagnostic loss of each iteration (the ``loss`` column of the trace) is
+a quadratic form in the live values, compiled with the operator and centered
+on the initial values so that it keeps its digits at magnitudes like years.
+It reads the ``A x`` that the next update needs, so an iteration costs one
+gather and one ``bincount`` over the entries of ``A`` plus work linear in
+the live targets.
+
 Missing entries start at the global mean of their attribute type, so targets
 that never receive a message degrade to the per-type mean baseline.
 """
@@ -243,11 +250,6 @@ def _target_ranges(bundle: DatasetBundle) -> dict[int, float]:
     }
 
 
-def _paths_loss(paths: _Paths, values: np.ndarray) -> float:
-    resid = values[paths.tgt] - (paths.eta * values[paths.src] + paths.tau)
-    return float(np.dot(paths.weight * resid, resid))
-
-
 def loss(
     bundle: DatasetBundle,
     registry: ModelRegistry,
@@ -263,42 +265,60 @@ def loss(
     """
     cfg = cfg or PropagationConfig()
     values = state.values if isinstance(state, PropagationState) else np.asarray(state)
-    return _paths_loss(_build_paths(bundle, registry, cfg), values)
+    paths = _build_paths(bundle, registry, cfg)
+    resid = values[paths.tgt] - (paths.eta * values[paths.src] + paths.tau)
+    return float(np.dot(paths.weight * resid, resid))
 
 
 class _Operator(NamedTuple):
     """The compiled update ``x <- (1 - d) x + d (A x + c)`` over the live targets.
 
-    ``moving`` holds the paths with a live endpoint. Its first ``len(a)``
-    paths, live source to live target, are the entries of ``A``, so one
-    gather of source values per iteration feeds both the update and the
-    loss. Paths between fixed entries add a constant to the loss.
+    ``A`` is held as one entry per path between two live entries: its source
+    entry ``src``, its ``row`` and its coefficient ``a``, in path order.
+
+    The loss is a quadratic form centered on the initial live values ``x0``.
+    With ``y = x - x0``, ``r0`` each path's residual at ``x0`` and ``q`` each
+    row's total weight::
+
+        loss(x) = loss0 + g.y + h.y^2 - 2 (q y).(A x - A x0)
+
+    where ``loss0`` is the loss at ``x0`` over all paths, and ``g`` and ``h``
+    sum ``2 w r0`` and ``w`` over the paths into each row, minus
+    ``2 w eta r0`` and plus ``w eta^2`` over the paths out of it. The last
+    term is the cross product of the paths between two live entries, since
+    ``w eta = q a`` on each of them. Centering keeps the terms of the order
+    of the residuals rather than of the values. Only ``A x - A x0`` still
+    carries the rounding of the values' magnitude: at years near 2000 the
+    loss stays within about 3e-13 relative of a direct sum over the paths,
+    where an uncentered form loses about 1e-11. ``A x`` is the product the
+    next update needs anyway, so an iteration touches no other per-path
+    array.
     """
 
     live: np.ndarray  # entry index per row, grouped by attribute type
-    moving: _Paths
+    src: np.ndarray  # source entry of each A entry
     row: np.ndarray  # row of each A entry
     a: np.ndarray  # w * eta / q per A entry
     c: np.ndarray  # per row: intercepts and fixed-source predictions, over q
-    fixed_loss: float
+    x0: np.ndarray  # per row: the value the loss is centered on
+    ax0: np.ndarray  # A x0
+    q: np.ndarray  # per row: total weight of the paths into it
+    g: np.ndarray
+    h: np.ndarray
+    loss0: float
 
-    def sources(self, values: np.ndarray) -> np.ndarray:
-        """Source values of the moving paths."""
-        return np.take(values, self.moving.src)
+    def product(self, values: np.ndarray) -> np.ndarray:
+        """``A x`` for the entry buffer ``values``."""
+        weights = self.a * np.take(values, self.src)
+        return np.bincount(self.row, weights=weights, minlength=len(self.live))
 
-    def estimate(self, sources: np.ndarray) -> np.ndarray:
-        """Weighted message mean per live target, from :meth:`sources` output."""
-        ax = np.bincount(self.row, weights=self.a * sources[: len(self.a)], minlength=len(self.live))
-        return ax + self.c
-
-    def loss(self, values: np.ndarray, sources: np.ndarray) -> float:
-        """:func:`loss` at ``values``, whose moving-path sources are ``sources``."""
-        m = self.moving
-        pred = m.eta * sources
-        pred += m.tau
-        resid = np.take(values, m.tgt)
-        resid -= pred
-        return self.fixed_loss + float(np.dot(np.multiply(m.weight, resid, out=pred), resid))
+    def loss(self, x: np.ndarray, ax: np.ndarray) -> float:
+        """:func:`loss` at live values ``x``, given ``ax = A x``."""
+        y = x - self.x0
+        slope = (ax - self.ax0) * (-2.0 * self.q)
+        slope += self.h * y
+        slope += self.g
+        return self.loss0 + float(np.dot(slope, y))
 
 
 def _compile(
@@ -321,13 +341,10 @@ def _compile(
     targets = bundle.target_indices()
     live = targets[n_msgs[targets] > 0]
     live = live[np.argsort(attrs.attr_ids[live], kind="stable")]
-    row_of = np.full(n, -1, dtype=np.int64)
-    row_of[live] = np.arange(len(live))
-    from_live = row_of[src] >= 0
-
-    fixed = ~(to_live | from_live)
-    m = mid[fixed]
-    fixed_loss = _paths_loss(_Paths(src[fixed], tgt[fixed], eta[m], tau[m], weight[m]), values)
+    n_live = len(live)
+    row_of = np.full(n, n_live, dtype=np.int64)  # row n_live collects the fixed entries
+    row_of[live] = np.arange(n_live)
+    from_live = row_of[src] < n_live
 
     # c: every path's intercept plus the predictions of fixed sources, over q
     p = np.flatnonzero(to_live)
@@ -337,25 +354,52 @@ def _compile(
     term[f] += eta[m[f]] * values[src[p[f]]]
     term *= weight[m]
     term /= weight_sum[tgt[p]]
-    c = np.bincount(row_of[tgt[p]], weights=term, minlength=len(live))
+    c = np.bincount(row_of[tgt[p]], weights=term, minlength=n_live)
     del p, m, term, f
 
-    # moving paths, live -> live (the entries of A) first
-    entries = to_live & from_live
-    n_a = int(entries.sum())
-    p = np.concatenate([np.flatnonzero(entries), np.flatnonzero(to_live ^ from_live)])
-    del to_live, from_live, entries
-    src, tgt, mid = src[p], tgt[p], mid[p]
-    del p
-    a = weight[mid[:n_a]] * eta[mid[:n_a]]
-    a /= weight_sum[tgt[:n_a]]
-    moving = _Paths(src, tgt, eta[mid], tau[mid], weight[mid])
-    op = _Operator(live, moving, row_of[moving.tgt[:n_a]], a, c, fixed_loss)
+    # the loss at values, and its gradient and curvature per row, with at
+    # most three path-sized arrays alive at once
+    def per_row(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return np.bincount(rows, weights=w, minlength=n_live + 1)[:n_live]
+
+    r0 = np.take(values, src)
+    r0 *= eta[mid]
+    r0 += tau[mid]
+    np.subtract(np.take(values, tgt), r0, out=r0)
+    w = weight[mid]
+    wr = w * r0
+    loss0 = float(np.dot(wr, r0))
+    del r0
+    wr *= 2.0
+    rows = row_of[tgt]
+    g = per_row(rows, wr)
+    h = per_row(rows, w)
+    del rows
+    e = eta[mid]
+    wr *= e
+    w *= e
+    w *= e
+    del e
+    rows = row_of[src]
+    g -= per_row(rows, wr)
+    h += per_row(rows, w)
+    del rows, wr, w
+
+    # A: the paths live -> live, in path order
+    p = np.flatnonzero(to_live & from_live)
+    del to_live, from_live
+    m = mid[p]
+    a = weight[m] * eta[m]
+    a /= weight_sum[tgt[p]]
+    a_src, a_row = src[p], row_of[tgt[p]]
+    del p, m
+
+    op = _Operator(live, a_src, a_row, a, c, values[live], None, weight_sum[live], g, h, loss0)
+    op = op._replace(ax0=op.product(values))  # the first update's A x as well
     logger.info(
-        "operator: %d entries over %d live targets, %d moving paths, compiled in %.3f s",
-        n_a,
-        len(live),
-        moving.n,
+        "operator: %d entries over %d live targets, compiled in %.3f s",
+        len(a),
+        n_live,
         time.perf_counter() - clock,
     )
     return op, n_msgs, weight_sum
@@ -396,16 +440,15 @@ def run(
     converged = not ranges  # nothing to impute converges immediately
     iteration = 0
     clock = time.perf_counter()
-    sources = op.sources(values)
+    x, ax = op.x0, op.ax0
     for iteration in range(1, cfg.max_iters + 1):
         max_delta = np.zeros(attrs.n_types)
         if len(op.live):
-            prev = values[op.live]
-            new = (1.0 - cfg.damping) * prev + cfg.damping * op.estimate(sources)
+            new = (1.0 - cfg.damping) * x + cfg.damping * (ax + op.c)
+            max_delta[live_types] = np.maximum.reduceat(np.abs(new - x), type_starts)
             values[op.live] = new
-            max_delta[live_types] = np.maximum.reduceat(np.abs(new - prev), type_starts)
-            sources = op.sources(values)
-        loss_now = op.loss(values, sources)
+            x, ax = new, op.product(values)
+        loss_now = op.loss(x, ax)
         converged = True
         for attr in ranges:
             d = float(max_delta[attr])
@@ -417,8 +460,14 @@ def run(
                 converged = False
         if converged:
             break
+    seconds = time.perf_counter() - clock
     logger.info(
-        "iterations: %d in %.3f s, converged=%s", iteration, time.perf_counter() - clock, converged
+        "iterations: %d in %.3f s (%.3f ms each), converged=%s, final loss %.6g",
+        iteration,
+        seconds,
+        1000.0 * seconds / iteration,
+        converged,
+        loss_now,
     )
 
     if not converged:

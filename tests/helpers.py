@@ -1,6 +1,10 @@
 """Shared fixture builders for the test suite."""
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from mrap.attributes import AttributeTable, Status
@@ -261,3 +265,23 @@ def random_instance(rng: np.random.Generator, max_nodes: int = 20, quirks: bool 
                 models.append(inner)
                 models.append(derive_reverse(inner))
     return bundle, registry_of(*models)
+
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_generate():
+    """The benchmark's graph generator, ``bench/generate.py``.
+
+    Loaded without writing bytecode, so the test run leaves ``bench/`` as it
+    found it.
+    """
+    spec = importlib.util.spec_from_file_location("bench_generate", BENCH_DIR / "generate.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while decorating
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    return module

@@ -1,9 +1,10 @@
 import logging
+import math
 import re
 
 import pytest
 
-from helpers import write_cli_dataset
+from helpers import bench_generate, write_cli_dataset
 
 from mrap.cli import (
     EXIT_DATA,
@@ -99,14 +100,22 @@ class TestPipeline:
         assert (out / "report.csv").read_bytes() == plain
 
     def test_info_log_times_propagation_layers(self, dataset, tmp_path, caplog):
-        base = _args(dataset, tmp_path / "out", "--seed", "1", "--min-support", "3")
+        out = tmp_path / "out"
+        base = _args(dataset, out, "--seed", "1", "--min-support", "3")
         with caplog.at_level(logging.INFO, logger="mrap.propagation"):
             assert main(["impute", *base]) == EXIT_OK
         text = "\n".join(r.getMessage() for r in caplog.records if r.name == "mrap.propagation")
         # one line per layer, each with its count and seconds
         assert re.search(r"^paths: \d+ built in \d+\.\d+ s$", text, re.M)
         assert re.search(r"^operator: \d+ entries .* compiled in \d+\.\d+ s$", text, re.M)
-        assert re.search(r"^iterations: \d+ in \d+\.\d+ s, converged=True$", text, re.M)
+        found = re.search(
+            r"^iterations: \d+ in \d+\.\d+ s \(\d+\.\d+ ms each\), converged=True, final loss (\S+)$",
+            text,
+            re.M,
+        )
+        assert found
+        last_loss = float((out / "trace.csv").read_text().splitlines()[-1].split(",")[3])
+        assert float(found.group(1)) == pytest.approx(last_loss, rel=1e-5)
 
     def test_ablation_flags_thread_through(self, dataset, tmp_path):
         out_a = tmp_path / "a"
@@ -115,6 +124,32 @@ class TestPipeline:
         assert main(["impute", *base(out_a)]) == EXIT_OK
         assert main(["impute", *base(out_b, "--no-cross")]) == EXIT_OK
         assert (out_a / "imputed.tsv").read_text() != (out_b / "imputed.tsv").read_text()
+
+
+class TestBenchmarkSmoke:
+    def test_planted_forest_recovered_through_cli(self, tmp_path):
+        # the benchmark's planted check at its smallest size: a noiseless
+        # forest must come back to float64 rounding through `mrap impute`
+        inputs, out = tmp_path / "in", tmp_path / "out"
+        truth = bench_generate().write_planted(seed=3, out_dir=inputs)
+        base = _args((inputs / "triples.tsv", inputs / "attrs.tsv"), out, "--seed", "7")
+        assert main(["split", *base]) == EXIT_OK
+        flags = ("--observed-fraction", "1.0", "--conv-frac", "1e-13", "--max-iters", "5000")
+        assert main(["impute", *base, *flags]) == EXIT_OK
+        hidden = {
+            (entity, attr)
+            for entity, attr, split in (line.split("\t") for line in (out / "split.tsv").read_text().splitlines())
+            if split != "train"
+        }
+        imputed = {
+            (entity, attr): float(value)
+            for entity, attr, value, *_ in (line.split("\t") for line in (out / "imputed.tsv").read_text().splitlines())
+        }
+        assert hidden and set(imputed) == hidden
+        for key, value in imputed.items():
+            assert abs(value - truth[key]) <= 1e-9 * (1 + abs(truth[key])), key
+        trace = (out / "trace.csv").read_text().splitlines()[1:]
+        assert trace and all(math.isfinite(float(row.split(",")[3])) for row in trace)
 
 
 class TestExitCodes:

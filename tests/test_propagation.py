@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    bench_generate,
     entry_index,
     make_bundle,
     make_model,
@@ -13,7 +14,7 @@ from helpers import (
 from mrap.attributes import Status
 from mrap.errors import SingularSystemError
 from mrap.graph import Direction
-from mrap.ingest import Split
+from mrap.ingest import Split, SplitSpec, load_dataset, split_attributes, subsample_observed
 from mrap.propagation import (
     PropagationConfig,
     _build_paths,
@@ -24,7 +25,7 @@ from mrap.propagation import (
     loss,
     run,
 )
-from mrap.regression import PathKey, derive_reverse
+from mrap.regression import AdmissionConfig, PathKey, build_registry, derive_reverse
 
 
 class FakeMessage:
@@ -423,7 +424,7 @@ class TestLoss:
         assert losses[-1] <= losses[0]
 
     def test_trace_loss_equals_loss_over_all_paths(self):
-        # the compiled loss splits paths into moving ones and a constant
+        # the compiled loss is a quadratic form centered on the initial values
         rng = np.random.default_rng(39)
         for _ in range(10):
             bundle, registry = random_instance(rng, quirks=True)
@@ -431,6 +432,28 @@ class TestLoss:
                 state, report = run(bundle, registry, cfg)
                 want = loss(bundle, registry, state, cfg)
                 assert report.trace[-1][3] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_trace_loss_equals_loss_at_year_magnitudes(self):
+        # values near 2000 with residuals of a few units: an uncentered form
+        # of the loss would lose digits to cancellation here
+        generate = bench_generate()
+        spec = generate.GraphSpec(
+            entities=1500, edges_per_entity=5, relations=10, noise_relations=0, types=3, density=0.5
+        )
+        edges, values, present = generate.generate(spec, seed=5)
+        triples = [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in edges.tolist()]
+        ents, types = np.nonzero(present)
+        rows = [(f"e{e}", f"a{k}", float(values[e, k])) for e, k in zip(ents.tolist(), types.tolist())]
+        bundle = split_attributes(*load_dataset(triples, rows), SplitSpec(seed=5))
+        bundle = subsample_observed(bundle, 0.2, seed=5)
+        registry = build_registry(bundle, AdmissionConfig())
+        assert np.median(np.abs(bundle.attrs.values)) > 1900.0
+        for k in (1, 2, 5, 10, 20, 40):
+            cfg = PropagationConfig(conv_frac=1e-12, max_iters=k)
+            state, report = run(bundle, registry, cfg)
+            assert state.iteration == k
+            want = loss(bundle, registry, state, cfg)
+            assert report.trace[-1][3] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_no_cross_admits_fewer_paths_than_no_inner(self):
         rng = np.random.default_rng(36)
