@@ -30,7 +30,7 @@ from .evaluation import (
     write_differences,
     write_report_csv,
 )
-from .graph import Direction, Edge, KnowledgeGraph, OrientedRelation, Vocabulary, build_graph
+from .graph import Direction, KnowledgeGraph, OrientedRelation, Vocabulary, build_graph
 from .ingest import (
     DatasetBundle,
     Split,

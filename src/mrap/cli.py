@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -297,9 +298,14 @@ def _read_imputed(path: Path, bundle: DatasetBundle) -> dict[tuple[int, int], fl
             if eid is None or aid is None:
                 raise DataError(f"{path}:{line_no}: unknown target ({entity!r}, {attr!r})")
             try:
-                preds[(eid, aid)] = float(value)
+                prediction = float(value)
             except ValueError:
                 raise ParseError(f"unparseable value {value!r}", line_no) from None
+            if not math.isfinite(prediction):
+                raise ParseError(f"non-finite value {value!r}", line_no)
+            if (eid, aid) in preds:
+                raise ParseError(f"duplicate target ({entity!r}, {attr!r})", line_no)
+            preds[(eid, aid)] = prediction
     return preds
 
 

@@ -4,14 +4,16 @@ Entity and relation labels are interned to dense integer ids. Every stored
 edge ``(head, relation, tail)`` yields two adjacency entries: the tail sees
 ``(head, relation, FORWARD)`` and the head sees ``(tail, relation, REVERSE)``,
 so a node can enumerate incident edges in both traversal directions. The
-adjacency and the edge array are derived from the edge list on first use.
-The graph is immutable after construction and safe for concurrent reads.
+edges are stored only as one sorted ``(n_edges, 3)`` int64 array; the
+adjacency lists are derived from it on first use. The graph is immutable
+after construction and safe for concurrent reads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -25,8 +27,7 @@ class Vocabulary:
     def __init__(self, labels: Iterable[str] = ()):
         self._labels: list[str] = []
         self._ids: dict[str, int] = {}
-        for label in labels:
-            self.add(label)
+        self.intern(labels)
 
     def add(self, label: str) -> int:
         """Intern a label and return its id (existing or freshly assigned)."""
@@ -36,6 +37,18 @@ class Vocabulary:
             self._ids[label] = idx
             self._labels.append(label)
         return idx
+
+    def intern(self, labels: Iterable[str]) -> list[int]:
+        """Intern every label in order and return their ids.
+
+        New labels get ids in first-seen order, exactly as repeated
+        :meth:`add` calls would assign them.
+        """
+        ids = self._ids
+        known = len(ids)
+        out = [ids.setdefault(label, len(ids)) for label in labels]
+        self._labels.extend(islice(ids, known, None))
+        return out
 
     def id(self, label: str) -> int:
         return self._ids[label]
@@ -85,24 +98,20 @@ class OrientedRelation(NamedTuple):
         return OrientedRelation(self.relation, self.direction.flipped)
 
 
-class Edge(NamedTuple):
-    head: int
-    relation: int
-    tail: int
-
-
 @dataclass
 class KnowledgeGraph:
     """Deduplicated typed edges, sorted, plus per-entity oriented adjacency.
 
-    ``adjacency[v]`` lists ``(neighbor, OrientedRelation)`` pairs sorted by
-    (neighbor id, relation id, direction). It is built on first use: the
-    pipeline itself works on :attr:`edge_array`.
+    ``edge_array`` holds one ``(head, relation, tail)`` int64 row per distinct
+    edge, sorted by head, then relation, then tail; it is the only edge
+    storage. ``adjacency[v]`` lists ``(neighbor, OrientedRelation)`` pairs
+    sorted by (neighbor id, relation id, direction). It is built from
+    ``edge_array`` on first use; the pipeline itself works on the array.
     """
 
     entities: Vocabulary
     relations: Vocabulary
-    edges: list[Edge]
+    edge_array: np.ndarray  # int64, shape (n_edges, 3)
 
     @property
     def n_entities(self) -> int:
@@ -114,17 +123,12 @@ class KnowledgeGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """The edges as an ``(n_edges, 3)`` int64 array of (head, relation, tail) rows."""
-        return np.array(self.edges, dtype=np.int64).reshape(-1, 3)
+        return len(self.edge_array)
 
     @cached_property
     def adjacency(self) -> list[list[tuple[int, OrientedRelation]]]:
         adjacency: list[list[tuple[int, OrientedRelation]]] = [[] for _ in range(self.n_entities)]
-        for h, r, t in self.edges:
+        for h, r, t in self.edge_array.tolist():
             # Self-loops deliberately get one entry per direction on the same node.
             adjacency[t].append((h, OrientedRelation(r, Direction.FORWARD)))
             adjacency[h].append((t, OrientedRelation(r, Direction.REVERSE)))
@@ -141,7 +145,7 @@ class KnowledgeGraph:
     def triples(self) -> list[tuple[str, str, str]]:
         """The stored edge set as labeled triples, in edge order."""
         ent, rel = self.entities, self.relations
-        return [(ent.label(h), rel.label(r), ent.label(t)) for h, r, t in self.edges]
+        return [(ent.label(h), rel.label(r), ent.label(t)) for h, r, t in self.edge_array.tolist()]
 
 
 def build_graph(
@@ -150,23 +154,25 @@ def build_graph(
 ) -> KnowledgeGraph:
     """Build a graph from labeled triples.
 
-    Duplicate (head, relation, tail) triples are stored once. Entities listed
-    in ``extra_entities`` (e.g. nodes that only carry attributes) are interned
-    as isolated nodes after all triple entities.
+    Entity ids follow first appearance in (head, tail) file order, relation
+    ids first appearance in file order. Duplicate (head, relation, tail)
+    triples are stored once. Entities listed in ``extra_entities`` (e.g.
+    nodes that only carry attributes) are interned as isolated nodes after
+    all triple entities.
     """
+    rows = list(triples)
     entities = Vocabulary()
     relations = Vocabulary()
-    seen: set[Edge] = set()
-    edges: list[Edge] = []
-    for head, relation, tail in triples:
-        if not head or not relation or not tail:
-            raise ValueError(f"triple with empty field: {(head, relation, tail)!r}")
-        edge = Edge(entities.add(head), relations.add(relation), entities.add(tail))
-        if edge not in seen:
-            seen.add(edge)
-            edges.append(edge)
-    for label in extra_entities:
-        entities.add(label)
+    ends = entities.intern([label for head, _, tail in rows for label in (head, tail)])
+    rels = relations.intern([relation for _, relation, _ in rows])
+    if "" in entities or "" in relations:
+        bad = next(row for row in rows if not all(row))
+        raise ValueError(f"triple with empty field: {bad!r}")
+    entities.intern(extra_entities)
 
-    edges.sort()
-    return KnowledgeGraph(entities=entities, relations=relations, edges=edges)
+    columns = np.array([ends[0::2], rels, ends[1::2]], dtype=np.int64)
+    edges = columns.T[np.lexsort(columns[::-1])]
+    # once sorted, a duplicate row equals its predecessor
+    first = np.ones(len(edges), dtype=bool)
+    first[1:] = (edges[1:] != edges[:-1]).any(axis=1)
+    return KnowledgeGraph(entities=entities, relations=relations, edge_array=edges[first])

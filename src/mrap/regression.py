@@ -87,14 +87,6 @@ class PathKey:
         assert self.direction is not None
         return PathKey.relational(self.indep, self.dep, self.relation, self.direction.flipped)
 
-    def label(self, graph: KnowledgeGraph, attrs: AttributeTable) -> str:
-        dep = attrs.types.label(self.dep)
-        indep = attrs.types.label(self.indep)
-        if self.is_inner:
-            return f"{dep}|{indep}|{INNER_LABEL}"
-        rel = graph.relations.label(self.relation)  # type: ignore[arg-type]
-        return f"{dep}|{indep}|{rel}|{_DIRECTION_NAMES[self.direction]}"  # type: ignore[index]
-
 
 @dataclass(frozen=True)
 class FitSummary:
@@ -221,7 +213,7 @@ def extract_pairs(bundle: DatasetBundle, key: PathKey) -> tuple[np.ndarray, np.n
     else:
         if key.direction is not Direction.FORWARD:
             raise ValueError("pairs are extracted for FORWARD keys only")
-        for head, relation, tail in bundle.graph.edges:
+        for head, relation, tail in bundle.graph.edge_array.tolist():
             if relation != key.relation:
                 continue
             y = value_if_observed(tail, key.dep)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from mrap.attributes import AttributeTable, Status
+from mrap.errors import DataError
 from mrap.graph import Direction, Vocabulary, build_graph
 from mrap.ingest import DatasetBundle, Split
 from mrap.regression import FitSummary, ModelRegistry, PathKey, RegressionModel
@@ -285,3 +286,71 @@ def bench_generate():
     finally:
         sys.dont_write_bytecode = write_bytecode
     return module
+
+
+# -- scalar references for the array-native load path ------------------------
+
+
+def reference_build_graph(triples, extra_entities=()):
+    """Set-based graph build, one triple at a time: the reference for ``build_graph``.
+
+    Returns (entity labels, relation labels, sorted distinct edge tuples).
+    """
+    entities = Vocabulary()
+    relations = Vocabulary()
+    seen = set()
+    edges = []
+    for head, relation, tail in triples:
+        if not head or not relation or not tail:
+            raise ValueError(f"triple with empty field: {(head, relation, tail)!r}")
+        edge = (entities.add(head), relations.add(relation), entities.add(tail))
+        if edge not in seen:
+            seen.add(edge)
+            edges.append(edge)
+    for label in extra_entities:
+        entities.add(label)
+    edges.sort()
+    return entities.labels, relations.labels, edges
+
+
+def reference_attribute_entries(n_entities, entries):
+    """Tuple-sorting attribute build: the reference for ``AttributeTable.build``.
+
+    Returns (entity ids, attribute ids, values, index, per-entity entry lists).
+    """
+    rows = sorted(entries)
+    index = {(e, a): i for i, (e, a, _) in enumerate(rows)}
+    if len(index) != len(rows):
+        raise DataError("duplicate (entity, attribute) entry")
+    per_entity = [[] for _ in range(n_entities)]
+    for i, (e, _, _) in enumerate(rows):
+        per_entity[e].append(i)
+    return [e for e, _, _ in rows], [a for _, a, _ in rows], [v for _, _, v in rows], index, per_entity
+
+
+def random_load_inputs(rng: np.random.Generator):
+    """Labelled triples and attribute rows with every case the load path must keep.
+
+    Duplicate triples, self-loops, one (head, tail) pair under several
+    relations, attribute-only entities and an attributed entity that also
+    appears in the triples. Labels are shuffled so their ids differ from
+    their names' order.
+    """
+    names = [f"e{i}" for i in rng.permutation(int(rng.integers(2, 15)))]
+    rels = [f"r{i}" for i in rng.permutation(int(rng.integers(1, 5)))]
+
+    def pick(seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    triples = [(pick(names), pick(rels), pick(names)) for _ in range(int(rng.integers(1, 30)))]
+    loop = pick(names)
+    triples.append((loop, pick(rels), loop))
+    head, tail = pick(names), pick(names)
+    triples += [(head, rel, tail) for rel in rels]
+    triples += [triples[int(rng.integers(len(triples)))] for _ in range(int(rng.integers(1, 6)))]
+    triples = [triples[i] for i in rng.permutation(len(triples))]
+    types = [f"t{i}" for i in range(int(rng.integers(1, 4)))]
+    attributed = [pick(names)] + [f"only{i}" for i in range(int(rng.integers(1, 4)))]
+    attributed += [pick(names) for _ in range(int(rng.integers(0, 8)))]
+    rows = {(entity, pick(types)): float(rng.normal(1950.0, 30.0)) for entity in attributed}
+    return triples, [(e, a, v) for (e, a), v in rows.items()]

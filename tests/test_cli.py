@@ -102,8 +102,18 @@ class TestPipeline:
     def test_info_log_times_propagation_layers(self, dataset, tmp_path, caplog):
         out = tmp_path / "out"
         base = _args(dataset, out, "--seed", "1", "--min-support", "3")
-        with caplog.at_level(logging.INFO, logger="mrap.propagation"):
+        with caplog.at_level(logging.INFO, logger="mrap.propagation"), caplog.at_level(
+            logging.INFO, logger="mrap.ingest"
+        ):
             assert main(["impute", *base]) == EXIT_OK
+        loaded = "\n".join(r.getMessage() for r in caplog.records if r.name == "mrap.ingest")
+        # 40 people: 80 distinct triples over 80 entities, 3 attribute types
+        assert re.search(
+            r"^loaded: 80 triples read, 0 duplicates dropped, 80 entities, 2 relations, 80 edges, "
+            r"120 attribute entries of 3 types in \d+\.\d+ s$",
+            loaded,
+            re.M,
+        )
         text = "\n".join(r.getMessage() for r in caplog.records if r.name == "mrap.propagation")
         # one line per layer, each with its count and seconds
         assert re.search(r"^paths: \d+ built in \d+\.\d+ s$", text, re.M)
@@ -197,6 +207,30 @@ class TestExitCodes:
 
     def test_eval_requires_imputation_output(self, dataset, tmp_path):
         assert main(["eval", *_args(dataset, tmp_path / "never_ran")]) == EXIT_DATA
+
+    def _corrupt_imputed(self, dataset, tmp_path, corrupt):
+        out = tmp_path / "out"
+        base = _args(dataset, out, "--seed", "1", "--min-support", "3")
+        assert main(["impute", *base]) == EXIT_OK
+        imputed = out / "imputed.tsv"
+        imputed.write_text(corrupt(imputed.read_text().splitlines(keepends=True)), encoding="utf-8")
+        return main(["eval", *base])
+
+    def test_eval_rejects_non_finite_imputed_value(self, dataset, tmp_path, capsys):
+        def nan_on_line_2(lines):
+            fields = lines[1].split("\t")
+            fields[2] = "nan"
+            return "".join([lines[0], "\t".join(fields), *lines[2:]])
+
+        assert self._corrupt_imputed(dataset, tmp_path, nan_on_line_2) == EXIT_DATA
+        assert "line 2: non-finite value 'nan'" in capsys.readouterr().err
+
+    def test_eval_rejects_duplicate_imputed_target(self, dataset, tmp_path, capsys):
+        def repeat_line_1(lines):
+            return "".join([lines[0], *lines])
+
+        assert self._corrupt_imputed(dataset, tmp_path, repeat_line_1) == EXIT_DATA
+        assert "line 2: duplicate target" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == EXIT_OK

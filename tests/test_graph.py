@@ -3,7 +3,10 @@ import pytest
 
 from mrap.attributes import AttributeTable, Status
 from mrap.errors import DataError
-from mrap.graph import Direction, Edge, OrientedRelation, Vocabulary, build_graph
+from mrap.graph import Direction, OrientedRelation, Vocabulary, build_graph
+from mrap.ingest import load_dataset
+
+from helpers import random_load_inputs, reference_attribute_entries, reference_build_graph
 
 
 class TestBuildGraph:
@@ -89,6 +92,74 @@ class TestVocabulary:
 
     def test_get_missing(self):
         assert Vocabulary().get("nope") is None
+
+    def test_intern_matches_repeated_add(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            seed_labels = [f"l{i}" for i in rng.integers(0, 6, size=int(rng.integers(0, 4)))]
+            labels = [f"l{i}" for i in rng.integers(0, 12, size=int(rng.integers(0, 30)))]
+            bulk, single = Vocabulary(seed_labels), Vocabulary(seed_labels)
+            assert bulk.intern(labels) == [single.add(label) for label in labels]
+            assert bulk.labels == single.labels
+            assert all(bulk.id(label) == i for i, label in enumerate(bulk))
+
+
+class TestArrayLoadMatchesReference:
+    """The array-native load keeps ids, edge rows and entry order of the scalar build."""
+
+    def _check(self, triples, attr_rows):
+        extras = [e for e, _, _ in attr_rows]
+        ent_labels, rel_labels, edges = reference_build_graph(triples, extras)
+        graph, table = load_dataset(triples, attr_rows)
+        assert graph.entities.labels == ent_labels
+        assert graph.relations.labels == rel_labels
+        assert graph.edge_array.dtype == np.int64 and graph.edge_array.shape == (len(edges), 3)
+        assert [tuple(row) for row in graph.edge_array.tolist()] == edges
+
+        types = Vocabulary()
+        entries = [(ent_labels.index(e), types.add(a), v) for e, a, v in attr_rows]
+        entity_ids, attr_ids, values, index, per_entity = reference_attribute_entries(
+            len(ent_labels), entries
+        )
+        assert table.types.labels == types.labels
+        assert table.entity_ids.tolist() == entity_ids
+        assert table.attr_ids.tolist() == attr_ids
+        assert table.values.tolist() == values
+        assert table.index == index
+        assert [table.entries_of(e) for e in range(graph.n_entities)] == per_entity
+
+    def test_random_labelled_inputs(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            self._check(*random_load_inputs(rng))
+
+    def test_empty_input(self):
+        self._check([], [])
+
+    def test_attribute_only_input(self):
+        self._check([], [("x", "h", 1.0), ("w", "h", 2.0), ("x", "g", 3.0)])
+
+    @pytest.mark.parametrize(
+        "bad", [("", "p", "b"), ("a", "", "b"), ("a", "p", "")], ids=["head", "relation", "tail"]
+    )
+    def test_empty_triple_field_rejected(self, bad):
+        triples = [("a", "p", "b"), bad, ("b", "p", "c")]
+        with pytest.raises(ValueError, match="empty field"):
+            reference_build_graph(triples)
+        with pytest.raises(ValueError, match="empty field"):
+            build_graph(triples)
+
+    def test_duplicate_entry_rejected(self):
+        entries = [(1, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0)]
+        with pytest.raises(DataError):
+            reference_attribute_entries(2, entries)
+        with pytest.raises(DataError):
+            AttributeTable.build(2, Vocabulary(["h", "g"]), entries)
+
+    @pytest.mark.parametrize("entity", [-1, 2])
+    def test_entity_id_out_of_range_rejected(self, entity):
+        with pytest.raises(ValueError, match="out of range"):
+            AttributeTable.build(2, Vocabulary(["h"]), [(0, 0, 1.0), (entity, 0, 2.0)])
 
 
 class TestAttrRange:

@@ -308,7 +308,7 @@ def _brute_force_path_count(graph, registry, attrs):
         if key.is_inner:
             total += int((attrs.attr_ids == key.indep).sum())
             continue
-        for head, relation, tail in graph.edges:
+        for head, relation, tail in graph.edge_array.tolist():
             source = head if key.direction is Direction.FORWARD else tail
             total += relation == key.relation and (source, key.indep) in attrs.index
     return total
