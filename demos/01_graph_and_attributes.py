@@ -1,6 +1,7 @@
-"""Build a small multi-relational graph and inspect its oriented adjacency.
+"""Build a small multi-relational graph and inspect its incident edges.
 
-Every stored edge can be traversed in both directions: the edge
+The graph stores its edges as one sorted array of (head, relation, tail)
+rows, and every edge can be traversed in both directions: the edge
 (person, directed, film) lets the film see its director (forward) and the
 director see the film (reverse). Numeric attributes live in a sparse table
 next to the graph.
@@ -18,15 +19,18 @@ triples = [
 graph = build_graph(triples)
 print(f"{graph.n_entities} entities, {graph.n_relations} relation types, {graph.n_edges} edges\n")
 
+edges = graph.edge_array
 for name in ("coppola", "the_godfather", "sofia"):
     v = graph.entities.id(name)
-    print(f"adjacency of {name}:")
-    for neighbor, oriented in graph.neighbors(v):
-        arrow = "<-" if oriented.direction is Direction.FORWARD else "->"
-        print(
-            f"  {name} {arrow}{graph.relations.label(oriented.relation)}{arrow[::-1]} "
-            f"{graph.entities.label(neighbor)}  ({oriented.direction.name.lower()})"
-        )
+    print(f"incident edges of {name}:")
+    # an edge is seen FORWARD from its tail and REVERSE from its head
+    for direction, here, there in ((Direction.FORWARD, 2, 0), (Direction.REVERSE, 0, 2)):
+        arrow = "<-" if direction is Direction.FORWARD else "->"
+        for row in edges[edges[:, here] == v].tolist():
+            print(
+                f"  {name} {arrow}{graph.relations.label(row[1])}{arrow[::-1]} "
+                f"{graph.entities.label(row[there])}  ({direction.name.lower()})"
+            )
     print()
 
 # attach numeric attributes; values stay in native units

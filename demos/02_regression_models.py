@@ -18,8 +18,8 @@ from mrap.regression import (
     PathKey,
     build_registry,
     derive_reverse,
-    extract_pairs,
     fit_simple_regression,
+    training_pairs,
     write_model_dump,
 )
 
@@ -39,7 +39,7 @@ graph, table = load_dataset(triples, attr_rows)
 bundle = DatasetBundle(graph=graph, attrs=table, split=np.zeros(table.n_entries, dtype=np.int8))
 
 key = PathKey.relational(dep=0, indep=0, relation=0, direction=Direction.FORWARD)
-ys, xs = extract_pairs(bundle, key)
+ys, xs = next((ys, xs) for k, ys, xs in training_pairs(bundle) if k == key)
 eta, tau, sigma2, fit = fit_simple_regression(ys, xs)
 print(f"fitted over {fit.support} parent->child pairs:")
 print(f"  child_birth = {eta:.4f} * parent_birth + {tau:.2f}   sigma^2 = {sigma2:.2f}")

@@ -21,10 +21,9 @@ table = AttributeTable.build(graph.n_entities, types, entries)
 
 status = table.status.copy()
 split = np.zeros(3, dtype=np.int8)
-for name in ("b", "c"):  # hide b and c, keep a clamped at 0
-    idx = table.index[(graph.entities.id(name), 0)]
-    status[idx] = Status.MISSING
-    split[idx] = int(Split.TEST)
+hidden = table.lookup([graph.entities.id("b"), graph.entities.id("c")], [0, 0])
+status[hidden] = Status.MISSING  # hide b and c, keep a clamped at 0
+split[hidden] = int(Split.TEST)
 bundle = DatasetBundle(graph=graph, attrs=table.with_status(status), split=split)
 
 key = PathKey.relational(0, 0, 0, Direction.FORWARD)
@@ -40,9 +39,7 @@ print("first iterations of the trace (iter, type, max_delta, loss):")
 for row in report.trace[:6]:
     print(f"  {row[0]:3d}  {row[1]}  delta={row[2]:.6f}  loss={row[3]:.6f}")
 
-idx_b = table.index[(graph.entities.id("b"), 0)]
-idx_c = table.index[(graph.entities.id("c"), 0)]
-idx_a = table.index[(graph.entities.id("a"), 0)]
+idx_b, idx_c, idx_a = table.lookup([graph.entities.id(n) for n in "bca"], [0, 0, 0])
 print(f"\nimputed: b={state.values[idx_b]:.12f}  c={state.values[idx_c]:.12f}")
 print(f"clamped anchor a stays at {state.values[idx_a]} (loaded value)")
 

@@ -30,7 +30,7 @@ from .evaluation import (
     write_differences,
     write_report_csv,
 )
-from .graph import Direction, KnowledgeGraph, OrientedRelation, Vocabulary, build_graph
+from .graph import Direction, KnowledgeGraph, Vocabulary, build_graph
 from .ingest import (
     DatasetBundle,
     Split,
@@ -46,12 +46,8 @@ from .ingest import (
 )
 from .propagation import (
     ImputationReport,
-    Message,
     PropagationConfig,
     PropagationState,
-    aggregate,
-    collect_messages,
-    combine,
     fixed_point_oracle,
     imputed_table,
     loss,
@@ -68,9 +64,9 @@ from .regression import (
     build_registry,
     count_paths,
     derive_reverse,
-    extract_pairs,
     fit_simple_regression,
     read_model_dump,
+    training_pairs,
     write_model_dump,
 )
 

@@ -1,17 +1,16 @@
 """Sparse numeric node-attribute storage with observation status.
 
-Entries are kept in parallel arrays sorted by (entity id, attribute id).
-The ``(entity, attribute) -> entry`` dict and the per-entity entry lists are
-built on first use; the pipeline itself works on the arrays. Values stay in
-their native units; regression slopes and intercepts absorb scale and
-offset, so no normalization happens here. For MISSING entries the stored
-value is the held-out ground truth, read only by evaluation code.
+Entries are kept in parallel arrays sorted by (entity id, attribute id), so
+the codes ``entity * n_types + attr`` ascend and an entry is found by binary
+search on them. Values stay in their native units; regression slopes and
+intercepts absorb scale and offset, so no normalization happens here. For
+MISSING entries the stored value is the held-out ground truth, read only by
+evaluation code.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -76,21 +75,17 @@ class AttributeTable:
     def n_types(self) -> int:
         return len(self.types)
 
-    @cached_property
-    def index(self) -> dict[tuple[int, int], int]:
-        """``(entity id, attribute id) -> entry index``."""
-        keys = zip(self.entity_ids.tolist(), self.attr_ids.tolist())
-        return {key: i for i, key in enumerate(keys)}
-
-    @cached_property
-    def per_entity(self) -> list[list[int]]:
-        """Entry indices per entity id, ascending by attribute id."""
-        bounds = np.searchsorted(self.entity_ids, np.arange(self.n_entities + 1)).tolist()
-        return [list(range(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-    def entries_of(self, entity: int) -> list[int]:
-        """Entry indices at ``entity``, ascending by attribute id."""
-        return self.per_entity[entity]
+    def lookup(self, entity_ids: np.ndarray, attr_ids: np.ndarray) -> np.ndarray:
+        """Entry index of each ``(entity id, attribute id)`` pair, or -1 where there is none."""
+        entity_ids = np.asarray(entity_ids, dtype=np.int64)
+        attr_ids = np.asarray(attr_ids, dtype=np.int64)
+        codes = self.entity_ids * self.n_types + self.attr_ids
+        want = entity_ids * self.n_types + attr_ids
+        idx = np.searchsorted(codes, want)
+        # an attribute id out of range would alias another entity's code
+        hit = (attr_ids >= 0) & (attr_ids < self.n_types) & (idx < len(codes))
+        hit[hit] = codes[idx[hit]] == want[hit]
+        return np.where(hit, idx, -1)
 
     def with_status(self, status: np.ndarray) -> "AttributeTable":
         """A copy of the table with a replacement status array."""

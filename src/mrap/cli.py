@@ -98,7 +98,6 @@ class RunConfig:
     min_support: int = 5
     r2_min: float = 0.0
     exclude: tuple[str, ...] = ()
-    threads: int | None = None
     eval_split: str = "test"
 
     def validate(self) -> None:
@@ -116,8 +115,6 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
         if not 0.0 < self.observed_fraction <= 1.0:
             raise ConfigError(f"observed-fraction must be in (0, 1], got {self.observed_fraction}")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError("threads must be at least 1")
         if self.eval_split not in ("dev", "test"):
             raise ConfigError(f"eval-split must be dev or test, got {self.eval_split!r}")
 
@@ -204,7 +201,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             "exclude": lambda v: replace(
                 cfg, exclude=tuple(r.strip() for r in v.split(";") if r.strip())
             ),
-            "threads": lambda v: replace(cfg, threads=int(v)),
             "eval_split": lambda v: replace(cfg, eval_split=v),
         }
         for key, value in raw.items():
@@ -227,7 +223,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         max_iters=args.max_iters,
         min_support=args.min_support,
         r2_min=args.r2_min,
-        threads=args.threads,
         eval_split=args.eval_split,
     )
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
@@ -471,7 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="attrA,attrB[,link]",
         help="skip models for an attribute pair (repeatable; link = relation or INNER)",
     )
-    common.add_argument("--threads", type=int, metavar="N", help="validated, otherwise unused")
     common.add_argument("--eval-split", choices=("dev", "test"), dest="eval_split")
 
     parser = argparse.ArgumentParser(

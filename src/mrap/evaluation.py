@@ -16,6 +16,7 @@ from typing import IO, Mapping
 import numpy as np
 
 from .attributes import Status
+from .graph import Direction
 from .ingest import DatasetBundle, Split
 from .propagation import PropagationConfig, run
 from .regression import (
@@ -23,8 +24,8 @@ from .regression import (
     ModelRegistry,
     PathKey,
     build_registry,
-    extract_pairs,
     ragged,
+    training_pairs,
 )
 
 logger = logging.getLogger(__name__)
@@ -73,7 +74,7 @@ def baseline_local(bundle: DatasetBundle) -> dict[Target, float]:
     without an attributed neighbor fall back to the Global value.
     """
     attrs = bundle.attrs
-    n_entities, n_types = bundle.graph.n_entities, attrs.n_types
+    n_entities = bundle.graph.n_entities
     head, _, tail = bundle.graph.edge_array.T
     # distinct (entity, neighbor) pairs over both edge directions, ascending
     pairs = np.unique(np.concatenate([tail * n_entities + head, head * n_entities + tail]))
@@ -84,11 +85,8 @@ def baseline_local(bundle: DatasetBundle) -> dict[Target, float]:
     t_entity, t_attr = attrs.entity_ids[targets], attrs.attr_ids[targets]
     row, k = ragged(first[t_entity + 1] - first[t_entity])
     nb = neighbor[first[t_entity[row]] + k]
-    # entries are sorted by (entity, attr), so their codes are ascending
-    codes = attrs.entity_ids * n_types + attrs.attr_ids
-    want = nb * n_types + t_attr[row]
-    idx = np.minimum(np.searchsorted(codes, want), len(codes) - 1)
-    hit = (codes[idx] == want) & (attrs.status[idx] == Status.OBSERVED)
+    idx = attrs.lookup(nb, t_attr[row])
+    hit = (idx >= 0) & (attrs.status[idx] == Status.OBSERVED)
     total = np.bincount(row[hit], weights=attrs.values[idx[hit]], minlength=len(targets))
     count = np.bincount(row[hit], minlength=len(targets))
 
@@ -192,7 +190,14 @@ def export_differences(
     model intercept. Returns (differences, mean, std); empty keys yield an
     empty array and NaN parameters with a warning.
     """
-    ys, xs = extract_pairs(bundle, key)
+    if not key.is_inner and key.direction is not Direction.FORWARD:
+        raise ValueError("pairs are extracted for FORWARD keys only")
+    swap = key.is_inner and key.dep < key.indep  # inner fits regress the higher attr id
+    fit_key = key.reversed() if swap else key
+    no_pairs = (np.empty(0), np.empty(0))
+    ys, xs = next(((ys, xs) for k, ys, xs in training_pairs(bundle) if k == fit_key), no_pairs)
+    if swap:
+        ys, xs = xs, ys
     if ys.size == 0:
         logger.warning("no training pairs for key %r", key)
         return np.empty(0), float("nan"), float("nan")

@@ -1,20 +1,17 @@
-"""In-memory multi-relational graph with oriented adjacency.
+"""In-memory multi-relational graph stored as arrays.
 
-Entity and relation labels are interned to dense integer ids. Every stored
-edge ``(head, relation, tail)`` yields two adjacency entries: the tail sees
-``(head, relation, FORWARD)`` and the head sees ``(tail, relation, REVERSE)``,
-so a node can enumerate incident edges in both traversal directions. The
-edges are stored only as one sorted ``(n_edges, 3)`` int64 array; the
-adjacency lists are derived from it on first use. The graph is immutable
-after construction and safe for concurrent reads.
+Entity and relation labels are interned to dense integer ids. The edges are
+one sorted ``(n_edges, 3)`` int64 array of ``(head, relation, tail)`` rows;
+each edge is traversed FORWARD from head to tail and REVERSE from tail to
+head. The graph is immutable after construction and safe for concurrent
+reads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -53,8 +50,8 @@ class Vocabulary:
     def id(self, label: str) -> int:
         return self._ids[label]
 
-    def get(self, label: str) -> int | None:
-        return self._ids.get(label)
+    def get(self, label: str, default: int | None = None) -> int | None:
+        return self._ids.get(label, default)
 
     def label(self, idx: int) -> str:
         return self._labels[idx]
@@ -87,26 +84,13 @@ class Direction(IntEnum):
         return Direction.REVERSE if self is Direction.FORWARD else Direction.FORWARD
 
 
-class OrientedRelation(NamedTuple):
-    """A relation id together with the direction it is traversed in."""
-
-    relation: int
-    direction: Direction
-
-    @property
-    def flipped(self) -> "OrientedRelation":
-        return OrientedRelation(self.relation, self.direction.flipped)
-
-
 @dataclass
 class KnowledgeGraph:
-    """Deduplicated typed edges, sorted, plus per-entity oriented adjacency.
+    """Deduplicated typed edges, sorted.
 
     ``edge_array`` holds one ``(head, relation, tail)`` int64 row per distinct
     edge, sorted by head, then relation, then tail; it is the only edge
-    storage. ``adjacency[v]`` lists ``(neighbor, OrientedRelation)`` pairs
-    sorted by (neighbor id, relation id, direction). It is built from
-    ``edge_array`` on first use; the pipeline itself works on the array.
+    storage.
     """
 
     entities: Vocabulary
@@ -124,23 +108,6 @@ class KnowledgeGraph:
     @property
     def n_edges(self) -> int:
         return len(self.edge_array)
-
-    @cached_property
-    def adjacency(self) -> list[list[tuple[int, OrientedRelation]]]:
-        adjacency: list[list[tuple[int, OrientedRelation]]] = [[] for _ in range(self.n_entities)]
-        for h, r, t in self.edge_array.tolist():
-            # Self-loops deliberately get one entry per direction on the same node.
-            adjacency[t].append((h, OrientedRelation(r, Direction.FORWARD)))
-            adjacency[h].append((t, OrientedRelation(r, Direction.REVERSE)))
-        for entries in adjacency:
-            entries.sort(key=lambda item: (item[0], item[1].relation, item[1].direction))
-        return adjacency
-
-    def neighbors(self, v: int) -> list[tuple[int, OrientedRelation]]:
-        """All incident entries of ``v``, both orientations, in sorted order."""
-        if not 0 <= v < self.n_entities:
-            raise ValueError(f"entity id {v} out of range [0, {self.n_entities})")
-        return self.adjacency[v]
 
     def triples(self) -> list[tuple[str, str, str]]:
         """The stored edge set as labeled triples, in edge order."""

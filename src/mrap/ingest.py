@@ -268,20 +268,27 @@ def apply_split_manifest(
 ) -> DatasetBundle:
     """Rebuild a bundle from a previously written manifest.
 
-    The manifest must label every attribute entry exactly once.
+    The manifest must label every attribute entry exactly once. An unknown
+    or repeated row is reported for the first such row in manifest order.
     """
-    split = np.full(attrs.n_entries, -1, dtype=np.int8)
-    for entity, attr, code in manifest:
-        eid = graph.entities.get(entity)
-        aid = attrs.types.get(attr)
-        idx = None if eid is None or aid is None else attrs.index.get((eid, aid))
-        if idx is None:
+    rows = list(manifest)
+    entity_ids = np.array([graph.entities.get(e, -1) for e, _, _ in rows], dtype=np.int64)
+    attr_ids = np.array([attrs.types.get(a, -1) for _, a, _ in rows], dtype=np.int64)
+    idx = attrs.lookup(entity_ids, attr_ids)
+    unknown = idx < 0
+    # a stable sort puts each entry's rows in manifest order: all but the first repeat
+    order = np.argsort(idx, kind="stable")
+    repeated = np.zeros(len(rows), dtype=bool)
+    repeated[order[1:]] = idx[order[1:]] == idx[order[:-1]]
+    bad = np.flatnonzero(unknown | repeated)
+    if bad.size:
+        entity, attr, _ = rows[bad[0]]
+        if unknown[bad[0]]:
             raise DataError(f"manifest row ({entity!r}, {attr!r}) not in the attribute table")
-        if split[idx] != -1:
-            raise DataError(f"manifest labels ({entity!r}, {attr!r}) twice")
-        split[idx] = int(code)
-    if (split == -1).any():
-        missing = int((split == -1).sum())
-        raise DataError(f"manifest leaves {missing} attribute entries unlabeled")
+        raise DataError(f"manifest labels ({entity!r}, {attr!r}) twice")
+    if len(rows) < attrs.n_entries:
+        raise DataError(f"manifest leaves {attrs.n_entries - len(rows)} attribute entries unlabeled")
+    split = np.empty(attrs.n_entries, dtype=np.int8)
+    split[idx] = np.array([code for _, _, code in rows], dtype=np.int8)
     status = np.where(split == int(Split.TRAIN), int(Status.OBSERVED), int(Status.MISSING))
     return DatasetBundle(graph=graph, attrs=attrs.with_status(status), split=split)

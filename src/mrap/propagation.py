@@ -77,22 +77,12 @@ class PropagationConfig:
         return True
 
 
-class Message(NamedTuple):
-    target: tuple[int, int]  # (entity id, attr id)
-    prediction: float
-    weight: float
-    key: PathKey
-    source_entity: int
-
-
 @dataclass
 class PropagationState:
     """Final value buffer plus convergence bookkeeping of a run."""
 
     values: np.ndarray  # aligned with the bundle's attribute entries
     iteration: int
-    ranges: dict[str, float]  # observed range per attribute type label
-    last_max_delta: dict[str, float]
     converged: bool
 
 
@@ -169,64 +159,6 @@ def _build_paths(bundle: DatasetBundle, registry: ModelRegistry, cfg: Propagatio
     """Enumerate every active path between tracked entries, in fixed order."""
     src, tgt, mid, (eta, tau, weight) = _link(bundle, registry, cfg)
     return _Paths(src=src, tgt=tgt, eta=eta[mid], tau=tau[mid], weight=weight[mid])
-
-
-def collect_messages(
-    bundle: DatasetBundle,
-    registry: ModelRegistry,
-    values: np.ndarray,
-    target: tuple[int, int],
-    cfg: PropagationConfig,
-) -> list[Message]:
-    """All messages flowing into one tracked (entity, attribute) entry.
-
-    Relational messages come first, in the graph's deterministic adjacency
-    order; within-node messages follow in ascending source attribute order.
-    ``values`` is the previous-iteration buffer the predictions read from.
-    """
-    entity, attr = target
-    attrs = bundle.attrs
-    if (entity, attr) not in attrs.index:
-        raise ValueError(f"target {target!r} is not a tracked attribute entry")
-    messages: list[Message] = []
-    for neighbor, oriented in bundle.graph.neighbors(entity):
-        for entry in attrs.entries_of(neighbor):
-            key = PathKey.relational(
-                attr, int(attrs.attr_ids[entry]), oriented.relation, oriented.direction
-            )
-            model = registry.get(key)
-            if model is not None and cfg.allows(key):
-                messages.append(
-                    Message(target, model.predict(float(values[entry])), model.weight, key, neighbor)
-                )
-    for entry in attrs.entries_of(entity):
-        src_attr = int(attrs.attr_ids[entry])
-        if src_attr == attr:
-            continue
-        key = PathKey.inner(attr, src_attr)
-        model = registry.get(key)
-        if model is not None and cfg.allows(key):
-            messages.append(
-                Message(target, model.predict(float(values[entry])), model.weight, key, entity)
-            )
-    return messages
-
-
-def aggregate(messages: list[Message]) -> float:
-    """Weighted, normalized mean of the message predictions."""
-    if not messages:
-        raise ValueError("cannot aggregate an empty message list")
-    total_w = 0.0
-    total_wp = 0.0
-    for m in messages:
-        total_w += m.weight
-        total_wp += m.weight * m.prediction
-    return total_wp / total_w
-
-
-def combine(prev: float, estimate: float, damping: float) -> float:
-    """Damped update: (1 - damping) * prev + damping * estimate."""
-    return (1.0 - damping) * prev + damping * estimate
 
 
 def _init_values(bundle: DatasetBundle) -> np.ndarray:
@@ -473,13 +405,7 @@ def run(
     if not converged:
         logger.warning("propagation did not converge in %d iterations", cfg.max_iters)
 
-    state = PropagationState(
-        values=values,
-        iteration=iteration,
-        ranges={type_labels[a]: r for a, r in ranges.items()},
-        last_max_delta={type_labels[a]: d for a, d in per_type_delta.items()},
-        converged=converged,
-    )
+    state = PropagationState(values=values, iteration=iteration, converged=converged)
     report = ImputationReport(
         iterations=iteration,
         converged=converged,
@@ -488,7 +414,7 @@ def run(
         target_entries=targets,
         n_messages=n_msgs[targets],
         total_weight=weight_sum[targets],
-        per_type_delta=dict(state.last_max_delta),
+        per_type_delta={type_labels[a]: d for a, d in per_type_delta.items()},
         trace=trace,
     )
     return state, report

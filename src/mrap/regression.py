@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -184,46 +184,6 @@ class ModelRegistry:
         return self.models.get(key)
 
 
-def extract_pairs(bundle: DatasetBundle, key: PathKey) -> tuple[np.ndarray, np.ndarray]:
-    """Collect observed (y, x) training pairs for a fit key.
-
-    Relational keys must be FORWARD (one pair per stored edge whose tail
-    observes ``dep`` and whose head observes ``indep``); reverse models are
-    derived, never fitted. Inner keys take one pair per node observing both
-    types. Pairs come back in stored edge / entity id order.
-    """
-    attrs = bundle.attrs
-    observed = attrs.status == Status.OBSERVED
-
-    def value_if_observed(entity: int, attr: int) -> float | None:
-        idx = attrs.index.get((entity, attr))
-        if idx is None or not observed[idx]:
-            return None
-        return float(attrs.values[idx])
-
-    ys: list[float] = []
-    xs: list[float] = []
-    if key.is_inner:
-        for entity in range(bundle.graph.n_entities):
-            y = value_if_observed(entity, key.dep)
-            x = value_if_observed(entity, key.indep)
-            if y is not None and x is not None:
-                ys.append(y)
-                xs.append(x)
-    else:
-        if key.direction is not Direction.FORWARD:
-            raise ValueError("pairs are extracted for FORWARD keys only")
-        for head, relation, tail in bundle.graph.edge_array.tolist():
-            if relation != key.relation:
-                continue
-            y = value_if_observed(tail, key.dep)
-            x = value_if_observed(head, key.indep)
-            if y is not None and x is not None:
-                ys.append(y)
-                xs.append(x)
-    return np.asarray(ys, dtype=np.float64), np.asarray(xs, dtype=np.float64)
-
-
 def fit_simple_regression(
     y: np.ndarray, x: np.ndarray
 ) -> tuple[float, float, float, FitSummary]:
@@ -340,39 +300,62 @@ def _groups(codes: np.ndarray, ys: np.ndarray, xs: np.ndarray):
         yield int(codes[lo]), ys[lo:hi], xs[lo:hi]
 
 
-def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = None) -> ModelRegistry:
-    """Fit and admit models for every forward relational and inner key.
+def training_pairs(bundle: DatasetBundle) -> Iterator[tuple[PathKey, np.ndarray, np.ndarray]]:
+    """``(fit key, ys, xs)`` for every fit key with at least one observed training pair.
 
-    One join over OBSERVED entries yields every training pair; relational
-    pairs are grouped by (relation, dep, indep) and inner pairs per unordered
-    attribute pair in the canonical direction, each group in the pair order
-    :func:`extract_pairs` uses. Each admitted fit also registers its derived
-    opposite-direction model when the slope is invertible. Rejection reasons
-    are tallied in ``registry.rejections``.
+    One join over OBSERVED entries yields every pair. Relational keys are
+    FORWARD, one pair per stored edge whose tail observes ``dep`` and whose
+    head observes ``indep``; reverse models are derived, never fitted. Inner
+    keys regress the higher attribute id on the lower, one pair per entity
+    observing both. Relational keys come first in ascending (relation, dep,
+    indep) order, then inner keys in ascending (dep, indep) order; each
+    key's pairs come in stored edge or entity id order.
     """
-    admission = admission or AdmissionConfig()
     graph, attrs = bundle.graph, bundle.attrs
     n_types, attr, values = attrs.n_types, attrs.attr_ids, attrs.values
     observed = EntryIndex.of(attrs, graph.n_entities, attrs.status == Status.OBSERVED)
 
+    edge, head_e, tail_e = observed.edge_pairs(graph)
+    codes = (graph.edge_array[edge, 1] * n_types + attr[tail_e]) * n_types + attr[head_e]
+    for code, ys, xs in _groups(codes, values[tail_e], values[head_e]):
+        relation, dep, indep = np.unravel_index(code, (graph.n_relations, n_types, n_types))
+        yield PathKey.relational(int(dep), int(indep), int(relation), Direction.FORWARD), ys, xs
+
+    dep_e, indep_e = observed.node_pairs()
+    canonical = attr[dep_e] > attr[indep_e]
+    dep_e, indep_e = dep_e[canonical], indep_e[canonical]
+    codes = attr[dep_e] * n_types + attr[indep_e]
+    for code, ys, xs in _groups(codes, values[dep_e], values[indep_e]):
+        yield PathKey.inner(*divmod(code, n_types)), ys, xs
+
+
+def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = None) -> ModelRegistry:
+    """Fit and admit a model for every key of :func:`training_pairs`.
+
+    Each admitted fit also registers its derived opposite-direction model
+    when the slope is invertible. Rejection reasons are tallied in
+    ``registry.rejections``.
+    """
+    admission = admission or AdmissionConfig()
+    graph, attrs = bundle.graph, bundle.attrs
     models: dict[PathKey, RegressionModel] = {}
     rejections: Counter[str] = Counter()
 
-    def admit(key: PathKey, ys: np.ndarray, xs: np.ndarray) -> None:
+    for key, ys, xs in training_pairs(bundle):
         if admission.excludes(key, graph, attrs):
             rejections["excluded"] += 1
-            return
+            continue
         if len(ys) < max(2, admission.min_support):
             rejections["insufficient_support"] += 1
-            return
+            continue
         try:
             eta, tau, sigma2, fit = fit_simple_regression(ys, xs)
         except DegenerateRegressorError:
             rejections["degenerate_regressor"] += 1
-            return
+            continue
         if fit.r2 < admission.r2_min:
             rejections["low_r2"] += 1
-            return
+            continue
         dep_range = attrs.value_range(key.dep)
         floor = admission.var_floor_scale * dep_range * dep_range
         if floor <= 0.0:
@@ -390,21 +373,8 @@ def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = No
             reverse = derive_reverse(model, eta_min)
         except NonInvertibleSlopeError:
             rejections["non_invertible_reverse"] += 1
-            return
+            continue
         models[reverse.key] = reverse
-
-    edge, head_e, tail_e = observed.edge_pairs(graph)
-    codes = (graph.edge_array[edge, 1] * n_types + attr[tail_e]) * n_types + attr[head_e]
-    for code, ys, xs in _groups(codes, values[tail_e], values[head_e]):
-        relation, dep, indep = np.unravel_index(code, (graph.n_relations, n_types, n_types))
-        admit(PathKey.relational(int(dep), int(indep), int(relation), Direction.FORWARD), ys, xs)
-
-    dep_e, indep_e = observed.node_pairs()
-    canonical = attr[dep_e] > attr[indep_e]  # regress the higher attr id on the lower
-    dep_e, indep_e = dep_e[canonical], indep_e[canonical]
-    codes = attr[dep_e] * n_types + attr[indep_e]
-    for code, ys, xs in _groups(codes, values[dep_e], values[indep_e]):
-        admit(PathKey.inner(*divmod(code, n_types)), ys, xs)
 
     registry = ModelRegistry(models=models, admission=admission, rejections=dict(rejections))
     logger.info(

@@ -1,9 +1,10 @@
-"""Shared fixture builders for the test suite."""
+"""Shared fixture builders and scalar reference implementations for the test suite."""
 from __future__ import annotations
 
 import importlib.util
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +40,9 @@ def make_bundle(
 
     status = table.status.copy()
     split = np.zeros(table.n_entries, dtype=np.int8)
+    entry_of = index(table)
     for (entity, attr) in missing:
-        idx = table.index[(graph.entities.id(entity), types.id(attr))]
+        idx = entry_of[(graph.entities.id(entity), types.id(attr))]
         status[idx] = int(Status.MISSING)
         split[idx] = int(missing_split)
     return DatasetBundle(graph=graph, attrs=table.with_status(status), split=split)
@@ -64,7 +66,7 @@ def registry_of(*models: RegressionModel) -> ModelRegistry:
 def entry_index(bundle, entity_label: str, attr_label: str) -> int:
     eid = bundle.graph.entities.id(entity_label)
     aid = bundle.attrs.types.id(attr_label)
-    return bundle.attrs.index[(eid, aid)]
+    return index(bundle.attrs)[(eid, aid)]
 
 
 def target_of(bundle, entity_label: str, attr_label: str) -> tuple[int, int]:
@@ -354,3 +356,189 @@ def random_load_inputs(rng: np.random.Generator):
     attributed += [pick(names) for _ in range(int(rng.integers(0, 8)))]
     rows = {(entity, pick(types)): float(rng.normal(1950.0, 30.0)) for entity in attributed}
     return triples, [(e, a, v) for (e, a), v in rows.items()]
+
+
+# -- scalar references for the array-native library --------------------------
+#
+# The library keeps one representation, the sorted arrays. These per-entity
+# views and the per-message update are the scalar form of the same scheme;
+# the tests compare the arrays against them.
+
+
+class OrientedRelation(NamedTuple):
+    """A relation id together with the direction it is traversed in."""
+
+    relation: int
+    direction: Direction
+
+    @property
+    def flipped(self) -> "OrientedRelation":
+        return OrientedRelation(self.relation, self.direction.flipped)
+
+
+def adjacency(graph) -> list[list[tuple[int, OrientedRelation]]]:
+    """Per entity, its ``(neighbor, OrientedRelation)`` pairs over every incident edge.
+
+    The tail of an edge sees ``(head, relation, FORWARD)`` and the head sees
+    ``(tail, relation, REVERSE)``; each list is sorted by (neighbor id,
+    relation id, direction).
+    """
+    adj: list[list[tuple[int, OrientedRelation]]] = [[] for _ in range(graph.n_entities)]
+    for h, r, t in graph.edge_array.tolist():
+        # Self-loops deliberately get one entry per direction on the same node.
+        adj[t].append((h, OrientedRelation(r, Direction.FORWARD)))
+        adj[h].append((t, OrientedRelation(r, Direction.REVERSE)))
+    for entries in adj:
+        entries.sort(key=lambda item: (item[0], item[1].relation, item[1].direction))
+    return adj
+
+
+def neighbors(graph, v: int) -> list[tuple[int, OrientedRelation]]:
+    """All incident entries of ``v``, both orientations, in sorted order."""
+    if not 0 <= v < graph.n_entities:
+        raise ValueError(f"entity id {v} out of range [0, {graph.n_entities})")
+    return adjacency(graph)[v]
+
+
+def index(attrs) -> dict[tuple[int, int], int]:
+    """``(entity id, attribute id) -> entry index``."""
+    keys = zip(attrs.entity_ids.tolist(), attrs.attr_ids.tolist())
+    return {key: i for i, key in enumerate(keys)}
+
+
+def per_entity(attrs) -> list[list[int]]:
+    """Entry indices per entity id, ascending by attribute id."""
+    out: list[list[int]] = [[] for _ in range(attrs.n_entities)]
+    for i, entity in enumerate(attrs.entity_ids.tolist()):
+        out[entity].append(i)
+    return out
+
+
+def entries_of(attrs, entity: int) -> list[int]:
+    """Entry indices at ``entity``, ascending by attribute id."""
+    return per_entity(attrs)[entity]
+
+
+class Message(NamedTuple):
+    target: tuple[int, int]  # (entity id, attr id)
+    prediction: float
+    weight: float
+    key: PathKey
+    source_entity: int
+
+
+def collect_messages(bundle, registry, values, target, cfg) -> list[Message]:
+    """All messages flowing into one tracked (entity, attribute) entry.
+
+    Relational messages come first, in the graph's deterministic adjacency
+    order; within-node messages follow in ascending source attribute order.
+    ``values`` is the previous-iteration buffer the predictions read from.
+    """
+    entity, attr = target
+    attrs = bundle.attrs
+    if (entity, attr) not in index(attrs):
+        raise ValueError(f"target {target!r} is not a tracked attribute entry")
+    entries = per_entity(attrs)
+    messages: list[Message] = []
+    for neighbor, oriented in neighbors(bundle.graph, entity):
+        for entry in entries[neighbor]:
+            key = PathKey.relational(
+                attr, int(attrs.attr_ids[entry]), oriented.relation, oriented.direction
+            )
+            model = registry.get(key)
+            if model is not None and cfg.allows(key):
+                messages.append(
+                    Message(target, model.predict(float(values[entry])), model.weight, key, neighbor)
+                )
+    for entry in entries[entity]:
+        src_attr = int(attrs.attr_ids[entry])
+        if src_attr == attr:
+            continue
+        key = PathKey.inner(attr, src_attr)
+        model = registry.get(key)
+        if model is not None and cfg.allows(key):
+            messages.append(
+                Message(target, model.predict(float(values[entry])), model.weight, key, entity)
+            )
+    return messages
+
+
+def aggregate(messages) -> float:
+    """Weighted, normalized mean of the message predictions."""
+    if not messages:
+        raise ValueError("cannot aggregate an empty message list")
+    total_w = 0.0
+    total_wp = 0.0
+    for m in messages:
+        total_w += m.weight
+        total_wp += m.weight * m.prediction
+    return total_wp / total_w
+
+
+def combine(prev: float, estimate: float, damping: float) -> float:
+    """Damped update: (1 - damping) * prev + damping * estimate."""
+    return (1.0 - damping) * prev + damping * estimate
+
+
+def extract_pairs(bundle, key: PathKey) -> tuple[np.ndarray, np.ndarray]:
+    """Collect observed (y, x) training pairs for a fit key, one key at a time.
+
+    Relational keys must be FORWARD (one pair per stored edge whose tail
+    observes ``dep`` and whose head observes ``indep``); reverse models are
+    derived, never fitted. Inner keys take one pair per node observing both
+    types. Pairs come back in stored edge / entity id order.
+    """
+    attrs = bundle.attrs
+    observed = attrs.status == Status.OBSERVED
+    entry_of = index(attrs)
+
+    def value_if_observed(entity: int, attr: int) -> float | None:
+        idx = entry_of.get((entity, attr))
+        if idx is None or not observed[idx]:
+            return None
+        return float(attrs.values[idx])
+
+    ys: list[float] = []
+    xs: list[float] = []
+    if key.is_inner:
+        for entity in range(bundle.graph.n_entities):
+            y = value_if_observed(entity, key.dep)
+            x = value_if_observed(entity, key.indep)
+            if y is not None and x is not None:
+                ys.append(y)
+                xs.append(x)
+    else:
+        if key.direction is not Direction.FORWARD:
+            raise ValueError("pairs are extracted for FORWARD keys only")
+        for head, relation, tail in bundle.graph.edge_array.tolist():
+            if relation != key.relation:
+                continue
+            y = value_if_observed(tail, key.dep)
+            x = value_if_observed(head, key.indep)
+            if y is not None and x is not None:
+                ys.append(y)
+                xs.append(x)
+    return np.asarray(ys, dtype=np.float64), np.asarray(xs, dtype=np.float64)
+
+
+def reference_apply_split_manifest(graph, attrs, manifest):
+    """Per-row manifest apply: the reference for ``apply_split_manifest``.
+
+    Returns (split codes, entry statuses).
+    """
+    entry_of = index(attrs)
+    split = np.full(attrs.n_entries, -1, dtype=np.int8)
+    for entity, attr, code in manifest:
+        eid = graph.entities.get(entity)
+        aid = attrs.types.get(attr)
+        idx = None if eid is None or aid is None else entry_of.get((eid, aid))
+        if idx is None:
+            raise DataError(f"manifest row ({entity!r}, {attr!r}) not in the attribute table")
+        if split[idx] != -1:
+            raise DataError(f"manifest labels ({entity!r}, {attr!r}) twice")
+        split[idx] = int(code)
+    if (split == -1).any():
+        missing = int((split == -1).sum())
+        raise DataError(f"manifest leaves {missing} attribute entries unlabeled")
+    status = np.where(split == int(Split.TRAIN), int(Status.OBSERVED), int(Status.MISSING))
+    return split, status

@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_bundle, make_model, random_instance, registry_of, six_node_fixture, target_of
+from helpers import (
+    extract_pairs,
+    make_bundle,
+    make_model,
+    random_instance,
+    registry_of,
+    six_node_fixture,
+    target_of,
+)
 
 from mrap.errors import DataError
 from mrap.evaluation import (
@@ -177,6 +185,40 @@ class TestExportDifferences:
             diffs, mean, std = export_differences(bundle, PathKey.inner(1, 0))
         assert diffs.size == 0
         assert math.isnan(mean) and math.isnan(std)
+
+    def test_matches_per_key_extraction_on_random_instances(self, caplog):
+        rng = np.random.default_rng(43)
+        with_pairs = without = 0
+        for _ in range(10):
+            bundle, _ = random_instance(rng, quirks=True)
+            n_rel, n_types = bundle.graph.n_relations, bundle.attrs.n_types
+            keys = [
+                PathKey.relational(dep, indep, rel, Direction.FORWARD)
+                for rel in range(n_rel + 1)  # relation n_rel has no edges
+                for dep in range(n_types)
+                for indep in range(n_types)
+            ]
+            keys += [
+                PathKey.inner(dep, indep) for dep in range(n_types) for indep in range(n_types) if dep != indep
+            ]
+            for key in keys:
+                ys, xs = extract_pairs(bundle, key)
+                caplog.clear()
+                with caplog.at_level("WARNING"):
+                    diffs, mean, std = export_differences(bundle, key)
+                if ys.size == 0:
+                    assert diffs.size == 0 and math.isnan(mean) and math.isnan(std)
+                    assert "no training pairs" in caplog.text
+                    without += 1
+                    continue
+                want = ys - xs
+                assert diffs.tolist() == want.tolist()
+                assert (mean, std) == (float(want.mean()), float(want.std()))
+                assert not caplog.text
+                with_pairs += 1
+            with pytest.raises(ValueError):
+                export_differences(bundle, PathKey.relational(0, 0, 0, Direction.REVERSE))
+        assert with_pairs > 50 and without > 10
 
     def test_write_format(self):
         buf = io.StringIO()

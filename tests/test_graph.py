@@ -3,10 +3,18 @@ import pytest
 
 from mrap.attributes import AttributeTable, Status
 from mrap.errors import DataError
-from mrap.graph import Direction, OrientedRelation, Vocabulary, build_graph
+from mrap.graph import Direction, Vocabulary, build_graph
 from mrap.ingest import load_dataset
 
-from helpers import random_load_inputs, reference_attribute_entries, reference_build_graph
+from helpers import (
+    OrientedRelation,
+    entries_of,
+    index,
+    neighbors,
+    random_load_inputs,
+    reference_attribute_entries,
+    reference_build_graph,
+)
 
 
 class TestBuildGraph:
@@ -16,8 +24,8 @@ class TestBuildGraph:
         assert g.n_relations == 1
         a, b = g.entities.id("a"), g.entities.id("b")
         p = g.relations.id("p")
-        assert g.neighbors(b) == [(a, OrientedRelation(p, Direction.FORWARD))]
-        assert g.neighbors(a) == [(b, OrientedRelation(p, Direction.REVERSE))]
+        assert neighbors(g, b) == [(a, OrientedRelation(p, Direction.FORWARD))]
+        assert neighbors(g, a) == [(b, OrientedRelation(p, Direction.REVERSE))]
 
     def test_duplicate_triples_stored_once(self):
         g = build_graph([("a", "p", "b"), ("a", "p", "b")])
@@ -26,7 +34,7 @@ class TestBuildGraph:
     def test_neighbors_deterministic_order(self):
         g = build_graph([("c", "q", "b"), ("a", "p", "b")])
         b = g.entities.id("b")
-        got = [(n, o.relation, o.direction) for n, o in g.neighbors(b)]
+        got = [(n, o.relation, o.direction) for n, o in neighbors(g, b)]
         assert got == sorted(got)  # neighbor id, then relation id, then direction
         assert {g.entities.label(n) for n, _, _ in got} == {"a", "c"}
         assert all(d is Direction.FORWARD for _, _, d in got)
@@ -34,7 +42,7 @@ class TestBuildGraph:
     def test_invalid_entity_id(self):
         g = build_graph([("a", "p", "b")])
         with pytest.raises(ValueError):
-            g.neighbors(99)
+            neighbors(g, 99)
 
     def test_empty_input(self):
         g = build_graph([])
@@ -47,13 +55,13 @@ class TestBuildGraph:
     def test_extra_entities_are_isolated(self):
         g = build_graph([("a", "p", "b")], extra_entities=["z", "a"])
         z = g.entities.id("z")
-        assert g.neighbors(z) == []
+        assert neighbors(g, z) == []
         assert g.n_entities == 3  # "a" not duplicated
 
     def test_self_loop_one_entry_per_direction(self):
         g = build_graph([("a", "p", "a")])
         a = g.entities.id("a")
-        directions = sorted(o.direction for _, o in g.neighbors(a))
+        directions = sorted(o.direction for _, o in neighbors(g, a))
         assert directions == [Direction.FORWARD, Direction.REVERSE]
 
 
@@ -73,13 +81,13 @@ class TestGraphProperties:
         ]
         g = build_graph(triples)
         for v in range(g.n_entities):
-            for n, oriented in g.neighbors(v):
-                assert (v, oriented.flipped) in g.neighbors(n)
+            for n, oriented in neighbors(g, v):
+                assert (v, oriented.flipped) in neighbors(g, n)
 
     def test_adjacency_total_twice_edges(self):
         triples = [("a", "p", "b"), ("b", "q", "c"), ("c", "p", "a"), ("a", "q", "c")]
         g = build_graph(triples)
-        assert sum(len(g.neighbors(v)) for v in range(g.n_entities)) == 2 * g.n_edges
+        assert sum(len(neighbors(g, v)) for v in range(g.n_entities)) == 2 * g.n_edges
 
 
 class TestVocabulary:
@@ -118,15 +126,15 @@ class TestArrayLoadMatchesReference:
 
         types = Vocabulary()
         entries = [(ent_labels.index(e), types.add(a), v) for e, a, v in attr_rows]
-        entity_ids, attr_ids, values, index, per_entity = reference_attribute_entries(
+        entity_ids, attr_ids, values, ref_index, ref_per_entity = reference_attribute_entries(
             len(ent_labels), entries
         )
         assert table.types.labels == types.labels
         assert table.entity_ids.tolist() == entity_ids
         assert table.attr_ids.tolist() == attr_ids
         assert table.values.tolist() == values
-        assert table.index == index
-        assert [table.entries_of(e) for e in range(graph.n_entities)] == per_entity
+        assert index(table) == ref_index
+        assert [entries_of(table, e) for e in range(graph.n_entities)] == ref_per_entity
 
     def test_random_labelled_inputs(self):
         rng = np.random.default_rng(11)
@@ -160,6 +168,33 @@ class TestArrayLoadMatchesReference:
     def test_entity_id_out_of_range_rejected(self, entity):
         with pytest.raises(ValueError, match="out of range"):
             AttributeTable.build(2, Vocabulary(["h"]), [(0, 0, 1.0), (entity, 0, 2.0)])
+
+
+class TestLookup:
+    """``AttributeTable.lookup`` against the ``(entity, attr) -> entry`` dict."""
+
+    def _check(self, table):
+        ref = index(table)
+        present = list(ref)
+        got = table.lookup([e for e, _ in present], [a for _, a in present])
+        assert got.tolist() == [ref[key] for key in present]
+        # ids one past either end, where a bare code would alias a neighbor's entry
+        absent = [
+            (e, a)
+            for e in range(-1, table.n_entities + 1)
+            for a in range(-1, table.n_types + 1)
+            if (e, a) not in ref
+        ]
+        got = table.lookup([e for e, _ in absent], [a for _, a in absent])
+        assert got.tolist() == [-1] * len(absent)
+
+    def test_random_tables(self):
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            self._check(load_dataset(*random_load_inputs(rng))[1])
+
+    def test_empty_table(self):
+        self._check(load_dataset([], [])[1])
 
 
 class TestAttrRange:

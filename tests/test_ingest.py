@@ -1,7 +1,10 @@
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
+
+from helpers import neighbors, random_load_inputs, reference_apply_split_manifest
 
 from mrap.attributes import Status
 from mrap.errors import DataError, ParseError
@@ -216,9 +219,55 @@ class TestSplitManifest:
             read_split_manifest(io.StringIO("e\ta\tvalidation\n"))
 
 
+def _bulk_apply(graph, attrs, rows):
+    bundle = apply_split_manifest(graph, attrs, rows)
+    return bundle.split, bundle.attrs.status
+
+
+class TestBulkManifestMatchesPerRow:
+    """The bulk manifest apply gives the per-row loop's arrays, or its first error."""
+
+    @staticmethod
+    def _outcome(apply, graph, attrs, rows):
+        try:
+            split, status = apply(graph, attrs, list(rows))
+        except DataError as exc:
+            return type(exc), str(exc)
+        return split.dtype, split.tolist(), status.tolist()
+
+    def test_random_manifests(self):
+        rng = np.random.default_rng(23)
+        seen = Counter()
+        for _ in range(300):
+            graph, attrs = load_dataset(*random_load_inputs(rng))
+            bundle = split_attributes(graph, attrs, SplitSpec(seed=int(rng.integers(100))))
+            buf = io.StringIO()
+            write_split_manifest(buf, bundle)
+            rows = read_split_manifest(io.StringIO(buf.getvalue()))
+            rows = [rows[i] for i in rng.permutation(len(rows))]
+
+            def insert(row):
+                rows.insert(int(rng.integers(len(rows) + 1)), row)
+
+            if rng.random() < 0.3:
+                insert(("ghost", rows[0][1], Split.TRAIN))
+            if rng.random() < 0.3:
+                insert((rows[0][0], "no_such_type", Split.DEV))
+            if rng.random() < 0.3:
+                insert(rows[int(rng.integers(len(rows)))])
+            if rng.random() < 0.3:
+                rows.pop(int(rng.integers(len(rows))))
+            want = self._outcome(reference_apply_split_manifest, graph, attrs, rows)
+            assert self._outcome(_bulk_apply, graph, attrs, rows) == want
+            seen[want[1].split(" ")[-1] if want[0] is DataError else "applied"] += 1
+        # every outcome occurs: applied, unknown row, repeated row, unlabeled entries
+        assert set(seen) == {"applied", "table", "twice", "unlabeled"}
+        assert min(seen.values()) >= 10
+
+
 class TestLoadDataset:
     def test_attribute_only_entities_are_isolated_nodes(self):
         graph, attrs = load_dataset([("a", "p", "b")], [("lonely", "h", 1.0), ("a", "h", 2.0)])
         assert "lonely" in graph.entities
-        assert graph.neighbors(graph.entities.id("lonely")) == []
+        assert neighbors(graph, graph.entities.id("lonely")) == []
         assert attrs.n_entries == 2

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from helpers import (
+    aggregate,
     bench_generate,
+    collect_messages,
+    combine,
     entry_index,
+    index,
     make_bundle,
     make_model,
     random_instance,
@@ -18,9 +22,6 @@ from mrap.ingest import Split, SplitSpec, load_dataset, split_attributes, subsam
 from mrap.propagation import (
     PropagationConfig,
     _build_paths,
-    aggregate,
-    collect_messages,
-    combine,
     fixed_point_oracle,
     loss,
     run,
@@ -142,11 +143,12 @@ class TestCollectMessages:
 def _oracle_paths(bundle, registry, cfg):
     """Sorted (src entry, tgt entry, eta, tau, weight) of every message, per target."""
     attrs = bundle.attrs
+    entry_of = index(attrs)
     out = []
     for tgt in range(attrs.n_entries):
         target = (int(attrs.entity_ids[tgt]), int(attrs.attr_ids[tgt]))
         for msg in collect_messages(bundle, registry, attrs.values, target, cfg):
-            src = attrs.index[(msg.source_entity, msg.key.indep)]
+            src = entry_of[(msg.source_entity, msg.key.indep)]
             model = registry.get(msg.key)
             out.append((src, tgt, model.eta, model.tau, model.weight))
     return sorted(out)

@@ -3,7 +3,15 @@ import io
 import numpy as np
 import pytest
 
-from helpers import make_bundle, make_model, random_instance, registry_of, target_of
+from helpers import (
+    extract_pairs,
+    index,
+    make_bundle,
+    make_model,
+    random_instance,
+    registry_of,
+    target_of,
+)
 
 from mrap.errors import (
     DataError,
@@ -18,7 +26,6 @@ from mrap.regression import (
     build_registry,
     count_paths,
     derive_reverse,
-    extract_pairs,
     fit_simple_regression,
     read_model_dump,
     write_model_dump,
@@ -303,6 +310,7 @@ class TestRegistryOnRandomInstances:
 
 def _brute_force_path_count(graph, registry, attrs):
     """Per model, the tracked entries that can send a message over it."""
+    entry_of = index(attrs)
     total = 0
     for key in registry.models:
         if key.is_inner:
@@ -310,7 +318,7 @@ def _brute_force_path_count(graph, registry, attrs):
             continue
         for head, relation, tail in graph.edge_array.tolist():
             source = head if key.direction is Direction.FORWARD else tail
-            total += relation == key.relation and (source, key.indep) in attrs.index
+            total += relation == key.relation and (source, key.indep) in entry_of
     return total
 
 
