@@ -16,7 +16,7 @@ triples = [
     ("sofia", "child_of", "coppola"),
     ("sofia", "directed", "lost_in_translation"),
 ]
-graph = build_graph(triples)
+graph = build_graph(*zip(*triples))  # head, relation and tail columns
 print(f"{graph.n_entities} entities, {graph.n_relations} relation types, {graph.n_edges} edges\n")
 
 edges = graph.edge_array
@@ -42,8 +42,9 @@ rows = [
     ("apocalypse_now", "film_release", 1979.0),
     ("lost_in_translation", "film_release", 2003.0),
 ]
-entries = [(graph.entities.id(e), types.add(a), v) for e, a, v in rows]
-table = AttributeTable.build(graph.n_entities, types, entries)
+entity_ids = [graph.entities.id(e) for e, _, _ in rows]
+attr_ids = [types.add(a) for _, a, _ in rows]
+table = AttributeTable.build(graph.n_entities, types, entity_ids, attr_ids, [v for _, _, v in rows])
 
 print("attribute summaries (count, min, max, mean):")
 for attr in range(table.n_types):

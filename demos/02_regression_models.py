@@ -6,11 +6,12 @@ near the generation gap. The opposite traversal direction is never refitted:
 its parameters follow analytically, and the weight (inverse error variance)
 rescales accordingly.
 """
-import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from mrap import load_dataset
+from mrap import Table, load_dataset
 from mrap.graph import Direction
 from mrap.ingest import DatasetBundle
 from mrap.regression import (
@@ -35,7 +36,8 @@ for i in range(40):
     attr_rows.append((f"parent{i}", "birth", parent_birth))
     attr_rows.append((f"child{i}", "birth", child_birth))
 
-graph, table = load_dataset(triples, attr_rows)
+# the loader takes columns, as the file parsers return them
+graph, table = load_dataset(Table(list(zip(*triples))), Table(list(zip(*attr_rows))))
 bundle = DatasetBundle(graph=graph, attrs=table, split=np.zeros(table.n_entries, dtype=np.int8))
 
 key = PathKey.relational(dep=0, indep=0, relation=0, direction=Direction.FORWARD)
@@ -60,8 +62,9 @@ print("prediction round trip through the affine inverse:")
 print(f"  forward({x}) = {forward.predict(x):.3f}")
 print(f"  reverse(forward({x})) = {check.predict(forward.predict(x)):.6f}\n")
 
-buf = io.StringIO()
-write_model_dump(buf, registry, graph, table)
 print("model dump lines (17 significant digits for exact reload):")
-for line in buf.getvalue().splitlines():
-    print(f"  {line}")
+with tempfile.TemporaryDirectory() as tmp:
+    dump = Path(tmp) / "models.tsv"
+    write_model_dump(dump, registry, graph, table)
+    for line in dump.read_text(encoding="utf-8").splitlines():
+        print(f"  {line}")

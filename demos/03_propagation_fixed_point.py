@@ -11,13 +11,13 @@ import numpy as np
 from mrap.attributes import AttributeTable, Status
 from mrap.graph import Direction, Vocabulary, build_graph
 from mrap.ingest import DatasetBundle, Split
-from mrap.propagation import PropagationConfig, fixed_point_oracle, run
+from mrap.propagation import PropagationConfig, run
 from mrap.regression import FitSummary, ModelRegistry, PathKey, RegressionModel, derive_reverse
 
-graph = build_graph([("a", "p", "b"), ("b", "p", "c")])
+graph = build_graph(["a", "b"], ["p", "p"], ["b", "c"])  # a -p-> b -p-> c
 types = Vocabulary(["v"])
-entries = [(graph.entities.id(n), 0, 0.0) for n in ("a", "b", "c")]
-table = AttributeTable.build(graph.n_entities, types, entries)
+nodes = [graph.entities.id(n) for n in ("a", "b", "c")]
+table = AttributeTable.build(graph.n_entities, types, nodes, [0, 0, 0], [0.0, 0.0, 0.0])
 
 status = table.status.copy()
 split = np.zeros(3, dtype=np.int8)
@@ -43,10 +43,13 @@ idx_b, idx_c, idx_a = table.lookup([graph.entities.id(n) for n in "bca"], [0, 0,
 print(f"\nimputed: b={state.values[idx_b]:.12f}  c={state.values[idx_c]:.12f}")
 print(f"clamped anchor a stays at {state.values[idx_a]} (loaded value)")
 
-solution = fixed_point_oracle(bundle, registry, PropagationConfig())
+# at the fixed point each hidden value is the weighted mean of its messages:
+# b = ((a + 1) + (c - 1)) / 2 from both neighbors (equal weights), and
+# c = b + 1 from b alone; with a = 0 that is a 2 x 2 linear system
+solution = np.linalg.solve([[1.0, -0.5], [-1.0, 1.0]], [0.0, 1.0])
 print("\ndirect linear solve of the stationarity system:")
-for (entity, attr), value in solution.items():
-    print(f"  {graph.entities.label(entity)}/{types.label(attr)} = {value}")
+for name, value in zip("bc", solution):
+    print(f"  {name}/v = {value}")
 
 # any damping factor reaches the same fixed point, only the speed changes
 for damping in (0.25, 0.5, 1.0):

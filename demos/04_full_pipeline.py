@@ -18,6 +18,7 @@ from mrap.evaluation import (
     format_report_table,
     propagation_predictions,
 )
+from mrap.codec import Table
 from mrap.ingest import Split, SplitSpec, load_dataset, split_attributes, subsample_observed
 from mrap.propagation import PropagationConfig
 from mrap.regression import AdmissionConfig, build_registry, count_paths
@@ -35,7 +36,7 @@ for i in range(n_people):
     triples.append((f"p{i}", "made", f"i{i}"))
     triples.append((f"p{i}", "knows", f"p{int(rng.integers(n_people))}"))
 
-graph, table = load_dataset(triples, attr_rows)
+graph, table = load_dataset(Table(list(zip(*triples))), Table(list(zip(*attr_rows))))
 print(f"dataset: {graph.n_entities} entities, {graph.n_edges} edges, {table.n_entries} attribute values")
 
 bundle = split_attributes(graph, table, SplitSpec(seed=1))

@@ -6,6 +6,7 @@ variance, and iterating a damped, clamped message-passing update to its
 fixed point.
 """
 from .attributes import AttributeTable, Status
+from .codec import Table
 from .errors import (
     ConfigError,
     DataError,
@@ -48,9 +49,6 @@ from .propagation import (
     ImputationReport,
     PropagationConfig,
     PropagationState,
-    fixed_point_oracle,
-    imputed_table,
-    loss,
     run,
     write_imputations,
     write_trace,

@@ -11,16 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
 from .graph import Vocabulary
-
-
-# one (entity id, attribute id, value) entry, as AttributeTable.build reads it
-_ENTRY = np.dtype([("entity", np.int64), ("attr", np.int64), ("value", np.float64)])
 
 
 class Status(IntEnum):
@@ -46,11 +42,14 @@ class AttributeTable:
         cls,
         n_entities: int,
         types: Vocabulary,
-        entries: Iterable[tuple[int, int, float]],
-        status: Status = Status.OBSERVED,
+        entity_ids: Sequence[int],
+        attr_ids: Sequence[int],
+        values: Sequence[float],
     ) -> "AttributeTable":
-        rows = np.fromiter(entries, dtype=_ENTRY)
-        entity_ids, attr_ids, values = rows["entity"], rows["attr"], rows["value"]
+        """The table of OBSERVED entries given column-wise, in any order."""
+        entity_ids = np.asarray(entity_ids, dtype=np.int64)
+        attr_ids = np.asarray(attr_ids, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
         if entity_ids.size and not (0 <= entity_ids.min() and entity_ids.max() < n_entities):
             raise ValueError(f"entry entity id out of range [0, {n_entities})")
         order = np.lexsort((attr_ids, entity_ids))
@@ -64,7 +63,7 @@ class AttributeTable:
             entity_ids=entity_ids,
             attr_ids=attr_ids,
             values=values,
-            status=np.full(len(values), int(status), dtype=np.int8),
+            status=np.full(len(values), int(Status.OBSERVED), dtype=np.int8),
         )
 
     @property

@@ -10,20 +10,26 @@ directory:
     imputed.tsv   imputed values            trace.csv     convergence trace
     report.csv/.txt   evaluation reports    ablation.csv/.txt   ablation reports
 
-Exit codes: 0 success, 1 usage or config error, 2 data error, 3 propagation
-finished without converging (outputs are still written). The ``MRAP_LOG``
+Each artifact is replaced atomically, so a failed write leaves the last one.
+
+Exit codes: 0 success, 1 usage or config error, 2 data error (with the line
+of a bad file), 3 propagation finished without converging (outputs are
+still written). The ``MRAP_LOG``
 environment variable (error|warn|info|debug) controls diagnostics on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
+from .attributes import AttributeTable
+from .codec import Table, parse_floats, read_table, repeated, write_text
 from .errors import ConfigError, DataError, MrapError, ParseError
 from .evaluation import (
     ablation_suite,
@@ -46,6 +52,7 @@ from .ingest import (
     subsample_observed,
     write_split_manifest,
 )
+from .graph import KnowledgeGraph
 from .propagation import PropagationConfig, run, write_imputations, write_trace
 from .regression import (
     AdmissionConfig,
@@ -243,18 +250,22 @@ def _out_path(cfg: RunConfig, name: str) -> Path:
     return Path(cfg.out) / name
 
 
-def load_bundle(cfg: RunConfig) -> DatasetBundle:
-    """Parse inputs and restore (or compute) the split, then apply sparsity."""
+def _load_inputs(cfg: RunConfig) -> tuple[KnowledgeGraph, AttributeTable]:
     if not cfg.triples or not cfg.attrs:
         raise ConfigError("both --triples and --attrs input paths are required")
-    with open(cfg.triples, encoding="utf-8") as fh:
+    with open(cfg.triples, "rb") as fh:
         triples = parse_triples(fh)
-    with open(cfg.attrs, encoding="utf-8") as fh:
-        attr_rows, _ = parse_attributes(fh)
-    graph, attrs = load_dataset(triples, attr_rows)
+    with open(cfg.attrs, "rb") as fh:
+        attributes, _ = parse_attributes(fh)
+    return load_dataset(triples, attributes)
+
+
+def load_bundle(cfg: RunConfig) -> DatasetBundle:
+    """Parse inputs and restore (or compute) the split, then apply sparsity."""
+    graph, attrs = _load_inputs(cfg)
     manifest_path = _out_path(cfg, SPLIT_FILE)
     if manifest_path.exists():
-        with open(manifest_path, encoding="utf-8") as fh:
+        with open(manifest_path, "rb") as fh:
             bundle = apply_split_manifest(graph, attrs, read_split_manifest(fh))
         logger.info("split restored from %s", manifest_path)
     else:
@@ -265,43 +276,38 @@ def load_bundle(cfg: RunConfig) -> DatasetBundle:
 def load_or_fit_registry(cfg: RunConfig, bundle: DatasetBundle, write_if_built: bool) -> ModelRegistry:
     models_path = _out_path(cfg, MODELS_FILE)
     if models_path.exists():
-        with open(models_path, encoding="utf-8") as fh:
+        with open(models_path, "rb") as fh:
             registry = read_model_dump(fh, bundle.graph, bundle.attrs, cfg.admission)
         logger.info("models restored from %s", models_path)
         return registry
     registry = build_registry(bundle, cfg.admission)
     if write_if_built:
-        models_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(models_path, "w", encoding="utf-8") as fh:
-            write_model_dump(fh, registry, bundle.graph, bundle.attrs)
+        write_model_dump(models_path, registry, bundle.graph, bundle.attrs)
     return registry
 
 
-def _read_imputed(path: Path, bundle: DatasetBundle) -> dict[tuple[int, int], float]:
-    preds: dict[tuple[int, int], float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise ParseError(f"expected 5 tab-separated fields, got {len(fields)}", line_no)
-            entity, attr, value = fields[0], fields[1], fields[2]
-            eid = bundle.graph.entities.get(entity)
-            aid = bundle.attrs.types.get(attr)
-            if eid is None or aid is None:
-                raise DataError(f"{path}:{line_no}: unknown target ({entity!r}, {attr!r})")
-            try:
-                prediction = float(value)
-            except ValueError:
-                raise ParseError(f"unparseable value {value!r}", line_no) from None
-            if not math.isfinite(prediction):
-                raise ParseError(f"non-finite value {value!r}", line_no)
-            if (eid, aid) in preds:
-                raise ParseError(f"duplicate target ({entity!r}, {attr!r})", line_no)
-            preds[(eid, aid)] = prediction
-    return preds
+def _read_imputed(path: Path, bundle: DatasetBundle) -> tuple[np.ndarray, np.ndarray]:
+    """Entry index and value of every row of ``imputed.tsv`` that names an attribute entry."""
+    entities, attrs = bundle.graph.entities, bundle.attrs
+
+    def convert(table: Table) -> tuple[np.ndarray, np.ndarray]:
+        entity, attr, value = table.columns[:3]
+        eids, aids = entities.ids(entity), attrs.types.ids(attr)
+        known = (eids >= 0) & (aids >= 0)
+        n = len(table) if known.all() else int(known.argmin())  # rows above the first unknown target
+        twice = np.flatnonzero(repeated(eids[:n] * attrs.n_types + aids[:n]))
+        # a row's value is checked before whether its target repeats
+        values = parse_floats(table, value[: twice[0] + 1 if twice.size else n], "unparseable value {!r}")
+        if twice.size:
+            row = twice[0]
+            raise ParseError(f"duplicate target ({entity[row]!r}, {attr[row]!r})", table.line(row))
+        if n < len(table):
+            raise DataError(f"{path}:{table.line(n)}: unknown target ({entity[n]!r}, {attr[n]!r})")
+        idx = attrs.lookup(eids, aids)
+        return idx[idx >= 0], values[idx >= 0]
+
+    with open(path, "rb") as fh:
+        return read_table(fh, 5, convert)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -331,18 +337,9 @@ def cmd_stats(cfg: RunConfig) -> int:
 
 
 def cmd_split(cfg: RunConfig) -> int:
-    if not cfg.triples or not cfg.attrs:
-        raise ConfigError("both --triples and --attrs input paths are required")
-    with open(cfg.triples, encoding="utf-8") as fh:
-        triples = parse_triples(fh)
-    with open(cfg.attrs, encoding="utf-8") as fh:
-        attr_rows, _ = parse_attributes(fh)
-    graph, attrs = load_dataset(triples, attr_rows)
-    bundle = split_attributes(graph, attrs, cfg.split_spec)
+    bundle = split_attributes(*_load_inputs(cfg), cfg.split_spec)
     path = _out_path(cfg, SPLIT_FILE)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        write_split_manifest(fh, bundle)
+    write_split_manifest(path, bundle)
     train, dev, test = bundle.split_counts()
     print(f"split written to {path}: {train} train / {dev} dev / {test} test")
     return EXIT_OK
@@ -352,9 +349,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     bundle = load_bundle(cfg)
     registry = build_registry(bundle, cfg.admission)
     path = _out_path(cfg, MODELS_FILE)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        write_model_dump(fh, registry, bundle.graph, bundle.attrs)
+    write_model_dump(path, registry, bundle.graph, bundle.attrs)
     print(f"{len(registry)} models written to {path}")
     if registry.rejections:
         print("rejections:")
@@ -369,12 +364,8 @@ def cmd_impute(cfg: RunConfig) -> int:
     bundle = load_bundle(cfg)
     registry = load_or_fit_registry(cfg, bundle, write_if_built=True)
     state, report = run(bundle, registry, cfg.propagation)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / IMPUTED_FILE, "w", encoding="utf-8") as fh:
-        write_imputations(fh, bundle, state, report)
-    with open(out_dir / TRACE_FILE, "w", encoding="utf-8") as fh:
-        write_trace(fh, report)
+    write_imputations(_out_path(cfg, IMPUTED_FILE), bundle, state, report)
+    write_trace(_out_path(cfg, TRACE_FILE), report)
     print(
         f"{report.n_targets} targets imputed in {report.iterations} iterations "
         f"({report.n_silent} without messages), converged={report.converged}"
@@ -387,29 +378,28 @@ def cmd_eval(cfg: RunConfig) -> int:
     imputed_path = _out_path(cfg, IMPUTED_FILE)
     if not imputed_path.exists():
         raise DataError(f"no imputation output at {imputed_path}; run `mrap impute` first")
-    preds = _read_imputed(imputed_path, bundle)
+    entries, values = _read_imputed(imputed_path, bundle)
     split = Split.DEV if cfg.eval_split == "dev" else Split.TEST
     attrs = bundle.attrs
-    absent = [
-        (bundle.graph.entities.label(int(attrs.entity_ids[t])), attrs.types.label(int(attrs.attr_ids[t])))
-        for t in bundle.split_indices(split)
-        if (int(attrs.entity_ids[t]), int(attrs.attr_ids[t])) not in preds
-    ]
-    if absent:
-        head = ", ".join(f"{e}/{a}" for e, a in absent[:20])
-        raise DataError(f"{len(absent)} {split.name.lower()} targets missing from {imputed_path}: {head}")
+    imputed = np.zeros(attrs.n_entries, dtype=bool)
+    imputed[entries] = True
+    targets = bundle.split_indices(split)
+    absent = targets[~imputed[targets]]
+    if absent.size:
+        shown = absent[:20]
+        entities = bundle.graph.entities.labels_of(attrs.entity_ids[shown])
+        head = ", ".join(f"{e}/{a}" for e, a in zip(entities, attrs.types.labels_of(attrs.attr_ids[shown])))
+        raise DataError(f"{absent.size} {split.name.lower()} targets missing from {imputed_path}: {head}")
+    targets_of = zip(attrs.entity_ids[entries].tolist(), attrs.attr_ids[entries].tolist())
+    preds = dict(zip(targets_of, values.tolist()))
     reports = [
         evaluate(preds, bundle, split, method="MrAP", setup=cfg.setup_label),
         evaluate(baseline_global(bundle), bundle, split, method="Global", setup=cfg.setup_label),
         evaluate(baseline_local(bundle), bundle, split, method="Local", setup=cfg.setup_label),
     ]
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / REPORT_CSV, "w", encoding="utf-8") as fh:
-        write_report_csv(fh, reports)
+    write_report_csv(_out_path(cfg, REPORT_CSV), reports)
     table = format_report_table(reports)
-    with open(out_dir / REPORT_TXT, "w", encoding="utf-8") as fh:
-        fh.write(table)
+    write_text(_out_path(cfg, REPORT_TXT), table)
     print(table, end="")
     return EXIT_OK
 
@@ -421,13 +411,9 @@ def cmd_ablate(cfg: RunConfig) -> int:
     reports = ablation_suite(
         bundle, cfg.propagation, registry=registry, split=split, setup=cfg.setup_label
     )
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / ABLATION_CSV, "w", encoding="utf-8") as fh:
-        write_report_csv(fh, reports)
+    write_report_csv(_out_path(cfg, ABLATION_CSV), reports)
     table = format_report_table(reports, merge_local_global=False)
-    with open(out_dir / ABLATION_TXT, "w", encoding="utf-8") as fh:
-        fh.write(table)
+    write_text(_out_path(cfg, ABLATION_TXT), table)
     print(table, end="")
     if any(report.converged is False for report in reports):
         return EXIT_NOCONV

@@ -9,13 +9,16 @@ reported per attribute type as MAE and RMSE against the held-out values.
 from __future__ import annotations
 
 import csv
+import io
 import logging
+import os
 from dataclasses import dataclass, field, replace
 from typing import IO, Mapping
 
 import numpy as np
 
 from .attributes import Status
+from .codec import write_text
 from .graph import Direction
 from .ingest import DatasetBundle, Split
 from .propagation import PropagationConfig, run
@@ -214,8 +217,10 @@ def write_differences(fh: IO[str], key_label: str, diffs: np.ndarray, mean: floa
     fh.write(f"# fitted_normal mean={mean:.17g} std={std:.17g}\n")
 
 
-def write_report_csv(fh: IO[str], reports: list[EvalReport]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
+def write_report_csv(path: str | os.PathLike, reports: list[EvalReport]) -> None:
+    """One CSV row per (method, attribute type), written atomically."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["method", "setup", "attr_type", "mae", "rmse", "n_test", "n_unpredicted"])
     for report in reports:
         for row in report.rows:
@@ -230,6 +235,7 @@ def write_report_csv(fh: IO[str], reports: list[EvalReport]) -> None:
                     row.n_unpredicted,
                 ]
             )
+    write_text(path, buf.getvalue())
 
 
 def format_report_table(reports: list[EvalReport], merge_local_global: bool = True) -> str:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import islice
-from typing import Iterable, Iterator
+from itertools import islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,6 +55,14 @@ class Vocabulary:
 
     def label(self, idx: int) -> str:
         return self._labels[idx]
+
+    def ids(self, labels: Sequence[str]) -> np.ndarray:
+        """The id of each label, or -1 where the label is not interned."""
+        return np.fromiter(map(self._ids.get, labels, repeat(-1)), dtype=np.int64, count=len(labels))
+
+    def labels_of(self, ids: np.ndarray) -> list[str]:
+        """The label of each id."""
+        return list(map(self._labels.__getitem__, np.asarray(ids).tolist()))
 
     @property
     def labels(self) -> list[str]:
@@ -109,17 +117,14 @@ class KnowledgeGraph:
     def n_edges(self) -> int:
         return len(self.edge_array)
 
-    def triples(self) -> list[tuple[str, str, str]]:
-        """The stored edge set as labeled triples, in edge order."""
-        ent, rel = self.entities, self.relations
-        return [(ent.label(h), rel.label(r), ent.label(t)) for h, r, t in self.edge_array.tolist()]
-
 
 def build_graph(
-    triples: Iterable[tuple[str, str, str]],
+    heads: Sequence[str],
+    relations: Sequence[str],
+    tails: Sequence[str],
     extra_entities: Iterable[str] = (),
 ) -> KnowledgeGraph:
-    """Build a graph from labeled triples.
+    """Build a graph from the label columns of its triples.
 
     Entity ids follow first appearance in (head, tail) file order, relation
     ids first appearance in file order. Duplicate (head, relation, tail)
@@ -127,19 +132,21 @@ def build_graph(
     nodes that only carry attributes) are interned as isolated nodes after
     all triple entities.
     """
-    rows = list(triples)
-    entities = Vocabulary()
-    relations = Vocabulary()
-    ends = entities.intern([label for head, _, tail in rows for label in (head, tail)])
-    rels = relations.intern([relation for _, relation, _ in rows])
-    if "" in entities or "" in relations:
-        bad = next(row for row in rows if not all(row))
-        raise ValueError(f"triple with empty field: {bad!r}")
-    entities.intern(extra_entities)
+    entity_vocab = Vocabulary()
+    relation_vocab = Vocabulary()
+    ends = [""] * (2 * len(heads))
+    ends[0::2] = heads
+    ends[1::2] = tails
+    ends = entity_vocab.intern(ends)
+    rels = relation_vocab.intern(relations)
+    if "" in entity_vocab or "" in relation_vocab:
+        row = min(column.index("") for column in (heads, relations, tails) if "" in column)
+        raise ValueError(f"triple with empty field: {(heads[row], relations[row], tails[row])!r}")
+    entity_vocab.intern(extra_entities)
 
     columns = np.array([ends[0::2], rels, ends[1::2]], dtype=np.int64)
     edges = columns.T[np.lexsort(columns[::-1])]
     # once sorted, a duplicate row equals its predecessor
     first = np.ones(len(edges), dtype=bool)
     first[1:] = (edges[1:] != edges[:-1]).any(axis=1)
-    return KnowledgeGraph(entities=entities, relations=relations, edge_array=edges[first])
+    return KnowledgeGraph(entities=entity_vocab, relations=relation_vocab, edge_array=edges[first])

@@ -1,33 +1,40 @@
 """Parsing of triple/attribute files, split assignment, and subsampling.
 
-File formats (UTF-8, LF line endings, tab separated):
+File formats (UTF-8, tab separated):
 
 * triple file:     ``head<TAB>relation<TAB>tail``
 * attribute file:  ``entity<TAB>attribute_type<TAB>float_value``
 * split manifest:  ``entity<TAB>attribute_type<TAB>{train|dev|test}``
 
-Blank lines and lines starting with ``#`` are skipped in the two input
-formats. All random assignments are driven by seeded generators and
-reproduce byte-identical results for a given seed.
+All three go through :mod:`mrap.codec`, which sets the line rules (``#``
+and blank lines skipped, any line end) and names the first bad line in a
+ParseError: a wrong field count, a byte that is not UTF-8, an empty label,
+a value that is not a finite float, an unknown split label. Parsers return
+columns, which :func:`load_dataset` interns without per-row tuples. All
+random assignments are driven by seeded generators and reproduce
+byte-identical results for a given seed.
 """
 from __future__ import annotations
 
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
 from .attributes import AttributeTable, Status
+from .codec import Table, parse_floats, read_table, repeated, write_table
 from .errors import DataError, ParseError
 from .graph import KnowledgeGraph, Vocabulary, build_graph
 
 logger = logging.getLogger(__name__)
 
 _SPLIT_NAMES = ("train", "dev", "test")
+_SPLIT_CODES = {name: code for code, name in enumerate(_SPLIT_NAMES)}
 
 
 class Split(IntEnum):
@@ -83,78 +90,56 @@ class DatasetBundle:
         return tuple(int((self.split == s).sum()) for s in Split)  # type: ignore[return-value]
 
 
-def parse_triples(lines: Iterable[str] | IO[str]) -> list[tuple[str, str, str]]:
-    """Parse a triple stream into (head, relation, tail) tuples in file order."""
-    triples = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(f"expected 3 tab-separated fields, got {len(fields)}", line_no)
-        head, relation, tail = fields
-        if not head or not relation or not tail:
-            raise ParseError("empty field in triple", line_no)
-        triples.append((head, relation, tail))
-    return triples
+def _triple_columns(table: Table) -> Table:
+    empty = [column.index("") for column in table.columns if "" in column]
+    if empty:
+        raise ParseError("empty field in triple", table.line(min(empty)))
+    return table
 
 
-def parse_attributes(lines: Iterable[str] | IO[str]) -> tuple[list[tuple[str, str, float]], int]:
-    """Parse an attribute stream into (entity, attribute_type, value) rows.
+def parse_triples(source: IO) -> Table:
+    """Parse a triple stream into head, relation and tail columns in file order."""
+    return read_table(source, 3, _triple_columns)
+
+
+def _attribute_columns(table: Table) -> tuple[Table, int]:
+    entities, types, texts = table.columns
+    empty = min((column.index("") for column in (entities, types) if "" in column), default=len(table))
+    values = parse_floats(table, texts[:empty], "unparseable float {!r}")
+    if empty < len(table):
+        raise ParseError("empty field in attribute row", table.line(empty))
+    last = dict(zip(zip(entities, types), range(len(table))))  # first-seen order, last row
+    duplicates = len(table) - len(last)
+    if duplicates:
+        logger.warning("attribute file contained %d duplicate keys (last occurrence kept)", duplicates)
+        entities, types = [e for e, _ in last], [a for _, a in last]
+        values = values[np.fromiter(last.values(), dtype=np.int64, count=len(last))]
+    return Table([entities, types, values]), duplicates
+
+
+def parse_attributes(source: IO) -> tuple[Table, int]:
+    """Parse an attribute stream into entity, attribute type and value columns.
 
     Duplicate (entity, attribute_type) keys keep the last occurrence; the
     number of overwritten rows is returned alongside the deduplicated rows
     (first-seen key order).
     """
-    rows: dict[tuple[str, str], float] = {}
-    duplicates = 0
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(f"expected 3 tab-separated fields, got {len(fields)}", line_no)
-        entity, attr_type, value_text = fields
-        if not entity or not attr_type:
-            raise ParseError("empty field in attribute row", line_no)
-        try:
-            value = float(value_text)
-        except ValueError:
-            raise ParseError(f"unparseable float {value_text!r}", line_no) from None
-        if not math.isfinite(value):
-            raise ParseError(f"non-finite value {value_text!r}", line_no)
-        key = (entity, attr_type)
-        if key in rows:
-            duplicates += 1
-        rows[key] = value
-    if duplicates:
-        logger.warning("attribute file contained %d duplicate keys (last occurrence kept)", duplicates)
-    return [(e, a, v) for (e, a), v in rows.items()], duplicates
+    return read_table(source, 3, _attribute_columns)
 
 
-def load_dataset(
-    triples: Iterable[tuple[str, str, str]],
-    attr_rows: Iterable[tuple[str, str, float]],
-) -> tuple[KnowledgeGraph, AttributeTable]:
-    """Assemble graph and attribute table from parsed rows.
+def load_dataset(triples: Table, attributes: Table) -> tuple[KnowledgeGraph, AttributeTable]:
+    """Assemble graph and attribute table from parsed triple and attribute columns.
 
     Entities that appear only in the attribute rows are retained as isolated
     nodes; they can still receive inner-node messages.
     """
     start = time.perf_counter()
-    triples = list(triples)
-    attr_rows = list(attr_rows)
-    attributed = [e for e, _, _ in attr_rows]
-    graph = build_graph(triples, extra_entities=attributed)
+    entities, type_labels, values = attributes.columns
+    graph = build_graph(*triples.columns, extra_entities=entities)
     types = Vocabulary()
-    entries = zip(
-        graph.entities.intern(attributed),
-        types.intern([a for _, a, _ in attr_rows]),
-        [v for _, _, v in attr_rows],
+    table = AttributeTable.build(
+        graph.n_entities, types, graph.entities.intern(entities), types.intern(type_labels), values
     )
-    table = AttributeTable.build(graph.n_entities, types, entries)
     logger.info(
         "loaded: %d triples read, %d duplicates dropped, %d entities, %d relations, %d edges, "
         "%d attribute entries of %d types in %.3f s",
@@ -235,60 +220,45 @@ def subsample_observed(bundle: DatasetBundle, fraction: float, seed: int) -> Dat
 # -- split manifest ----------------------------------------------------------
 
 
-def write_split_manifest(fh: IO[str], bundle: DatasetBundle) -> None:
+def write_split_manifest(path: str | os.PathLike, bundle: DatasetBundle) -> None:
     """Write ``entity<TAB>attribute_type<TAB>{train|dev|test}`` lines."""
-    entities = bundle.graph.entities
-    types = bundle.attrs.types
-    for i in range(bundle.attrs.n_entries):
-        entity = entities.label(int(bundle.attrs.entity_ids[i]))
-        attr = types.label(int(bundle.attrs.attr_ids[i]))
-        fh.write(f"{entity}\t{attr}\t{_SPLIT_NAMES[bundle.split[i]]}\n")
+    attrs = bundle.attrs
+    labels = [bundle.graph.entities.labels_of(attrs.entity_ids), attrs.types.labels_of(attrs.attr_ids)]
+    write_table(path, [*labels, list(map(_SPLIT_NAMES.__getitem__, bundle.split.tolist()))])
 
 
-def read_split_manifest(lines: Iterable[str] | IO[str]) -> list[tuple[str, str, Split]]:
-    rows = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(f"expected 3 tab-separated fields, got {len(fields)}", line_no)
-        entity, attr, name = fields
-        if name not in _SPLIT_NAMES:
-            raise ParseError(f"unknown split label {name!r}", line_no)
-        rows.append((entity, attr, Split(_SPLIT_NAMES.index(name))))
-    return rows
+def _manifest_columns(table: Table) -> Table:
+    entities, types, names = table.columns
+    codes = list(map(_SPLIT_CODES.get, names))
+    if None in codes:
+        row = codes.index(None)
+        raise ParseError(f"unknown split label {names[row]!r}", table.line(row))
+    return Table([entities, types, np.array(codes, dtype=np.int8)])
 
 
-def apply_split_manifest(
-    graph: KnowledgeGraph,
-    attrs: AttributeTable,
-    manifest: Iterable[tuple[str, str, Split]],
-) -> DatasetBundle:
+def read_split_manifest(source: IO) -> Table:
+    """Entity, attribute type and ``Split`` code columns of a manifest stream."""
+    return read_table(source, 3, _manifest_columns)
+
+
+def apply_split_manifest(graph: KnowledgeGraph, attrs: AttributeTable, manifest: Table) -> DatasetBundle:
     """Rebuild a bundle from a previously written manifest.
 
     The manifest must label every attribute entry exactly once. An unknown
     or repeated row is reported for the first such row in manifest order.
     """
-    rows = list(manifest)
-    entity_ids = np.array([graph.entities.get(e, -1) for e, _, _ in rows], dtype=np.int64)
-    attr_ids = np.array([attrs.types.get(a, -1) for _, a, _ in rows], dtype=np.int64)
-    idx = attrs.lookup(entity_ids, attr_ids)
+    entities, types, codes = manifest.columns
+    idx = attrs.lookup(graph.entities.ids(entities), attrs.types.ids(types))
     unknown = idx < 0
-    # a stable sort puts each entry's rows in manifest order: all but the first repeat
-    order = np.argsort(idx, kind="stable")
-    repeated = np.zeros(len(rows), dtype=bool)
-    repeated[order[1:]] = idx[order[1:]] == idx[order[:-1]]
-    bad = np.flatnonzero(unknown | repeated)
+    bad = np.flatnonzero(unknown | repeated(idx))
     if bad.size:
-        entity, attr, _ = rows[bad[0]]
-        if unknown[bad[0]]:
-            raise DataError(f"manifest row ({entity!r}, {attr!r}) not in the attribute table")
-        raise DataError(f"manifest labels ({entity!r}, {attr!r}) twice")
-    if len(rows) < attrs.n_entries:
-        raise DataError(f"manifest leaves {attrs.n_entries - len(rows)} attribute entries unlabeled")
+        row = bad[0]
+        if unknown[row]:
+            raise DataError(f"manifest row ({entities[row]!r}, {types[row]!r}) not in the attribute table")
+        raise DataError(f"manifest labels ({entities[row]!r}, {types[row]!r}) twice")
+    if len(manifest) < attrs.n_entries:
+        raise DataError(f"manifest leaves {attrs.n_entries - len(manifest)} attribute entries unlabeled")
     split = np.empty(attrs.n_entries, dtype=np.int8)
-    split[idx] = np.array([code for _, _, code in rows], dtype=np.int8)
+    split[idx] = codes
     status = np.where(split == int(Split.TRAIN), int(Status.OBSERVED), int(Status.MISSING))
     return DatasetBundle(graph=graph, attrs=attrs.with_status(status), split=split)

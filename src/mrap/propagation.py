@@ -28,14 +28,15 @@ that never receive a message degrade to the per-type mean baseline.
 from __future__ import annotations
 
 import logging
+import os
 import time
 from dataclasses import dataclass, field
-from typing import IO, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .attributes import AttributeTable, Status
-from .errors import SingularSystemError
+from .attributes import Status
+from .codec import write_table
 from .graph import Direction
 from .ingest import DatasetBundle
 from .regression import EntryIndex, ModelRegistry, PathKey, relation_span
@@ -99,20 +100,6 @@ class ImputationReport:
     trace: list[tuple[int, str, float, float]] = field(default_factory=list, repr=False)
 
 
-class _Paths(NamedTuple):
-    """Flattened message paths: one row per (source entry, model, target entry)."""
-
-    src: np.ndarray
-    tgt: np.ndarray
-    eta: np.ndarray
-    tau: np.ndarray
-    weight: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.src)
-
-
 def _link(
     bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -155,12 +142,6 @@ def _link(
     return src, tgt, mid, models
 
 
-def _build_paths(bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig) -> _Paths:
-    """Enumerate every active path between tracked entries, in fixed order."""
-    src, tgt, mid, (eta, tau, weight) = _link(bundle, registry, cfg)
-    return _Paths(src=src, tgt=tgt, eta=eta[mid], tau=tau[mid], weight=weight[mid])
-
-
 def _init_values(bundle: DatasetBundle) -> np.ndarray:
     """Loaded values with every MISSING entry reset to its type's global mean."""
     attrs = bundle.attrs
@@ -180,26 +161,6 @@ def _target_ranges(bundle: DatasetBundle) -> dict[int, float]:
     return {
         int(attr): attrs.value_range(int(attr)) for attr in np.unique(attrs.attr_ids[targets])
     }
-
-
-def loss(
-    bundle: DatasetBundle,
-    registry: ModelRegistry,
-    state: PropagationState | np.ndarray,
-    cfg: PropagationConfig | None = None,
-) -> float:
-    """Total weighted squared prediction error over all active paths.
-
-    Sums, for every tracked entry, the squared differences between its
-    current value and each prediction flowing into it, scaled by the model
-    weights. Diagnostic only: the propagation minimizes this per node, not
-    globally.
-    """
-    cfg = cfg or PropagationConfig()
-    values = state.values if isinstance(state, PropagationState) else np.asarray(state)
-    paths = _build_paths(bundle, registry, cfg)
-    resid = values[paths.tgt] - (paths.eta * values[paths.src] + paths.tau)
-    return float(np.dot(paths.weight * resid, resid))
 
 
 class _Operator(NamedTuple):
@@ -245,7 +206,7 @@ class _Operator(NamedTuple):
         return np.bincount(self.row, weights=weights, minlength=len(self.live))
 
     def loss(self, x: np.ndarray, ax: np.ndarray) -> float:
-        """:func:`loss` at live values ``x``, given ``ax = A x``."""
+        """The loss at live values ``x``, given ``ax = A x``."""
         y = x - self.x0
         slope = (ax - self.ax0) * (-2.0 * self.q)
         slope += self.h * y
@@ -420,119 +381,18 @@ def run(
     return state, report
 
 
-def fixed_point_oracle(
-    bundle: DatasetBundle,
-    registry: ModelRegistry,
-    cfg: PropagationConfig | None = None,
-) -> dict[tuple[int, int], float]:
-    """Exact fixed point of the message-passing update by direct linear solve.
-
-    Builds the stationarity system value = (sum of weighted predictions) /
-    (sum of weights) over all targets with at least one message, treating
-    observed entries and message-less targets (held at their init mean) as
-    constants, and solves each connected component densely. Intended for
-    small instances; raises :class:`SingularSystemError` naming the targets
-    of any underdetermined component.
-    """
-    cfg = cfg or PropagationConfig()
-    attrs = bundle.attrs
-    paths = _build_paths(bundle, registry, cfg)
-    missing = attrs.status == Status.MISSING
-    upd = _Paths(*(a[missing[paths.tgt]] for a in paths)) if paths.n else paths
-
-    n = attrs.n_entries
-    weight_sum = np.bincount(upd.tgt, weights=upd.weight, minlength=n) if upd.n else np.zeros(n)
-    targets = bundle.target_indices()
-    unknowns = [int(t) for t in targets if weight_sum[t] > 0.0]
-    pos = {entry: i for i, entry in enumerate(unknowns)}
-    const_values = _init_values(bundle)
-
-    # union-find over unknowns coupled by a path
-    parent = list(range(len(unknowns)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for s, t in zip(upd.src, upd.tgt):
-        si, ti = pos.get(int(s)), pos.get(int(t))
-        if si is not None and ti is not None:
-            ri, rj = find(si), find(ti)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
-    components: dict[int, list[int]] = {}
-    for i in range(len(unknowns)):
-        components.setdefault(find(i), []).append(i)
-
-    solution = const_values.copy()
-    for root in sorted(components):
-        comp = components[root]
-        local = {unknowns[i]: j for j, i in enumerate(comp)}
-        size = len(comp)
-        a_mat = np.eye(size)
-        b = np.zeros(size)
-        for idx in range(upd.n):
-            t = int(upd.tgt[idx])
-            lt = local.get(t)
-            if lt is None:
-                continue
-            q = weight_sum[t]
-            s = int(upd.src[idx])
-            w, eta, tau = float(upd.weight[idx]), float(upd.eta[idx]), float(upd.tau[idx])
-            b[lt] += w * tau / q
-            ls = local.get(s)
-            if ls is not None:
-                a_mat[lt, ls] -= w * eta / q
-            else:
-                b[lt] += w * eta * const_values[s] / q
-        if np.linalg.matrix_rank(a_mat) < size:
-            labels = [
-                (
-                    bundle.graph.entities.label(int(attrs.entity_ids[unknowns[i]])),
-                    attrs.types.label(int(attrs.attr_ids[unknowns[i]])),
-                )
-                for i in comp
-            ]
-            raise SingularSystemError(
-                f"fixed-point system singular on a component of {size} targets", labels
-            )
-        solution[[unknowns[i] for i in comp]] = np.linalg.solve(a_mat, b)
-
-    return {
-        (int(attrs.entity_ids[t]), int(attrs.attr_ids[t])): float(solution[t]) for t in targets
-    }
-
-
-def imputed_table(bundle: DatasetBundle, state: PropagationState) -> AttributeTable:
-    """Attribute table with target entries set to their propagated values."""
-    attrs = bundle.attrs
-    table = attrs.with_status(
-        np.where(attrs.status == Status.MISSING, int(Status.IMPUTED), attrs.status)
-    )
-    table.values = attrs.values.copy()
-    table.values[bundle.target_indices()] = state.values[bundle.target_indices()]
-    return table
-
-
 def write_imputations(
-    fh: IO[str], bundle: DatasetBundle, state: PropagationState, report: ImputationReport
+    path: str | os.PathLike, bundle: DatasetBundle, state: PropagationState, report: ImputationReport
 ) -> None:
     """``entity<TAB>attr<TAB>value<TAB>n_messages<TAB>total_weight`` per target."""
-    attrs = bundle.attrs
-    entities = bundle.graph.entities
-    for t, n_msg, w in zip(report.target_entries, report.n_messages, report.total_weight):
-        fh.write(
-            f"{entities.label(int(attrs.entity_ids[t]))}\t"
-            f"{attrs.types.label(int(attrs.attr_ids[t]))}\t"
-            f"{state.values[t]:.17g}\t{int(n_msg)}\t{w:.17g}\n"
-        )
+    attrs, targets = bundle.attrs, report.target_entries
+    entities = bundle.graph.entities.labels_of(attrs.entity_ids[targets])
+    types = attrs.types.labels_of(attrs.attr_ids[targets])
+    write_table(path, [entities, types, state.values[targets], report.n_messages, report.total_weight])
 
 
-def write_trace(fh: IO[str], report: ImputationReport) -> None:
+def write_trace(path: str | os.PathLike, report: ImputationReport) -> None:
     """Per-iteration convergence trace as CSV."""
-    fh.write("iter,attr_type,max_delta,loss\n")
-    for iteration, attr, delta, loss_val in report.trace:
-        fh.write(f"{iteration},{attr},{delta:.17g},{loss_val:.17g}\n")
+    iterations, types, deltas, losses = zip(*report.trace) if report.trace else ((),) * 4
+    columns = [np.array(iterations, dtype=np.int64), types, np.array(deltas), np.array(losses)]
+    write_table(path, columns, sep=",", header="iter,attr_type,max_delta,loss")

@@ -16,6 +16,8 @@ model is derived.
 from __future__ import annotations
 
 import logging
+import math
+import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -23,6 +25,7 @@ from typing import IO, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .attributes import AttributeTable, Status
+from .codec import Table, read_table, write_table
 from .errors import (
     DataError,
     DegenerateRegressorError,
@@ -418,87 +421,78 @@ def count_paths(graph: KnowledgeGraph, registry: ModelRegistry, attrs: Attribute
 # -- model dump ----------------------------------------------------------------
 
 
-def write_model_dump(fh: IO[str], registry: ModelRegistry, graph: KnowledgeGraph, attrs: AttributeTable) -> None:
+def write_model_dump(
+    path: str | os.PathLike, registry: ModelRegistry, graph: KnowledgeGraph, attrs: AttributeTable
+) -> None:
     """Write one tab-separated line per model, floats at 17 significant digits."""
-    def sort_key(key: PathKey):
-        return (
-            key.is_inner,
-            -1 if key.relation is None else key.relation,
-            int(key.direction) if key.direction is not None else -1,
-            key.dep,
-            key.indep,
-        )
+    keys = sorted(registry.models, key=lambda k: (k.is_inner, k.relation or 0, k.direction or 0, k.dep, k.indep))
+    models = [registry.models[key] for key in keys]
+    numbers = np.array([(m.eta, m.tau, m.sigma2, m.weight, m.fit.r2) for m in models], dtype=np.float64)
+    eta, tau, sigma2, weight, r2 = numbers.reshape(-1, 5).T
+    labels = [
+        attrs.types.labels_of([key.dep for key in keys]),
+        attrs.types.labels_of([key.indep for key in keys]),
+        [INNER_LABEL if key.is_inner else graph.relations.label(key.relation) for key in keys],  # type: ignore[arg-type]
+        ["-" if key.is_inner else _DIRECTION_NAMES[key.direction] for key in keys],  # type: ignore[index]
+    ]
+    support = np.array([m.fit.support for m in models], dtype=np.int64)
+    derived = ["true" if m.fit.derived_reverse else "false" for m in models]
+    write_table(path, [*labels, eta, tau, sigma2, weight, support, r2, derived])
 
-    for key in sorted(registry.models, key=sort_key):
-        m = registry.models[key]
-        dep = attrs.types.label(key.dep)
-        indep = attrs.types.label(key.indep)
-        rel = INNER_LABEL if key.is_inner else graph.relations.label(key.relation)  # type: ignore[arg-type]
-        direction = "-" if key.is_inner else _DIRECTION_NAMES[key.direction]  # type: ignore[index]
-        fields = (
-            dep,
-            indep,
-            rel,
-            direction,
-            f"{m.eta:.17g}",
-            f"{m.tau:.17g}",
-            f"{m.sigma2:.17g}",
-            f"{m.weight:.17g}",
-            str(m.fit.support),
-            f"{m.fit.r2:.17g}",
-            "true" if m.fit.derived_reverse else "false",
-        )
-        fh.write("\t".join(fields) + "\n")
+
+_DIRECTIONS = {name: direction for direction, name in _DIRECTION_NAMES.items()}
+
+
+def _dump_model(fields: tuple[str, ...], graph: KnowledgeGraph, attrs: AttributeTable) -> RegressionModel:
+    """The model of one model dump row; a ValueError says what is wrong with it."""
+    dep_l, indep_l, rel_l, dir_l, eta, tau, sigma2, weight, support, r2, derived = fields
+    dep = attrs.types.get(dep_l)
+    indep = attrs.types.get(indep_l)
+    if dep is None or indep is None:
+        raise ValueError(f"unknown attribute type in {dep_l!r}/{indep_l!r}")
+    if rel_l == INNER_LABEL:
+        key = PathKey.inner(dep, indep)
+    else:
+        relation = graph.relations.get(rel_l)
+        if relation is None:
+            raise ValueError(f"unknown relation {rel_l!r}")
+        direction = _DIRECTIONS.get(dir_l)
+        if direction is None:
+            raise ValueError(f"unknown direction {dir_l!r}")
+        key = PathKey.relational(dep, indep, relation, direction)
+    params = [float(eta), float(tau), float(sigma2), float(weight)]
+    fit = FitSummary(int(support), float("nan"), float("nan"), float(r2), derived == "true")
+    texts = (eta, tau, sigma2, weight, r2)
+    for name, text, value in zip(("eta", "tau", "sigma2", "weight", "r2"), texts, params + [fit.r2]):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite {name} {text!r}")
+        if name in ("sigma2", "weight") and value <= 0.0:
+            raise ValueError(f"non-positive {name} {text!r}")
+    return RegressionModel(key, *params, fit)
 
 
 def read_model_dump(
-    lines: Iterable[str] | IO[str],
+    source: IO,
     graph: KnowledgeGraph,
     attrs: AttributeTable,
     admission: AdmissionConfig | None = None,
 ) -> ModelRegistry:
-    """Reload a registry written by :func:`write_model_dump`."""
-    models: dict[PathKey, RegressionModel] = {}
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 11:
-            raise ParseError(f"expected 11 tab-separated fields, got {len(fields)}", line_no)
-        dep_l, indep_l, rel_l, dir_l, eta, tau, sigma2, weight, support, r2, derived = fields
-        dep = attrs.types.get(dep_l)
-        indep = attrs.types.get(indep_l)
-        if dep is None or indep is None:
-            raise ParseError(f"unknown attribute type in {dep_l!r}/{indep_l!r}", line_no)
-        try:
-            if rel_l == INNER_LABEL:
-                key = PathKey.inner(dep, indep)
-            else:
-                relation = graph.relations.get(rel_l)
-                if relation is None:
-                    raise ParseError(f"unknown relation {rel_l!r}", line_no)
-                direction = {v: k for k, v in _DIRECTION_NAMES.items()}.get(dir_l)
-                if direction is None:
-                    raise ParseError(f"unknown direction {dir_l!r}", line_no)
-                key = PathKey.relational(dep, indep, relation, direction)
-            model = RegressionModel(
-                key=key,
-                eta=float(eta),
-                tau=float(tau),
-                sigma2=float(sigma2),
-                weight=float(weight),
-                fit=FitSummary(
-                    support=int(support),
-                    mu_x=float("nan"),
-                    mu_y=float("nan"),
-                    r2=float(r2),
-                    derived_reverse=derived == "true",
-                ),
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no) from None
-        if key in models:
-            raise DataError(f"model dump line {line_no}: duplicate key")
-        models[key] = model
+    """Reload a registry written by :func:`write_model_dump`.
+
+    The first row with an unknown label, a non-finite number or a
+    ``sigma2`` or ``weight`` that is not positive raises a ParseError.
+    """
+    def convert(table: Table) -> dict[PathKey, RegressionModel]:
+        models: dict[PathKey, RegressionModel] = {}
+        for row, fields in enumerate(zip(*table.columns)):
+            try:
+                model = _dump_model(fields, graph, attrs)
+            except ValueError as exc:
+                raise ParseError(str(exc), table.line(row)) from None
+            if model.key in models:
+                raise DataError(f"model dump line {table.line(row)}: duplicate key")
+            models[model.key] = model
+        return models
+
+    models = read_table(source, 11, convert)
     return ModelRegistry(models=models, admission=admission or AdmissionConfig())

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -9,9 +10,11 @@ from typing import NamedTuple
 import numpy as np
 
 from mrap.attributes import AttributeTable, Status
-from mrap.errors import DataError
+from mrap.codec import Table
+from mrap.errors import DataError, ParseError, SingularSystemError
 from mrap.graph import Direction, Vocabulary, build_graph
-from mrap.ingest import DatasetBundle, Split
+from mrap.ingest import DatasetBundle, Split, load_dataset
+from mrap.propagation import PropagationConfig, PropagationState, _init_values, _link
 from mrap.regression import FitSummary, ModelRegistry, PathKey, RegressionModel
 
 
@@ -29,14 +32,18 @@ def make_bundle(
     """
     missing = missing or {}
     attr_entities = [e for e, _ in observed] + [e for e, _ in missing]
-    graph = build_graph(triples, extra_entities=attr_entities)
+    graph = build_graph(*table_of(triples).columns, extra_entities=attr_entities)
     types = Vocabulary(attr_order)
     for _, attr in list(observed) + list(missing):
         types.add(attr)
-    entries = []
-    for (entity, attr), value in {**observed, **missing}.items():
-        entries.append((graph.entities.id(entity), types.id(attr), value))
-    table = AttributeTable.build(graph.n_entities, types, entries)
+    entries = {**observed, **missing}
+    table = AttributeTable.build(
+        graph.n_entities,
+        types,
+        [graph.entities.id(entity) for entity, _ in entries],
+        [types.id(attr) for _, attr in entries],
+        list(entries.values()),
+    )
 
     status = table.status.copy()
     split = np.zeros(table.n_entries, dtype=np.int8)
@@ -46,6 +53,39 @@ def make_bundle(
         status[idx] = int(Status.MISSING)
         split[idx] = int(missing_split)
     return DatasetBundle(graph=graph, attrs=table.with_status(status), split=split)
+
+
+def table_of(rows, n_fields: int = 3) -> Table:
+    """The column form the parsers return, of a list of row tuples."""
+    rows = list(rows)
+    return Table([list(column) for column in zip(*rows)] if rows else [[] for _ in range(n_fields)])
+
+
+def rows_of(table: Table) -> list[tuple]:
+    """The row tuples of a parsed table, numbers as Python scalars."""
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in table.columns)))
+
+
+def triples_of(graph) -> list[tuple[str, str, str]]:
+    """The stored edge set as labeled triples, in edge order."""
+    ent, rel = graph.entities, graph.relations
+    return [(ent.label(h), rel.label(r), ent.label(t)) for h, r, t in graph.edge_array.tolist()]
+
+
+def imputed_table(bundle: DatasetBundle, state: PropagationState) -> AttributeTable:
+    """Attribute table with target entries set to their propagated values."""
+    attrs = bundle.attrs
+    table = attrs.with_status(
+        np.where(attrs.status == Status.MISSING, int(Status.IMPUTED), attrs.status)
+    )
+    table.values = attrs.values.copy()
+    table.values[bundle.target_indices()] = state.values[bundle.target_indices()]
+    return table
+
+
+def load_rows(triples, attr_rows):
+    """``load_dataset`` of labelled triple and attribute row tuples."""
+    return load_dataset(table_of(triples), table_of(attr_rows))
 
 
 def make_model(key: PathKey, eta: float, tau: float, sigma2: float, support: int = 10, r2: float = 1.0):
@@ -273,13 +313,12 @@ def random_instance(rng: np.random.Generator, max_nodes: int = 20, quirks: bool 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
-def bench_generate():
-    """The benchmark's graph generator, ``bench/generate.py``.
+def _bench_module(name: str):
+    """``bench/<name>.py``, loaded without writing bytecode.
 
-    Loaded without writing bytecode, so the test run leaves ``bench/`` as it
-    found it.
+    The test run leaves ``bench/`` as it found it.
     """
-    spec = importlib.util.spec_from_file_location("bench_generate", BENCH_DIR / "generate.py")
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up while decorating
     write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
@@ -288,6 +327,16 @@ def bench_generate():
     finally:
         sys.dont_write_bytecode = write_bytecode
     return module
+
+
+def bench_generate():
+    """The benchmark's graph generator, ``bench/generate.py``."""
+    return _bench_module("generate")
+
+
+def bench_spans():
+    """The benchmark's span recorder, ``bench/spans.py``."""
+    return _bench_module("spans")
 
 
 # -- scalar references for the array-native load path ------------------------
@@ -542,3 +591,355 @@ def reference_apply_split_manifest(graph, attrs, manifest):
         raise DataError(f"manifest leaves {missing} attribute entries unlabeled")
     status = np.where(split == int(Split.TRAIN), int(Status.OBSERVED), int(Status.MISSING))
     return split, status
+
+
+# -- per-row references for the bulk text codec ------------------------------
+#
+# The readers and writers of the library go through ``mrap.codec`` in bulk.
+# These are the line-at-a-time forms they replaced; the codec tests compare
+# the two on random and corrupted files.
+
+
+def reference_lines(data: bytes):
+    """Decoded lines of a file as a text-mode ``open`` yields them.
+
+    A line that is not UTF-8 raises a ParseError when it is reached, so the
+    parsers meet it in line order.
+    """
+    for line_no, raw in enumerate(data.splitlines(keepends=True), start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid UTF-8 byte 0x{raw[exc.start]:02x}", line_no) from None
+
+
+def reference_parse_triples(lines):
+    triples = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(f"expected 3 tab-separated fields, got {len(fields)}", line_no)
+        head, relation, tail = fields
+        if not head or not relation or not tail:
+            raise ParseError("empty field in triple", line_no)
+        triples.append((head, relation, tail))
+    return triples
+
+
+def reference_parse_attributes(lines):
+    rows: dict[tuple[str, str], float] = {}
+    duplicates = 0
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(f"expected 3 tab-separated fields, got {len(fields)}", line_no)
+        entity, attr_type, value_text = fields
+        if not entity or not attr_type:
+            raise ParseError("empty field in attribute row", line_no)
+        try:
+            value = float(value_text)
+        except ValueError:
+            raise ParseError(f"unparseable float {value_text!r}", line_no) from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite value {value_text!r}", line_no)
+        key = (entity, attr_type)
+        if key in rows:
+            duplicates += 1
+        rows[key] = value
+    return [(e, a, v) for (e, a), v in rows.items()], duplicates
+
+
+_SPLIT_NAMES = ("train", "dev", "test")
+
+
+def reference_read_split_manifest(lines):
+    rows = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(f"expected 3 tab-separated fields, got {len(fields)}", line_no)
+        entity, attr, name = fields
+        if name not in _SPLIT_NAMES:
+            raise ParseError(f"unknown split label {name!r}", line_no)
+        rows.append((entity, attr, Split(_SPLIT_NAMES.index(name))))
+    return rows
+
+
+def reference_write_split_manifest(fh, bundle):
+    entities = bundle.graph.entities
+    types = bundle.attrs.types
+    for i in range(bundle.attrs.n_entries):
+        entity = entities.label(int(bundle.attrs.entity_ids[i]))
+        attr = types.label(int(bundle.attrs.attr_ids[i]))
+        fh.write(f"{entity}\t{attr}\t{_SPLIT_NAMES[bundle.split[i]]}\n")
+
+
+_DIRECTION_NAMES = {Direction.FORWARD: "forward", Direction.REVERSE: "reverse"}
+
+
+def reference_write_model_dump(fh, registry, graph, attrs):
+    def sort_key(key):
+        return (
+            key.is_inner,
+            -1 if key.relation is None else key.relation,
+            int(key.direction) if key.direction is not None else -1,
+            key.dep,
+            key.indep,
+        )
+
+    for key in sorted(registry.models, key=sort_key):
+        m = registry.models[key]
+        fields = (
+            attrs.types.label(key.dep),
+            attrs.types.label(key.indep),
+            "INNER" if key.is_inner else graph.relations.label(key.relation),
+            "-" if key.is_inner else _DIRECTION_NAMES[key.direction],
+            f"{m.eta:.17g}",
+            f"{m.tau:.17g}",
+            f"{m.sigma2:.17g}",
+            f"{m.weight:.17g}",
+            str(m.fit.support),
+            f"{m.fit.r2:.17g}",
+            "true" if m.fit.derived_reverse else "false",
+        )
+        fh.write("\t".join(fields) + "\n")
+
+
+def reference_read_model_dump(lines, graph, attrs):
+    """Per-row model dump reader, with the finite and positive checks of the library."""
+    models = {}
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 11:
+            raise ParseError(f"expected 11 tab-separated fields, got {len(fields)}", line_no)
+        dep_l, indep_l, rel_l, dir_l, eta, tau, sigma2, weight, support, r2, derived = fields
+        dep = attrs.types.get(dep_l)
+        indep = attrs.types.get(indep_l)
+        if dep is None or indep is None:
+            raise ParseError(f"unknown attribute type in {dep_l!r}/{indep_l!r}", line_no)
+        try:
+            if rel_l == "INNER":
+                key = PathKey.inner(dep, indep)
+            else:
+                relation = graph.relations.get(rel_l)
+                if relation is None:
+                    raise ParseError(f"unknown relation {rel_l!r}", line_no)
+                direction = {v: k for k, v in _DIRECTION_NAMES.items()}.get(dir_l)
+                if direction is None:
+                    raise ParseError(f"unknown direction {dir_l!r}", line_no)
+                key = PathKey.relational(dep, indep, relation, direction)
+            model = RegressionModel(
+                key=key,
+                eta=float(eta),
+                tau=float(tau),
+                sigma2=float(sigma2),
+                weight=float(weight),
+                fit=FitSummary(
+                    support=int(support),
+                    mu_x=float("nan"),
+                    mu_y=float("nan"),
+                    r2=float(r2),
+                    derived_reverse=derived == "true",
+                ),
+            )
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from None
+        texts = {"eta": eta, "tau": tau, "sigma2": sigma2, "weight": weight, "r2": r2}
+        for name, text in texts.items():
+            if not math.isfinite(float(text)):
+                raise ParseError(f"non-finite {name} {text!r}", line_no)
+            if name in ("sigma2", "weight") and float(text) <= 0.0:
+                raise ParseError(f"non-positive {name} {text!r}", line_no)
+        if key in models:
+            raise DataError(f"model dump line {line_no}: duplicate key")
+        models[key] = model
+    return models
+
+
+def reference_write_imputations(fh, bundle, state, report):
+    attrs = bundle.attrs
+    entities = bundle.graph.entities
+    for t, n_msg, w in zip(report.target_entries, report.n_messages, report.total_weight):
+        fh.write(
+            f"{entities.label(int(attrs.entity_ids[t]))}\t"
+            f"{attrs.types.label(int(attrs.attr_ids[t]))}\t"
+            f"{state.values[t]:.17g}\t{int(n_msg)}\t{w:.17g}\n"
+        )
+
+
+def reference_write_trace(fh, report):
+    fh.write("iter,attr_type,max_delta,loss\n")
+    for iteration, attr, delta, loss_val in report.trace:
+        fh.write(f"{iteration},{attr},{delta:.17g},{loss_val:.17g}\n")
+
+
+def reference_read_imputed(lines, path, bundle):
+    """Per-row ``imputed.tsv`` reader: predictions by (entity id, attribute id)."""
+    preds = {}
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise ParseError(f"expected 5 tab-separated fields, got {len(fields)}", line_no)
+        entity, attr, value = fields[0], fields[1], fields[2]
+        eid = bundle.graph.entities.get(entity)
+        aid = bundle.attrs.types.get(attr)
+        if eid is None or aid is None:
+            raise DataError(f"{path}:{line_no}: unknown target ({entity!r}, {attr!r})")
+        try:
+            prediction = float(value)
+        except ValueError:
+            raise ParseError(f"unparseable value {value!r}", line_no) from None
+        if not math.isfinite(prediction):
+            raise ParseError(f"non-finite value {value!r}", line_no)
+        if (eid, aid) in preds:
+            raise ParseError(f"duplicate target ({entity!r}, {attr!r})", line_no)
+        preds[(eid, aid)] = prediction
+    return preds
+
+
+# -- path-level references for the compiled operator --------------------------
+#
+# ``run`` compiles the paths into one affine operator and tracks the loss as a
+# quadratic form. These build the paths explicitly, sum the loss over them and
+# solve the stationarity system densely per connected component.
+
+
+class _Paths(NamedTuple):
+    """Flattened message paths: one row per (source entry, model, target entry)."""
+
+    src: np.ndarray
+    tgt: np.ndarray
+    eta: np.ndarray
+    tau: np.ndarray
+    weight: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.src)
+
+
+def _build_paths(bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig) -> _Paths:
+    """Enumerate every active path between tracked entries, in fixed order."""
+    src, tgt, mid, (eta, tau, weight) = _link(bundle, registry, cfg)
+    return _Paths(src=src, tgt=tgt, eta=eta[mid], tau=tau[mid], weight=weight[mid])
+
+
+def loss(
+    bundle: DatasetBundle,
+    registry: ModelRegistry,
+    state: PropagationState | np.ndarray,
+    cfg: PropagationConfig | None = None,
+) -> float:
+    """Total weighted squared prediction error over all active paths.
+
+    Sums, for every tracked entry, the squared differences between its
+    current value and each prediction flowing into it, scaled by the model
+    weights. Diagnostic only: the propagation minimizes this per node, not
+    globally.
+    """
+    cfg = cfg or PropagationConfig()
+    values = state.values if isinstance(state, PropagationState) else np.asarray(state)
+    paths = _build_paths(bundle, registry, cfg)
+    resid = values[paths.tgt] - (paths.eta * values[paths.src] + paths.tau)
+    return float(np.dot(paths.weight * resid, resid))
+
+
+def fixed_point_oracle(
+    bundle: DatasetBundle,
+    registry: ModelRegistry,
+    cfg: PropagationConfig | None = None,
+) -> dict[tuple[int, int], float]:
+    """Exact fixed point of the message-passing update by direct linear solve.
+
+    Builds the stationarity system value = (sum of weighted predictions) /
+    (sum of weights) over all targets with at least one message, treating
+    observed entries and message-less targets (held at their init mean) as
+    constants, and solves each connected component densely. Intended for
+    small instances; raises :class:`SingularSystemError` naming the targets
+    of any underdetermined component.
+    """
+    cfg = cfg or PropagationConfig()
+    attrs = bundle.attrs
+    paths = _build_paths(bundle, registry, cfg)
+    missing = attrs.status == Status.MISSING
+    upd = _Paths(*(a[missing[paths.tgt]] for a in paths)) if paths.n else paths
+
+    n = attrs.n_entries
+    weight_sum = np.bincount(upd.tgt, weights=upd.weight, minlength=n) if upd.n else np.zeros(n)
+    targets = bundle.target_indices()
+    unknowns = [int(t) for t in targets if weight_sum[t] > 0.0]
+    pos = {entry: i for i, entry in enumerate(unknowns)}
+    const_values = _init_values(bundle)
+
+    # union-find over unknowns coupled by a path
+    parent = list(range(len(unknowns)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for s, t in zip(upd.src, upd.tgt):
+        si, ti = pos.get(int(s)), pos.get(int(t))
+        if si is not None and ti is not None:
+            ri, rj = find(si), find(ti)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+
+    components: dict[int, list[int]] = {}
+    for i in range(len(unknowns)):
+        components.setdefault(find(i), []).append(i)
+
+    solution = const_values.copy()
+    for root in sorted(components):
+        comp = components[root]
+        local = {unknowns[i]: j for j, i in enumerate(comp)}
+        size = len(comp)
+        a_mat = np.eye(size)
+        b = np.zeros(size)
+        for idx in range(upd.n):
+            t = int(upd.tgt[idx])
+            lt = local.get(t)
+            if lt is None:
+                continue
+            q = weight_sum[t]
+            s = int(upd.src[idx])
+            w, eta, tau = float(upd.weight[idx]), float(upd.eta[idx]), float(upd.tau[idx])
+            b[lt] += w * tau / q
+            ls = local.get(s)
+            if ls is not None:
+                a_mat[lt, ls] -= w * eta / q
+            else:
+                b[lt] += w * eta * const_values[s] / q
+        if np.linalg.matrix_rank(a_mat) < size:
+            labels = [
+                (
+                    bundle.graph.entities.label(int(attrs.entity_ids[unknowns[i]])),
+                    attrs.types.label(int(attrs.attr_ids[unknowns[i]])),
+                )
+                for i in comp
+            ]
+            raise SingularSystemError(
+                f"fixed-point system singular on a component of {size} targets", labels
+            )
+        solution[[unknowns[i] for i in comp]] = np.linalg.solve(a_mat, b)
+
+    return {
+        (int(attrs.entity_ids[t]), int(attrs.attr_ids[t])): float(solution[t]) for t in targets
+    }

@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 
 from helpers import (
+    _build_paths,
     ablation_dataset,
     aggregate,
     collect_messages,
+    fixed_point_oracle,
+    loss,
     planted_exact_instance,
     random_instance,
     registry_of,
@@ -32,13 +35,7 @@ from mrap.evaluation import (
     propagation_predictions,
 )
 from mrap.ingest import Split
-from mrap.propagation import (
-    PropagationConfig,
-    _build_paths,
-    fixed_point_oracle,
-    loss,
-    run,
-)
+from mrap.propagation import PropagationConfig, run
 from mrap.regression import fit_simple_regression
 
 RECOVERY_TOL = 1e-6  # fraction of the per-type observed range

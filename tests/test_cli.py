@@ -1,11 +1,14 @@
+import builtins
+import errno
 import logging
 import math
 import re
 
 import pytest
 
-from helpers import bench_generate, write_cli_dataset
+from helpers import bench_generate, bench_spans, write_cli_dataset
 
+import mrap.codec
 from mrap.cli import (
     EXIT_DATA,
     EXIT_NOCONV,
@@ -162,6 +165,30 @@ class TestBenchmarkSmoke:
         assert trace and all(math.isfinite(float(row.split(",")[3])) for row in trace)
 
 
+class TestBenchmarkTracing:
+    """The benchmark times layers by patching names of ``mrap``; a rename must not unbind them."""
+
+    def test_every_span_target_resolves_and_parse_results_count_rows(self, dataset, tmp_path):
+        spans = bench_spans()
+        recorder = spans.Recorder()
+        # the observers of bench/run.py that give ingest.lines
+        observers = {
+            "ingest.parse_triples": lambda a, k, rows: {"lines": len(rows)},
+            "ingest.parse_attributes": lambda a, k, result: {"lines": len(result[0])},
+        }
+        with spans.instrument(recorder, observers):
+            assert main(["impute", *_args(dataset, tmp_path / "out", "--min-support", "3")]) == EXIT_OK
+        assert recorder.unbound == []
+        lines = {s.name: s.info["lines"] for s in recorder.spans if s.name.startswith("ingest.parse_")}
+        triples, attrs = dataset
+        assert lines == {
+            "ingest.parse_triples": len(triples.read_text().splitlines()),
+            "ingest.parse_attributes": len(attrs.read_text().splitlines()),
+        }
+        names = {s.name for s in recorder.spans}
+        assert {"graph.build_graph", "attributes.build", "propagation.write_imputations"} <= names
+
+
 class TestExitCodes:
     def test_usage_error_bad_damping(self, dataset, tmp_path):
         assert main(["impute", *_args(dataset, tmp_path / "o", "--damping", "2.0")]) == EXIT_USAGE
@@ -235,6 +262,57 @@ class TestExitCodes:
 
         assert self._corrupt_imputed(dataset, tmp_path, repeat_line_1) == EXIT_DATA
         assert "line 2: duplicate target" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["triples", "attrs"])
+    def test_bad_byte_in_input_names_its_line(self, dataset, tmp_path, capsys, which):
+        path = dataset[which]
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+        path.write_bytes(b"\n".join(lines))
+        assert main(["impute", *_args(dataset, tmp_path / "out", "--min-support", "3")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "line 3: invalid UTF-8 byte 0xff" in err
+        assert "Traceback" not in err
+
+    def test_impute_rejects_non_finite_model_dump(self, dataset, tmp_path, capsys):
+        out = tmp_path / "out"
+        base = _args(dataset, out, "--seed", "7", "--min-support", "3")
+        assert main(["fit", *base]) == EXIT_OK
+        models = out / "models.tsv"
+        lines = models.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[0].split("\t")
+        fields[4] = "nan"  # eta
+        models.write_text("".join(["\t".join(fields), *lines[1:]]), encoding="utf-8")
+        assert main(["impute", *base]) == EXIT_DATA
+        assert "line 1: non-finite eta 'nan'" in capsys.readouterr().err
+        assert not (out / "imputed.tsv").exists()
+
+    def test_failed_write_keeps_previous_artifacts(self, dataset, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        base = _args(dataset, out, "--seed", "7", "--min-support", "3")
+        assert main(["impute", *base]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        class HalfWriter:
+            """A file that takes half of what it is given, then reports a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(mrap.codec, "open", lambda *a, **k: HalfWriter(builtins.open(*a, **k)), raising=False)
+        assert main(["impute", *base, "--no-cross"]) == EXIT_DATA
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == EXIT_OK

@@ -237,11 +237,10 @@ class TestReportOutput:
             evaluate(baseline_local(bundle), bundle, Split.TEST, method="Local", setup="100%"),
         ]
 
-    def test_csv_layout(self):
+    def test_csv_layout(self, tmp_path):
         _, reports = self._reports()
-        buf = io.StringIO()
-        write_report_csv(buf, reports)
-        lines = buf.getvalue().splitlines()
+        write_report_csv(tmp_path / "report.csv", reports)
+        lines = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "method,setup,attr_type,mae,rmse,n_test,n_unpredicted"
         assert len(lines) == 3
         assert lines[1].startswith("Global,100%,h,")

@@ -4,22 +4,24 @@ import pytest
 from mrap.attributes import AttributeTable, Status
 from mrap.errors import DataError
 from mrap.graph import Direction, Vocabulary, build_graph
-from mrap.ingest import load_dataset
 
 from helpers import (
     OrientedRelation,
     entries_of,
     index,
+    load_rows,
     neighbors,
     random_load_inputs,
     reference_attribute_entries,
     reference_build_graph,
+    table_of,
+    triples_of,
 )
 
 
 class TestBuildGraph:
     def test_single_edge_orientation(self):
-        g = build_graph([("a", "p", "b")])
+        g = build_graph(*table_of([("a", "p", "b")]).columns)
         assert g.n_entities == 2
         assert g.n_relations == 1
         a, b = g.entities.id("a"), g.entities.id("b")
@@ -28,11 +30,11 @@ class TestBuildGraph:
         assert neighbors(g, a) == [(b, OrientedRelation(p, Direction.REVERSE))]
 
     def test_duplicate_triples_stored_once(self):
-        g = build_graph([("a", "p", "b"), ("a", "p", "b")])
+        g = build_graph(*table_of([("a", "p", "b"), ("a", "p", "b")]).columns)
         assert g.n_edges == 1
 
     def test_neighbors_deterministic_order(self):
-        g = build_graph([("c", "q", "b"), ("a", "p", "b")])
+        g = build_graph(*table_of([("c", "q", "b"), ("a", "p", "b")]).columns)
         b = g.entities.id("b")
         got = [(n, o.relation, o.direction) for n, o in neighbors(g, b)]
         assert got == sorted(got)  # neighbor id, then relation id, then direction
@@ -40,26 +42,26 @@ class TestBuildGraph:
         assert all(d is Direction.FORWARD for _, _, d in got)
 
     def test_invalid_entity_id(self):
-        g = build_graph([("a", "p", "b")])
+        g = build_graph(*table_of([("a", "p", "b")]).columns)
         with pytest.raises(ValueError):
             neighbors(g, 99)
 
     def test_empty_input(self):
-        g = build_graph([])
+        g = build_graph(*table_of([]).columns)
         assert g.n_entities == 0 and g.n_edges == 0
 
     def test_empty_field_rejected(self):
         with pytest.raises(ValueError):
-            build_graph([("a", "", "b")])
+            build_graph(*table_of([("a", "", "b")]).columns)
 
     def test_extra_entities_are_isolated(self):
-        g = build_graph([("a", "p", "b")], extra_entities=["z", "a"])
+        g = build_graph(*table_of([("a", "p", "b")]).columns, extra_entities=["z", "a"])
         z = g.entities.id("z")
         assert neighbors(g, z) == []
         assert g.n_entities == 3  # "a" not duplicated
 
     def test_self_loop_one_entry_per_direction(self):
-        g = build_graph([("a", "p", "a")])
+        g = build_graph(*table_of([("a", "p", "a")]).columns)
         a = g.entities.id("a")
         directions = sorted(o.direction for _, o in neighbors(g, a))
         assert directions == [Direction.FORWARD, Direction.REVERSE]
@@ -68,8 +70,8 @@ class TestBuildGraph:
 class TestGraphProperties:
     def test_round_trip_reproduces_triple_set(self):
         triples = [("a", "p", "b"), ("b", "q", "c"), ("a", "p", "b"), ("c", "p", "a")]
-        g = build_graph(triples)
-        assert set(g.triples()) == set(triples)
+        g = build_graph(*table_of(triples).columns)
+        assert set(triples_of(g)) == set(triples)
 
     def test_orientation_symmetry_random(self):
         rng = np.random.default_rng(7)
@@ -79,14 +81,14 @@ class TestGraphProperties:
             (names[rng.integers(12)], rels[rng.integers(3)], names[rng.integers(12)])
             for _ in range(60)
         ]
-        g = build_graph(triples)
+        g = build_graph(*table_of(triples).columns)
         for v in range(g.n_entities):
             for n, oriented in neighbors(g, v):
                 assert (v, oriented.flipped) in neighbors(g, n)
 
     def test_adjacency_total_twice_edges(self):
         triples = [("a", "p", "b"), ("b", "q", "c"), ("c", "p", "a"), ("a", "q", "c")]
-        g = build_graph(triples)
+        g = build_graph(*table_of(triples).columns)
         assert sum(len(neighbors(g, v)) for v in range(g.n_entities)) == 2 * g.n_edges
 
 
@@ -118,7 +120,7 @@ class TestArrayLoadMatchesReference:
     def _check(self, triples, attr_rows):
         extras = [e for e, _, _ in attr_rows]
         ent_labels, rel_labels, edges = reference_build_graph(triples, extras)
-        graph, table = load_dataset(triples, attr_rows)
+        graph, table = load_rows(triples, attr_rows)
         assert graph.entities.labels == ent_labels
         assert graph.relations.labels == rel_labels
         assert graph.edge_array.dtype == np.int64 and graph.edge_array.shape == (len(edges), 3)
@@ -155,19 +157,19 @@ class TestArrayLoadMatchesReference:
         with pytest.raises(ValueError, match="empty field"):
             reference_build_graph(triples)
         with pytest.raises(ValueError, match="empty field"):
-            build_graph(triples)
+            build_graph(*table_of(triples).columns)
 
     def test_duplicate_entry_rejected(self):
         entries = [(1, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0)]
         with pytest.raises(DataError):
             reference_attribute_entries(2, entries)
         with pytest.raises(DataError):
-            AttributeTable.build(2, Vocabulary(["h", "g"]), entries)
+            AttributeTable.build(2, Vocabulary(["h", "g"]), *table_of(entries).columns)
 
     @pytest.mark.parametrize("entity", [-1, 2])
     def test_entity_id_out_of_range_rejected(self, entity):
         with pytest.raises(ValueError, match="out of range"):
-            AttributeTable.build(2, Vocabulary(["h"]), [(0, 0, 1.0), (entity, 0, 2.0)])
+            AttributeTable.build(2, Vocabulary(["h"]), [0, entity], [0, 0], [1.0, 2.0])
 
 
 class TestLookup:
@@ -191,17 +193,17 @@ class TestLookup:
     def test_random_tables(self):
         rng = np.random.default_rng(29)
         for _ in range(40):
-            self._check(load_dataset(*random_load_inputs(rng))[1])
+            self._check(load_rows(*random_load_inputs(rng))[1])
 
     def test_empty_table(self):
-        self._check(load_dataset([], [])[1])
+        self._check(load_rows([], [])[1])
 
 
 class TestAttrRange:
     def _table(self, values, statuses=None):
         types = Vocabulary(["h"])
         entries = [(i, 0, v) for i, v in enumerate(values)]
-        table = AttributeTable.build(len(values), types, entries)
+        table = AttributeTable.build(len(values), types, *table_of(entries).columns)
         if statuses is not None:
             table = table.with_status(np.array(statuses, dtype=np.int8))
         return table

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import neighbors, random_load_inputs, reference_apply_split_manifest
+from helpers import load_rows, neighbors, random_load_inputs, reference_apply_split_manifest, rows_of, table_of
 
 from mrap.attributes import Status
 from mrap.errors import DataError, ParseError
@@ -13,7 +13,6 @@ from mrap.ingest import (
     SplitSpec,
     apply_split_manifest,
     largest_remainder_counts,
-    load_dataset,
     parse_attributes,
     parse_triples,
     read_split_manifest,
@@ -25,10 +24,10 @@ from mrap.ingest import (
 
 class TestParseTriples:
     def test_basic(self):
-        assert parse_triples(io.StringIO("e1\tp\te2\n")) == [("e1", "p", "e2")]
+        assert rows_of(parse_triples(io.StringIO("e1\tp\te2\n"))) == [("e1", "p", "e2")]
 
     def test_empty_stream(self):
-        assert parse_triples(io.StringIO("")) == []
+        assert rows_of(parse_triples(io.StringIO(""))) == []
 
     def test_arity_error_carries_line(self):
         with pytest.raises(ParseError) as err:
@@ -37,7 +36,7 @@ class TestParseTriples:
 
     def test_skips_blanks_and_comments(self):
         text = "# header\n\ne1\tp\te2\n"
-        assert parse_triples(io.StringIO(text)) == [("e1", "p", "e2")]
+        assert rows_of(parse_triples(io.StringIO(text))) == [("e1", "p", "e2")]
 
     def test_error_line_number_counts_skipped_lines(self):
         with pytest.raises(ParseError) as err:
@@ -48,7 +47,7 @@ class TestParseTriples:
 class TestParseAttributes:
     def test_basic(self):
         rows, dups = parse_attributes(io.StringIO("e1\tdate_of_birth\t1939.0\n"))
-        assert rows == [("e1", "date_of_birth", 1939.0)]
+        assert rows_of(rows) == [("e1", "date_of_birth", 1939.0)]
         assert dups == 0
 
     def test_unparseable_float(self):
@@ -59,12 +58,12 @@ class TestParseAttributes:
     def test_duplicate_last_wins(self):
         text = "e1\th\t1.0\ne1\th\t2.0\n"
         rows, dups = parse_attributes(io.StringIO(text))
-        assert rows == [("e1", "h", 2.0)]
+        assert rows_of(rows) == [("e1", "h", 2.0)]
         assert dups == 1
 
     def test_scientific_notation(self):
         rows, _ = parse_attributes(io.StringIO("e1\tarea\t5.4e5\n"))
-        assert rows[0][2] == 5.4e5
+        assert rows_of(rows)[0][2] == 5.4e5
 
 
 class TestLargestRemainder:
@@ -100,7 +99,7 @@ def _toy_dataset(n_entities=10, n_types=1):
     attr_rows = [
         (f"n{i}", f"a{t}", float(10 * t + i)) for i in range(n_entities) for t in range(n_types)
     ]
-    return load_dataset(triples, attr_rows)
+    return load_rows(triples, attr_rows)
 
 
 class TestSplitAttributes:
@@ -187,32 +186,31 @@ class TestSubsampleObserved:
 
 
 class TestSplitManifest:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         graph, attrs = _toy_dataset(12, n_types=2)
         bundle = split_attributes(graph, attrs, SplitSpec(seed=4))
-        buf = io.StringIO()
-        write_split_manifest(buf, bundle)
-        restored = apply_split_manifest(graph, attrs, read_split_manifest(io.StringIO(buf.getvalue())))
+        write_split_manifest(tmp_path / "one.tsv", bundle)
+        with open(tmp_path / "one.tsv", "rb") as fh:
+            restored = apply_split_manifest(graph, attrs, read_split_manifest(fh))
         np.testing.assert_array_equal(restored.split, bundle.split)
         np.testing.assert_array_equal(restored.attrs.status, bundle.attrs.status)
         # byte-identical on rewrite
-        buf2 = io.StringIO()
-        write_split_manifest(buf2, restored)
-        assert buf2.getvalue() == buf.getvalue()
+        write_split_manifest(tmp_path / "two.tsv", restored)
+        assert (tmp_path / "two.tsv").read_bytes() == (tmp_path / "one.tsv").read_bytes()
 
     def test_unknown_entry_rejected(self):
         graph, attrs = _toy_dataset(3)
         with pytest.raises(DataError):
-            apply_split_manifest(graph, attrs, [("ghost", "a0", Split.TRAIN)])
+            apply_split_manifest(graph, attrs, table_of([("ghost", "a0", Split.TRAIN)]))
 
-    def test_incomplete_manifest_rejected(self):
+    def test_incomplete_manifest_rejected(self, tmp_path):
         graph, attrs = _toy_dataset(3)
         bundle = split_attributes(graph, attrs, SplitSpec(seed=4))
-        buf = io.StringIO()
-        write_split_manifest(buf, bundle)
-        rows = read_split_manifest(io.StringIO(buf.getvalue()))[:-1]
+        write_split_manifest(tmp_path / "split.tsv", bundle)
+        with open(tmp_path / "split.tsv", "rb") as fh:
+            rows = rows_of(read_split_manifest(fh))[:-1]
         with pytest.raises(DataError):
-            apply_split_manifest(graph, attrs, rows)
+            apply_split_manifest(graph, attrs, table_of(rows))
 
     def test_bad_split_label(self):
         with pytest.raises(ParseError):
@@ -220,7 +218,7 @@ class TestSplitManifest:
 
 
 def _bulk_apply(graph, attrs, rows):
-    bundle = apply_split_manifest(graph, attrs, rows)
+    bundle = apply_split_manifest(graph, attrs, table_of(rows))
     return bundle.split, bundle.attrs.status
 
 
@@ -235,15 +233,15 @@ class TestBulkManifestMatchesPerRow:
             return type(exc), str(exc)
         return split.dtype, split.tolist(), status.tolist()
 
-    def test_random_manifests(self):
+    def test_random_manifests(self, tmp_path):
         rng = np.random.default_rng(23)
         seen = Counter()
         for _ in range(300):
-            graph, attrs = load_dataset(*random_load_inputs(rng))
+            graph, attrs = load_rows(*random_load_inputs(rng))
             bundle = split_attributes(graph, attrs, SplitSpec(seed=int(rng.integers(100))))
-            buf = io.StringIO()
-            write_split_manifest(buf, bundle)
-            rows = read_split_manifest(io.StringIO(buf.getvalue()))
+            write_split_manifest(tmp_path / "split.tsv", bundle)
+            with open(tmp_path / "split.tsv", "rb") as fh:
+                rows = [(e, a, Split(code)) for e, a, code in rows_of(read_split_manifest(fh))]
             rows = [rows[i] for i in rng.permutation(len(rows))]
 
             def insert(row):
@@ -267,7 +265,7 @@ class TestBulkManifestMatchesPerRow:
 
 class TestLoadDataset:
     def test_attribute_only_entities_are_isolated_nodes(self):
-        graph, attrs = load_dataset([("a", "p", "b")], [("lonely", "h", 1.0), ("a", "h", 2.0)])
+        graph, attrs = load_rows([("a", "p", "b")], [("lonely", "h", 1.0), ("a", "h", 2.0)])
         assert "lonely" in graph.entities
         assert neighbors(graph, graph.entities.id("lonely")) == []
         assert attrs.n_entries == 2

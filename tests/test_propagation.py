@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from helpers import (
+    _build_paths,
     aggregate,
     bench_generate,
     collect_messages,
     combine,
     entry_index,
+    fixed_point_oracle,
+    imputed_table,
     index,
+    load_rows,
+    loss,
     make_bundle,
     make_model,
     random_instance,
@@ -18,14 +23,8 @@ from helpers import (
 from mrap.attributes import Status
 from mrap.errors import SingularSystemError
 from mrap.graph import Direction
-from mrap.ingest import Split, SplitSpec, load_dataset, split_attributes, subsample_observed
-from mrap.propagation import (
-    PropagationConfig,
-    _build_paths,
-    fixed_point_oracle,
-    loss,
-    run,
-)
+from mrap.ingest import Split, SplitSpec, split_attributes, subsample_observed
+from mrap.propagation import PropagationConfig, run
 from mrap.regression import AdmissionConfig, PathKey, build_registry, derive_reverse
 
 
@@ -287,7 +286,6 @@ class TestRun:
 
     def test_imputed_table_marks_targets(self):
         from mrap.attributes import Status
-        from mrap.propagation import imputed_table
 
         bundle = make_bundle(
             [("a", "p", "b")],
@@ -446,7 +444,7 @@ class TestLoss:
         triples = [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in edges.tolist()]
         ents, types = np.nonzero(present)
         rows = [(f"e{e}", f"a{k}", float(values[e, k])) for e, k in zip(ents.tolist(), types.tolist())]
-        bundle = split_attributes(*load_dataset(triples, rows), SplitSpec(seed=5))
+        bundle = split_attributes(*load_rows(triples, rows), SplitSpec(seed=5))
         bundle = subsample_observed(bundle, 0.2, seed=5)
         registry = build_registry(bundle, AdmissionConfig())
         assert np.median(np.abs(bundle.attrs.values)) > 1900.0

@@ -18,6 +18,7 @@ from mrap.errors import (
     DegenerateRegressorError,
     InsufficientSupportError,
     NonInvertibleSlopeError,
+    ParseError,
 )
 from mrap.graph import Direction
 from mrap.regression import (
@@ -355,14 +356,14 @@ class TestCountPaths:
 
 
 class TestModelDump:
-    def test_round_trip_exact(self):
+    def test_round_trip_exact(self, tmp_path):
         bundle = _line_bundle()
         observed = {(f"e{i}", "x"): float(i) for i in range(6)}
         registry = build_registry(bundle, AdmissionConfig(min_support=5))
         assert len(registry) > 0
-        buf = io.StringIO()
-        write_model_dump(buf, registry, bundle.graph, bundle.attrs)
-        reloaded = read_model_dump(io.StringIO(buf.getvalue()), bundle.graph, bundle.attrs)
+        write_model_dump(tmp_path / "models.tsv", registry, bundle.graph, bundle.attrs)
+        with open(tmp_path / "models.tsv", "rb") as fh:
+            reloaded = read_model_dump(fh, bundle.graph, bundle.attrs)
         assert set(reloaded.models) == set(registry.models)
         for key, model in registry.models.items():
             other = reloaded.models[key]
@@ -373,16 +374,39 @@ class TestModelDump:
             assert other.fit.support == model.fit.support
             assert other.fit.derived_reverse == model.fit.derived_reverse
 
-    def test_line_layout(self):
+    def test_line_layout(self, tmp_path):
         bundle = _line_bundle()
         registry = build_registry(bundle, AdmissionConfig(min_support=5))
-        buf = io.StringIO()
-        write_model_dump(buf, registry, bundle.graph, bundle.attrs)
-        for line in buf.getvalue().splitlines():
+        write_model_dump(tmp_path / "models.tsv", registry, bundle.graph, bundle.attrs)
+        for line in (tmp_path / "models.tsv").read_text(encoding="utf-8").splitlines():
             fields = line.split("\t")
             assert len(fields) == 11
             assert fields[3] in ("forward", "reverse", "-")
             assert fields[10] in ("true", "false")
+
+    @pytest.mark.parametrize(
+        "column, text, message",
+        [
+            (4, "nan", "non-finite eta 'nan'"),
+            (5, "inf", "non-finite tau 'inf'"),
+            (6, "-inf", "non-finite sigma2 '-inf'"),
+            (6, "0", "non-positive sigma2 '0'"),
+            (7, "nan", "non-finite weight 'nan'"),
+            (7, "-2.5", "non-positive weight '-2.5'"),
+            (9, "nan", "non-finite r2 'nan'"),
+        ],
+    )
+    def test_non_finite_or_non_positive_field_rejected(self, tmp_path, column, text, message):
+        bundle = _line_bundle()
+        registry = build_registry(bundle, AdmissionConfig(min_support=5))
+        write_model_dump(tmp_path / "models.tsv", registry, bundle.graph, bundle.attrs)
+        lines = (tmp_path / "models.tsv").read_text(encoding="utf-8").splitlines()
+        fields = lines[1].split("\t")
+        fields[column] = text
+        lines[1] = "\t".join(fields)
+        with pytest.raises(ParseError) as err:
+            read_model_dump(io.StringIO("\n".join(lines)), bundle.graph, bundle.attrs)
+        assert str(err.value) == f"line 2: {message}"
 
     def test_bad_line_rejected(self):
         bundle = _line_bundle()
