@@ -25,10 +25,8 @@ from .evaluation import (
     baseline_global,
     baseline_local,
     evaluate,
-    export_differences,
     format_report_table,
     propagation_predictions,
-    write_differences,
     write_report_csv,
 )
 from .graph import Direction, KnowledgeGraph, Vocabulary, build_graph

@@ -381,21 +381,19 @@ def cmd_eval(cfg: RunConfig) -> int:
     entries, values = _read_imputed(imputed_path, bundle)
     split = Split.DEV if cfg.eval_split == "dev" else Split.TEST
     attrs = bundle.attrs
-    imputed = np.zeros(attrs.n_entries, dtype=bool)
-    imputed[entries] = True
+    preds = np.full(attrs.n_entries, np.nan)
+    preds[entries] = values
     targets = bundle.split_indices(split)
-    absent = targets[~imputed[targets]]
+    absent = targets[np.isnan(preds[targets])]
     if absent.size:
         shown = absent[:20]
         entities = bundle.graph.entities.labels_of(attrs.entity_ids[shown])
         head = ", ".join(f"{e}/{a}" for e, a in zip(entities, attrs.types.labels_of(attrs.attr_ids[shown])))
         raise DataError(f"{absent.size} {split.name.lower()} targets missing from {imputed_path}: {head}")
-    targets_of = zip(attrs.entity_ids[entries].tolist(), attrs.attr_ids[entries].tolist())
-    preds = dict(zip(targets_of, values.tolist()))
     reports = [
         evaluate(preds, bundle, split, method="MrAP", setup=cfg.setup_label),
-        evaluate(baseline_global(bundle), bundle, split, method="Global", setup=cfg.setup_label),
-        evaluate(baseline_local(bundle), bundle, split, method="Local", setup=cfg.setup_label),
+        evaluate(baseline_global(bundle, targets), bundle, split, method="Global", setup=cfg.setup_label),
+        evaluate(baseline_local(bundle, targets), bundle, split, method="Local", setup=cfg.setup_label),
     ]
     write_report_csv(_out_path(cfg, REPORT_CSV), reports)
     table = format_report_table(reports)

@@ -116,11 +116,7 @@ def parse_floats(table: Table, texts: Sequence[str], unparseable: str) -> np.nda
     The first of those rows whose text does not parse (``unparseable``,
     formatted with the text) or is not finite raises a ParseError.
     """
-    values: list[float] = []
-    try:
-        values.extend(map(float, texts))  # keeps the values before a failure
-    except ValueError:
-        pass
+    values = parse_prefix(texts, float)
     array = np.array(values, dtype=np.float64)
     finite = np.isfinite(array)
     if not finite.all():
@@ -129,6 +125,16 @@ def parse_floats(table: Table, texts: Sequence[str], unparseable: str) -> np.nda
     if len(values) < len(texts):
         raise ParseError(unparseable.format(texts[len(values)]), table.line(len(values)))
     return array
+
+
+def parse_prefix(texts: Sequence[str], parse: Callable[[str], T]) -> list[T]:
+    """``parse`` of each text, up to the first that raises a ValueError."""
+    values: list[T] = []
+    try:
+        values.extend(map(parse, texts))  # keeps the values before a failure
+    except ValueError:
+        pass
+    return values
 
 
 def repeated(keys: np.ndarray) -> np.ndarray:

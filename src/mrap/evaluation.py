@@ -3,8 +3,10 @@
 The Global baseline imputes each target with the observed mean of its
 attribute type; the Local baseline averages observed same-type values over
 the target's neighboring nodes (both edge directions, relation types
-ignored), falling back to Global when no neighbor has one. Errors are
-reported per attribute type as MAE and RMSE against the held-out values.
+ignored), falling back to Global when no neighbor has one. A method's
+predictions are one float64 vector over the attribute entries, NaN where it
+gives none. Errors are reported per attribute type as MAE and RMSE against
+the held-out values, on the entries of one split.
 """
 from __future__ import annotations
 
@@ -13,27 +15,16 @@ import io
 import logging
 import os
 from dataclasses import dataclass, field, replace
-from typing import IO, Mapping
 
 import numpy as np
 
 from .attributes import Status
 from .codec import write_text
-from .graph import Direction
 from .ingest import DatasetBundle, Split
 from .propagation import PropagationConfig, run
-from .regression import (
-    AdmissionConfig,
-    ModelRegistry,
-    PathKey,
-    build_registry,
-    ragged,
-    training_pairs,
-)
+from .regression import AdmissionConfig, ModelRegistry, build_registry, ragged
 
 logger = logging.getLogger(__name__)
-
-Target = tuple[int, int]  # (entity id, attr id)
 
 
 @dataclass
@@ -59,98 +50,111 @@ class EvalReport:
         return None
 
 
-def baseline_global(bundle: DatasetBundle) -> dict[Target, float]:
-    """Every target gets the observed mean of its attribute type."""
+def baseline_global(bundle: DatasetBundle, entries: np.ndarray | None = None) -> np.ndarray:
+    """Predictions over all entries: the observed mean of its type at each of ``entries``.
+
+    ``entries`` defaults to every target; other entries are NaN. Types are
+    checked in order of their first target, then of their first entry, so a
+    type with nothing observed raises the DataError of the first target that
+    has it, whatever ``entries`` holds.
+    """
     attrs = bundle.attrs
-    out: dict[Target, float] = {}
-    for t in bundle.target_indices():
-        attr = int(attrs.attr_ids[t])
-        out[(int(attrs.entity_ids[t]), attr)] = attrs.mean_value(attr)
+    targets = bundle.target_indices()
+    entries = targets if entries is None else np.asarray(entries, dtype=np.int64)
+    types, first = np.unique(attrs.attr_ids[np.concatenate([targets, entries])], return_index=True)
+    means = np.full(attrs.n_types, np.nan)
+    for attr in types[np.argsort(first)].tolist():
+        means[attr] = attrs.mean_value(attr)
+    out = np.full(attrs.n_entries, np.nan)
+    out[entries] = means[attrs.attr_ids[entries]]
     return out
 
 
-def baseline_local(bundle: DatasetBundle) -> dict[Target, float]:
-    """Targets get the mean observed same-type value over neighboring nodes.
+def baseline_local(bundle: DatasetBundle, entries: np.ndarray | None = None) -> np.ndarray:
+    """Predictions over all entries: the mean observed same-type value over neighboring nodes.
 
-    Each neighboring node counts once even when connected through several
-    edges, and values are summed in ascending neighbor id order. Targets
-    without an attributed neighbor fall back to the Global value.
+    Only ``entries`` (default: every target) are filled; other entries are
+    NaN. Each neighboring node counts once even when connected through
+    several edges, and values are summed in ascending neighbor id order.
+    Entries without an attributed neighbor fall back to the Global value.
     """
+    entries = bundle.target_indices() if entries is None else np.asarray(entries, dtype=np.int64)
     attrs = bundle.attrs
     n_entities = bundle.graph.n_entities
+    t_entity, t_attr = attrs.entity_ids[entries], attrs.attr_ids[entries]
+    wanted = np.zeros(n_entities, dtype=bool)
+    wanted[t_entity] = True
     head, _, tail = bundle.graph.edge_array.T
-    # distinct (entity, neighbor) pairs over both edge directions, ascending
-    pairs = np.unique(np.concatenate([tail * n_entities + head, head * n_entities + tail]))
-    entity, neighbor = np.divmod(pairs, n_entities)
+    # distinct (entity, neighbor) pairs of the wanted entities over both edge directions, ascending
+    at_head, at_tail = wanted[head], wanted[tail]
+    codes = np.concatenate([head[at_head] * n_entities + tail[at_head], tail[at_tail] * n_entities + head[at_tail]])
+    entity, neighbor = np.divmod(np.unique(codes), n_entities)
     first = np.searchsorted(entity, np.arange(n_entities + 1))
 
-    targets = bundle.target_indices()
-    t_entity, t_attr = attrs.entity_ids[targets], attrs.attr_ids[targets]
     row, k = ragged(first[t_entity + 1] - first[t_entity])
     nb = neighbor[first[t_entity[row]] + k]
     idx = attrs.lookup(nb, t_attr[row])
     hit = (idx >= 0) & (attrs.status[idx] == Status.OBSERVED)
-    total = np.bincount(row[hit], weights=attrs.values[idx[hit]], minlength=len(targets))
-    count = np.bincount(row[hit], minlength=len(targets))
+    total = np.bincount(row[hit], weights=attrs.values[idx[hit]], minlength=len(entries))
+    count = np.bincount(row[hit], minlength=len(entries))
 
-    out: dict[Target, float] = {}
-    for e, a, s, c in zip(t_entity.tolist(), t_attr.tolist(), total.tolist(), count.tolist()):
-        out[(e, a)] = s / c if c else attrs.mean_value(a)
+    out = baseline_global(bundle, entries)
+    reached = count > 0
+    out[entries[reached]] = total[reached] / count[reached]
     return out
 
 
 def evaluate(
-    predictions: Mapping[Target, float],
+    predictions: np.ndarray,
     bundle: DatasetBundle,
     split: Split,
     method: str = "",
     setup: str = "",
 ) -> EvalReport:
-    """Per-attribute-type MAE/RMSE of predictions on one split's targets.
+    """Per-attribute-type MAE/RMSE of a prediction vector on one split's entries.
 
-    Targets absent from ``predictions`` are scored at the Global fallback and
-    counted in ``n_unpredicted`` rather than dropped. Types with no entries
-    in the split are omitted with a warning.
+    ``predictions`` holds one value per attribute entry. An entry whose
+    prediction is NaN is scored at the Global fallback and counted in
+    ``n_unpredicted`` rather than dropped. Types with no entries in the
+    split are omitted with a warning.
     """
     attrs = bundle.attrs
     report = EvalReport(method=method, setup=setup)
     split_entries = bundle.split_indices(split)
+    preds = np.asarray(predictions, dtype=np.float64)[split_entries]
+    truth = attrs.values[split_entries]
+    split_attrs = attrs.attr_ids[split_entries]
     for attr in range(attrs.n_types):
-        entries = split_entries[attrs.attr_ids[split_entries] == attr]
-        if len(entries) == 0:
+        mask = split_attrs == attr
+        n = int(np.count_nonzero(mask))
+        if n == 0:
             logger.warning(
                 "split %s has no entries of type %r", split.name, attrs.types.label(attr)
             )
             continue
-        errors = np.empty(len(entries))
-        unpredicted = 0
-        for i, entry in enumerate(entries):
-            target = (int(attrs.entity_ids[entry]), attr)
-            pred = predictions.get(target)
-            if pred is None:
-                pred = attrs.mean_value(attr)
-                unpredicted += 1
-            errors[i] = pred - attrs.values[entry]
+        pred = preds[mask]
+        unpredicted = np.isnan(pred)
+        n_unpredicted = int(np.count_nonzero(unpredicted))
+        if n_unpredicted:
+            pred[unpredicted] = attrs.mean_value(attr)
+        errors = pred - truth[mask]
         report.rows.append(
             EvalRow(
                 attr=attrs.types.label(attr),
                 mae=float(np.mean(np.abs(errors))),
                 rmse=float(np.sqrt(np.mean(errors * errors))),
-                n=len(entries),
-                n_unpredicted=unpredicted,
+                n=n,
+                n_unpredicted=n_unpredicted,
             )
         )
     return report
 
 
 def propagation_predictions(bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig):
-    """Run propagation and return (predictions map, report)."""
+    """Run propagation and return (prediction vector with the targets filled, report)."""
     state, report = run(bundle, registry, cfg)
-    attrs = bundle.attrs
-    preds = {
-        (int(attrs.entity_ids[t]), int(attrs.attr_ids[t])): float(state.values[t])
-        for t in report.target_entries
-    }
+    preds = np.full(bundle.attrs.n_entries, np.nan)
+    preds[report.target_entries] = state.values[report.target_entries]
     return preds, report
 
 
@@ -182,39 +186,6 @@ def ablation_suite(
         report.converged = run_report.converged
         reports.append(report)
     return reports
-
-
-def export_differences(
-    bundle: DatasetBundle, key: PathKey
-) -> tuple[np.ndarray, float, float]:
-    """Raw y - x differences over a key's training pairs, plus normal fit.
-
-    For attribute pairs on the same unit the differences center near the
-    model intercept. Returns (differences, mean, std); empty keys yield an
-    empty array and NaN parameters with a warning.
-    """
-    if not key.is_inner and key.direction is not Direction.FORWARD:
-        raise ValueError("pairs are extracted for FORWARD keys only")
-    swap = key.is_inner and key.dep < key.indep  # inner fits regress the higher attr id
-    fit_key = key.reversed() if swap else key
-    no_pairs = (np.empty(0), np.empty(0))
-    ys, xs = next(((ys, xs) for k, ys, xs in training_pairs(bundle) if k == fit_key), no_pairs)
-    if swap:
-        ys, xs = xs, ys
-    if ys.size == 0:
-        logger.warning("no training pairs for key %r", key)
-        return np.empty(0), float("nan"), float("nan")
-    diffs = ys - xs
-    return diffs, float(diffs.mean()), float(diffs.std())
-
-
-def write_differences(fh: IO[str], key_label: str, diffs: np.ndarray, mean: float, std: float) -> None:
-    """CSV ``key,value`` rows followed by the fitted normal parameters."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["key", "value"])
-    for value in diffs:
-        writer.writerow([key_label, f"{value:.17g}"])
-    fh.write(f"# fitted_normal mean={mean:.17g} std={std:.17g}\n")
 
 
 def write_report_csv(path: str | os.PathLike, reports: list[EvalReport]) -> None:

@@ -20,12 +20,13 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .attributes import AttributeTable, Status
-from .codec import Table, read_table, write_table
+from .codec import Table, parse_prefix, read_table, repeated, write_table
 from .errors import (
     DataError,
     DegenerateRegressorError,
@@ -440,35 +441,74 @@ def write_model_dump(
     write_table(path, [*labels, eta, tau, sigma2, weight, support, r2, derived])
 
 
-_DIRECTIONS = {name: direction for direction, name in _DIRECTION_NAMES.items()}
+_DIRECTIONS = {name: int(direction) for direction, name in _DIRECTION_NAMES.items()}
+# the number columns of a model dump row, in the order a row's numbers are parsed
+_NUMBERS = (("eta", float), ("tau", float), ("sigma2", float), ("weight", float), ("support", int), ("r2", float))
 
 
-def _dump_model(fields: tuple[str, ...], graph: KnowledgeGraph, attrs: AttributeTable) -> RegressionModel:
-    """The model of one model dump row; a ValueError says what is wrong with it."""
-    dep_l, indep_l, rel_l, dir_l, eta, tau, sigma2, weight, support, r2, derived = fields
-    dep = attrs.types.get(dep_l)
-    indep = attrs.types.get(indep_l)
-    if dep is None or indep is None:
-        raise ValueError(f"unknown attribute type in {dep_l!r}/{indep_l!r}")
-    if rel_l == INNER_LABEL:
-        key = PathKey.inner(dep, indep)
-    else:
-        relation = graph.relations.get(rel_l)
-        if relation is None:
-            raise ValueError(f"unknown relation {rel_l!r}")
-        direction = _DIRECTIONS.get(dir_l)
-        if direction is None:
-            raise ValueError(f"unknown direction {dir_l!r}")
-        key = PathKey.relational(dep, indep, relation, direction)
-    params = [float(eta), float(tau), float(sigma2), float(weight)]
-    fit = FitSummary(int(support), float("nan"), float("nan"), float(r2), derived == "true")
-    texts = (eta, tau, sigma2, weight, r2)
-    for name, text, value in zip(("eta", "tau", "sigma2", "weight", "r2"), texts, params + [fit.r2]):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite {name} {text!r}")
-        if name in ("sigma2", "weight") and value <= 0.0:
-            raise ValueError(f"non-positive {name} {text!r}")
-    return RegressionModel(key, *params, fit)
+def _parse_error(parse, text: str) -> str:
+    """The message of the ValueError ``parse(text)`` raises."""
+    try:
+        parse(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} parses")
+
+
+def _dump_models(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -> dict[PathKey, RegressionModel]:
+    """The models of the rows of a model dump; the first bad row raises its error.
+
+    Every field is converted and checked column by column. The checks of a
+    row run in a fixed order: labels, then the parse of each number, then
+    the finite and positive checks, so the first failing check of the first
+    bad row gives the message.
+    """
+    dep_l, indep_l, rel_l, dir_l, *number_texts, derived = table.columns
+    n_rows = len(table)
+    dep, indep = attrs.types.ids(dep_l), attrs.types.ids(indep_l)
+    relation = graph.relations.ids(rel_l)
+    direction = np.fromiter(map(_DIRECTIONS.get, dir_l, repeat(-1)), dtype=np.int64, count=n_rows)
+    inner = np.fromiter(map(INNER_LABEL.__eq__, rel_l), dtype=bool, count=n_rows)
+    numbers = [parse_prefix(texts, parse) for texts, (_, parse) in zip(number_texts, _NUMBERS)]
+
+    checks = [
+        ((dep < 0) | (indep < 0), lambda r: f"unknown attribute type in {dep_l[r]!r}/{indep_l[r]!r}"),
+        (inner & (dep == indep), lambda r: "inner key requires distinct attribute types"),
+        (~inner & (relation < 0), lambda r: f"unknown relation {rel_l[r]!r}"),
+        (~inner & (direction < 0), lambda r: f"unknown direction {dir_l[r]!r}"),
+    ]
+    rows = np.arange(n_rows)
+    for texts, (_, parse), values in zip(number_texts, _NUMBERS, numbers):
+        checks.append((rows >= len(values), lambda r, texts=texts, parse=parse: _parse_error(parse, texts[r])))
+    parsed = min(map(len, numbers))  # the rows every number of which parses
+    for texts, (name, _), values in zip(number_texts, _NUMBERS, numbers):
+        if name == "support":
+            continue
+        column = np.ones(n_rows)  # rows beyond ``parsed`` already fail their parse
+        column[:parsed] = values[:parsed]
+        checks.append((~np.isfinite(column), lambda r, name=name, texts=texts: f"non-finite {name} {texts[r]!r}"))
+        if name in ("sigma2", "weight"):
+            checks.append((column <= 0.0, lambda r, name=name, texts=texts: f"non-positive {name} {texts[r]!r}"))
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    first = int(bad.argmax()) if bad.any() else n_rows
+
+    n_types = attrs.n_types
+    codes = (np.where(inner, 0, 1 + 2 * relation + direction) * n_types + dep) * n_types + indep
+    twice = np.flatnonzero(repeated(codes[:first]))
+    if twice.size:
+        raise DataError(f"model dump line {table.line(int(twice[0]))}: duplicate key")
+    if first < n_rows:
+        message = next(explain(first) for mask, explain in checks if mask[first])
+        raise ParseError(message, table.line(first))
+
+    models: dict[PathKey, RegressionModel] = {}
+    directions = tuple(Direction)
+    keys = zip(dep.tolist(), indep.tolist(), relation.tolist(), direction.tolist(), inner.tolist())
+    for (d, i, rel, way, is_inner), eta, tau, sigma2, weight, support, r2, flag in zip(keys, *numbers, derived):
+        key = PathKey(d, i) if is_inner else PathKey(d, i, rel, directions[way])
+        fit = FitSummary(support, math.nan, math.nan, r2, flag == "true")
+        models[key] = RegressionModel(key, eta, tau, sigma2, weight, fit)
+    return models
 
 
 def read_model_dump(
@@ -480,19 +520,8 @@ def read_model_dump(
     """Reload a registry written by :func:`write_model_dump`.
 
     The first row with an unknown label, a non-finite number or a
-    ``sigma2`` or ``weight`` that is not positive raises a ParseError.
+    ``sigma2`` or ``weight`` that is not positive raises a ParseError; a
+    key that an earlier row already has raises a DataError.
     """
-    def convert(table: Table) -> dict[PathKey, RegressionModel]:
-        models: dict[PathKey, RegressionModel] = {}
-        for row, fields in enumerate(zip(*table.columns)):
-            try:
-                model = _dump_model(fields, graph, attrs)
-            except ValueError as exc:
-                raise ParseError(str(exc), table.line(row)) from None
-            if model.key in models:
-                raise DataError(f"model dump line {table.line(row)}: duplicate key")
-            models[model.key] = model
-        return models
-
-    models = read_table(source, 11, convert)
+    models = read_table(source, 11, lambda table: _dump_models(table, graph, attrs))
     return ModelRegistry(models=models, admission=admission or AdmissionConfig())

@@ -1,21 +1,35 @@
 """Shared fixture builders and scalar reference implementations for the test suite."""
 from __future__ import annotations
 
+import csv
 import importlib.util
+import logging
 import math
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import IO, Mapping, NamedTuple
 
 import numpy as np
 
 from mrap.attributes import AttributeTable, Status
-from mrap.codec import Table
+from mrap.codec import Table, read_table
 from mrap.errors import DataError, ParseError, SingularSystemError
-from mrap.graph import Direction, Vocabulary, build_graph
+from mrap.evaluation import EvalReport, EvalRow
+from mrap.graph import Direction, KnowledgeGraph, Vocabulary, build_graph
 from mrap.ingest import DatasetBundle, Split, load_dataset
-from mrap.propagation import PropagationConfig, PropagationState, _init_values, _link
-from mrap.regression import FitSummary, ModelRegistry, PathKey, RegressionModel
+from mrap.propagation import PropagationConfig, PropagationState, _init_values, _link, run
+from mrap.regression import (
+    INNER_LABEL,
+    AdmissionConfig,
+    FitSummary,
+    ModelRegistry,
+    PathKey,
+    RegressionModel,
+    ragged,
+    training_pairs,
+)
+
+logger = logging.getLogger(__name__)
 
 
 def make_bundle(
@@ -943,3 +957,215 @@ def fixed_point_oracle(
     return {
         (int(attrs.entity_ids[t]), int(attrs.attr_ids[t])): float(solution[t]) for t in targets
     }
+
+
+# -- dict references for array scoring ----------------------------------------
+#
+# The library scores prediction vectors over the attribute entries. These are
+# the forms keyed by ``(entity id, attr id)`` target tuples that it replaced;
+# the tests compare the two on random instances.
+
+Target = tuple[int, int]  # (entity id, attr id)
+
+
+def reference_baseline_global(bundle: DatasetBundle) -> dict[Target, float]:
+    """Every target gets the observed mean of its attribute type, keyed by ``(entity id, attr id)``."""
+    attrs = bundle.attrs
+    out: dict[Target, float] = {}
+    for t in bundle.target_indices():
+        attr = int(attrs.attr_ids[t])
+        out[(int(attrs.entity_ids[t]), attr)] = attrs.mean_value(attr)
+    return out
+
+
+def reference_baseline_local(bundle: DatasetBundle) -> dict[Target, float]:
+    """Targets get the mean observed same-type value over neighboring nodes.
+
+    Each neighboring node counts once even when connected through several
+    edges, and values are summed in ascending neighbor id order. Targets
+    without an attributed neighbor fall back to the Global value.
+    """
+    attrs = bundle.attrs
+    n_entities = bundle.graph.n_entities
+    head, _, tail = bundle.graph.edge_array.T
+    # distinct (entity, neighbor) pairs over both edge directions, ascending
+    pairs = np.unique(np.concatenate([tail * n_entities + head, head * n_entities + tail]))
+    entity, neighbor = np.divmod(pairs, n_entities)
+    first = np.searchsorted(entity, np.arange(n_entities + 1))
+
+    targets = bundle.target_indices()
+    t_entity, t_attr = attrs.entity_ids[targets], attrs.attr_ids[targets]
+    row, k = ragged(first[t_entity + 1] - first[t_entity])
+    nb = neighbor[first[t_entity[row]] + k]
+    idx = attrs.lookup(nb, t_attr[row])
+    hit = (idx >= 0) & (attrs.status[idx] == Status.OBSERVED)
+    total = np.bincount(row[hit], weights=attrs.values[idx[hit]], minlength=len(targets))
+    count = np.bincount(row[hit], minlength=len(targets))
+
+    out: dict[Target, float] = {}
+    for e, a, s, c in zip(t_entity.tolist(), t_attr.tolist(), total.tolist(), count.tolist()):
+        out[(e, a)] = s / c if c else attrs.mean_value(a)
+    return out
+
+
+def reference_evaluate(
+    predictions: Mapping[Target, float],
+    bundle: DatasetBundle,
+    split: Split,
+    method: str = "",
+    setup: str = "",
+) -> EvalReport:
+    """Per-attribute-type MAE/RMSE of predictions on one split's targets.
+
+    Targets absent from ``predictions`` are scored at the Global fallback and
+    counted in ``n_unpredicted`` rather than dropped. Types with no entries
+    in the split are omitted with a warning.
+    """
+    attrs = bundle.attrs
+    report = EvalReport(method=method, setup=setup)
+    split_entries = bundle.split_indices(split)
+    for attr in range(attrs.n_types):
+        entries = split_entries[attrs.attr_ids[split_entries] == attr]
+        if len(entries) == 0:
+            logger.warning(
+                "split %s has no entries of type %r", split.name, attrs.types.label(attr)
+            )
+            continue
+        errors = np.empty(len(entries))
+        unpredicted = 0
+        for i, entry in enumerate(entries):
+            target = (int(attrs.entity_ids[entry]), attr)
+            pred = predictions.get(target)
+            if pred is None:
+                pred = attrs.mean_value(attr)
+                unpredicted += 1
+            errors[i] = pred - attrs.values[entry]
+        report.rows.append(
+            EvalRow(
+                attr=attrs.types.label(attr),
+                mae=float(np.mean(np.abs(errors))),
+                rmse=float(np.sqrt(np.mean(errors * errors))),
+                n=len(entries),
+                n_unpredicted=unpredicted,
+            )
+        )
+    return report
+
+
+def reference_propagation_predictions(bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig):
+    """Run propagation and return (predictions map, report)."""
+    state, report = run(bundle, registry, cfg)
+    attrs = bundle.attrs
+    preds = {
+        (int(attrs.entity_ids[t]), int(attrs.attr_ids[t])): float(state.values[t])
+        for t in report.target_entries
+    }
+    return preds, report
+
+
+def vector_of(bundle: DatasetBundle, predictions: Mapping[Target, float]) -> np.ndarray:
+    """The prediction vector of a map keyed by target, NaN where the map has no entry's key."""
+    attrs = bundle.attrs
+    out = np.full(attrs.n_entries, np.nan)
+    idx = attrs.lookup([e for e, _ in predictions], [a for _, a in predictions])
+    values = np.array(list(predictions.values()), dtype=np.float64)
+    out[idx[idx >= 0]] = values[idx >= 0]
+    return out
+
+
+# -- moved out of the library: training-pair differences per key ---------------
+
+
+def export_differences(
+    bundle: DatasetBundle, key: PathKey
+) -> tuple[np.ndarray, float, float]:
+    """Raw y - x differences over a key's training pairs, plus normal fit.
+
+    For attribute pairs on the same unit the differences center near the
+    model intercept. Returns (differences, mean, std); empty keys yield an
+    empty array and NaN parameters with a warning.
+    """
+    if not key.is_inner and key.direction is not Direction.FORWARD:
+        raise ValueError("pairs are extracted for FORWARD keys only")
+    swap = key.is_inner and key.dep < key.indep  # inner fits regress the higher attr id
+    fit_key = key.reversed() if swap else key
+    no_pairs = (np.empty(0), np.empty(0))
+    ys, xs = next(((ys, xs) for k, ys, xs in training_pairs(bundle) if k == fit_key), no_pairs)
+    if swap:
+        ys, xs = xs, ys
+    if ys.size == 0:
+        logger.warning("no training pairs for key %r", key)
+        return np.empty(0), float("nan"), float("nan")
+    diffs = ys - xs
+    return diffs, float(diffs.mean()), float(diffs.std())
+
+
+def write_differences(fh: IO[str], key_label: str, diffs: np.ndarray, mean: float, std: float) -> None:
+    """CSV ``key,value`` rows followed by the fitted normal parameters."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["key", "value"])
+    for value in diffs:
+        writer.writerow([key_label, f"{value:.17g}"])
+    fh.write(f"# fitted_normal mean={mean:.17g} std={std:.17g}\n")
+
+
+
+# -- the per-row model dump reader -------------------------------------------
+#
+# ``read_model_dump`` converts and checks the columns in bulk; this is the
+# per-row reader it replaced, over the same table.
+
+
+def _reference_dump_model(fields: tuple[str, ...], graph: KnowledgeGraph, attrs: AttributeTable) -> RegressionModel:
+    """The model of one model dump row; a ValueError says what is wrong with it."""
+    dep_l, indep_l, rel_l, dir_l, eta, tau, sigma2, weight, support, r2, derived = fields
+    dep = attrs.types.get(dep_l)
+    indep = attrs.types.get(indep_l)
+    if dep is None or indep is None:
+        raise ValueError(f"unknown attribute type in {dep_l!r}/{indep_l!r}")
+    if rel_l == INNER_LABEL:
+        key = PathKey.inner(dep, indep)
+    else:
+        relation = graph.relations.get(rel_l)
+        if relation is None:
+            raise ValueError(f"unknown relation {rel_l!r}")
+        direction = {v: k for k, v in _DIRECTION_NAMES.items()}.get(dir_l)
+        if direction is None:
+            raise ValueError(f"unknown direction {dir_l!r}")
+        key = PathKey.relational(dep, indep, relation, direction)
+    params = [float(eta), float(tau), float(sigma2), float(weight)]
+    fit = FitSummary(int(support), float("nan"), float("nan"), float(r2), derived == "true")
+    texts = (eta, tau, sigma2, weight, r2)
+    for name, text, value in zip(("eta", "tau", "sigma2", "weight", "r2"), texts, params + [fit.r2]):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite {name} {text!r}")
+        if name in ("sigma2", "weight") and value <= 0.0:
+            raise ValueError(f"non-positive {name} {text!r}")
+    return RegressionModel(key, *params, fit)
+
+
+def rowwise_read_model_dump(
+    source: IO,
+    graph: KnowledgeGraph,
+    attrs: AttributeTable,
+    admission: AdmissionConfig | None = None,
+) -> ModelRegistry:
+    """Per-row form of ``read_model_dump``: one row converted and checked at a time.
+
+    The first row with an unknown label, a non-finite number or a
+    ``sigma2`` or ``weight`` that is not positive raises a ParseError.
+    """
+    def convert(table: Table) -> dict[PathKey, RegressionModel]:
+        models: dict[PathKey, RegressionModel] = {}
+        for row, fields in enumerate(zip(*table.columns)):
+            try:
+                model = _reference_dump_model(fields, graph, attrs)
+            except ValueError as exc:
+                raise ParseError(str(exc), table.line(row)) from None
+            if model.key in models:
+                raise DataError(f"model dump line {table.line(row)}: duplicate key")
+            models[model.key] = model
+        return models
+
+    models = read_table(source, 11, convert)
+    return ModelRegistry(models=models, admission=admission or AdmissionConfig())

@@ -188,6 +188,27 @@ class TestBenchmarkTracing:
         names = {s.name for s in recorder.spans}
         assert {"graph.build_graph", "attributes.build", "propagation.write_imputations"} <= names
 
+    def test_eval_and_ablate_spans_fire(self, dataset, tmp_path):
+        spans = bench_spans()
+        recorder = spans.Recorder()
+        base = _args(dataset, tmp_path / "out", "--min-support", "3")
+        assert main(["impute", *base]) == EXIT_OK
+        with spans.instrument(recorder, {}):
+            assert main(["eval", *base]) == EXIT_OK
+            assert main(["ablate", *base]) == EXIT_OK
+        assert recorder.unbound == []
+        by_id = {s.id: s for s in recorder.spans}
+        fired = {(s.name, by_id[s.parent].name if s.parent is not None else None) for s in recorder.spans}
+        assert {
+            ("evaluation.baseline_global", None),
+            ("evaluation.baseline_local", None),
+            ("evaluation.evaluate", None),
+            ("evaluation.write_report_csv", None),
+            ("evaluation.ablation_suite", None),
+            ("propagation.run", "evaluation.ablation_suite"),
+            ("evaluation.evaluate", "evaluation.ablation_suite"),
+        } <= fired
+
 
 class TestExitCodes:
     def test_usage_error_bad_damping(self, dataset, tmp_path):

@@ -5,29 +5,36 @@ import numpy as np
 import pytest
 
 from helpers import (
+    entry_index,
+    export_differences,
     extract_pairs,
     make_bundle,
-    make_model,
     random_instance,
+    reference_baseline_global,
+    reference_baseline_local,
+    reference_evaluate,
+    reference_propagation_predictions,
     registry_of,
     six_node_fixture,
     target_of,
+    vector_of,
+    write_cli_dataset,
+    write_differences,
 )
 
+from mrap.cli import EXIT_DATA, EXIT_OK, main
 from mrap.errors import DataError
 from mrap.evaluation import (
     ablation_suite,
     baseline_global,
     baseline_local,
     evaluate,
-    export_differences,
     format_report_table,
     propagation_predictions,
-    write_differences,
     write_report_csv,
 )
 from mrap.graph import Direction
-from mrap.ingest import Split
+from mrap.ingest import DatasetBundle, Split
 from mrap.propagation import PropagationConfig
 from mrap.regression import PathKey
 
@@ -35,18 +42,18 @@ from mrap.regression import PathKey
 class TestBaselineGlobal:
     def test_mean_of_observed(self):
         bundle = make_bundle([], {("a", "h"): 10.0, ("b", "h"): 20.0}, {("c", "h"): 0.0})
-        assert baseline_global(bundle)[target_of(bundle, "c", "h")] == 15.0
+        assert baseline_global(bundle)[entry_index(bundle, "c", "h")] == 15.0
 
     def test_single_observed_value(self):
         bundle = make_bundle([], {("a", "h"): 7.0}, {("c", "h"): 0.0})
-        assert baseline_global(bundle)[target_of(bundle, "c", "h")] == 7.0
+        assert baseline_global(bundle)[entry_index(bundle, "c", "h")] == 7.0
 
     def test_constant_observed(self):
         bundle = make_bundle(
             [], {("a", "h"): 3.0, ("b", "h"): 3.0}, {("c", "h"): 0.0, ("d", "h"): 0.0}
         )
         preds = baseline_global(bundle)
-        assert set(preds.values()) == {3.0}
+        assert set(preds[bundle.target_indices()].tolist()) == {3.0}
 
     def test_unobserved_type_raises(self):
         bundle = make_bundle([], {("a", "g"): 1.0}, {("c", "h"): 0.0}, attr_order=("g", "h"))
@@ -59,22 +66,22 @@ class TestBaselineLocal:
     def test_neighborhood_mean(self):
         bundle = six_node_fixture()
         preds = baseline_local(bundle)
-        assert preds[target_of(bundle, "n2", "h")] == 20.0
+        assert preds[entry_index(bundle, "n2", "h")] == 20.0
 
     def test_fallback_to_global(self):
         bundle = six_node_fixture()
         preds = baseline_local(bundle)
-        assert preds[target_of(bundle, "n4", "h")] == 15.0
+        assert preds[entry_index(bundle, "n4", "h")] == 15.0
 
     def test_isolated_node_falls_back_to_global(self):
         bundle = make_bundle(
             [("a", "p", "b")], {("a", "h"): 10.0, ("b", "h"): 20.0}, {("iso", "h"): 0.0}
         )
-        assert baseline_local(bundle)[target_of(bundle, "iso", "h")] == 15.0
+        assert baseline_local(bundle)[entry_index(bundle, "iso", "h")] == 15.0
 
     def test_single_neighbor_exact(self):
         bundle = make_bundle([("a", "p", "b")], {("a", "h"): 42.0, ("z", "h"): 0.0}, {("b", "h"): 0.0})
-        assert baseline_local(bundle)[target_of(bundle, "b", "h")] == 42.0
+        assert baseline_local(bundle)[entry_index(bundle, "b", "h")] == 42.0
 
     def test_parallel_edges_count_neighbor_once(self):
         bundle = make_bundle(
@@ -82,13 +89,13 @@ class TestBaselineLocal:
             {("a", "h"): 10.0, ("c", "h"): 20.0},
             {("b", "h"): 0.0},
         )
-        assert baseline_local(bundle)[target_of(bundle, "b", "h")] == 15.0
+        assert baseline_local(bundle)[entry_index(bundle, "b", "h")] == 15.0
 
 
 class TestEvaluate:
     def test_definition_arithmetic(self):
         bundle = make_bundle([], {("a", "h"): 1.0}, {("b", "h"): 2.0, ("c", "h"): 4.0})
-        preds = {target_of(bundle, "b", "h"): 1.0, target_of(bundle, "c", "h"): 2.0}
+        preds = vector_of(bundle, {target_of(bundle, "b", "h"): 1.0, target_of(bundle, "c", "h"): 2.0})
         report = evaluate(preds, bundle, Split.TEST)
         row = report.rows[0]
         assert row.mae == pytest.approx(1.5)
@@ -97,12 +104,12 @@ class TestEvaluate:
 
     def test_perfect_predictions(self):
         bundle = make_bundle([], {("a", "h"): 1.0}, {("b", "h"): 2.0})
-        report = evaluate({target_of(bundle, "b", "h"): 2.0}, bundle, Split.TEST)
+        report = evaluate(vector_of(bundle, {target_of(bundle, "b", "h"): 2.0}), bundle, Split.TEST)
         assert report.rows[0].mae == 0.0 and report.rows[0].rmse == 0.0
 
     def test_unpredicted_scored_at_global_fallback(self):
         bundle = make_bundle([], {("a", "h"): 10.0, ("b", "h"): 20.0}, {("c", "h"): 18.0})
-        report = evaluate({}, bundle, Split.TEST)
+        report = evaluate(vector_of(bundle, {}), bundle, Split.TEST)
         row = report.rows[0]
         assert row.n_unpredicted == 1
         assert row.mae == pytest.approx(3.0)  # |15 - 18|
@@ -123,17 +130,139 @@ class TestEvaluate:
             {("b", "h"): 5.0},
             missing_split=Split.DEV,
         )
-        dev = evaluate({target_of(bundle, "b", "h"): 4.0}, bundle, Split.DEV)
-        test = evaluate({target_of(bundle, "b", "h"): 4.0}, bundle, Split.TEST)
+        preds = vector_of(bundle, {target_of(bundle, "b", "h"): 4.0})
+        dev = evaluate(preds, bundle, Split.DEV)
+        test = evaluate(preds, bundle, Split.TEST)
         assert dev.rows[0].mae == 1.0
         assert test.rows == []
 
     def test_pure_function_of_prediction_map(self):
         bundle = six_node_fixture()
         preds = baseline_local(bundle)
+        preds[entry_index(bundle, "n4", "h")] = np.nan  # a hole, scored at the Global fallback
+        given = preds.copy()
         one = evaluate(preds, bundle, Split.TEST)
-        two = evaluate(dict(reversed(list(preds.items()))), bundle, Split.TEST)
-        assert one.rows[0].mae == two.rows[0].mae
+        two = evaluate(preds, bundle, Split.TEST)
+        assert one.rows[0].mae == two.rows[0].mae and one.rows[0].n_unpredicted == 1
+        assert np.array_equal(preds, given, equal_nan=True)
+
+
+def _with_dev(rng, bundle):
+    """The bundle with about half of its targets moved to the DEV split."""
+    split = bundle.split.copy()
+    targets = bundle.target_indices()
+    split[targets[rng.random(len(targets)) < 0.5]] = int(Split.DEV)
+    return DatasetBundle(graph=bundle.graph, attrs=bundle.attrs, split=split)
+
+
+def _rows(report):
+    return [(r.attr, r.mae, r.rmse, r.n, r.n_unpredicted) for r in report.rows]
+
+
+class TestArrayScoringAgainstDictOracles:
+    """Vectors over the entries against the dicts keyed by (entity id, attr id) they replaced."""
+
+    def _assert_matches(self, bundle, vector, oracle):
+        """Bit-equal values at the oracle's keys, NaN at every other entry."""
+        attrs = bundle.attrs
+        want = np.full(attrs.n_entries, np.nan)
+        keys = list(oracle)
+        idx = attrs.lookup([e for e, _ in keys], [a for _, a in keys])
+        assert (idx >= 0).all()
+        want[idx] = list(oracle.values())
+        assert vector.dtype == np.float64 and vector.shape == (attrs.n_entries,)
+        assert np.array_equal(np.isnan(vector), np.isnan(want))
+        assert vector[~np.isnan(want)].tobytes() == want[~np.isnan(want)].tobytes()
+
+    def test_random_instances(self, caplog):
+        rng = np.random.default_rng(44)
+        cfg = PropagationConfig(max_iters=30)
+        holes = isolated = 0
+        for _ in range(60):
+            bundle, registry = random_instance(rng, quirks=True)
+            bundle = _with_dev(rng, bundle)
+            isolated += int(bundle.graph.entities.get("loner") is not None)
+            mrap, _ = propagation_predictions(bundle, registry, cfg)
+            oracles = {
+                "MrAP": reference_propagation_predictions(bundle, registry, cfg)[0],
+                "Global": reference_baseline_global(bundle),
+                "Local": reference_baseline_local(bundle),
+            }
+            vectors = {"MrAP": mrap, "Global": baseline_global(bundle), "Local": baseline_local(bundle)}
+            for method, oracle in oracles.items():
+                self._assert_matches(bundle, vectors[method], oracle)
+            for split in (Split.DEV, Split.TEST):
+                entries = bundle.split_indices(split)
+                in_split = {
+                    key: value
+                    for key, value in oracles["Local"].items()
+                    if bundle.split[bundle.attrs.lookup([key[0]], [key[1]])[0]] == int(split)
+                }
+                self._assert_matches(bundle, baseline_local(bundle, entries), in_split)
+                self._assert_matches(
+                    bundle, baseline_global(bundle, entries), {k: oracles["Global"][k] for k in in_split}
+                )
+                for method, oracle in oracles.items():
+                    # drop a random part of the predictions: holes score at the Global mean
+                    kept = {k: v for k, v in oracle.items() if rng.random() < 0.8}
+                    vector = vectors[method].copy()
+                    dropped = [k for k in oracle if k not in kept]
+                    if dropped:
+                        gone = bundle.attrs.lookup([e for e, _ in dropped], [a for _, a in dropped])
+                        vector[gone] = np.nan
+                    for preds, ref in ((vectors[method], oracle), (vector, kept)):
+                        caplog.clear()
+                        got = evaluate(preds, bundle, split, method=method, setup="x")
+                        warned = [r.getMessage() for r in caplog.records]
+                        caplog.clear()
+                        want = reference_evaluate(ref, bundle, split, method=method, setup="x")
+                        assert (got.method, got.setup) == (want.method, want.setup)
+                        assert _rows(got) == _rows(want)
+                        assert warned == [r.getMessage() for r in caplog.records]
+                    holes += sum(r.n_unpredicted for r in evaluate(vector, bundle, split).rows)
+        assert holes > 100 and isolated == 60
+
+    def test_unobserved_type_raises_the_first_targets_error(self):
+        # the first target in entry order has type z, whose id is above y's
+        bundle = make_bundle(
+            [("a", "p", "b")],
+            {("c", "x"): 1.0},
+            {("a", "z"): 0.0, ("b", "y"): 0.0, ("c", "y"): 0.0},
+            attr_order=("x", "y", "z"),
+        )
+        with pytest.raises(DataError) as want:
+            reference_baseline_global(bundle)
+        assert "'z'" in str(want.value)
+        for baseline in (baseline_global, baseline_local):
+            for entries in (None, bundle.split_indices(Split.TEST)[-1:]):
+                with pytest.raises(DataError) as got:
+                    baseline(bundle, entries)
+                assert str(got.value) == str(want.value)
+
+    def test_eval_exits_on_a_target_type_without_observed_entries(self, tmp_path, capsys):
+        """Every birth entry is a dev target: eval on the test split exits 2 as before."""
+        triples, attrs = write_cli_dataset(tmp_path)
+        rows = [line.split("\t") for line in attrs.read_text().splitlines()]
+        out = tmp_path / "out"
+        out.mkdir()
+
+        def write_manifest(label):
+            lines = [f"{e}\t{a}\t{label(i, a)}\n" for i, (e, a, _) in enumerate(rows)]
+            (out / "split.tsv").write_text("".join(lines))
+
+        def held_out(i, attr):
+            return "test" if i % 5 == 0 else "train"
+
+        # every entry has an imputed value, so only the baselines can fail
+        (out / "imputed.tsv").write_text("".join(f"{e}\t{a}\t{v}\t0\t0\n" for e, a, v in rows))
+        args = ["--triples", str(triples), "--attrs", str(attrs), "--out", str(out)]
+        write_manifest(lambda i, attr: "dev" if attr == "birth" else held_out(i, attr))
+        capsys.readouterr()
+        assert main(["eval", *args]) == EXIT_DATA
+        assert capsys.readouterr().err == "error: attribute type 'birth' has no observed entries\n"
+        assert not (out / "report.csv").exists()
+        write_manifest(held_out)
+        assert main(["eval", *args]) == EXIT_OK
 
 
 class TestMrapVsGlobal:
@@ -142,8 +271,7 @@ class TestMrapVsGlobal:
         preds, report = propagation_predictions(bundle, registry_of(), PropagationConfig())
         glob = baseline_global(bundle)
         assert report.n_silent == report.n_targets == 2
-        for target, value in preds.items():
-            assert value == glob[target]
+        assert np.array_equal(preds, glob, equal_nan=True)
 
 
 class TestAblationSuite:

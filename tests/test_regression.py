@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from helpers import (
     make_model,
     random_instance,
     registry_of,
+    rowwise_read_model_dump,
     target_of,
 )
 
@@ -412,3 +414,52 @@ class TestModelDump:
         bundle = _line_bundle()
         with pytest.raises(Exception):
             read_model_dump(io.StringIO("too\tfew\tfields\n"), bundle.graph, bundle.attrs)
+
+    def test_random_corruptions_match_the_per_row_reader(self, tmp_path):
+        """Every field corrupted at random rows: same models, or the same first error."""
+        rng = np.random.default_rng(45)
+        bad_texts = {
+            "label": ["ghost", "", " x"],
+            "relation": ["ghost", "INNER", "-"],
+            "direction": ["forwards", "-", "forward", "reverse", ""],
+            "float": ["abc", "", "inf", "-inf", "nan", "0", "-0.0", "-1.5", " 2.5 ", "1_0", "1e400", "0x1p3"],
+            "support": ["abc", "", "1.5", " 7 ", "-3", "1_000", "+4"],
+            "derived": ["maybe", "true", "false", ""],
+        }
+        kinds = ["label", "label", "relation", "direction"] + ["float"] * 4 + ["support", "float", "derived"]
+
+        def outcome(read, data):
+            try:
+                models = read(io.StringIO(data), graph, attrs).models
+            except (ParseError, DataError) as exc:
+                return (type(exc), str(exc), getattr(exc, "line_no", None))
+            return [(k, m.eta, m.tau, m.sigma2, m.weight, m.fit.support, m.fit.r2, m.fit.derived_reverse) for k, m in models.items()]
+
+        seen = Counter()
+        for _ in range(200):
+            bundle, _ = random_instance(rng, quirks=rng.random() < 0.5)
+            registry = build_registry(bundle, AdmissionConfig(min_support=2))
+            if not len(registry):
+                continue
+            graph, attrs = bundle.graph, bundle.attrs
+            write_model_dump(tmp_path / "models.tsv", registry, graph, attrs)
+            rows = [line.split("\t") for line in (tmp_path / "models.tsv").read_text().splitlines()]
+            for _ in range(int(rng.integers(0, 4))):
+                row = rows[int(rng.integers(len(rows)))]
+                if rng.random() < 0.2:  # repeat a row further down
+                    rows.insert(int(rng.integers(rows.index(row) + 1, len(rows) + 1)), list(row))
+                    continue
+                column = int(rng.integers(11))
+                texts = bad_texts[kinds[column]]
+                if kinds[column] == "label" and rng.random() < 0.5:
+                    texts = attrs.types.labels  # a known label: maybe a repeated key or a self-pair
+                if kinds[column] == "relation" and rng.random() < 0.5:
+                    texts = graph.relations.labels
+                row[column] = texts[int(rng.integers(len(texts)))]
+            data = "".join("\t".join(row) + "\n" for row in rows)
+            got = outcome(read_model_dump, data)
+            assert got == outcome(rowwise_read_model_dump, data)
+            seen["ok" if isinstance(got, list) else got[1].split(": ")[1].split(" ")[0]] += 1
+        assert seen["ok"] > 20
+        for word in ("duplicate", "unknown", "inner", "could", "invalid", "non-finite", "non-positive"):
+            assert seen[word] > 2, (word, seen)
