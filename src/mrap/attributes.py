@@ -50,13 +50,15 @@ class AttributeTable:
         entity_ids = np.asarray(entity_ids, dtype=np.int64)
         attr_ids = np.asarray(attr_ids, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
-        if entity_ids.size and not (0 <= entity_ids.min() and entity_ids.max() < n_entities):
-            raise ValueError(f"entry entity id out of range [0, {n_entities})")
-        order = np.lexsort((attr_ids, entity_ids))
-        entity_ids, attr_ids, values = entity_ids[order], attr_ids[order], values[order]
-        # once sorted, a repeated (entity, attribute) key equals its predecessor
-        if ((entity_ids[1:] == entity_ids[:-1]) & (attr_ids[1:] == attr_ids[:-1])).any():
+        for name, ids, bound in (("entity", entity_ids, n_entities), ("attribute", attr_ids, len(types))):
+            if ids.size and not (0 <= ids.min() and ids.max() < bound):
+                raise ValueError(f"entry {name} id out of range [0, {bound})")
+        codes = entity_ids * len(types) + attr_ids  # the codes lookup searches
+        order = np.argsort(codes)
+        # once sorted, a repeated (entity, attribute) code equals its predecessor
+        if (np.diff(codes[order]) == 0).any():
             raise DataError("duplicate (entity, attribute) entry")
+        entity_ids, attr_ids, values = entity_ids[order], attr_ids[order], values[order]
         return cls(
             n_entities=n_entities,
             types=types,

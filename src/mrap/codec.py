@@ -23,6 +23,8 @@ T = TypeVar("T")
 
 # a line after the first that is skipped, or that starts with whitespace
 _UNUSUAL_LINE = re.compile(r"\n[#\s]")
+# every byte but a tab or a line end
+_NOT_SEPARATOR = bytes(byte for byte in range(256) if byte not in b"\t\n")
 
 
 class Table:
@@ -74,12 +76,10 @@ def _split(data: bytes, n_fields: int) -> Table | None:
         return Table([[] for _ in range(n_fields)])
     if text[0] == "#" or text[0].isspace() or _UNUSUAL_LINE.search(text):
         return None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if text[-1] != "\n":
-        ends = np.append(ends, len(buf))
-    tabs = np.bincount(np.searchsorted(ends, np.flatnonzero(buf == ord("\t"))), minlength=len(ends))
-    if (tabs != n_fields - 1).any():
+    # every line has n_fields - 1 tabs exactly when the tabs and line ends,
+    # in file order, repeat n_fields - 1 tabs then one line end
+    seps = data.translate(None, _NOT_SEPARATOR).removesuffix(b"\n") + b"\n"
+    if seps != (b"\t" * (n_fields - 1) + b"\n") * (len(seps) // n_fields):
         return None
     fields = text.replace("\n", "\t").split("\t")
     if text[-1] == "\n":

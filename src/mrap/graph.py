@@ -137,16 +137,24 @@ def build_graph(
     ends = [""] * (2 * len(heads))
     ends[0::2] = heads
     ends[1::2] = tails
-    ends = entity_vocab.intern(ends)
-    rels = relation_vocab.intern(relations)
+    ends = np.fromiter(entity_vocab.intern(ends), dtype=np.int64, count=len(ends))
+    rels = np.fromiter(relation_vocab.intern(relations), dtype=np.int64, count=len(relations))
     if "" in entity_vocab or "" in relation_vocab:
         row = min(column.index("") for column in (heads, relations, tails) if "" in column)
         raise ValueError(f"triple with empty field: {(heads[row], relations[row], tails[row])!r}")
+    head_ids, tail_ids = ends[0::2], ends[1::2]
+    codes = edge_codes(head_ids, rels, tail_ids, len(entity_vocab), len(relation_vocab))
     entity_vocab.intern(extra_entities)
 
-    columns = np.array([ends[0::2], rels, ends[1::2]], dtype=np.int64)
-    edges = columns.T[np.lexsort(columns[::-1])]
-    # once sorted, a duplicate row equals its predecessor
-    first = np.ones(len(edges), dtype=bool)
-    first[1:] = (edges[1:] != edges[:-1]).any(axis=1)
-    return KnowledgeGraph(entities=entity_vocab, relations=relation_vocab, edge_array=edges[first])
+    order = np.argsort(codes)
+    # once sorted, a duplicate triple's code equals its predecessor's
+    order = np.append(order[:1], order[1:][np.diff(codes[order]) != 0])
+    edges = np.stack([head_ids[order], rels[order], tail_ids[order]], axis=1)
+    return KnowledgeGraph(entities=entity_vocab, relations=relation_vocab, edge_array=edges)
+
+
+def edge_codes(heads, relations, tails, n_entities: int, n_relations: int) -> np.ndarray:
+    """The int64 code ``(head * n_relations + relation) * n_entities + tail`` per triple, sorting as rows do."""
+    if n_entities * n_entities * n_relations > 2**63:  # the largest code is n_entities² · n_relations − 1
+        raise ValueError(f"{n_entities} entities and {n_relations} relations overflow the int64 edge code")
+    return (heads * n_relations + relations) * n_entities + tails

@@ -138,7 +138,7 @@ def load_dataset(triples: Table, attributes: Table) -> tuple[KnowledgeGraph, Att
     graph = build_graph(*triples.columns, extra_entities=entities)
     types = Vocabulary()
     table = AttributeTable.build(
-        graph.n_entities, types, graph.entities.intern(entities), types.intern(type_labels), values
+        graph.n_entities, types, graph.entities.ids(entities), types.intern(type_labels), values
     )
     logger.info(
         "loaded: %d triples read, %d duplicates dropped, %d entities, %d relations, %d edges, "

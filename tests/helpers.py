@@ -393,21 +393,22 @@ def reference_attribute_entries(n_entities, entries):
     return [e for e, _, _ in rows], [a for _, a, _ in rows], [v for _, _, v in rows], index, per_entity
 
 
-def random_load_inputs(rng: np.random.Generator):
+def random_load_inputs(rng: np.random.Generator, n_names: int | None = None, n_rels: int | None = None):
     """Labelled triples and attribute rows with every case the load path must keep.
 
     Duplicate triples, self-loops, one (head, tail) pair under several
     relations, attribute-only entities and an attributed entity that also
     appears in the triples. Labels are shuffled so their ids differ from
-    their names' order.
+    their names' order. ``n_names`` entity and ``n_rels`` relation labels
+    are drawn from, by default 2–14 and 1–4.
     """
-    names = [f"e{i}" for i in rng.permutation(int(rng.integers(2, 15)))]
-    rels = [f"r{i}" for i in rng.permutation(int(rng.integers(1, 5)))]
+    names = [f"e{i}" for i in rng.permutation(n_names or int(rng.integers(2, 15)))]
+    rels = [f"r{i}" for i in rng.permutation(n_rels or int(rng.integers(1, 5)))]
 
     def pick(seq):
         return seq[int(rng.integers(len(seq)))]
 
-    triples = [(pick(names), pick(rels), pick(names)) for _ in range(int(rng.integers(1, 30)))]
+    triples = [(pick(names), pick(rels), pick(names)) for _ in range(int(rng.integers(1, max(30, 2 * len(names)))))]
     loop = pick(names)
     triples.append((loop, pick(rels), loop))
     head, tail = pick(names), pick(names)
@@ -416,7 +417,7 @@ def random_load_inputs(rng: np.random.Generator):
     triples = [triples[i] for i in rng.permutation(len(triples))]
     types = [f"t{i}" for i in range(int(rng.integers(1, 4)))]
     attributed = [pick(names)] + [f"only{i}" for i in range(int(rng.integers(1, 4)))]
-    attributed += [pick(names) for _ in range(int(rng.integers(0, 8)))]
+    attributed += [pick(names) for _ in range(int(rng.integers(0, max(8, len(names) // 2))))]
     rows = {(entity, pick(types)): float(rng.normal(1950.0, 30.0)) for entity in attributed}
     return triples, [(e, a, v) for (e, a), v in rows.items()]
 

@@ -171,20 +171,30 @@ class TestBenchmarkTracing:
     def test_every_span_target_resolves_and_parse_results_count_rows(self, dataset, tmp_path):
         spans = bench_spans()
         recorder = spans.Recorder()
-        # the observers of bench/run.py that give ingest.lines
+        # the observers of bench/run.py that give ingest.lines, graph.entities and attributes.entries
         observers = {
             "ingest.parse_triples": lambda a, k, rows: {"lines": len(rows)},
             "ingest.parse_attributes": lambda a, k, result: {"lines": len(result[0])},
+            "graph.build_graph": lambda a, k, g: {"entities": g.n_entities},
+            "attributes.build": lambda a, k, table: {"entries": table.n_entries},
+            "cli.load_bundle": lambda a, k, bundle: {"entities": bundle.graph.n_entities},
         }
+        triples, attrs = dataset
+        with open(attrs, "a", encoding="utf-8") as fh:  # entities that only carry attributes
+            fh.write("solo0\tbirth\t1950.0\nsolo1\trelease\t1990.0\n")
         with spans.instrument(recorder, observers):
             assert main(["impute", *_args(dataset, tmp_path / "out", "--min-support", "3")]) == EXIT_OK
         assert recorder.unbound == []
-        lines = {s.name: s.info["lines"] for s in recorder.spans if s.name.startswith("ingest.parse_")}
-        triples, attrs = dataset
-        assert lines == {
-            "ingest.parse_triples": len(triples.read_text().splitlines()),
-            "ingest.parse_attributes": len(attrs.read_text().splitlines()),
+        info = {s.name: s.info for s in recorder.spans if s.info}
+        triple_rows = [line.split("\t") for line in triples.read_text().splitlines()]
+        attr_rows = [line.split("\t") for line in attrs.read_text().splitlines()]
+        assert {name: info[name]["lines"] for name in ("ingest.parse_triples", "ingest.parse_attributes")} == {
+            "ingest.parse_triples": len(triple_rows),
+            "ingest.parse_attributes": len(attr_rows),
         }
+        entities = {h for h, _, _ in triple_rows} | {t for _, _, t in triple_rows} | {e for e, _, _ in attr_rows}
+        assert info["graph.build_graph"]["entities"] == info["cli.load_bundle"]["entities"] == len(entities)
+        assert info["attributes.build"]["entries"] == len(attr_rows)
         names = {s.name for s in recorder.spans}
         assert {"graph.build_graph", "attributes.build", "propagation.write_imputations"} <= names
 

@@ -20,7 +20,7 @@ from helpers import (
 )
 
 from mrap.cli import _read_imputed
-from mrap.codec import Table, read_table, write_table
+from mrap.codec import Table, _scan, _split, read_table, write_table
 from mrap.errors import DataError, ParseError
 from mrap.ingest import (
     SplitSpec,
@@ -72,23 +72,34 @@ def _corrupt(rng, data: bytes, kind: str, n_fields: int, column: int, bad: str) 
     rows = [i for i, line in enumerate(lines) if line.strip() and not line.startswith(b"#")]
     if not rows:
         return data
-    i = rows[int(rng.integers(len(rows)))]
+    at = int(rng.integers(len(rows)))
+    i = rows[at]
     fields = lines[i].rstrip(b"\r").split(b"\t")
     end = b"\r" if lines[i].endswith(b"\r") else b""
-    if kind == "arity":
+    if kind == "shift":  # one tab moves to a neighbouring data line: the file's tab count stays
+        if len(rows) < 2:
+            return data
+        j = rows[at - 1] if at == len(rows) - 1 or (at > 0 and rng.random() < 0.5) else rows[at + 1]
+        cut = int(rng.integers(len(lines[j].rstrip(b"\r")) + 1))
+        lines[j] = lines[j][:cut] + b"\t" + lines[j][cut:]
+        merge = int(rng.integers(len(fields) - 1))
+        fields[merge : merge + 2] = [fields[merge] + fields[merge + 1]]
+    elif kind == "arity":
         fields = fields[:-1] if rng.random() < 0.5 else fields + [b"extra"]
     elif kind == "empty":
         fields[int(rng.integers(n_fields))] = b""
     elif kind == "byte":
         at = int(rng.integers(len(fields)))
         fields[at] = fields[at][:1] + b"\xff" + fields[at][1:]
-    else:
+    elif column < len(fields):  # a line an earlier fault left short has no such field
         fields[column] = bad.encode()
     lines[i] = b"\t".join(fields) + end
     return b"\n".join(lines)
 
 
 CORRUPTIONS = ("arity", "empty", "byte", "value")
+# the text readers' corruptions; "value" of an empty label is "empty" in a triple file
+READER_CORRUPTIONS = ("arity", "empty", "byte", "shift", "value")
 
 
 def _triples(rng, n: int) -> list[str]:
@@ -112,7 +123,7 @@ class TestReaders:
             ref = lambda d: reference_parse_triples(reference_lines(d))
             assert _outcome(new, data) == _outcome(ref, data)
             for _ in range(int(rng.integers(1, 3))):  # two faults: the first line's must win
-                data = _corrupt(rng, data, CORRUPTIONS[int(rng.integers(3))], 3, 0, "")
+                data = _corrupt(rng, data, READER_CORRUPTIONS[int(rng.integers(4))], 3, 0, "")
                 assert _outcome(new, data) == _outcome(ref, data)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -129,7 +140,7 @@ class TestReaders:
             assert _outcome(new, data) == _outcome(ref, data)
             for _ in range(int(rng.integers(1, 3))):
                 bad_value = ["abc", "inf", "-inf", "nan", "1.0.0", ""][int(rng.integers(6))]
-                data = _corrupt(rng, data, CORRUPTIONS[int(rng.integers(4))], 3, 2, bad_value)
+                data = _corrupt(rng, data, READER_CORRUPTIONS[int(rng.integers(5))], 3, 2, bad_value)
                 assert _outcome(new, data) == _outcome(ref, data)
 
     def test_duplicate_keys_keep_last_value_in_first_seen_order(self):
@@ -150,8 +161,21 @@ class TestReaders:
             assert _outcome(new, data) == _outcome(ref, data)
             for _ in range(int(rng.integers(1, 3))):
                 bad_label = ["validation", "Train", " test", ""][int(rng.integers(4))]
-                data = _corrupt(rng, data, CORRUPTIONS[int(rng.integers(4))], 3, 2, bad_label)
+                data = _corrupt(rng, data, READER_CORRUPTIONS[int(rng.integers(5))], 3, 2, bad_label)
                 assert _outcome(new, data) == _outcome(ref, data)
+
+    @pytest.mark.parametrize("n_fields", [3, 5, 11])
+    def test_bulk_check_rejects_what_the_line_scan_rejects(self, n_fields):
+        rng = np.random.default_rng(400 + n_fields)
+        for _ in range(100):
+            lines = ["\t".join(_label(rng) for _ in range(n_fields)) for _ in range(int(rng.integers(1, 12)))]
+            data = _render(rng, lines, plain=True)
+            if rng.random() < 0.5:
+                data = data.rstrip(b"\n")
+            for _ in range(int(rng.integers(0, 3))):
+                data = _corrupt(rng, data, ("arity", "shift")[int(rng.integers(2))], n_fields, 0, "")
+            _, error = _scan(data, n_fields)
+            assert (_split(data, n_fields) is None) == (error is not None)
 
     def test_error_line_counts_skipped_and_crlf_lines(self):
         data = b"# header\r\n\r\n  \na\tp\tb\r\nbad line\r\n"

@@ -3,7 +3,7 @@ import pytest
 
 from mrap.attributes import AttributeTable, Status
 from mrap.errors import DataError
-from mrap.graph import Direction, Vocabulary, build_graph
+from mrap.graph import Direction, Vocabulary, build_graph, edge_codes
 
 from helpers import (
     OrientedRelation,
@@ -140,8 +140,17 @@ class TestArrayLoadMatchesReference:
 
     def test_random_labelled_inputs(self):
         rng = np.random.default_rng(11)
-        for _ in range(60):
+        for _ in range(140):
             self._check(*random_load_inputs(rng))
+
+    def test_random_inputs_with_many_entities_or_many_relations(self):
+        # the edge code (head * n_rel + rel) * n_ent + tail with either size the larger
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            self._check(*random_load_inputs(rng, n_names=int(rng.integers(200, 400))))
+        for _ in range(30):
+            n_names = int(rng.integers(2, 8))
+            self._check(*random_load_inputs(rng, n_names=n_names, n_rels=int(rng.integers(n_names + 1, 40))))
 
     def test_empty_input(self):
         self._check([], [])
@@ -170,6 +179,37 @@ class TestArrayLoadMatchesReference:
     def test_entity_id_out_of_range_rejected(self, entity):
         with pytest.raises(ValueError, match="out of range"):
             AttributeTable.build(2, Vocabulary(["h"]), [0, entity], [0, 0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("attr", [-1, 1])
+    def test_attribute_id_out_of_range_rejected(self, attr):
+        # with one type, entity 1's attribute 0 and entity 0's attribute 1 share code 1
+        with pytest.raises(ValueError, match="attribute id out of range"):
+            AttributeTable.build(2, Vocabulary(["h"]), [0, 1], [attr, 0], [1.0, 2.0])
+
+
+class TestEdgeCodes:
+    def test_codes_ascend_with_rows(self):
+        rng = np.random.default_rng(5)
+        for n_entities, n_relations in [(7, 3), (3, 7), (1, 1)]:
+            rows = np.stack(
+                [rng.integers(n, size=200) for n in (n_entities, n_relations, n_entities)], axis=1
+            )
+            codes = edge_codes(*rows.T, n_entities, n_relations)
+            order = np.lexsort(rows.T[::-1])
+            assert (np.diff(codes[order]) >= 0).all()
+            assert len(np.unique(codes)) == len(np.unique(rows, axis=0))
+
+    @pytest.mark.parametrize("n_entities, n_relations", [(2**31, 2), (2**21, 2**21), (3_037_000_499, 1)])
+    def test_largest_code_that_fits(self, n_entities, n_relations):
+        last = np.array([n_entities - 1], dtype=np.int64)
+        code = edge_codes(last, np.array([n_relations - 1], dtype=np.int64), last, n_entities, n_relations)
+        assert int(code[0]) == n_entities**2 * n_relations - 1
+
+    @pytest.mark.parametrize("n_entities, n_relations", [(2**31, 3), (2**31 + 1, 2), (2**21, 2**21 + 1)])
+    def test_sizes_past_int64_rejected(self, n_entities, n_relations):
+        zero = np.zeros(1, dtype=np.int64)
+        with pytest.raises(ValueError, match=f"{n_entities} entities and {n_relations} relations"):
+            edge_codes(zero, zero, zero, n_entities, n_relations)
 
 
 class TestLookup:
