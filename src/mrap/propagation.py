@@ -11,16 +11,18 @@ operator over the live targets (missing entries that receive a message):
 ``x <- (1 - d) x + d (A x + c)``. ``A`` holds ``w * eta / q`` per path
 between two live entries, with ``q`` the target's total weight; ``c`` folds
 in the intercepts and every prediction from a fixed source (an observed
-entry or a silent target). Updates are synchronous: iteration k reads only
-the k-1 values, and sums run in a fixed path order, so results are
-bit-reproducible.
+entry or a silent target). The compile counts each entry's messages first,
+then builds the paths target by target, in blocks of whole entities, so no
+path-sized array outlives its block. ``A`` is stored as jagged diagonals
+(Saad, 1989): rows by degree, one contiguous slot per k-th entry of a row.
 
+Updates are synchronous: iteration k reads only the k-1 values, and each
+row sums its terms in path order from zero, so results are bit-reproducible.
 The diagnostic loss of each iteration (the ``loss`` column of the trace) is
-a quadratic form in the live values, compiled with the operator and centered
-on the initial values so that it keeps its digits at magnitudes like years.
-It reads the ``A x`` that the next update needs, so an iteration costs one
-gather and one ``bincount`` over the entries of ``A`` plus work linear in
-the live targets.
+a quadratic form in the live values, centered on the initial values so that
+it keeps its digits at magnitudes like years. It reads the ``A x`` of the
+next update, so an iteration costs one gather over ``A``, one slice-add per
+slot and work linear in the live targets.
 
 Missing entries start at the global mean of their attribute type, so targets
 that never receive a message degrade to the per-type mean baseline.
@@ -35,11 +37,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attributes import Status
+from .attributes import AttributeTable, Status
 from .codec import write_table
-from .graph import Direction
 from .ingest import DatasetBundle
-from .regression import EntryIndex, ModelRegistry, PathKey, relation_span
+from .regression import ModelRegistry, PathKey, ragged, relation_span
 
 logger = logging.getLogger(__name__)
 
@@ -100,46 +101,103 @@ class ImputationReport:
     trace: list[tuple[int, str, float, float]] = field(default_factory=list, repr=False)
 
 
-def _link(
-    bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every active path as (src, tgt, model id), plus the models' eta, tau and weight rows.
+BLOCK = 32768  # compile work per block: (target entry, incidence) pairs plus candidate paths
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # set bits per byte
 
-    Paths come edge by edge in stored edge order, each edge's forward paths
-    before its reverse ones, then the inner paths entity by entity. This
-    fixes the order in which each target's messages are summed.
+
+class _Incidences(NamedTuple):
+    """Every way a message reaches an entity, in message order, with the active models.
+
+    Each edge is one forward incidence at its tail and one reverse incidence
+    at its head; each entity has one inner incidence with itself. Sorted by
+    target entity, then stored edge, forward first, inner last, they give a
+    target entry's messages in order, each incidence's by ascending source
+    entry, which is ascending source type. Model row ``kind * n_types + dep``
+    has its indep types at ``types[cols[row]:cols[row + 1]]``, and entity
+    ``e`` its entries' at ``types[entries[e]:entries[e + 1]]``.
     """
-    graph, attrs = bundle.graph, bundle.attrs
-    n_types, attr = attrs.n_types, attrs.attr_ids
-    shape = (2, relation_span(graph, registry), n_types, n_types)
-    relational = np.full(shape, -1, dtype=np.int32)  # direction, relation, dep, indep
-    inner = np.full((n_types, n_types), -1, dtype=np.int32)  # dep, indep
-    params = []
-    for key, model in registry.models.items():
-        if not cfg.allows(key):
-            continue
-        if key.is_inner:
-            inner[key.dep, key.indep] = len(params)
-        else:
-            relational[key.direction, key.relation, key.dep, key.indep] = len(params)
-        params.append((model.eta, model.tau, model.weight))
-    models = np.array(params, dtype=np.float64).reshape(-1, 3).T.copy()
 
-    index = EntryIndex.of(attrs, graph.n_entities)
-    edge, head_e, tail_e = index.edge_pairs(graph)
-    relation = graph.edge_array[edge, 1]
-    fwd = relational[Direction.FORWARD, relation, attr[tail_e], attr[head_e]]
-    rev = relational[Direction.REVERSE, relation, attr[head_e], attr[tail_e]]
-    f, r = fwd >= 0, rev >= 0
-    # a stable sort of two runs that are each in edge order is one merge
-    order = np.argsort(np.concatenate([edge[f], edge[r]]), kind="stable")
-    dep_e, src_e = index.node_pairs()
-    ind = inner[attr[dep_e], attr[src_e]]
-    i = ind >= 0
-    src = np.concatenate([np.concatenate([head_e[f], tail_e[r]])[order], src_e[i]])
-    tgt = np.concatenate([np.concatenate([tail_e[f], head_e[r]])[order], dep_e[i]])
-    mid = np.concatenate([np.concatenate([fwd[f], rev[r]])[order], ind[i]])
-    return src, tgt, mid, models
+    src: np.ndarray  # source entity per incidence
+    kind: np.ndarray  # relation (forward), span + relation (reverse) or 2 span (inner)
+    first: np.ndarray  # per entity, plus one past the last: its first incidence
+    entries: np.ndarray  # per entity, plus one past the last: its first entry
+    entry_of: np.ndarray  # entity * n_types + type -> entry, -1 where none
+    model: np.ndarray  # (kind, dep, indep) -> model id, -1 where none is active
+    cols: np.ndarray
+    types: np.ndarray
+    params: np.ndarray  # (3, models): eta, tau, weight
+
+
+def _incidences(bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig) -> _Incidences:
+    graph, attrs = bundle.graph, bundle.attrs
+    n_types, n_entities = attrs.n_types, graph.n_entities
+    span = relation_span(graph, registry)
+    model = np.full((2 * span + 1, n_types, n_types), -1, dtype=np.int32)
+    params = []
+    for key, m in registry.models.items():
+        if cfg.allows(key):
+            model[2 * span if key.is_inner else key.direction * span + key.relation, key.dep, key.indep] = len(params)
+            params.append((m.eta, m.tau, m.weight))
+    model[2 * span, np.arange(n_types), np.arange(n_types)] = -1  # no entry messages itself
+    entry_of = np.full(n_entities * n_types, -1, dtype=np.int64)
+    entry_of[attrs.entity_ids * n_types + attrs.attr_ids] = np.arange(attrs.n_entries)
+
+    head, relation, tail = graph.edge_array.T
+    # edge by edge, forward into the tail, then reverse into the head; inner last
+    tgt = np.concatenate([np.column_stack([tail, head]).ravel(), np.arange(n_entities)])
+    src = np.concatenate([np.column_stack([head, tail]).ravel(), np.arange(n_entities)])
+    kind = np.concatenate([np.column_stack([relation, span + relation]).ravel(), np.full(n_entities, 2 * span)])
+    order = np.arange(len(tgt))
+    for shift in range(0, max(n_entities - 1, 1).bit_length(), 16):  # stable radix passes: no combined code
+        order = order[np.argsort((tgt[order] >> shift).astype(np.uint16), kind="stable")]
+    return _Incidences(
+        src[order],
+        kind[order],
+        np.concatenate([[0], np.cumsum(np.bincount(tgt, minlength=n_entities))]),
+        np.concatenate([[0], np.cumsum(np.bincount(attrs.entity_ids, minlength=n_entities))]),
+        entry_of,
+        model,
+        attrs.n_entries + np.concatenate([[0], np.cumsum((model >= 0).sum(axis=2))]),
+        np.concatenate([attrs.attr_ids, np.nonzero(model >= 0)[2]]),  # row-major: ascending in each row
+        np.array(params, dtype=np.float64).reshape(-1, 3).T.copy(),
+    )
+
+
+def _inflow(inc: _Incidences, attrs: AttributeTable, source: np.ndarray) -> np.ndarray:
+    """Per entry: its messages from the entries the boolean ``source`` marks.
+
+    An incidence carries one message per type present at its source that has
+    a model with the target's type as dep, counted as bits.
+    """
+    present = np.zeros((len(inc.first) - 1, attrs.n_types), dtype=bool)
+    present[attrs.entity_ids[source], attrs.attr_ids[source]] = True
+    have = np.packbits(present, axis=1, bitorder="little")[inc.src]
+    rows = np.packbits(inc.model >= 0, axis=2, bitorder="little")  # kind, dep, bits of indep
+    per_entity = np.zeros(present.shape, dtype=np.int64)
+    for d in range(attrs.n_types):
+        per_entity[:, d] = np.add.reduceat(_POPCOUNT[rows[:, d][inc.kind] & have].sum(axis=1, dtype=np.int64), inc.first[:-1])
+    return per_entity[attrs.entity_ids, attrs.attr_ids]
+
+
+def _paths(inc: _Incidences, attrs: AttributeTable, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, tgt, model id) of every path into the entries ``t0:t1``, in message order.
+
+    Each (target entry, incidence) pair walks the shorter of two ascending
+    type lists, its source's entries or its model row, and keeps the types
+    in both.
+    """
+    n_types, entity = attrs.n_types, attrs.entity_ids[t0:t1]
+    target, k = ragged(inc.first[entity + 1] - inc.first[entity])
+    i = inc.first[entity[target]] + k
+    source, row = inc.src[i], inc.kind[i] * n_types + attrs.attr_ids[t0 + target]
+    a0, a1, b0, b1 = inc.entries[source], inc.entries[source + 1], inc.cols[row], inc.cols[row + 1]
+    lo, hi = np.where(b1 - b0 < a1 - a0, [b0, b1], [a0, a1])
+    pair, k = ragged(hi - lo)
+    j = inc.types[lo[pair] + k]
+    src = inc.entry_of[source[pair] * n_types + j]
+    mid = inc.model.reshape(-1)[row[pair] * n_types + j]
+    keep = (src >= 0) & (mid >= 0)
+    return src[keep], t0 + target[pair[keep]], mid[keep]
 
 
 def _init_values(bundle: DatasetBundle) -> np.ndarray:
@@ -163,11 +221,23 @@ def _target_ranges(bundle: DatasetBundle) -> dict[int, float]:
     }
 
 
+def _jagged(degree: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Jagged-diagonal layout of rows with ``degree`` entries each: (rank, widths, start).
+
+    Rows are swept by degree, descending and stably; slot ``k`` holds entry
+    ``k`` of every row that has one, that of row ``r`` at ``start[k] + rank[r]``.
+    """
+    rank = np.empty(len(degree), dtype=np.int64)
+    rank[np.argsort(-degree, kind="stable")] = np.arange(len(degree))
+    widths = len(degree) - np.cumsum(np.bincount(degree, minlength=1))[:-1]
+    return rank, widths.tolist(), np.concatenate([[0], np.cumsum(widths)])
+
+
 class _Operator(NamedTuple):
     """The compiled update ``x <- (1 - d) x + d (A x + c)`` over the live targets.
 
-    ``A`` is held as one entry per path between two live entries: its source
-    entry ``src``, its ``row`` and its coefficient ``a``, in path order.
+    ``A`` is held as jagged diagonals (:func:`_jagged`): the source entry
+    ``src`` and coefficient ``a`` of each entry, slot by slot, a row's in path order.
 
     The loss is a quadratic form centered on the initial live values ``x0``.
     With ``y = x - x0``, ``r0`` each path's residual at ``x0`` and ``q`` each
@@ -180,18 +250,16 @@ class _Operator(NamedTuple):
     ``2 w eta r0`` and plus ``w eta^2`` over the paths out of it. The last
     term is the cross product of the paths between two live entries, since
     ``w eta = q a`` on each of them. Centering keeps the terms of the order
-    of the residuals rather than of the values. Only ``A x - A x0`` still
-    carries the rounding of the values' magnitude: at years near 2000 the
-    loss stays within about 3e-13 relative of a direct sum over the paths,
-    where an uncentered form loses about 1e-11. ``A x`` is the product the
-    next update needs anyway, so an iteration touches no other per-path
-    array.
+    of the residuals: at years near 2000 the loss stays within about 3e-13
+    relative of a direct sum over the paths (uncentered: 1e-11). ``A x`` is
+    the product the next update needs anyway.
     """
 
     live: np.ndarray  # entry index per row, grouped by attribute type
     src: np.ndarray  # source entry of each A entry
-    row: np.ndarray  # row of each A entry
     a: np.ndarray  # w * eta / q per A entry
+    rank: np.ndarray  # per row: its place in the sweep
+    widths: list[int]  # per slot: the rows it covers
     c: np.ndarray  # per row: intercepts and fixed-source predictions, over q
     x0: np.ndarray  # per row: the value the loss is centered on
     ax0: np.ndarray  # A x0
@@ -201,9 +269,14 @@ class _Operator(NamedTuple):
     loss0: float
 
     def product(self, values: np.ndarray) -> np.ndarray:
-        """``A x`` for the entry buffer ``values``."""
-        weights = self.a * np.take(values, self.src)
-        return np.bincount(self.row, weights=weights, minlength=len(self.live))
+        """``A x`` for the entry buffer ``values``: each row sums its terms in path order from zero."""
+        terms = np.take(values, self.src)
+        terms *= self.a
+        acc, lo = np.zeros(len(self.live)), 0
+        for width in self.widths:
+            acc[:width] += terms[lo : lo + width]
+            lo += width
+        return acc[self.rank]
 
     def loss(self, x: np.ndarray, ax: np.ndarray) -> float:
         """The loss at live values ``x``, given ``ax = A x``."""
@@ -220,82 +293,68 @@ def _compile(
     cfg: PropagationConfig,
     values: np.ndarray,
 ) -> tuple[_Operator, np.ndarray, np.ndarray]:
-    """The operator at the initial ``values``, plus message count and total weight per entry."""
+    """The operator at the initial ``values``, plus message count and total weight per entry.
+
+    A plan counts each entry's messages, and those from live sources, before
+    any path exists. Blocks of whole target entities then build their paths,
+    sum what their targets own and write their ``A`` entries into their slots.
+    """
     attrs = bundle.attrs
-    n = attrs.n_entries
+    n, attr = attrs.n_entries, attrs.attr_ids
     clock = time.perf_counter()
-    src, tgt, mid, (eta, tau, weight) = _link(bundle, registry, cfg)
-    logger.info("paths: %d built in %.3f s", len(src), time.perf_counter() - clock)
+    inc = _incidences(bundle, registry, cfg)
+    planned = _inflow(inc, attrs, np.ones(n, dtype=bool))
+    logger.info("paths: %d built in %.3f s", planned.sum(), time.perf_counter() - clock)
 
     clock = time.perf_counter()
-    to_live = (attrs.status == Status.MISSING)[tgt]  # a target with a message is live
-    n_msgs = np.bincount(tgt[to_live], minlength=n)
-    weight_sum = np.bincount(tgt[to_live], weights=weight[mid[to_live]], minlength=n)
-    targets = bundle.target_indices()
-    live = targets[n_msgs[targets] > 0]
-    live = live[np.argsort(attrs.attr_ids[live], kind="stable")]
-    n_live = len(live)
-    row_of = np.full(n, n_live, dtype=np.int64)  # row n_live collects the fixed entries
-    row_of[live] = np.arange(n_live)
-    from_live = row_of[src] < n_live
+    missing = attrs.status == Status.MISSING
+    is_live = missing & (planned > 0)  # a target with a message
+    degree = np.where(is_live, _inflow(inc, attrs, is_live), 0)  # messages from live sources
+    # rows in entry order within a degree, so that a block writes each slot in runs
+    rank, widths, start = _jagged(degree[is_live])
+    slot_of = np.zeros(n, dtype=np.int64)
+    slot_of[is_live] = rank
+    live = np.flatnonzero(is_live)[np.argsort(attr[is_live], kind="stable")]
+    a_src, a = np.empty(start[-1], dtype=np.int64), np.empty(start[-1])
+    fixed_values = np.where(is_live, 0.0, values)
 
-    # c: every path's intercept plus the predictions of fixed sources, over q
-    p = np.flatnonzero(to_live)
-    m = mid[p]
-    term = tau[m]
-    f = ~from_live[p]
-    term[f] += eta[m[f]] * values[src[p[f]]]
-    term *= weight[m]
-    term /= weight_sum[tgt[p]]
-    c = np.bincount(row_of[tgt[p]], weights=term, minlength=n_live)
-    del p, m, term, f
+    # blocks of whole target entities, about BLOCK pairs and candidate paths each
+    size = np.diff(inc.entries)
+    work = size * np.add.reduceat(1 + size[inc.src], inc.first[:-1])  # every entity has an inner incidence
+    cuts = np.flatnonzero(np.diff((np.cumsum(work) - work) // BLOCK)) + 1
+    bounds = inc.entries[np.concatenate([[0], cuts, [len(size)]])].tolist()
+    q, c, g, h = (np.zeros(n) for _ in range(4))  # per entry
+    loss0 = 0.0
+    for t0, t1 in zip(bounds[:-1], bounds[1:]):
+        src, tgt, mid = _paths(inc, attrs, t0, t1)
+        p = np.flatnonzero(missing[tgt] & is_live[src])  # the paths between two live entries
+        row, k = ragged(degree[t0:t1])
+        if (len(src), len(p)) != (planned[t0:t1].sum(), len(row)):
+            raise RuntimeError(f"entries {t0}:{t1}: {len(src)} paths, {len(p)} live; planned {planned[t0:t1].sum()}, {len(row)}")
+        # q, c and A: a target's paths all sit in this block, in path order
+        local, (e, t, w) = tgt - t0, inc.params[:, mid]  # eta, tau, weight
+        q[t0:t1] = np.bincount(local, weights=w, minlength=t1 - t0)
+        qt = q[tgt]
+        c[t0:t1] = np.bincount(local, weights=(e * fixed_values[src] + t) * w / qt, minlength=t1 - t0)
+        at = start[k] + slot_of[t0 + row]
+        a_src[at], a[at] = src[p], w[p] * e[p] / qt[p]
 
-    # the loss at values, and its gradient and curvature per row, with at
-    # most three path-sized arrays alive at once
-    def per_row(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return np.bincount(rows, weights=w, minlength=n_live + 1)[:n_live]
+        # the loss at values, and its gradient and curvature per entry
+        r0 = values[tgt] - (values[src] * e + t)
+        wr = w * r0
+        loss0 += float(np.dot(wr, r0))
+        wr *= 2.0
+        g[t0:t1] += np.bincount(local, weights=wr, minlength=t1 - t0)
+        h[t0:t1] += np.bincount(local, weights=w, minlength=t1 - t0)
+        np.subtract.at(g, src, wr * e)
+        np.add.at(h, src, w * e * e)
+        del src, tgt, mid, p, row, k, local, w, e, t, qt, at, r0, wr  # before the next block's paths
 
-    r0 = np.take(values, src)
-    r0 *= eta[mid]
-    r0 += tau[mid]
-    np.subtract(np.take(values, tgt), r0, out=r0)
-    w = weight[mid]
-    wr = w * r0
-    loss0 = float(np.dot(wr, r0))
-    del r0
-    wr *= 2.0
-    rows = row_of[tgt]
-    g = per_row(rows, wr)
-    h = per_row(rows, w)
-    del rows
-    e = eta[mid]
-    wr *= e
-    w *= e
-    w *= e
-    del e
-    rows = row_of[src]
-    g -= per_row(rows, wr)
-    h += per_row(rows, w)
-    del rows, wr, w
-
-    # A: the paths live -> live, in path order
-    p = np.flatnonzero(to_live & from_live)
-    del to_live, from_live
-    m = mid[p]
-    a = weight[m] * eta[m]
-    a /= weight_sum[tgt[p]]
-    a_src, a_row = src[p], row_of[tgt[p]]
-    del p, m
-
-    op = _Operator(live, a_src, a_row, a, c, values[live], None, weight_sum[live], g, h, loss0)
+    op = _Operator(live, a_src, a, slot_of[live], widths, c[live], values[live], None, q[live], g[live], h[live], loss0)
     op = op._replace(ax0=op.product(values))  # the first update's A x as well
-    logger.info(
-        "operator: %d entries over %d live targets, compiled in %.3f s",
-        len(a),
-        n_live,
-        time.perf_counter() - clock,
-    )
-    return op, n_msgs, weight_sum
+    logger.info("operator: %d entries over %d live targets, %d blocks, %d slots, compiled in %.3f s",
+                len(a), len(live), len(bounds) - 1, len(widths), time.perf_counter() - clock)
+    return op, planned, q
 
 
 def run(

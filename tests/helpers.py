@@ -17,15 +17,17 @@ from mrap.errors import DataError, ParseError, SingularSystemError
 from mrap.evaluation import EvalReport, EvalRow
 from mrap.graph import Direction, KnowledgeGraph, Vocabulary, build_graph
 from mrap.ingest import DatasetBundle, Split, load_dataset
-from mrap.propagation import PropagationConfig, PropagationState, _init_values, _link, run
+from mrap.propagation import PropagationConfig, PropagationState, _init_values, run
 from mrap.regression import (
     INNER_LABEL,
     AdmissionConfig,
+    EntryIndex,
     FitSummary,
     ModelRegistry,
     PathKey,
     RegressionModel,
     ragged,
+    relation_span,
     training_pairs,
 )
 
@@ -846,6 +848,48 @@ class _Paths(NamedTuple):
     @property
     def n(self) -> int:
         return len(self.src)
+
+
+def _link(
+    bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every active path as (src, tgt, model id), plus the models' eta, tau and weight rows.
+
+    Paths come edge by edge in stored edge order, each edge's forward paths
+    before its reverse ones, then the inner paths entity by entity. This
+    fixes the order in which each target's messages are summed.
+    """
+    graph, attrs = bundle.graph, bundle.attrs
+    n_types, attr = attrs.n_types, attrs.attr_ids
+    shape = (2, relation_span(graph, registry), n_types, n_types)
+    relational = np.full(shape, -1, dtype=np.int32)  # direction, relation, dep, indep
+    inner = np.full((n_types, n_types), -1, dtype=np.int32)  # dep, indep
+    params = []
+    for key, model in registry.models.items():
+        if not cfg.allows(key):
+            continue
+        if key.is_inner:
+            inner[key.dep, key.indep] = len(params)
+        else:
+            relational[key.direction, key.relation, key.dep, key.indep] = len(params)
+        params.append((model.eta, model.tau, model.weight))
+    models = np.array(params, dtype=np.float64).reshape(-1, 3).T.copy()
+
+    index = EntryIndex.of(attrs, graph.n_entities)
+    edge, head_e, tail_e = index.edge_pairs(graph)
+    relation = graph.edge_array[edge, 1]
+    fwd = relational[Direction.FORWARD, relation, attr[tail_e], attr[head_e]]
+    rev = relational[Direction.REVERSE, relation, attr[head_e], attr[tail_e]]
+    f, r = fwd >= 0, rev >= 0
+    # a stable sort of two runs that are each in edge order is one merge
+    order = np.argsort(np.concatenate([edge[f], edge[r]]), kind="stable")
+    dep_e, src_e = index.node_pairs()
+    ind = inner[attr[dep_e], attr[src_e]]
+    i = ind >= 0
+    src = np.concatenate([np.concatenate([head_e[f], tail_e[r]])[order], src_e[i]])
+    tgt = np.concatenate([np.concatenate([tail_e[f], head_e[r]])[order], dep_e[i]])
+    mid = np.concatenate([np.concatenate([fwd[f], rev[r]])[order], ind[i]])
+    return src, tgt, mid, models
 
 
 def _build_paths(bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig) -> _Paths:

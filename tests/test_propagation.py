@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import (
     _build_paths,
+    _link,
     aggregate,
     bench_generate,
     collect_messages,
@@ -24,8 +27,33 @@ from mrap.attributes import Status
 from mrap.errors import SingularSystemError
 from mrap.graph import Direction
 from mrap.ingest import Split, SplitSpec, split_attributes, subsample_observed
-from mrap.propagation import PropagationConfig, run
-from mrap.regression import AdmissionConfig, PathKey, build_registry, derive_reverse
+from mrap import propagation
+from mrap.propagation import (
+    PropagationConfig,
+    _compile,
+    _incidences,
+    _inflow,
+    _init_values,
+    _jagged,
+    _Operator,
+    _paths,
+    run,
+)
+from mrap.regression import AdmissionConfig, PathKey, build_registry, derive_reverse, ragged
+
+CONFIGS = [PropagationConfig(), PropagationConfig(no_inner=True), PropagationConfig(no_cross=True)]
+CONFIG_IDS = ["full", "no_inner", "no_cross"]
+
+
+def bench_bundle(seed: int, observed_fraction: float, **spec):
+    """A ``bench/generate.py`` graph, split and subsampled with ``seed``."""
+    generate = bench_generate()
+    edges, values, present = generate.generate(generate.GraphSpec(**spec), seed=seed)
+    triples = [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in edges.tolist()]
+    ents, types = np.nonzero(present)
+    rows = [(f"e{e}", f"a{k}", float(values[e, k])) for e, k in zip(ents.tolist(), types.tolist())]
+    bundle = split_attributes(*load_rows(triples, rows), SplitSpec(seed=seed))
+    return subsample_observed(bundle, observed_fraction, seed=seed)
 
 
 class FakeMessage:
@@ -174,6 +202,156 @@ class TestBuildPaths:
         assert _build_paths(bundle, registry_of(), PropagationConfig()).n == 0
 
 
+class TestTargetMajorCompile:
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+    def test_paths_are_the_edge_major_oracle_sorted_by_target(self, cfg):
+        # self-loops, parallel edges, attribute-less and attribute-only
+        # entities, relations without models
+        rng = np.random.default_rng(41)
+        for _ in range(25):
+            bundle, registry = random_instance(rng, quirks=True)
+            attrs, n = bundle.attrs, bundle.attrs.n_entries
+            src, tgt, mid, params = _link(bundle, registry, cfg)
+            order = np.argsort(tgt, kind="stable")
+            inc = _incidences(bundle, registry, cfg)
+            np.testing.assert_array_equal(inc.params, params)
+            # blocks cut at any entity boundaries give the same paths
+            cuts = np.sort(rng.choice(inc.entries, size=3)).tolist()
+            blocks = [_paths(inc, attrs, t0, t1) for t0, t1 in zip([0] + cuts, cuts + [n])]
+            for got, want in zip(zip(*blocks), (src, tgt, mid)):
+                np.testing.assert_array_equal(np.concatenate(got), want[order])
+            # the plan counts every entry's messages, and those from any sources
+            np.testing.assert_array_equal(_inflow(inc, attrs, np.ones(n, dtype=bool)), np.bincount(tgt, minlength=n))
+            sources = rng.random(n) < 0.5
+            np.testing.assert_array_equal(_inflow(inc, attrs, sources), np.bincount(tgt[sources[src]], minlength=n))
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+    def test_product_is_bit_equal_to_bincount_over_the_oracle_paths(self, cfg):
+        rng = np.random.default_rng(42)
+        for _ in range(25):
+            bundle, registry = random_instance(rng, quirks=True)
+            n = bundle.attrs.n_entries
+            op, n_msgs, weight_sum = _compile(bundle, registry, cfg, _init_values(bundle))
+            src, tgt, mid, (eta, _, weight) = _link(bundle, registry, cfg)
+            row_of = np.full(n, len(op.live))
+            row_of[op.live] = np.arange(len(op.live))
+            live = (row_of[src] < len(op.live)) & (row_of[tgt] < len(op.live))
+            a = weight[mid[live]] * eta[mid[live]] / weight_sum[tgt[live]]
+            x = rng.normal(size=n) * 1e3
+            want = np.bincount(row_of[tgt[live]], weights=a * x[src[live]], minlength=len(op.live))
+            np.testing.assert_array_equal(op.product(x).view(np.int64), want.view(np.int64))
+            targets = bundle.target_indices()
+            np.testing.assert_array_equal(n_msgs[targets], np.bincount(tgt, minlength=n)[targets])
+
+    def test_incidence_order_past_one_radix_digit(self):
+        # more than 2**16 entities: the incidences are ordered in two stable
+        # 16-bit passes, with no combined (entity, edge) code to overflow
+        rng = np.random.default_rng(47)
+        n = 70_000
+        heads, tails = rng.integers(0, n, 2 * n), rng.integers(0, n, 2 * n)
+        triples = [(f"e{h}", "r", f"e{t}") for h, t in zip(heads.tolist(), tails.tolist())]
+        observed = {(f"e{e}", "v"): float(e % 7) for e in range(0, n, 2)}
+        missing = {(f"e{e}", "v"): 0.0 for e in range(1, n, 2)}
+        bundle = make_bundle(triples, observed, missing, attr_order=("v",))
+        assert bundle.graph.n_entities > 2**16
+        fwd = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 0.5, 1.0, 1.0)
+        registry = registry_of(fwd, derive_reverse(fwd))
+        src, tgt, mid, _ = _link(bundle, registry, PropagationConfig())
+        order = np.argsort(tgt, kind="stable")
+        inc = _incidences(bundle, registry, PropagationConfig())
+        for got, want in zip(_paths(inc, bundle.attrs, 0, bundle.attrs.n_entries), (src, tgt, mid)):
+            np.testing.assert_array_equal(got, want[order])
+
+    def test_empty_registry_has_no_paths_and_no_live_rows(self):
+        bundle, _ = random_instance(np.random.default_rng(43), quirks=True)
+        inc = _incidences(bundle, registry_of(), PropagationConfig())
+        src, tgt, mid = _paths(inc, bundle.attrs, 0, bundle.attrs.n_entries)
+        assert len(src) == len(tgt) == len(mid) == 0
+        op, n_msgs, _ = _compile(bundle, registry_of(), PropagationConfig(), _init_values(bundle))
+        assert len(op.live) == 0 and op.widths == [] and op.product(_init_values(bundle)).shape == (0,)
+        assert not n_msgs.any()
+
+    def test_paths_only_into_observed_entries_leave_no_live_rows(self):
+        bundle = make_bundle(
+            [("a", "p", "b")],
+            {("a", "v"): 1.0, ("b", "v"): 5.0},
+            {("loner", "v"): 0.0},
+            attr_order=("v",),
+        )
+        fwd = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 2.0, 1.0, 1.0)
+        registry = registry_of(fwd, derive_reverse(fwd))
+        state, report = run(bundle, registry, PropagationConfig())
+        assert state.converged and report.n_silent == 1
+        assert report.trace[-1][3] == pytest.approx(loss(bundle, registry, state), rel=1e-12)
+
+    def test_plan_counts_bits_without_numpy_2(self, monkeypatch):
+        # np.bitwise_count is NumPy 2 only; the package supports numpy>=1.24
+        bundle, registry = random_instance(np.random.default_rng(45), quirks=True)
+        want, _ = run(bundle, registry)
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        got, _ = run(bundle, registry)
+        np.testing.assert_array_equal(got.values.view(np.int64), want.values.view(np.int64))
+
+    def test_a_block_that_misses_its_plan_raises(self, monkeypatch):
+        bundle, registry = random_instance(np.random.default_rng(44), quirks=True)
+        assert _build_paths(bundle, registry, PropagationConfig()).n > 0
+        build = propagation._paths
+        monkeypatch.setattr(propagation, "_paths", lambda *args: tuple(column[1:] for column in build(*args)))
+        with pytest.raises(RuntimeError, match="planned"):
+            run(bundle, registry)
+
+    def test_run_peak_memory_is_a_small_multiple_of_the_operator(self):
+        # sparse-mix shape at 2,000 entities: the operator, one product's
+        # terms, the per-edge plan and one block's paths peak at 3.2x the
+        # operator's bytes; a compile that holds every path at once, as one
+        # edge-major join does, peaks near 5x
+        bundle = bench_bundle(
+            3, 0.2, entities=2000, edges_per_entity=5, relations=20, noise_relations=0, types=6, density=0.5
+        )
+        registry = build_registry(bundle, AdmissionConfig())
+        op = _compile(bundle, registry, PropagationConfig(), _init_values(bundle))[0]
+        op_bytes = sum(field.nbytes for field in op if isinstance(field, np.ndarray))
+        del op
+        tracemalloc.start()
+        try:
+            run(bundle, registry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0 * op_bytes
+
+
+class TestJaggedSweep:
+    """``A x`` as a slice-add per jagged diagonal adds what ``bincount`` adds, in its order."""
+
+    @staticmethod
+    def assert_sweep_is_bincount(degree, terms):
+        degree = np.asarray(degree, dtype=np.int64)
+        rows, k = ragged(degree)  # each row's terms in order
+        rank, widths, start = _jagged(degree)
+        a = np.empty(len(terms))
+        a[start[k] + rank[rows]] = terms
+        op = _Operator(np.arange(len(degree)), np.zeros(len(terms), dtype=np.int64), a, rank, widths, *[None] * 7)
+        want = np.bincount(rows, weights=terms, minlength=len(degree))
+        np.testing.assert_array_equal(op.product(np.ones(1)).view(np.int64), want.view(np.int64))
+
+    def test_random_operators(self):
+        rng = np.random.default_rng(45)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            degree = rng.integers(0, 9, n) * (rng.random(n) < 0.8)  # some rows with no live source
+            m = int(degree.sum())
+            self.assert_sweep_is_bincount(degree, rng.normal(size=m) * 10.0 ** rng.integers(-12, 12, m))
+
+    def test_one_row_holds_every_entry(self):
+        rng = np.random.default_rng(46)
+        self.assert_sweep_is_bincount([0, 0, 57, 0], rng.normal(size=57) * 10.0 ** rng.integers(-12, 12, 57))
+
+    def test_negative_zero_terms(self):
+        # from zero, rows of -0.0 terms sum to +0.0, as bincount's do
+        self.assert_sweep_is_bincount([1, 2, 0, 3, 1], [-0.0, -0.0, -0.0, 1.5, -0.0, -1.5, -0.0])
+
+
 class TestRun:
     def test_two_node_chain(self):
         bundle = make_bundle(
@@ -283,6 +461,13 @@ class TestRun:
         assert state.converged
         assert report.n_targets == 0
         np.testing.assert_array_equal(state.values, bundle.attrs.values)
+
+    def test_triples_without_attribute_entries_converge_immediately(self):
+        bundle = make_bundle([("a", "p", "b"), ("b", "p", "b")], {})
+        assert bundle.attrs.n_types == bundle.attrs.n_entries == 0
+        state, report = run(bundle, registry_of(), PropagationConfig())
+        assert state.converged and state.values.shape == (0,)
+        assert report.n_targets == 0 and report.trace == []
 
     def test_imputed_table_marks_targets(self):
         from mrap.attributes import Status
@@ -436,16 +621,9 @@ class TestLoss:
     def test_trace_loss_equals_loss_at_year_magnitudes(self):
         # values near 2000 with residuals of a few units: an uncentered form
         # of the loss would lose digits to cancellation here
-        generate = bench_generate()
-        spec = generate.GraphSpec(
-            entities=1500, edges_per_entity=5, relations=10, noise_relations=0, types=3, density=0.5
+        bundle = bench_bundle(
+            5, 0.2, entities=1500, edges_per_entity=5, relations=10, noise_relations=0, types=3, density=0.5
         )
-        edges, values, present = generate.generate(spec, seed=5)
-        triples = [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in edges.tolist()]
-        ents, types = np.nonzero(present)
-        rows = [(f"e{e}", f"a{k}", float(values[e, k])) for e, k in zip(ents.tolist(), types.tolist())]
-        bundle = split_attributes(*load_rows(triples, rows), SplitSpec(seed=5))
-        bundle = subsample_observed(bundle, 0.2, seed=5)
         registry = build_registry(bundle, AdmissionConfig())
         assert np.median(np.abs(bundle.attrs.values)) > 1900.0
         for k in (1, 2, 5, 10, 20, 40):
