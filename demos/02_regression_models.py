@@ -49,8 +49,8 @@ print(f"  r^2 = {fit.r2:.3f}, weight = 1/sigma^2 = {1 / sigma2:.4f}\n")
 
 # the same machinery through the registry, which also derives reverses
 registry = build_registry(bundle, AdmissionConfig(min_support=5))
-forward = registry.get(key)
-reverse = registry.get(key.reversed())
+forward = registry.models[key]
+reverse = registry.models[key.reversed()]
 print("registry models:")
 print(f"  forward: eta={forward.eta:.4f} tau={forward.tau:.2f} weight={forward.weight:.4f}")
 print(f"  reverse: eta={reverse.eta:.4f} tau={reverse.tau:.2f} weight={reverse.weight:.4f}")

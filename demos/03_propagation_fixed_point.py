@@ -29,19 +29,20 @@ bundle = DatasetBundle(graph=graph, attrs=table.with_status(status), split=split
 key = PathKey.relational(0, 0, 0, Direction.FORWARD)
 forward = RegressionModel(
     key=key, eta=1.0, tau=1.0, sigma2=1.0, weight=1.0,
-    fit=FitSummary(support=10, mu_x=0.0, mu_y=0.0, r2=0.9),
+    fit=FitSummary(support=10, r2=0.9),
 )
 registry = ModelRegistry(models={key: forward, key.reversed(): derive_reverse(forward)})
 
-state, report = run(bundle, registry, PropagationConfig(damping=0.5, max_iters=1000))
-print(f"converged={state.converged} after {report.iterations} iterations")
+# run returns the final values, aligned with the attribute entries, and a report
+values, report = run(bundle, registry, PropagationConfig(damping=0.5, max_iters=1000))
+print(f"converged={report.converged} after {report.iterations} iterations")
 print("first iterations of the trace (iter, type, max_delta, loss):")
 for row in report.trace[:6]:
     print(f"  {row[0]:3d}  {row[1]}  delta={row[2]:.6f}  loss={row[3]:.6f}")
 
 idx_b, idx_c, idx_a = table.lookup([graph.entities.id(n) for n in "bca"], [0, 0, 0])
-print(f"\nimputed: b={state.values[idx_b]:.12f}  c={state.values[idx_c]:.12f}")
-print(f"clamped anchor a stays at {state.values[idx_a]} (loaded value)")
+print(f"\nimputed: b={values[idx_b]:.12f}  c={values[idx_c]:.12f}")
+print(f"clamped anchor a stays at {values[idx_a]} (loaded value)")
 
 # at the fixed point each hidden value is the weighted mean of its messages:
 # b = ((a + 1) + (c - 1)) / 2 from both neighbors (equal weights), and
@@ -53,8 +54,8 @@ for name, value in zip("bc", solution):
 
 # any damping factor reaches the same fixed point, only the speed changes
 for damping in (0.25, 0.5, 1.0):
-    state_d, report_d = run(bundle, registry, PropagationConfig(damping=damping, max_iters=2000))
+    values_d, report_d = run(bundle, registry, PropagationConfig(damping=damping, max_iters=2000))
     print(
-        f"damping {damping:4.2f}: b={state_d.values[idx_b]:.9f} "
+        f"damping {damping:4.2f}: b={values_d[idx_b]:.9f} "
         f"in {report_d.iterations} iterations"
     )

@@ -48,6 +48,7 @@ print(f"split: {train} train (observed) / {dev} dev / {test} test\n")
 admission = AdmissionConfig(min_support=5, r2_min=0.05)
 registry = build_registry(bundle, admission)
 print(f"{len(registry)} regression models admitted (rejections: {registry.rejections})")
+# one path per (source entry, model, target entry): the paths the propagation builds
 print(f"{count_paths(bundle.graph, registry, bundle.attrs)} message passing paths\n")
 
 cfg = PropagationConfig(damping=0.5, conv_frac=0.001, max_iters=500)
@@ -66,7 +67,8 @@ print("test-split errors (asterisk: Global beats Local):")
 print(format_report_table(reports))
 
 print("ablations on the same split:")
-ablation_reports = ablation_suite(bundle, cfg, registry=registry, setup="100%")
+# all three variants share the registry and differ only in the message filter flags
+ablation_reports = ablation_suite(bundle, cfg, registry, setup="100%")
 print(format_report_table(ablation_reports, merge_local_global=False))
 print(
     "without cross-type messages nothing predictive remains here, so the\n"

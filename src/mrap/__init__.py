@@ -16,7 +16,6 @@ from .errors import (
     MrapError,
     NonInvertibleSlopeError,
     ParseError,
-    SingularSystemError,
 )
 from .evaluation import (
     EvalReport,
@@ -46,7 +45,6 @@ from .ingest import (
 from .propagation import (
     ImputationReport,
     PropagationConfig,
-    PropagationState,
     run,
     write_imputations,
     write_trace,

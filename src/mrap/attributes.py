@@ -22,7 +22,6 @@ from .graph import Vocabulary
 class Status(IntEnum):
     OBSERVED = 0
     MISSING = 1
-    IMPUTED = 2
 
 
 @dataclass

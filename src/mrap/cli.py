@@ -173,16 +173,20 @@ def _parse_bool(text: str) -> bool:
 
 def read_config_file(path: str) -> dict[str, str]:
     """Flat ``key=value`` lines; blank lines and # comments skipped."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -277,7 +281,7 @@ def load_or_fit_registry(cfg: RunConfig, bundle: DatasetBundle, write_if_built: 
     models_path = _out_path(cfg, MODELS_FILE)
     if models_path.exists():
         with open(models_path, "rb") as fh:
-            registry = read_model_dump(fh, bundle.graph, bundle.attrs, cfg.admission)
+            registry = read_model_dump(fh, bundle.graph, bundle.attrs)
         logger.info("models restored from %s", models_path)
         return registry
     registry = build_registry(bundle, cfg.admission)
@@ -363,8 +367,8 @@ def cmd_fit(cfg: RunConfig) -> int:
 def cmd_impute(cfg: RunConfig) -> int:
     bundle = load_bundle(cfg)
     registry = load_or_fit_registry(cfg, bundle, write_if_built=True)
-    state, report = run(bundle, registry, cfg.propagation)
-    write_imputations(_out_path(cfg, IMPUTED_FILE), bundle, state, report)
+    values, report = run(bundle, registry, cfg.propagation)
+    write_imputations(_out_path(cfg, IMPUTED_FILE), bundle, values, report)
     write_trace(_out_path(cfg, TRACE_FILE), report)
     print(
         f"{report.n_targets} targets imputed in {report.iterations} iterations "

@@ -153,10 +153,13 @@ def write_table(
 
     A column is a sequence of strings or a numpy array. Float arrays are
     written at 17 significant digits (``%.17g``), integer arrays in full.
+    With ``sep=","`` a string that holds a comma or a double quote is quoted
+    as in RFC 4180: enclosed in double quotes, each of its own doubled.
     """
     texts = [
         map(("%.17g" if column.dtype.kind == "f" else "%d").__mod__, column.tolist())
         if isinstance(column, np.ndarray)
+        else map(_csv_field, column) if sep == ","
         else column
         for column in columns
     ]
@@ -164,6 +167,10 @@ def write_table(
     lines.extend(map(sep.join, zip(*texts)))
     lines.append("")  # every line ends with a newline
     write_text(path, "\n".join(lines))
+
+
+def _csv_field(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
 
 
 def write_text(path: str | os.PathLike, text: str) -> None:

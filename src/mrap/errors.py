@@ -34,17 +34,5 @@ class NonInvertibleSlopeError(FitError):
     """Slope too close to zero for the reverse model to be derived."""
 
 
-class SingularSystemError(MrapError):
-    """The fixed-point linear system has a singular component.
-
-    ``targets`` lists the (entity label, attribute label) pairs that form the
-    underdetermined component.
-    """
-
-    def __init__(self, message: str, targets: list[tuple[str, str]]):
-        super().__init__(message)
-        self.targets = targets
-
-
 class ConfigError(MrapError):
     """Invalid configuration value or combination (usage error for the CLI)."""

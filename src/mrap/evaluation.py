@@ -10,8 +10,6 @@ the held-out values, on the entries of one split.
 """
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import os
 from dataclasses import dataclass, field, replace
@@ -19,10 +17,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .attributes import Status
-from .codec import write_text
+from .codec import write_table
 from .ingest import DatasetBundle, Split
 from .propagation import PropagationConfig, run
-from .regression import AdmissionConfig, ModelRegistry, build_registry, ragged
+from .regression import ModelRegistry, ragged
 
 logger = logging.getLogger(__name__)
 
@@ -152,17 +150,16 @@ def evaluate(
 
 def propagation_predictions(bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig):
     """Run propagation and return (prediction vector with the targets filled, report)."""
-    state, report = run(bundle, registry, cfg)
+    values, report = run(bundle, registry, cfg)
     preds = np.full(bundle.attrs.n_entries, np.nan)
-    preds[report.target_entries] = state.values[report.target_entries]
+    preds[report.target_entries] = values[report.target_entries]
     return preds, report
 
 
 def ablation_suite(
     bundle: DatasetBundle,
-    cfg: PropagationConfig | None = None,
-    admission: AdmissionConfig | None = None,
-    registry: ModelRegistry | None = None,
+    cfg: PropagationConfig,
+    registry: ModelRegistry,
     split: Split = Split.TEST,
     setup: str = "",
 ) -> list[EvalReport]:
@@ -172,8 +169,6 @@ def ablation_suite(
     flags, so the comparison isolates the contribution of within-node and
     cross-type messages.
     """
-    cfg = cfg or PropagationConfig()
-    registry = registry or build_registry(bundle, admission)
     reports = []
     variants = (
         ("MrAP", replace(cfg, no_cross=False, no_inner=False)),
@@ -190,23 +185,10 @@ def ablation_suite(
 
 def write_report_csv(path: str | os.PathLike, reports: list[EvalReport]) -> None:
     """One CSV row per (method, attribute type), written atomically."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["method", "setup", "attr_type", "mae", "rmse", "n_test", "n_unpredicted"])
-    for report in reports:
-        for row in report.rows:
-            writer.writerow(
-                [
-                    report.method,
-                    report.setup,
-                    row.attr,
-                    f"{row.mae:.17g}",
-                    f"{row.rmse:.17g}",
-                    row.n,
-                    row.n_unpredicted,
-                ]
-            )
-    write_text(path, buf.getvalue())
+    rows = [(r.method, r.setup, row.attr, row.mae, row.rmse, row.n, row.n_unpredicted) for r in reports for row in r.rows]
+    method, setup, attr, mae, rmse, n, n_unpredicted = zip(*rows) if rows else ((),) * 7
+    columns = [method, setup, attr, np.array(mae), np.array(rmse), np.array(n, dtype=np.int64), np.array(n_unpredicted, dtype=np.int64)]
+    write_table(path, columns, sep=",", header="method,setup,attr_type,mae,rmse,n_test,n_unpredicted")
 
 
 def format_report_table(reports: list[EvalReport], merge_local_global: bool = True) -> str:

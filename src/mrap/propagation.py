@@ -11,8 +11,9 @@ operator over the live targets (missing entries that receive a message):
 ``x <- (1 - d) x + d (A x + c)``. ``A`` holds ``w * eta / q`` per path
 between two live entries, with ``q`` the target's total weight; ``c`` folds
 in the intercepts and every prediction from a fixed source (an observed
-entry or a silent target). The compile counts each entry's messages first,
-then builds the paths target by target, in blocks of whole entities, so no
+entry or a silent target). The compile counts each entry's messages first
+(the plan of :mod:`mrap.regression`, which ``count_paths`` sums), then
+builds the paths target by target, in blocks of whole entities, so no
 path-sized array outlives its block. ``A`` is stored as jagged diagonals
 (Saad, 1989): rows by degree, one contiguous slot per k-th entry of a row.
 
@@ -40,7 +41,7 @@ import numpy as np
 from .attributes import AttributeTable, Status
 from .codec import write_table
 from .ingest import DatasetBundle
-from .regression import ModelRegistry, PathKey, ragged, relation_span
+from .regression import Incidences, ModelRegistry, PathKey, incidences, inflow, ragged
 
 logger = logging.getLogger(__name__)
 
@@ -80,15 +81,6 @@ class PropagationConfig:
 
 
 @dataclass
-class PropagationState:
-    """Final value buffer plus convergence bookkeeping of a run."""
-
-    values: np.ndarray  # aligned with the bundle's attribute entries
-    iteration: int
-    converged: bool
-
-
-@dataclass
 class ImputationReport:
     iterations: int
     converged: bool
@@ -97,89 +89,13 @@ class ImputationReport:
     target_entries: np.ndarray = field(repr=False)
     n_messages: np.ndarray = field(repr=False)  # per target entry
     total_weight: np.ndarray = field(repr=False)
-    per_type_delta: dict[str, float] = field(default_factory=dict)
     trace: list[tuple[int, str, float, float]] = field(default_factory=list, repr=False)
 
 
 BLOCK = 32768  # compile work per block: (target entry, incidence) pairs plus candidate paths
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # set bits per byte
 
 
-class _Incidences(NamedTuple):
-    """Every way a message reaches an entity, in message order, with the active models.
-
-    Each edge is one forward incidence at its tail and one reverse incidence
-    at its head; each entity has one inner incidence with itself. Sorted by
-    target entity, then stored edge, forward first, inner last, they give a
-    target entry's messages in order, each incidence's by ascending source
-    entry, which is ascending source type. Model row ``kind * n_types + dep``
-    has its indep types at ``types[cols[row]:cols[row + 1]]``, and entity
-    ``e`` its entries' at ``types[entries[e]:entries[e + 1]]``.
-    """
-
-    src: np.ndarray  # source entity per incidence
-    kind: np.ndarray  # relation (forward), span + relation (reverse) or 2 span (inner)
-    first: np.ndarray  # per entity, plus one past the last: its first incidence
-    entries: np.ndarray  # per entity, plus one past the last: its first entry
-    entry_of: np.ndarray  # entity * n_types + type -> entry, -1 where none
-    model: np.ndarray  # (kind, dep, indep) -> model id, -1 where none is active
-    cols: np.ndarray
-    types: np.ndarray
-    params: np.ndarray  # (3, models): eta, tau, weight
-
-
-def _incidences(bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig) -> _Incidences:
-    graph, attrs = bundle.graph, bundle.attrs
-    n_types, n_entities = attrs.n_types, graph.n_entities
-    span = relation_span(graph, registry)
-    model = np.full((2 * span + 1, n_types, n_types), -1, dtype=np.int32)
-    params = []
-    for key, m in registry.models.items():
-        if cfg.allows(key):
-            model[2 * span if key.is_inner else key.direction * span + key.relation, key.dep, key.indep] = len(params)
-            params.append((m.eta, m.tau, m.weight))
-    model[2 * span, np.arange(n_types), np.arange(n_types)] = -1  # no entry messages itself
-    entry_of = np.full(n_entities * n_types, -1, dtype=np.int64)
-    entry_of[attrs.entity_ids * n_types + attrs.attr_ids] = np.arange(attrs.n_entries)
-
-    head, relation, tail = graph.edge_array.T
-    # edge by edge, forward into the tail, then reverse into the head; inner last
-    tgt = np.concatenate([np.column_stack([tail, head]).ravel(), np.arange(n_entities)])
-    src = np.concatenate([np.column_stack([head, tail]).ravel(), np.arange(n_entities)])
-    kind = np.concatenate([np.column_stack([relation, span + relation]).ravel(), np.full(n_entities, 2 * span)])
-    order = np.arange(len(tgt))
-    for shift in range(0, max(n_entities - 1, 1).bit_length(), 16):  # stable radix passes: no combined code
-        order = order[np.argsort((tgt[order] >> shift).astype(np.uint16), kind="stable")]
-    return _Incidences(
-        src[order],
-        kind[order],
-        np.concatenate([[0], np.cumsum(np.bincount(tgt, minlength=n_entities))]),
-        np.concatenate([[0], np.cumsum(np.bincount(attrs.entity_ids, minlength=n_entities))]),
-        entry_of,
-        model,
-        attrs.n_entries + np.concatenate([[0], np.cumsum((model >= 0).sum(axis=2))]),
-        np.concatenate([attrs.attr_ids, np.nonzero(model >= 0)[2]]),  # row-major: ascending in each row
-        np.array(params, dtype=np.float64).reshape(-1, 3).T.copy(),
-    )
-
-
-def _inflow(inc: _Incidences, attrs: AttributeTable, source: np.ndarray) -> np.ndarray:
-    """Per entry: its messages from the entries the boolean ``source`` marks.
-
-    An incidence carries one message per type present at its source that has
-    a model with the target's type as dep, counted as bits.
-    """
-    present = np.zeros((len(inc.first) - 1, attrs.n_types), dtype=bool)
-    present[attrs.entity_ids[source], attrs.attr_ids[source]] = True
-    have = np.packbits(present, axis=1, bitorder="little")[inc.src]
-    rows = np.packbits(inc.model >= 0, axis=2, bitorder="little")  # kind, dep, bits of indep
-    per_entity = np.zeros(present.shape, dtype=np.int64)
-    for d in range(attrs.n_types):
-        per_entity[:, d] = np.add.reduceat(_POPCOUNT[rows[:, d][inc.kind] & have].sum(axis=1, dtype=np.int64), inc.first[:-1])
-    return per_entity[attrs.entity_ids, attrs.attr_ids]
-
-
-def _paths(inc: _Incidences, attrs: AttributeTable, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _paths(inc: Incidences, attrs: AttributeTable, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(src, tgt, model id) of every path into the entries ``t0:t1``, in message order.
 
     Each (target entry, incidence) pair walks the shorter of two ascending
@@ -302,14 +218,14 @@ def _compile(
     attrs = bundle.attrs
     n, attr = attrs.n_entries, attrs.attr_ids
     clock = time.perf_counter()
-    inc = _incidences(bundle, registry, cfg)
-    planned = _inflow(inc, attrs, np.ones(n, dtype=bool))
+    inc = incidences(bundle.graph, registry, attrs, cfg.allows)
+    planned = inflow(inc, attrs, np.ones(n, dtype=bool))
     logger.info("paths: %d built in %.3f s", planned.sum(), time.perf_counter() - clock)
 
     clock = time.perf_counter()
     missing = attrs.status == Status.MISSING
     is_live = missing & (planned > 0)  # a target with a message
-    degree = np.where(is_live, _inflow(inc, attrs, is_live), 0)  # messages from live sources
+    degree = np.where(is_live, inflow(inc, attrs, is_live), 0)  # messages from live sources
     # rows in entry order within a degree, so that a block writes each slot in runs
     rank, widths, start = _jagged(degree[is_live])
     slot_of = np.zeros(n, dtype=np.int64)
@@ -362,11 +278,12 @@ def run(
     registry: ModelRegistry,
     cfg: PropagationConfig | None = None,
     initial: np.ndarray | None = None,
-) -> tuple[PropagationState, ImputationReport]:
+) -> tuple[np.ndarray, ImputationReport]:
     """Propagate until every attribute type's max delta drops below tolerance.
 
-    Returns the final state plus a report with per-target message counts and
-    a per-iteration trace of (iteration, type, max delta, total loss).
+    Returns the final values, aligned with the attribute entries, plus a
+    report with per-target message counts and a per-iteration trace of
+    (iteration, type, max delta, total loss).
     Non-convergence within ``max_iters`` is reported, not raised. ``initial``
     warm-starts the target values (observed entries are clamped regardless).
     """
@@ -388,7 +305,6 @@ def run(
     live_types = live_attr[type_starts]
 
     trace: list[tuple[int, str, float, float]] = []
-    per_type_delta = {attr: 0.0 for attr in ranges}
     converged = not ranges  # nothing to impute converges immediately
     iteration = 0
     clock = time.perf_counter()
@@ -404,7 +320,6 @@ def run(
         converged = True
         for attr in ranges:
             d = float(max_delta[attr])
-            per_type_delta[attr] = d
             trace.append((iteration, type_labels[attr], d, loss_now))
             # delta == 0 counts as converged even when the range (and so the
             # tolerance) is zero for a constant-valued type
@@ -425,7 +340,6 @@ def run(
     if not converged:
         logger.warning("propagation did not converge in %d iterations", cfg.max_iters)
 
-    state = PropagationState(values=values, iteration=iteration, converged=converged)
     report = ImputationReport(
         iterations=iteration,
         converged=converged,
@@ -434,20 +348,19 @@ def run(
         target_entries=targets,
         n_messages=n_msgs[targets],
         total_weight=weight_sum[targets],
-        per_type_delta={type_labels[a]: d for a, d in per_type_delta.items()},
         trace=trace,
     )
-    return state, report
+    return values, report
 
 
 def write_imputations(
-    path: str | os.PathLike, bundle: DatasetBundle, state: PropagationState, report: ImputationReport
+    path: str | os.PathLike, bundle: DatasetBundle, values: np.ndarray, report: ImputationReport
 ) -> None:
     """``entity<TAB>attr<TAB>value<TAB>n_messages<TAB>total_weight`` per target."""
     attrs, targets = bundle.attrs, report.target_entries
     entities = bundle.graph.entities.labels_of(attrs.entity_ids[targets])
     types = attrs.types.labels_of(attrs.attr_ids[targets])
-    write_table(path, [entities, types, state.values[targets], report.n_messages, report.total_weight])
+    write_table(path, [entities, types, values[targets], report.n_messages, report.total_weight])
 
 
 def write_trace(path: str | os.PathLike, report: ImputationReport) -> None:

@@ -12,16 +12,19 @@ Within-node models between two attribute types of the same entity follow the
 same scheme with the node set in place of the edge set; the canonical fit
 direction regresses the higher attribute id on the lower one and the swapped
 model is derived.
+
+The module also plans the message paths of the propagation from the edge
+and entry arrays: per attribute entry, the number of (source entry, model)
+pairs that predict it. :func:`count_paths` is the total of that plan.
 """
 from __future__ import annotations
 
 import logging
-import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -41,6 +44,8 @@ logger = logging.getLogger(__name__)
 
 INNER_LABEL = "INNER"
 _DIRECTION_NAMES = {Direction.FORWARD: "forward", Direction.REVERSE: "reverse"}
+VAR_FLOOR_SCALE = 1e-12  # residual variance floor, times the squared range of the dep type
+ETA_MIN_SCALE = 1e-9  # smallest invertible slope, times the dep range over the indep range
 
 
 @dataclass(frozen=True)
@@ -95,8 +100,6 @@ class PathKey:
 @dataclass(frozen=True)
 class FitSummary:
     support: int
-    mu_x: float
-    mu_y: float
     r2: float
     derived_reverse: bool = False
 
@@ -129,16 +132,12 @@ class AdmissionConfig:
     min_support: int = 5
     r2_min: float = 0.0
     exclusions: tuple[tuple[str, str, str | None], ...] = ()
-    var_floor_scale: float = 1e-12
-    eta_min_scale: float = 1e-9
 
     def __post_init__(self):
         if self.min_support < 2:
             raise ValueError("min_support must be at least 2")
         if not 0.0 <= self.r2_min <= 1.0:
             raise ValueError("r2_min must lie in [0, 1]")
-        if self.var_floor_scale <= 0 or self.eta_min_scale <= 0:
-            raise ValueError("scales must be positive")
 
     @staticmethod
     def parse_exclusions(specs: Iterable[str]) -> tuple[tuple[str, str, str | None], ...]:
@@ -175,17 +174,10 @@ class ModelRegistry:
     """Admitted models keyed by path, frozen after construction."""
 
     models: dict[PathKey, RegressionModel]
-    admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     rejections: dict[str, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.models)
-
-    def __contains__(self, key: PathKey) -> bool:
-        return key in self.models
-
-    def get(self, key: PathKey) -> RegressionModel | None:
-        return self.models.get(key)
 
 
 def fit_simple_regression(
@@ -214,7 +206,7 @@ def fit_simple_regression(
     sigma2 = float(np.mean(resid * resid))
     var_y = float(np.mean((y - mu_y) ** 2))
     r2 = 1.0 if var_y == 0.0 else min(1.0, max(0.0, 1.0 - sigma2 / var_y))
-    return eta, tau, sigma2, FitSummary(support=n, mu_x=mu_x, mu_y=mu_y, r2=r2)
+    return eta, tau, sigma2, FitSummary(support=n, r2=r2)
 
 
 def derive_reverse(model: RegressionModel, eta_min: float = 0.0) -> RegressionModel:
@@ -230,9 +222,7 @@ def derive_reverse(model: RegressionModel, eta_min: float = 0.0) -> RegressionMo
         tau=-model.tau / model.eta,
         sigma2=model.sigma2 / eta2,
         weight=eta2 / model.sigma2,
-        fit=replace(
-            model.fit, mu_x=model.fit.mu_y, mu_y=model.fit.mu_x, derived_reverse=True
-        ),
+        fit=replace(model.fit, derived_reverse=True),
     )
 
 
@@ -289,6 +279,105 @@ class EntryIndex(NamedTuple):
         keep = i != j
         base = self.starts[entity[keep]]
         return self.entries[base + i[keep]], self.entries[base + j[keep]]
+
+
+def relation_span(graph: KnowledgeGraph, registry: ModelRegistry) -> int:
+    """One more than the largest relation id of the graph or of a registry key."""
+    return max([graph.n_relations] + [k.relation + 1 for k in registry.models if not k.is_inner])
+
+
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # set bits per byte
+
+
+class Incidences(NamedTuple):
+    """Every way a message reaches an entity, in message order, with the active models.
+
+    Each edge is one forward incidence at its tail and one reverse incidence
+    at its head; each entity has one inner incidence with itself. Sorted by
+    target entity, then stored edge, forward first, inner last, they give a
+    target entry's messages in order, each incidence's by ascending source
+    entry, which is ascending source type. Model row ``kind * n_types + dep``
+    has its indep types at ``types[cols[row]:cols[row + 1]]``, and entity
+    ``e`` its entries' at ``types[entries[e]:entries[e + 1]]``.
+    """
+
+    src: np.ndarray  # source entity per incidence
+    kind: np.ndarray  # relation (forward), span + relation (reverse) or 2 span (inner)
+    first: np.ndarray  # per entity, plus one past the last: its first incidence
+    entries: np.ndarray  # per entity, plus one past the last: its first entry
+    entry_of: np.ndarray  # entity * n_types + type -> entry, -1 where none
+    model: np.ndarray  # (kind, dep, indep) -> model id, -1 where none is active
+    cols: np.ndarray
+    types: np.ndarray
+    params: np.ndarray  # (3, models): eta, tau, weight
+
+
+def incidences(
+    graph: KnowledgeGraph,
+    registry: ModelRegistry,
+    attrs: AttributeTable,
+    allows: Callable[[PathKey], bool],
+) -> Incidences:
+    """The incidences of the graph, with the models that ``allows`` keeps active."""
+    n_types, n_entities = attrs.n_types, graph.n_entities
+    span = relation_span(graph, registry)
+    model = np.full((2 * span + 1, n_types, n_types), -1, dtype=np.int32)
+    params = []
+    for key, m in registry.models.items():
+        if allows(key):
+            model[2 * span if key.is_inner else key.direction * span + key.relation, key.dep, key.indep] = len(params)
+            params.append((m.eta, m.tau, m.weight))
+    model[2 * span, np.arange(n_types), np.arange(n_types)] = -1  # no entry messages itself
+    entry_of = np.full(n_entities * n_types, -1, dtype=np.int64)
+    entry_of[attrs.entity_ids * n_types + attrs.attr_ids] = np.arange(attrs.n_entries)
+
+    head, relation, tail = graph.edge_array.T
+    # edge by edge, forward into the tail, then reverse into the head; inner last
+    tgt = np.concatenate([np.column_stack([tail, head]).ravel(), np.arange(n_entities)])
+    src = np.concatenate([np.column_stack([head, tail]).ravel(), np.arange(n_entities)])
+    kind = np.concatenate([np.column_stack([relation, span + relation]).ravel(), np.full(n_entities, 2 * span)])
+    order = np.arange(len(tgt))
+    for shift in range(0, max(n_entities - 1, 1).bit_length(), 16):  # stable radix passes: no combined code
+        order = order[np.argsort((tgt[order] >> shift).astype(np.uint16), kind="stable")]
+    return Incidences(
+        src[order],
+        kind[order],
+        np.concatenate([[0], np.cumsum(np.bincount(tgt, minlength=n_entities))]),
+        np.concatenate([[0], np.cumsum(np.bincount(attrs.entity_ids, minlength=n_entities))]),
+        entry_of,
+        model,
+        attrs.n_entries + np.concatenate([[0], np.cumsum((model >= 0).sum(axis=2))]),
+        np.concatenate([attrs.attr_ids, np.nonzero(model >= 0)[2]]),  # row-major: ascending in each row
+        np.array(params, dtype=np.float64).reshape(-1, 3).T.copy(),
+    )
+
+
+def inflow(inc: Incidences, attrs: AttributeTable, source: np.ndarray) -> np.ndarray:
+    """Per entry: its messages from the entries the boolean ``source`` marks.
+
+    An incidence carries one message per type present at its source that has
+    a model with the target's type as dep, counted as bits.
+    """
+    present = np.zeros((len(inc.first) - 1, attrs.n_types), dtype=bool)
+    present[attrs.entity_ids[source], attrs.attr_ids[source]] = True
+    have = np.packbits(present, axis=1, bitorder="little")[inc.src]
+    rows = np.packbits(inc.model >= 0, axis=2, bitorder="little")  # kind, dep, bits of indep
+    per_entity = np.zeros(present.shape, dtype=np.int64)
+    for d in range(attrs.n_types):
+        per_entity[:, d] = np.add.reduceat(_POPCOUNT[rows[:, d][inc.kind] & have].sum(axis=1, dtype=np.int64), inc.first[:-1])
+    return per_entity[attrs.entity_ids, attrs.attr_ids]
+
+
+def count_paths(graph: KnowledgeGraph, registry: ModelRegistry, attrs: AttributeTable) -> int:
+    """Number of message paths into the attribute entries under every model of the registry.
+
+    A path is one (source entry, model, target entry) triple: the model's
+    indep type at the source, its dep type at the target, over an edge in the
+    model's direction or within one entity. This is the ``paths:`` count of a
+    propagation run without ablation flags.
+    """
+    inc = incidences(graph, registry, attrs, lambda key: True)
+    return int(inflow(inc, attrs, np.ones(attrs.n_entries, dtype=bool)).sum())
 
 
 def _groups(codes: np.ndarray, ys: np.ndarray, xs: np.ndarray):
@@ -361,18 +450,16 @@ def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = No
             rejections["low_r2"] += 1
             continue
         dep_range = attrs.value_range(key.dep)
-        floor = admission.var_floor_scale * dep_range * dep_range
+        floor = VAR_FLOOR_SCALE * dep_range * dep_range
         if floor <= 0.0:
-            floor = admission.var_floor_scale  # constant-valued type: absolute floor
+            floor = VAR_FLOOR_SCALE  # constant-valued type: absolute floor
         sigma2 = max(sigma2, floor)
         model = RegressionModel(
             key=key, eta=eta, tau=tau, sigma2=sigma2, weight=1.0 / sigma2, fit=fit
         )
         models[key] = model
         indep_range = attrs.value_range(key.indep)
-        eta_min = (
-            admission.eta_min_scale * dep_range / indep_range if indep_range > 0.0 else 0.0
-        )
+        eta_min = ETA_MIN_SCALE * dep_range / indep_range if indep_range > 0.0 else 0.0
         try:
             reverse = derive_reverse(model, eta_min)
         except NonInvertibleSlopeError:
@@ -380,43 +467,11 @@ def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = No
             continue
         models[reverse.key] = reverse
 
-    registry = ModelRegistry(models=models, admission=admission, rejections=dict(rejections))
+    registry = ModelRegistry(models=models, rejections=dict(rejections))
     logger.info(
         "registry: %d models admitted, rejections %s", len(registry), registry.rejections
     )
     return registry
-
-
-def relation_span(graph: KnowledgeGraph, registry: ModelRegistry) -> int:
-    """One more than the largest relation id of the graph or of a registry key."""
-    return max([graph.n_relations] + [k.relation + 1 for k in registry.models if not k.is_inner])
-
-
-def count_paths(graph: KnowledgeGraph, registry: ModelRegistry, attrs: AttributeTable) -> int:
-    """Number of (source attribute entry, model) message paths per iteration.
-
-    Counts every combination of a tracked source entry with an admitted model
-    that can carry a prediction out of it: over each edge in both directions,
-    plus all within-node attribute pairs.
-    """
-    # model count by (direction, relation, indep)
-    by_indep = np.zeros((2, relation_span(graph, registry), attrs.n_types), dtype=np.int64)
-    inner_by_indep = np.zeros(attrs.n_types, dtype=np.int64)
-    for key in registry.models:
-        if key.is_inner:
-            inner_by_indep[key.indep] += 1
-        else:
-            by_indep[key.direction, key.relation, key.indep] += 1
-
-    index = EntryIndex.of(attrs, graph.n_entities)
-    head, relation, tail = graph.edge_array.T
-    total = int(inner_by_indep[attrs.attr_ids].sum())
-    # head entries flow forward to the tail, tail entries flow reverse to the head
-    for direction, end in ((Direction.FORWARD, head), (Direction.REVERSE, tail)):
-        edge, k = ragged(index.counts[end])
-        source = index.entries[index.starts[end[edge]] + k]
-        total += int(by_indep[direction, relation[edge], attrs.attr_ids[source]].sum())
-    return total
 
 
 # -- model dump ----------------------------------------------------------------
@@ -506,17 +561,12 @@ def _dump_models(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -> 
     keys = zip(dep.tolist(), indep.tolist(), relation.tolist(), direction.tolist(), inner.tolist())
     for (d, i, rel, way, is_inner), eta, tau, sigma2, weight, support, r2, flag in zip(keys, *numbers, derived):
         key = PathKey(d, i) if is_inner else PathKey(d, i, rel, directions[way])
-        fit = FitSummary(support, math.nan, math.nan, r2, flag == "true")
+        fit = FitSummary(support, r2, flag == "true")
         models[key] = RegressionModel(key, eta, tau, sigma2, weight, fit)
     return models
 
 
-def read_model_dump(
-    source: IO,
-    graph: KnowledgeGraph,
-    attrs: AttributeTable,
-    admission: AdmissionConfig | None = None,
-) -> ModelRegistry:
+def read_model_dump(source: IO, graph: KnowledgeGraph, attrs: AttributeTable) -> ModelRegistry:
     """Reload a registry written by :func:`write_model_dump`.
 
     The first row with an unknown label, a non-finite number or a
@@ -524,4 +574,4 @@ def read_model_dump(
     key that an earlier row already has raises a DataError.
     """
     models = read_table(source, 11, lambda table: _dump_models(table, graph, attrs))
-    return ModelRegistry(models=models, admission=admission or AdmissionConfig())
+    return ModelRegistry(models=models)

@@ -5,6 +5,7 @@ import csv
 import importlib.util
 import logging
 import math
+import os
 import sys
 from pathlib import Path
 from typing import IO, Mapping, NamedTuple
@@ -13,14 +14,13 @@ import numpy as np
 
 from mrap.attributes import AttributeTable, Status
 from mrap.codec import Table, read_table
-from mrap.errors import DataError, ParseError, SingularSystemError
+from mrap.errors import DataError, MrapError, ParseError
 from mrap.evaluation import EvalReport, EvalRow
 from mrap.graph import Direction, KnowledgeGraph, Vocabulary, build_graph
 from mrap.ingest import DatasetBundle, Split, load_dataset
-from mrap.propagation import PropagationConfig, PropagationState, _init_values, run
+from mrap.propagation import PropagationConfig, _init_values, run
 from mrap.regression import (
     INNER_LABEL,
-    AdmissionConfig,
     EntryIndex,
     FitSummary,
     ModelRegistry,
@@ -32,6 +32,20 @@ from mrap.regression import (
 )
 
 logger = logging.getLogger(__name__)
+
+IMPUTED = 2  # status of a target entry in ``imputed_table``, after OBSERVED and MISSING
+
+
+class SingularSystemError(MrapError):
+    """The fixed-point linear system has a singular component.
+
+    ``targets`` lists the (entity label, attribute label) pairs that form the
+    underdetermined component.
+    """
+
+    def __init__(self, message: str, targets: list[tuple[str, str]]):
+        super().__init__(message)
+        self.targets = targets
 
 
 def make_bundle(
@@ -88,14 +102,12 @@ def triples_of(graph) -> list[tuple[str, str, str]]:
     return [(ent.label(h), rel.label(r), ent.label(t)) for h, r, t in graph.edge_array.tolist()]
 
 
-def imputed_table(bundle: DatasetBundle, state: PropagationState) -> AttributeTable:
-    """Attribute table with target entries set to their propagated values."""
+def imputed_table(bundle: DatasetBundle, values: np.ndarray) -> AttributeTable:
+    """Attribute table with target entries set to their propagated ``values``, status IMPUTED."""
     attrs = bundle.attrs
-    table = attrs.with_status(
-        np.where(attrs.status == Status.MISSING, int(Status.IMPUTED), attrs.status)
-    )
+    table = attrs.with_status(np.where(attrs.status == Status.MISSING, IMPUTED, attrs.status))
     table.values = attrs.values.copy()
-    table.values[bundle.target_indices()] = state.values[bundle.target_indices()]
+    table.values[bundle.target_indices()] = values[bundle.target_indices()]
     return table
 
 
@@ -111,7 +123,7 @@ def make_model(key: PathKey, eta: float, tau: float, sigma2: float, support: int
         tau=tau,
         sigma2=sigma2,
         weight=1.0 / sigma2,
-        fit=FitSummary(support=support, mu_x=0.0, mu_y=0.0, r2=r2),
+        fit=FitSummary(support=support, r2=r2),
     )
 
 
@@ -355,6 +367,23 @@ def bench_spans():
     return _bench_module("spans")
 
 
+def bench_run():
+    """The benchmark driver, ``bench/run.py``, which imports its sibling modules by name.
+
+    Its import sets ``OPENBLAS_NUM_THREADS``; the test process keeps its own value.
+    """
+    threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        return _bench_module("run")
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+        if threads is None:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = threads
+
+
 # -- scalar references for the array-native load path ------------------------
 
 
@@ -511,7 +540,7 @@ def collect_messages(bundle, registry, values, target, cfg) -> list[Message]:
             key = PathKey.relational(
                 attr, int(attrs.attr_ids[entry]), oriented.relation, oriented.direction
             )
-            model = registry.get(key)
+            model = registry.models.get(key)
             if model is not None and cfg.allows(key):
                 messages.append(
                     Message(target, model.predict(float(values[entry])), model.weight, key, neighbor)
@@ -521,7 +550,7 @@ def collect_messages(bundle, registry, values, target, cfg) -> list[Message]:
         if src_attr == attr:
             continue
         key = PathKey.inner(attr, src_attr)
-        model = registry.get(key)
+        model = registry.models.get(key)
         if model is not None and cfg.allows(key):
             messages.append(
                 Message(target, model.predict(float(values[entry])), model.weight, key, entity)
@@ -763,13 +792,7 @@ def reference_read_model_dump(lines, graph, attrs):
                 tau=float(tau),
                 sigma2=float(sigma2),
                 weight=float(weight),
-                fit=FitSummary(
-                    support=int(support),
-                    mu_x=float("nan"),
-                    mu_y=float("nan"),
-                    r2=float(r2),
-                    derived_reverse=derived == "true",
-                ),
+                fit=FitSummary(support=int(support), r2=float(r2), derived_reverse=derived == "true"),
             )
         except ValueError as exc:
             raise ParseError(str(exc), line_no) from None
@@ -785,14 +808,14 @@ def reference_read_model_dump(lines, graph, attrs):
     return models
 
 
-def reference_write_imputations(fh, bundle, state, report):
+def reference_write_imputations(fh, bundle, values, report):
     attrs = bundle.attrs
     entities = bundle.graph.entities
     for t, n_msg, w in zip(report.target_entries, report.n_messages, report.total_weight):
         fh.write(
             f"{entities.label(int(attrs.entity_ids[t]))}\t"
             f"{attrs.types.label(int(attrs.attr_ids[t]))}\t"
-            f"{state.values[t]:.17g}\t{int(n_msg)}\t{w:.17g}\n"
+            f"{values[t]:.17g}\t{int(n_msg)}\t{w:.17g}\n"
         )
 
 
@@ -901,7 +924,7 @@ def _build_paths(bundle: DatasetBundle, registry: ModelRegistry, cfg: Propagatio
 def loss(
     bundle: DatasetBundle,
     registry: ModelRegistry,
-    state: PropagationState | np.ndarray,
+    values: np.ndarray,
     cfg: PropagationConfig | None = None,
 ) -> float:
     """Total weighted squared prediction error over all active paths.
@@ -912,7 +935,7 @@ def loss(
     globally.
     """
     cfg = cfg or PropagationConfig()
-    values = state.values if isinstance(state, PropagationState) else np.asarray(state)
+    values = np.asarray(values)
     paths = _build_paths(bundle, registry, cfg)
     resid = values[paths.tgt] - (paths.eta * values[paths.src] + paths.tau)
     return float(np.dot(paths.weight * resid, resid))
@@ -1099,10 +1122,10 @@ def reference_evaluate(
 
 def reference_propagation_predictions(bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig):
     """Run propagation and return (predictions map, report)."""
-    state, report = run(bundle, registry, cfg)
+    values, report = run(bundle, registry, cfg)
     attrs = bundle.attrs
     preds = {
-        (int(attrs.entity_ids[t]), int(attrs.attr_ids[t])): float(state.values[t])
+        (int(attrs.entity_ids[t]), int(attrs.attr_ids[t])): float(values[t])
         for t in report.target_entries
     }
     return preds, report
@@ -1179,7 +1202,7 @@ def _reference_dump_model(fields: tuple[str, ...], graph: KnowledgeGraph, attrs:
             raise ValueError(f"unknown direction {dir_l!r}")
         key = PathKey.relational(dep, indep, relation, direction)
     params = [float(eta), float(tau), float(sigma2), float(weight)]
-    fit = FitSummary(int(support), float("nan"), float("nan"), float(r2), derived == "true")
+    fit = FitSummary(int(support), float(r2), derived == "true")
     texts = (eta, tau, sigma2, weight, r2)
     for name, text, value in zip(("eta", "tau", "sigma2", "weight", "r2"), texts, params + [fit.r2]):
         if not math.isfinite(value):
@@ -1189,12 +1212,7 @@ def _reference_dump_model(fields: tuple[str, ...], graph: KnowledgeGraph, attrs:
     return RegressionModel(key, *params, fit)
 
 
-def rowwise_read_model_dump(
-    source: IO,
-    graph: KnowledgeGraph,
-    attrs: AttributeTable,
-    admission: AdmissionConfig | None = None,
-) -> ModelRegistry:
+def rowwise_read_model_dump(source: IO, graph: KnowledgeGraph, attrs: AttributeTable) -> ModelRegistry:
     """Per-row form of ``read_model_dump``: one row converted and checked at a time.
 
     The first row with an unknown label, a non-finite number or a
@@ -1213,4 +1231,4 @@ def rowwise_read_model_dump(
         return models
 
     models = read_table(source, 11, convert)
-    return ModelRegistry(models=models, admission=admission or AdmissionConfig())
+    return ModelRegistry(models=models)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    SingularSystemError,
     _build_paths,
     ablation_dataset,
     aggregate,
@@ -27,7 +28,6 @@ from helpers import (
 )
 
 from mrap.cli import EXIT_NOCONV, EXIT_OK, main
-from mrap.errors import SingularSystemError
 from mrap.evaluation import (
     ablation_suite,
     baseline_global,
@@ -102,20 +102,20 @@ def test_criterion_2_reverse_model_identities():
 
 
 def _converged_random_runs(n_instances: int, seed: int):
-    """Converged (bundle, registry, cfg, state, report, oracle) tuples."""
+    """Converged (bundle, registry, cfg, values, report, oracle) tuples."""
     rng = np.random.default_rng(seed)
     cfg = PropagationConfig(conv_frac=1e-9, max_iters=3000)
     out = []
     for _ in range(n_instances):
         bundle, registry = random_instance(rng)
-        state, report = run(bundle, registry, cfg)
-        if not state.converged:
+        values, report = run(bundle, registry, cfg)
+        if not report.converged:
             continue
         try:
             oracle = fixed_point_oracle(bundle, registry, cfg)
         except SingularSystemError:
             continue  # non-unique fixed point: nothing to compare against
-        out.append((bundle, registry, cfg, state, report, oracle))
+        out.append((bundle, registry, cfg, values, report, oracle))
     return out
 
 
@@ -123,13 +123,13 @@ def test_criterion_3_iteration_matches_direct_solve():
     start = time.perf_counter()
     runs = _converged_random_runs(100, seed=1003)
     assert len(runs) >= 60, "too few random instances converged to a unique fixed point"
-    for bundle, _, _, state, report, oracle in runs:
+    for bundle, _, _, values, report, oracle in runs:
         attrs = bundle.attrs
         for t in report.target_entries:
             attr = int(attrs.attr_ids[t])
             tol = RECOVERY_TOL * max(attrs.value_range(attr), 1e-12)
             want = oracle[(int(attrs.entity_ids[t]), attr)]
-            assert abs(state.values[t] - want) < tol
+            assert abs(values[t] - want) < tol
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     print(
@@ -144,23 +144,23 @@ def _exact_recovery_runs(n_instances: int, seed: int):
     out = []
     for _ in range(n_instances):
         bundle, registry, truth = planted_exact_instance(rng)
-        state, report = run(bundle, registry, cfg)
-        assert state.converged
-        out.append((bundle, registry, cfg, state, report, truth))
+        values, report = run(bundle, registry, cfg)
+        assert report.converged
+        out.append((bundle, registry, cfg, values, report, truth))
     return out
 
 
 def test_criterion_4_exact_recovery_on_noiseless_data():
     start = time.perf_counter()
     runs = _exact_recovery_runs(10, seed=1004)
-    for bundle, registry, cfg, state, report, truth in runs:
+    for bundle, registry, cfg, values, report, truth in runs:
         attrs = bundle.attrs
         for t in report.target_entries:
             attr = int(attrs.attr_ids[t])
             tol = RECOVERY_TOL * max(attrs.value_range(attr), 1e-12)
             want = truth[(int(attrs.entity_ids[t]), attr)]
-            assert abs(state.values[t] - want) < tol
-        total = loss(bundle, registry, state, cfg)
+            assert abs(values[t] - want) < tol
+        total = loss(bundle, registry, values, cfg)
         paths = _build_paths(bundle, registry, cfg)
         scale = float(
             np.sum(
@@ -181,15 +181,15 @@ def test_criterion_4_exact_recovery_on_noiseless_data():
 def test_criterion_5_local_stationarity_at_convergence():
     stationary_checked = 0
     runs = _converged_random_runs(30, seed=1003)[:15] + _exact_recovery_runs(5, seed=1004)[:5]
-    for bundle, registry, cfg, state, report, _ in runs:
+    for bundle, registry, cfg, values, report, _ in runs:
         attrs = bundle.attrs
         for t, n_msgs in zip(report.target_entries, report.n_messages):
             if n_msgs == 0:
                 continue
             attr = int(attrs.attr_ids[t])
             target = (int(attrs.entity_ids[t]), attr)
-            messages = collect_messages(bundle, registry, state.values, target, cfg)
-            gap = abs(state.values[t] - aggregate(messages))
+            messages = collect_messages(bundle, registry, values, target, cfg)
+            gap = abs(values[t] - aggregate(messages))
             assert gap < RECOVERY_TOL * max(attrs.value_range(attr), 1e-12)
             stationary_checked += 1
     assert stationary_checked > 0

@@ -1,4 +1,5 @@
 import builtins
+import csv
 import errno
 import logging
 import math
@@ -6,8 +7,9 @@ import re
 
 import pytest
 
-from helpers import bench_generate, bench_spans, write_cli_dataset
+from helpers import bench_generate, bench_run, bench_spans, write_cli_dataset
 
+import mrap
 import mrap.codec
 from mrap.cli import (
     EXIT_DATA,
@@ -26,6 +28,16 @@ def dataset(tmp_path):
 def _args(dataset, out, *extra):
     triples, attrs = dataset
     return ["--triples", str(triples), "--attrs", str(attrs), "--out", str(out), *extra]
+
+
+def _logged_paths(records) -> int:
+    """The count of the first ``paths:`` line of the propagation log."""
+    lines = (r.getMessage() for r in records if r.name == "mrap.propagation")
+    return int(next(m for m in map(re.compile(r"^paths: (\d+) built").match, lines) if m).group(1))
+
+
+def _stats_paths(text: str) -> int:
+    return int(re.search(r"^message passing paths +(\d+)$", text, re.M).group(1))
 
 
 class TestPipeline:
@@ -63,6 +75,19 @@ class TestPipeline:
         assert code == EXIT_OK
         text = capsys.readouterr().out
         assert "entities" in text
+        assert _stats_paths(text) == 0
+
+    def test_stats_paths_are_the_paths_impute_builds(self, dataset, tmp_path, capsys, caplog):
+        # p0 has no death entry, so no model that predicts death has a path into it
+        _, attrs = dataset
+        attrs.write_text("".join(line for line in attrs.read_text().splitlines(True) if not line.startswith("p0\tdeath\t")))
+        flags = ("--seed", "7", "--min-support", "3", "--observed-fraction", "0.5")
+        assert main(["stats", *_args(dataset, tmp_path / "s", *flags)]) == EXIT_OK
+        with caplog.at_level(logging.INFO, logger="mrap.propagation"):
+            assert main(["impute", *_args(dataset, tmp_path / "i", *flags)]) == EXIT_OK
+        paths = _logged_paths(caplog.records)
+        assert paths > 0
+        assert _stats_paths(capsys.readouterr().out) == paths
 
     def test_split_idempotent(self, dataset, tmp_path):
         out = tmp_path / "out"
@@ -198,6 +223,22 @@ class TestBenchmarkTracing:
         names = {s.name for s in recorder.spans}
         assert {"graph.build_graph", "attributes.build", "propagation.write_imputations"} <= names
 
+    def test_benchmark_observers_count_an_impute(self, dataset, tmp_path, caplog):
+        # bench/run.py's own observers and after_impute, as a traced repeat runs them
+        bench = bench_run()
+        recorder = bench.Recorder()
+        base = _args(dataset, tmp_path / "out", "--seed", "7", "--min-support", "3", "--observed-fraction", "0.5")
+        with caplog.at_level(logging.INFO, logger="mrap.propagation"):
+            with bench.instrument(recorder, bench.observers()), recorder.span("cli.impute") as command_span:
+                assert main(["impute", *base]) == EXIT_OK
+        bench.after_impute(mrap, recorder, command_span)
+        assert recorder.unbound == []
+        info = {s.name: s.info for s in recorder.spans if s.info}
+        assert not [name for name, counts in info.items() if "unobservable" in counts]
+        assert info["regression.build_registry"]["models"] == info["propagation.run"]["models"] > 0
+        assert info["propagation.run"]["iterations"] > 0
+        assert info["propagation.run"]["paths"] == _logged_paths(caplog.records)
+
     def test_eval_and_ablate_spans_fire(self, dataset, tmp_path):
         spans = bench_spans()
         recorder = spans.Recorder()
@@ -218,6 +259,21 @@ class TestBenchmarkTracing:
             ("propagation.run", "evaluation.ablation_suite"),
             ("evaluation.evaluate", "evaluation.ablation_suite"),
         } <= fired
+
+
+class TestCsvArtifacts:
+    def test_labels_with_commas_and_quotes_read_back(self, dataset, tmp_path):
+        _, attrs = dataset
+        attrs.write_text(attrs.read_text().replace("\tbirth\t", "\th,cm\t").replace("\tdeath\t", '\tw"x\t'))
+        base = _args(dataset, tmp_path / "out", "--min-support", "3")
+        assert main(["impute", *base]) == EXIT_OK
+        assert main(["eval", *base]) == EXIT_OK
+        for name, width, column in (("trace.csv", 4, 1), ("report.csv", 7, 2)):
+            with open(tmp_path / "out" / name, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert len(header) == width and rows
+            assert all(len(row) == width for row in rows), name
+            assert {"h,cm", 'w"x', "release"} == {row[column] for row in rows}, name
 
 
 class TestExitCodes:
@@ -384,6 +440,16 @@ class TestConfigFile:
         assert main(["split", "--config", str(config), *_args(dataset, tmp_path / "o")]) == EXIT_USAGE
         assert "unknown config key 'threads'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_file(self, dataset, tmp_path, capsys, kind):
+        config = tmp_path / "absent.cfg"
+        if kind == "directory":
+            config.mkdir()
+        assert main(["stats", "--config", str(config), *_args(dataset, tmp_path / "o")]) == EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        reason = "No such file or directory" if kind == "missing" else "Is a directory"
+        assert lines == [f"error: cannot read config file {config}: {reason}"]
 
     def test_malformed_config_line(self, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -1,4 +1,5 @@
 """The bulk text codec against the per-row readers and writers it replaced."""
+import csv
 import io
 
 import numpy as np
@@ -269,12 +270,12 @@ class TestWritersAndArtifactReaders:
             if not len(bundle.target_indices()) or (attrs.status == 0).sum() == 0:
                 continue
             try:
-                state, report = run(bundle, registry, PropagationConfig(max_iters=20))
+                values, report = run(bundle, registry, PropagationConfig(max_iters=20))
             except DataError:
                 continue  # a target type without observed entries
             runs += 1
-            imputed = _written(tmp_path, write_imputations, bundle, state, report)
-            assert imputed == _reference_written(reference_write_imputations, bundle, state, report)
+            imputed = _written(tmp_path, write_imputations, bundle, values, report)
+            assert imputed == _reference_written(reference_write_imputations, bundle, values, report)
             assert _written(tmp_path, write_trace, report) == _reference_written(reference_write_trace, report)
 
             def new_imputed(d):
@@ -312,6 +313,16 @@ class TestTable:
         assert path.read_bytes() == b"x,y,z\na,1.5,3\nb,-0,4\n"
         write_table(path, [[], np.array([])])
         assert path.read_bytes() == b""
+
+    def test_csv_fields_are_quoted_as_in_rfc_4180(self, tmp_path):
+        path = tmp_path / "t.csv"
+        labels = ["h,cm", 'w"x', "plain", ""]
+        write_table(path, [labels, np.array([1, 2, 3, 4])], sep=",")
+        assert path.read_bytes() == b'"h,cm",1\n"w""x",2\nplain,3\n,4\n'
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert [row[0] for row in csv.reader(fh)] == labels
+        write_table(path, [labels, np.array([1, 2, 3, 4])])  # tab-separated files are written as they are
+        assert path.read_bytes() == b'h,cm\t1\nw"x\t2\nplain\t3\n\t4\n'
 
     def test_read_table_accepts_text_streams(self):
         table = read_table(io.StringIO("a\tb\n# c\nd\te"), 2, lambda t: t)

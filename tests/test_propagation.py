@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    IMPUTED,
+    SingularSystemError,
     _build_paths,
     _link,
     aggregate,
@@ -24,22 +26,19 @@ from helpers import (
 )
 
 from mrap.attributes import Status
-from mrap.errors import SingularSystemError
 from mrap.graph import Direction
 from mrap.ingest import Split, SplitSpec, split_attributes, subsample_observed
 from mrap import propagation
 from mrap.propagation import (
     PropagationConfig,
     _compile,
-    _incidences,
-    _inflow,
     _init_values,
     _jagged,
     _Operator,
     _paths,
     run,
 )
-from mrap.regression import AdmissionConfig, PathKey, build_registry, derive_reverse, ragged
+from mrap.regression import AdmissionConfig, PathKey, build_registry, derive_reverse, incidences, inflow, ragged
 
 CONFIGS = [PropagationConfig(), PropagationConfig(no_inner=True), PropagationConfig(no_cross=True)]
 CONFIG_IDS = ["full", "no_inner", "no_cross"]
@@ -176,7 +175,7 @@ def _oracle_paths(bundle, registry, cfg):
         target = (int(attrs.entity_ids[tgt]), int(attrs.attr_ids[tgt]))
         for msg in collect_messages(bundle, registry, attrs.values, target, cfg):
             src = entry_of[(msg.source_entity, msg.key.indep)]
-            model = registry.get(msg.key)
+            model = registry.models[msg.key]
             out.append((src, tgt, model.eta, model.tau, model.weight))
     return sorted(out)
 
@@ -213,7 +212,7 @@ class TestTargetMajorCompile:
             attrs, n = bundle.attrs, bundle.attrs.n_entries
             src, tgt, mid, params = _link(bundle, registry, cfg)
             order = np.argsort(tgt, kind="stable")
-            inc = _incidences(bundle, registry, cfg)
+            inc = incidences(bundle.graph, registry, attrs, cfg.allows)
             np.testing.assert_array_equal(inc.params, params)
             # blocks cut at any entity boundaries give the same paths
             cuts = np.sort(rng.choice(inc.entries, size=3)).tolist()
@@ -221,9 +220,9 @@ class TestTargetMajorCompile:
             for got, want in zip(zip(*blocks), (src, tgt, mid)):
                 np.testing.assert_array_equal(np.concatenate(got), want[order])
             # the plan counts every entry's messages, and those from any sources
-            np.testing.assert_array_equal(_inflow(inc, attrs, np.ones(n, dtype=bool)), np.bincount(tgt, minlength=n))
+            np.testing.assert_array_equal(inflow(inc, attrs, np.ones(n, dtype=bool)), np.bincount(tgt, minlength=n))
             sources = rng.random(n) < 0.5
-            np.testing.assert_array_equal(_inflow(inc, attrs, sources), np.bincount(tgt[sources[src]], minlength=n))
+            np.testing.assert_array_equal(inflow(inc, attrs, sources), np.bincount(tgt[sources[src]], minlength=n))
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
     def test_product_is_bit_equal_to_bincount_over_the_oracle_paths(self, cfg):
@@ -258,13 +257,13 @@ class TestTargetMajorCompile:
         registry = registry_of(fwd, derive_reverse(fwd))
         src, tgt, mid, _ = _link(bundle, registry, PropagationConfig())
         order = np.argsort(tgt, kind="stable")
-        inc = _incidences(bundle, registry, PropagationConfig())
+        inc = incidences(bundle.graph, registry, bundle.attrs, PropagationConfig().allows)
         for got, want in zip(_paths(inc, bundle.attrs, 0, bundle.attrs.n_entries), (src, tgt, mid)):
             np.testing.assert_array_equal(got, want[order])
 
     def test_empty_registry_has_no_paths_and_no_live_rows(self):
         bundle, _ = random_instance(np.random.default_rng(43), quirks=True)
-        inc = _incidences(bundle, registry_of(), PropagationConfig())
+        inc = incidences(bundle.graph, registry_of(), bundle.attrs, PropagationConfig().allows)
         src, tgt, mid = _paths(inc, bundle.attrs, 0, bundle.attrs.n_entries)
         assert len(src) == len(tgt) == len(mid) == 0
         op, n_msgs, _ = _compile(bundle, registry_of(), PropagationConfig(), _init_values(bundle))
@@ -280,9 +279,9 @@ class TestTargetMajorCompile:
         )
         fwd = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 2.0, 1.0, 1.0)
         registry = registry_of(fwd, derive_reverse(fwd))
-        state, report = run(bundle, registry, PropagationConfig())
-        assert state.converged and report.n_silent == 1
-        assert report.trace[-1][3] == pytest.approx(loss(bundle, registry, state), rel=1e-12)
+        values, report = run(bundle, registry, PropagationConfig())
+        assert report.converged and report.n_silent == 1
+        assert report.trace[-1][3] == pytest.approx(loss(bundle, registry, values), rel=1e-12)
 
     def test_plan_counts_bits_without_numpy_2(self, monkeypatch):
         # np.bitwise_count is NumPy 2 only; the package supports numpy>=1.24
@@ -290,7 +289,7 @@ class TestTargetMajorCompile:
         want, _ = run(bundle, registry)
         monkeypatch.delattr(np, "bitwise_count", raising=False)
         got, _ = run(bundle, registry)
-        np.testing.assert_array_equal(got.values.view(np.int64), want.values.view(np.int64))
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_a_block_that_misses_its_plan_raises(self, monkeypatch):
         bundle, registry = random_instance(np.random.default_rng(44), quirks=True)
@@ -361,9 +360,9 @@ class TestRun:
             attr_order=("v",),
         )
         model = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 2.0, 1.0, 1e-9)
-        state, report = run(bundle, registry_of(model), PropagationConfig(conv_frac=1e-9, max_iters=500))
-        assert state.converged
-        assert state.values[entry_index(bundle, "b", "v")] == pytest.approx(3.0, abs=1e-8)
+        values, report = run(bundle, registry_of(model), PropagationConfig(conv_frac=1e-9, max_iters=500))
+        assert report.converged
+        assert values[entry_index(bundle, "b", "v")] == pytest.approx(3.0, abs=1e-8)
         assert report.n_targets == 1 and report.n_silent == 0
 
     def test_three_node_path_hand_solved(self):
@@ -376,10 +375,10 @@ class TestRun:
         )
         fwd = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 1.0, 1.0, 1.0)
         registry = registry_of(fwd, derive_reverse(fwd))
-        state, _ = run(bundle, registry, PropagationConfig(max_iters=1000))
-        assert state.converged
-        assert state.values[entry_index(bundle, "b", "v")] == pytest.approx(1.0, abs=1e-9)
-        assert state.values[entry_index(bundle, "c", "v")] == pytest.approx(2.0, abs=1e-9)
+        values, report = run(bundle, registry, PropagationConfig(max_iters=1000))
+        assert report.converged
+        assert values[entry_index(bundle, "b", "v")] == pytest.approx(1.0, abs=1e-9)
+        assert values[entry_index(bundle, "c", "v")] == pytest.approx(2.0, abs=1e-9)
 
     def test_isolated_target_stays_at_global_mean(self):
         bundle = make_bundle(
@@ -388,17 +387,17 @@ class TestRun:
             {("loner", "height"): 0.0},
             attr_order=("height",),
         )
-        state, report = run(bundle, registry_of(), PropagationConfig())
-        assert state.converged
-        assert state.values[entry_index(bundle, "loner", "height")] == 15.0
+        values, report = run(bundle, registry_of(), PropagationConfig())
+        assert report.converged
+        assert values[entry_index(bundle, "loner", "height")] == 15.0
         assert report.n_silent == 1
 
     def test_observed_entries_clamped_bit_exact(self):
         rng = np.random.default_rng(31)
         bundle, registry = random_instance(rng)
-        state, _ = run(bundle, registry, PropagationConfig(max_iters=50))
+        values, report = run(bundle, registry, PropagationConfig(max_iters=50))
         observed = bundle.attrs.status == Status.OBSERVED
-        np.testing.assert_array_equal(state.values[observed], bundle.attrs.values[observed])
+        np.testing.assert_array_equal(values[observed], bundle.attrs.values[observed])
 
     def test_synchronous_determinism(self):
         rng = np.random.default_rng(32)
@@ -406,7 +405,7 @@ class TestRun:
         cfg = PropagationConfig(max_iters=60)
         s1, r1 = run(bundle, registry, cfg)
         s2, r2 = run(bundle, registry, cfg)
-        np.testing.assert_array_equal(s1.values, s2.values)
+        np.testing.assert_array_equal(s1, s2)
         assert r1.trace == r2.trace
 
     def test_engine_matches_per_target_aggregation(self):
@@ -416,14 +415,14 @@ class TestRun:
         from mrap.propagation import _init_values
 
         init = _init_values(bundle)
-        state, report = run(bundle, registry, cfg)
+        values, report = run(bundle, registry, cfg)
         attrs = bundle.attrs
         for t, n_msgs in zip(report.target_entries, report.n_messages):
             target = (int(attrs.entity_ids[t]), int(attrs.attr_ids[t]))
             msgs = collect_messages(bundle, registry, init, target, cfg)
             assert len(msgs) == n_msgs
             if msgs:
-                assert state.values[t] == pytest.approx(aggregate(msgs), rel=1e-12, abs=1e-12)
+                assert values[t] == pytest.approx(aggregate(msgs), rel=1e-12, abs=1e-12)
 
     def test_nonconvergence_reported_not_raised(self):
         # two missing nodes amplifying each other through parallel relations
@@ -437,8 +436,8 @@ class TestRun:
             make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 3.0, 1.0, 1.0),
             make_model(PathKey.relational(0, 0, 1, Direction.FORWARD), 3.0, 1.0, 1.0),
         )
-        state, report = run(bundle, registry, PropagationConfig(max_iters=30))
-        assert not state.converged
+        values, report = run(bundle, registry, PropagationConfig(max_iters=30))
+        assert not report.converged
         assert report.iterations == 30
 
     def test_warm_start_keeps_fixed_point_for_any_damping(self):
@@ -451,22 +450,22 @@ class TestRun:
             fixed[t] = solution[(int(attrs.entity_ids[t]), int(attrs.attr_ids[t]))]
         for damping in (0.25, 0.5, 1.0):
             cfg = PropagationConfig(damping=damping, conv_frac=1e-9, max_iters=5)
-            state, _ = run(bundle, registry, cfg, initial=fixed)
-            assert state.converged
-            np.testing.assert_allclose(state.values, fixed, rtol=1e-9, atol=1e-9)
+            values, report = run(bundle, registry, cfg, initial=fixed)
+            assert report.converged
+            np.testing.assert_allclose(values, fixed, rtol=1e-9, atol=1e-9)
 
     def test_no_targets_converges_immediately(self):
         bundle = make_bundle([("a", "p", "b")], {("a", "v"): 1.0, ("b", "v"): 2.0})
-        state, report = run(bundle, registry_of(), PropagationConfig())
-        assert state.converged
+        values, report = run(bundle, registry_of(), PropagationConfig())
+        assert report.converged
         assert report.n_targets == 0
-        np.testing.assert_array_equal(state.values, bundle.attrs.values)
+        np.testing.assert_array_equal(values, bundle.attrs.values)
 
     def test_triples_without_attribute_entries_converge_immediately(self):
         bundle = make_bundle([("a", "p", "b"), ("b", "p", "b")], {})
         assert bundle.attrs.n_types == bundle.attrs.n_entries == 0
-        state, report = run(bundle, registry_of(), PropagationConfig())
-        assert state.converged and state.values.shape == (0,)
+        values, report = run(bundle, registry_of(), PropagationConfig())
+        assert report.converged and values.shape == (0,)
         assert report.n_targets == 0 and report.trace == []
 
     def test_imputed_table_marks_targets(self):
@@ -479,11 +478,11 @@ class TestRun:
             attr_order=("v",),
         )
         model = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 2.0, 1.0, 1e-9)
-        state, _ = run(bundle, registry_of(model), PropagationConfig(conv_frac=1e-9, max_iters=500))
-        table = imputed_table(bundle, state)
+        values, report = run(bundle, registry_of(model), PropagationConfig(conv_frac=1e-9, max_iters=500))
+        table = imputed_table(bundle, values)
         idx = entry_index(bundle, "b", "v")
-        assert table.status[idx] == Status.IMPUTED
-        assert table.values[idx] == state.values[idx]
+        assert table.status[idx] == IMPUTED
+        assert table.values[idx] == values[idx]
         # source table untouched
         assert bundle.attrs.status[idx] == Status.MISSING
 
@@ -527,8 +526,8 @@ class TestFixedPointOracle:
         checked = 0
         for _ in range(20):
             bundle, registry = random_instance(rng)
-            state, report = run(bundle, registry, cfg)
-            if not state.converged:
+            values, report = run(bundle, registry, cfg)
+            if not report.converged:
                 continue
             try:
                 solution = fixed_point_oracle(bundle, registry, cfg)
@@ -543,7 +542,7 @@ class TestFixedPointOracle:
                 attr = int(attrs.attr_ids[t])
                 tol = 1e-6 * max(attrs.value_range(attr), 1.0)
                 want = solution[(int(attrs.entity_ids[t]), attr)]
-                assert abs(state.values[t] - want) < tol
+                assert abs(values[t] - want) < tol
             checked += 1
         assert checked >= 10  # most random instances must actually converge
 
@@ -614,8 +613,8 @@ class TestLoss:
         for _ in range(10):
             bundle, registry = random_instance(rng, quirks=True)
             for cfg in (PropagationConfig(max_iters=1), PropagationConfig(no_inner=True, max_iters=7)):
-                state, report = run(bundle, registry, cfg)
-                want = loss(bundle, registry, state, cfg)
+                values, report = run(bundle, registry, cfg)
+                want = loss(bundle, registry, values, cfg)
                 assert report.trace[-1][3] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_trace_loss_equals_loss_at_year_magnitudes(self):
@@ -628,9 +627,9 @@ class TestLoss:
         assert np.median(np.abs(bundle.attrs.values)) > 1900.0
         for k in (1, 2, 5, 10, 20, 40):
             cfg = PropagationConfig(conv_frac=1e-12, max_iters=k)
-            state, report = run(bundle, registry, cfg)
-            assert state.iteration == k
-            want = loss(bundle, registry, state, cfg)
+            values, report = run(bundle, registry, cfg)
+            assert report.iterations == k
+            want = loss(bundle, registry, values, cfg)
             assert report.trace[-1][3] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_no_cross_admits_fewer_paths_than_no_inner(self):

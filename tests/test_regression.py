@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    _link,
     extract_pairs,
-    index,
     make_bundle,
     make_model,
     random_instance,
@@ -23,6 +23,7 @@ from mrap.errors import (
     ParseError,
 )
 from mrap.graph import Direction
+from mrap.propagation import PropagationConfig
 from mrap.regression import (
     AdmissionConfig,
     PathKey,
@@ -208,9 +209,9 @@ class TestBuildRegistry:
         bundle = _line_bundle()
         registry = build_registry(bundle, AdmissionConfig(min_support=5))
         fwd = PathKey.relational(1, 0, 0, Direction.FORWARD)
-        assert fwd in registry
-        assert fwd.reversed() in registry
-        model = registry.get(fwd)
+        assert fwd in registry.models
+        assert fwd.reversed() in registry.models
+        model = registry.models.get(fwd)
         assert model.eta == pytest.approx(2.0)
         assert model.tau == pytest.approx(5.0)
         assert model.sigma2 > 0  # variance floor applied on exact fit
@@ -219,7 +220,7 @@ class TestBuildRegistry:
     def test_min_support_filter(self):
         bundle = _line_bundle(n=4)  # 3 pairs per key
         registry = build_registry(bundle, AdmissionConfig(min_support=5))
-        assert PathKey.relational(1, 0, 0, Direction.FORWARD) not in registry
+        assert PathKey.relational(1, 0, 0, Direction.FORWARD) not in registry.models
         assert registry.rejections.get("insufficient_support", 0) > 0
 
     def test_exclusion_list(self):
@@ -233,8 +234,8 @@ class TestBuildRegistry:
             min_support=2, exclusions=AdmissionConfig.parse_exclusions(["latitude,longitude,INNER"])
         )
         registry = build_registry(bundle, admission)
-        assert PathKey.inner(1, 0) not in registry
-        assert PathKey.inner(0, 1) not in registry
+        assert PathKey.inner(1, 0) not in registry.models
+        assert PathKey.inner(0, 1) not in registry.models
         assert registry.rejections.get("excluded", 0) == 1
 
     def test_r2_filter(self):
@@ -270,8 +271,8 @@ class TestBuildRegistry:
             observed[(f"e{i}", "death")] = 1900.0 + i + 80.0 + 0.01 * i * i  # slight curvature
         bundle = make_bundle([], observed, attr_order=("birth", "death"))
         registry = build_registry(bundle, AdmissionConfig(min_support=5))
-        fitted = registry.get(PathKey.inner(1, 0))  # death | birth, higher id on lower
-        derived = registry.get(PathKey.inner(0, 1))
+        fitted = registry.models.get(PathKey.inner(1, 0))  # death | birth, higher id on lower
+        derived = registry.models.get(PathKey.inner(0, 1))
         assert fitted is not None and not fitted.fit.derived_reverse
         assert derived is not None and derived.fit.derived_reverse
         assert derived.eta == pytest.approx(1.0 / fitted.eta, rel=1e-12)
@@ -297,41 +298,27 @@ class TestRegistryOnRandomInstances:
                 try:
                     eta, tau, sigma2, fit = fit_simple_regression(ys, xs)
                 except (InsufficientSupportError, DegenerateRegressorError):
-                    assert key not in registry
+                    assert key not in registry.models
                     continue
-                model = registry.get(key)
+                model = registry.models.get(key)
                 assert model is not None and not model.fit.derived_reverse
                 assert (model.eta, model.tau, model.fit) == (eta, tau, fit)
                 dep_range = attrs.value_range(key.dep)
                 assert model.sigma2 == max(sigma2, 1e-12 * dep_range * dep_range or 1e-12)
                 fitted += 1
             assert sum(not m.fit.derived_reverse for m in registry.models.values()) == sum(
-                1 for key in keys if key in registry
+                1 for key in keys if key in registry.models
             )
         assert fitted > 50
 
 
-def _brute_force_path_count(graph, registry, attrs):
-    """Per model, the tracked entries that can send a message over it."""
-    entry_of = index(attrs)
-    total = 0
-    for key in registry.models:
-        if key.is_inner:
-            total += int((attrs.attr_ids == key.indep).sum())
-            continue
-        for head, relation, tail in graph.edge_array.tolist():
-            source = head if key.direction is Direction.FORWARD else tail
-            total += relation == key.relation and (source, key.indep) in entry_of
-    return total
-
-
 class TestCountPaths:
-    def test_matches_brute_force_on_random_instances(self):
+    def test_equals_the_oracle_path_count_on_random_instances(self):
         rng = np.random.default_rng(42)
         for _ in range(15):
             bundle, registry = random_instance(rng, quirks=True)
             count = count_paths(bundle.graph, registry, bundle.attrs)
-            assert count == _brute_force_path_count(bundle.graph, registry, bundle.attrs)
+            assert count == len(_link(bundle, registry, PropagationConfig())[0])
 
     def _setup(self, with_reverse, y_at_v):
         observed = {("n", "x"): 2.0}
@@ -343,8 +330,13 @@ class TestCountPaths:
         return bundle, registry_of(*models)
 
     def test_single_forward_path(self):
-        bundle, registry = self._setup(with_reverse=False, y_at_v=False)
+        bundle, registry = self._setup(with_reverse=False, y_at_v=True)
         assert count_paths(bundle.graph, registry, bundle.attrs) == 1
+
+    def test_target_without_the_dep_type_gets_no_path(self):
+        # v has no y entry, so the y-from-x model has nothing to predict there
+        bundle, registry = self._setup(with_reverse=True, y_at_v=False)
+        assert count_paths(bundle.graph, registry, bundle.attrs) == 0
 
     def test_both_directions(self):
         bundle, registry = self._setup(with_reverse=True, y_at_v=True)
