@@ -2,7 +2,12 @@
 
 All subcommands read the same configuration, assembled from built-in
 defaults, an optional flat ``key=value`` config file, and command-line
-flags (highest precedence). Every run is deterministic given the seed, so
+flags (highest precedence). The settings are the fields of ``RunConfig``.
+A config key is its flag's name with ``_`` in place of ``-`` (``conv_frac``
+for ``--conv-frac``); ``exclude`` takes ``;``-separated rules, and booleans
+read ``1/true/yes/on`` or ``0/false/no/off``. ``--no-cross`` and
+``--no-inner`` can only switch an ablation on: they cannot unset a file's
+``true``. Every run is deterministic given the seed, so
 repeated commands reproduce byte-identical artifacts in the output
 directory:
 
@@ -23,7 +28,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -87,37 +92,75 @@ _LOG_LEVELS = {
 }
 
 
+def _parse_split(text: str) -> tuple[float, float, float]:
+    parts = text.split("/")
+    if len(parts) != 3:
+        raise ConfigError(f"split must be three /-separated fractions, got {text!r}")
+    try:
+        return tuple(float(p) for p in parts)  # type: ignore[return-value]
+    except ValueError:
+        raise ConfigError(f"unparseable split fractions {text!r}") from None
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"expected a boolean, got {text!r}")
+
+
+def _parse_exclude(text: str) -> tuple[str, ...]:
+    return tuple(r.strip() for r in text.split(";") if r.strip())
+
+
+def _setting(default, parse=None, from_flag=None, **flag):
+    """A ``RunConfig`` field: its default, how to read it, and its flag's argparse keywords.
+
+    ``parse`` reads the config-file value (default: the flag's ``type``, else
+    ``str``); ``from_flag`` converts what argparse stores (default: as is).
+    """
+    metadata = {"parse": parse or flag.get("type", str), "from_flag": from_flag or (lambda v: v), "flag": flag}
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class RunConfig:
-    """One reproducible run: inputs, split, observation setup, and knobs."""
+    """One reproducible run: inputs, split, observation setup, and knobs.
 
-    triples: str | None = None
-    attrs: str | None = None
-    out: str = "out"
-    seed: int = 0
-    split: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    observed_fraction: float = 1.0
-    damping: float = 0.5
-    conv_frac: float = 0.001
-    max_iters: int = 200
-    no_cross: bool = False
-    no_inner: bool = False
-    min_support: int = 5
-    r2_min: float = 0.0
-    exclude: tuple[str, ...] = ()
-    eval_split: str = "test"
+    Each field is one setting, with config key ``name`` and flag ``--name``
+    (``-`` for ``_``); its ``_setting`` metadata says how both are read.
+    """
+
+    triples: str | None = _setting(None, metavar="PATH", help="tab-separated triple file")
+    attrs: str | None = _setting(None, metavar="PATH", help="tab-separated attribute file")
+    out: str = _setting("out", metavar="DIR", help="output directory (default: out)")
+    seed: int = _setting(0, type=int, metavar="N")
+    split: tuple[float, float, float] = _setting(
+        (0.8, 0.1, 0.1), _parse_split, from_flag=_parse_split, metavar="A/B/C", help="train/dev/test fractions"
+    )
+    observed_fraction: float = _setting(1.0, type=float, metavar="F")
+    damping: float = _setting(0.5, type=float, metavar="X")
+    conv_frac: float = _setting(0.001, type=float, metavar="X")
+    max_iters: int = _setting(200, type=int, metavar="N")
+    no_cross: bool = _setting(False, _parse_bool, action="store_true")
+    no_inner: bool = _setting(False, _parse_bool, action="store_true")
+    min_support: int = _setting(5, type=int, metavar="N")
+    r2_min: float = _setting(0.0, type=float, metavar="X")
+    exclude: tuple[str, ...] = _setting(
+        (),
+        _parse_exclude,
+        from_flag=tuple,
+        action="append",
+        metavar="attrA,attrB[,link]",
+        help="skip models for an attribute pair (repeatable; link = relation or INNER)",
+    )
+    eval_split: str = _setting("test", choices=("dev", "test"))
 
     def validate(self) -> None:
         try:
-            SplitSpec(*self.split, seed=self.seed)
-            PropagationConfig(
-                damping=self.damping, conv_frac=self.conv_frac, max_iters=self.max_iters
-            )
-            AdmissionConfig(
-                min_support=self.min_support,
-                r2_min=self.r2_min,
-                exclusions=AdmissionConfig.parse_exclusions(self.exclude),
-            )
+            self.split_spec, self.propagation, self.admission  # each checks its own ranges
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not 0.0 < self.observed_fraction <= 1.0:
@@ -152,97 +195,47 @@ class RunConfig:
         return f"{self.observed_fraction:.0%}"
 
 
-def _parse_split(text: str) -> tuple[float, float, float]:
-    parts = text.split("/")
-    if len(parts) != 3:
-        raise ConfigError(f"split must be three /-separated fractions, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except ValueError:
-        raise ConfigError(f"unparseable split fractions {text!r}") from None
+_SETTINGS = {setting.name: setting for setting in fields(RunConfig)}
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
-def read_config_file(path: str) -> dict[str, str]:
-    """Flat ``key=value`` lines; blank lines and # comments skipped."""
+def read_config_file(path: str) -> dict[str, tuple[int, str]]:
+    """Flat ``key=value`` lines as key -> (line number, value); blank lines and # comments skipped."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
-    values: dict[str, str] = {}
+    values: dict[str, tuple[int, str]] = {}
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in values:
+            raise ConfigError(f"{path}:{line_no}: duplicate config key {key!r}")
+        values[key] = (line_no, value)
     return values
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, overridden by the config file, overridden by CLI flags."""
-    cfg = RunConfig()
+    values = {}
     if args.config:
-        raw = read_config_file(args.config)
-        setters = {
-            "triples": lambda v: replace(cfg, triples=v),
-            "attrs": lambda v: replace(cfg, attrs=v),
-            "out": lambda v: replace(cfg, out=v),
-            "seed": lambda v: replace(cfg, seed=int(v)),
-            "split": lambda v: replace(cfg, split=_parse_split(v)),
-            "observed_fraction": lambda v: replace(cfg, observed_fraction=float(v)),
-            "damping": lambda v: replace(cfg, damping=float(v)),
-            "conv_frac": lambda v: replace(cfg, conv_frac=float(v)),
-            "max_iters": lambda v: replace(cfg, max_iters=int(v)),
-            "no_cross": lambda v: replace(cfg, no_cross=_parse_bool(v)),
-            "no_inner": lambda v: replace(cfg, no_inner=_parse_bool(v)),
-            "min_support": lambda v: replace(cfg, min_support=int(v)),
-            "r2_min": lambda v: replace(cfg, r2_min=float(v)),
-            "exclude": lambda v: replace(
-                cfg, exclude=tuple(r.strip() for r in v.split(";") if r.strip())
-            ),
-            "eval_split": lambda v: replace(cfg, eval_split=v),
-        }
-        for key, value in raw.items():
-            if key not in setters:
+        # in file order, so the first bad line is the one reported
+        for key, (line_no, text) in read_config_file(args.config).items():
+            if key not in _SETTINGS:
                 raise ConfigError(f"unknown config key {key!r}")
             try:
-                cfg = setters[key](value)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from None
-
-    overrides = dict(
-        triples=args.triples,
-        attrs=args.attrs,
-        out=args.out,
-        seed=args.seed,
-        split=_parse_split(args.split) if args.split else None,
-        observed_fraction=args.observed_fraction,
-        damping=args.damping,
-        conv_frac=args.conv_frac,
-        max_iters=args.max_iters,
-        min_support=args.min_support,
-        r2_min=args.r2_min,
-        eval_split=args.eval_split,
-    )
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    if args.no_cross:
-        cfg = replace(cfg, no_cross=True)
-    if args.no_inner:
-        cfg = replace(cfg, no_inner=True)
-    if args.exclude:
-        cfg = replace(cfg, exclude=tuple(args.exclude))
+                values[key] = _SETTINGS[key].metadata["parse"](text)
+            except (ValueError, ConfigError) as exc:
+                raise ConfigError(f"{args.config}:{line_no}: config key {key!r}: {exc}") from None
+    for name, setting in _SETTINGS.items():
+        flag = getattr(args, name)
+        if flag is not None:  # flags default to None, a store-true flag included
+            values[name] = setting.metadata["from_flag"](flag)
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
@@ -423,52 +416,27 @@ def cmd_ablate(cfg: RunConfig) -> int:
 
 
 _COMMANDS = {
-    "stats": cmd_stats,
-    "split": cmd_split,
-    "fit": cmd_fit,
-    "impute": cmd_impute,
-    "eval": cmd_eval,
-    "ablate": cmd_ablate,
+    "stats": (cmd_stats, "print dataset and model statistics"),
+    "split": (cmd_split, "write the train/dev/test manifest"),
+    "fit": (cmd_fit, "fit regression models and write the model dump"),
+    "impute": (cmd_impute, "run propagation and write imputed values"),
+    "eval": (cmd_eval, "score imputations against baselines"),
+    "ablate": (cmd_ablate, "run full / w/o Inner / w/o Cross comparisons"),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    common.add_argument("--triples", metavar="PATH", help="tab-separated triple file")
-    common.add_argument("--attrs", metavar="PATH", help="tab-separated attribute file")
-    common.add_argument("--out", metavar="DIR", help="output directory (default: out)")
-    common.add_argument("--seed", type=int, metavar="N")
-    common.add_argument("--split", metavar="A/B/C", help="train/dev/test fractions")
-    common.add_argument("--observed-fraction", type=float, metavar="F", dest="observed_fraction")
-    common.add_argument("--damping", type=float, metavar="X")
-    common.add_argument("--conv-frac", type=float, metavar="X", dest="conv_frac")
-    common.add_argument("--max-iters", type=int, metavar="N", dest="max_iters")
-    common.add_argument("--no-cross", action="store_true", dest="no_cross")
-    common.add_argument("--no-inner", action="store_true", dest="no_inner")
-    common.add_argument("--min-support", type=int, metavar="N", dest="min_support")
-    common.add_argument("--r2-min", type=float, metavar="X", dest="r2_min")
-    common.add_argument(
-        "--exclude",
-        action="append",
-        metavar="attrA,attrB[,link]",
-        help="skip models for an attribute pair (repeatable; link = relation or INNER)",
-    )
-    common.add_argument("--eval-split", choices=("dev", "test"), dest="eval_split")
+    for name, setting in _SETTINGS.items():
+        common.add_argument("--" + name.replace("_", "-"), default=None, **setting.metadata["flag"])
 
     parser = argparse.ArgumentParser(
         prog="mrap",
         description="Impute missing numeric node attributes in a multi-relational graph.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("stats", "print dataset and model statistics"),
-        ("split", "write the train/dev/test manifest"),
-        ("fit", "fit regression models and write the model dump"),
-        ("impute", "run propagation and write imputed values"),
-        ("eval", "score imputations against baselines"),
-        ("ablate", "run full / w/o Inner / w/o Cross comparisons"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
@@ -496,8 +464,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    logger.info("config: %s", ", ".join(f"{name}={value!r}" for name, value in asdict(cfg).items()))
+    command, _ = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](cfg)
+        return command(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

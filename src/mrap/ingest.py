@@ -58,6 +58,8 @@ class SplitSpec:
             raise ValueError(f"split fractions must be positive, got {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {sum(fracs)!r}")
+        if not all(map(math.isfinite, fracs)):  # NaN passes both checks above
+            raise ValueError(f"split fractions must be finite, got {fracs}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

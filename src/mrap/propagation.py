@@ -68,6 +68,8 @@ class PropagationConfig:
             raise ValueError(f"damping must be in (0, 1], got {self.damping!r}")
         if self.conv_frac <= 0.0:
             raise ValueError("conv_frac must be positive")
+        if not np.isfinite(self.conv_frac):
+            raise ValueError(f"conv_frac must be finite, got {self.conv_frac!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 

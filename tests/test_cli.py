@@ -1,9 +1,11 @@
+import argparse
 import builtins
 import csv
 import errno
 import logging
 import math
 import re
+from dataclasses import fields
 
 import pytest
 
@@ -16,6 +18,9 @@ from mrap.cli import (
     EXIT_NOCONV,
     EXIT_OK,
     EXIT_USAGE,
+    RunConfig,
+    _build_parser,
+    build_config,
     main,
 )
 
@@ -132,8 +137,12 @@ class TestPipeline:
         base = _args(dataset, out, "--seed", "1", "--min-support", "3")
         with caplog.at_level(logging.INFO, logger="mrap.propagation"), caplog.at_level(
             logging.INFO, logger="mrap.ingest"
-        ):
+        ), caplog.at_level(logging.INFO, logger="mrap.cli"):
             assert main(["impute", *base]) == EXIT_OK
+        config = next(r.getMessage() for r in caplog.records if r.name == "mrap.cli")
+        # every resolved setting, in the order of RunConfig's fields
+        assert re.findall(r"(?:^config: |, )(\w+)=", config) == [f.name for f in fields(RunConfig)]
+        assert ", seed=1, " in config and ", min_support=3, " in config
         loaded = "\n".join(r.getMessage() for r in caplog.records if r.name == "mrap.ingest")
         # 40 people: 80 distinct triples over 80 entities, 3 attribute types
         assert re.search(
@@ -401,11 +410,115 @@ class TestExitCodes:
         assert main(["impute", *base, "--no-cross"]) == EXIT_DATA
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_non_finite_split_fraction(self, dataset, tmp_path, capsys, where):
+        config = tmp_path / "nan.cfg"
+        config.write_text("split=nan/0.5/0.5\n")
+        extra = ["--split", "nan/0.5/0.5"] if where == "flag" else ["--config", str(config)]
+        assert main(["split", *_args(dataset, tmp_path / "o", *extra)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: split fractions must be finite, got (nan, 0.5, 0.5)\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_conv_frac(self, dataset, tmp_path, value):
+        out = tmp_path / "o"
+        assert main(["impute", *_args(dataset, out, f"--conv-frac={value}")]) == EXIT_USAGE
+        assert not out.exists()
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == EXIT_OK
 
 
+# Each RunConfig field: its default, a config-file value and what it sets, flags that
+# override that file value and what they set, and a bad file value with its error
+# ({loc} is "PATH:LINE: config key 'NAME': "; None where no text fails to parse).
+INT = "{loc}invalid literal for int() with base 10: {bad!r}"
+FLOAT = "{loc}could not convert string to float: {bad!r}"
+BOOL = "{loc}expected a boolean, got {bad!r}"
+SETTINGS = [
+    ("triples", None, "t.tsv", "t.tsv", ["--triples", "u.tsv"], "u.tsv", None, None),
+    ("attrs", None, "a.tsv", "a.tsv", ["--attrs", "b.tsv"], "b.tsv", None, None),
+    ("out", "out", "o1", "o1", ["--out", "o2"], "o2", None, None),
+    ("seed", 0, "3", 3, ["--seed", "4"], 4, "x", INT),
+    (
+        "split",
+        (0.8, 0.1, 0.1),
+        "0.6/0.2/0.2",
+        (0.6, 0.2, 0.2),
+        ["--split", "0.5/0.25/0.25"],
+        (0.5, 0.25, 0.25),
+        "1/2",
+        "{loc}split must be three /-separated fractions, got '1/2'",
+    ),
+    ("observed_fraction", 1.0, "0.5", 0.5, ["--observed-fraction", "0.25"], 0.25, "half", FLOAT),
+    ("damping", 0.5, "0.7", 0.7, ["--damping", "0.9"], 0.9, "x", FLOAT),
+    ("conv_frac", 0.001, "0.01", 0.01, ["--conv-frac", "0.1"], 0.1, "", FLOAT),
+    ("max_iters", 200, "50", 50, ["--max-iters", "60"], 60, "1.5", INT),
+    ("no_cross", False, "off", False, ["--no-cross"], True, "maybe", BOOL),
+    ("no_inner", False, "0", False, ["--no-inner"], True, "y", BOOL),
+    ("min_support", 5, "3", 3, ["--min-support", "4"], 4, "three", INT),
+    ("r2_min", 0.0, "0.1", 0.1, ["--r2-min", "0.2"], 0.2, "-", FLOAT),
+    (
+        "exclude",
+        (),
+        "a,b; ;c,d,INNER",
+        ("a,b", "c,d,INNER"),
+        ["--exclude", "e,f", "--exclude", "g,h;i,j"],  # a flag is one rule, ; and all
+        ("e,f", "g,h;i,j"),
+        "a",
+        "exclusion must be 'attrA,attrB[,link]', got 'a'",  # a range error: no line
+    ),
+    ("eval_split", "test", "dev", "dev", ["--eval-split", "test"], "test", "val",
+     "eval-split must be dev or test, got 'val'"),
+]
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize(
+        "name,default,text,value,flags,flag_value,bad,error", SETTINGS, ids=[c[0] for c in SETTINGS]
+    )
+    def test_every_setting(self, tmp_path, capsys, name, default, text, value, flags, flag_value, bad, error):
+        assert [c[0] for c in SETTINGS] == [f.name for f in fields(RunConfig)]
+        config = tmp_path / "run.cfg"
+
+        def resolve(*argv):
+            return getattr(build_config(_build_parser().parse_args(["stats", *argv])), name)
+
+        assert getattr(RunConfig(), name) == default
+        assert resolve() == default
+        config.write_text(f"# one setting\n{name}={text}\n")
+        assert resolve("--config", str(config)) == value
+        assert resolve("--config", str(config), *flags) == flag_value
+        if bad is not None:
+            config.write_text(f"# one setting\n{name}={bad}\n")
+            assert main(["stats", "--config", str(config)]) == EXIT_USAGE
+            loc = f"{config}:2: config key {name!r}: "
+            assert capsys.readouterr().err == f"error: {error.format(loc=loc, bad=bad)}\n"
+
+    def test_store_true_flag_cannot_unset_a_files_true(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("no_cross=yes\nno_inner=on\n")
+        for argv in ([], ["--no-cross", "--no-inner"]):
+            cfg = build_config(_build_parser().parse_args(["stats", "--config", str(config), *argv]))
+            assert (cfg.no_cross, cfg.no_inner) == (True, True)
+
+    def test_parser_options_are_pinned(self):
+        parser = _build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+        assert list(commands) == ["stats", "split", "fit", "impute", "eval", "ablate"]
+        for sub in commands.values():
+            assert [s for a in sub._actions for s in a.option_strings] == [
+                "-h", "--help", "--config", "--triples", "--attrs", "--out", "--seed", "--split",
+                "--observed-fraction", "--damping", "--conv-frac", "--max-iters", "--no-cross",
+                "--no-inner", "--min-support", "--r2-min", "--exclude", "--eval-split",
+            ]
+
+    def test_duplicate_config_key(self, tmp_path, capsys):
+        config = tmp_path / "twice.cfg"
+        config.write_text("seed=x\n\nseed=3\n")
+        assert main(["stats", "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {config}:3: duplicate config key 'seed'\n"
+
     def test_config_file_with_flag_override(self, dataset, tmp_path, capsys):
         triples, attrs = dataset
         config = tmp_path / "run.cfg"
@@ -458,7 +571,7 @@ class TestConfigFile:
 
 
 class TestDeterminism:
-    def test_thread_count_does_not_change_bytes(self, dataset, tmp_path):
+    def test_reruns_are_byte_identical(self, dataset, tmp_path):
         outputs = []
         for name in ("one", "two"):
             out = tmp_path / name
