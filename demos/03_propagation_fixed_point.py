@@ -37,8 +37,9 @@ registry = ModelRegistry(models={key: forward, key.reversed(): derive_reverse(fo
 values, report = run(bundle, registry, PropagationConfig(damping=0.5, max_iters=1000))
 print(f"converged={report.converged} after {report.iterations} iterations")
 print("first iterations of the trace (iter, type, max_delta, loss):")
-for row in report.trace[:6]:
-    print(f"  {row[0]:3d}  {row[1]}  delta={row[2]:.6f}  loss={row[3]:.6f}")
+for iteration, (deltas, loss) in enumerate(zip(report.deltas[:6], report.losses), start=1):
+    for label, delta in zip(report.types, deltas):
+        print(f"  {iteration:3d}  {label}  delta={delta:.6f}  loss={loss:.6f}")
 
 idx_b, idx_c, idx_a = table.lookup([graph.entities.id(n) for n in "bca"], [0, 0, 0])
 print(f"\nimputed: b={values[idx_b]:.12f}  c={values[idx_c]:.12f}")

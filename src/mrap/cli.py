@@ -226,7 +226,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         # in file order, so the first bad line is the one reported
         for key, (line_no, text) in read_config_file(args.config).items():
             if key not in _SETTINGS:
-                raise ConfigError(f"unknown config key {key!r}")
+                raise ConfigError(f"{args.config}:{line_no}: unknown config key {key!r}")
             try:
                 values[key] = _SETTINGS[key].metadata["parse"](text)
             except (ValueError, ConfigError) as exc:

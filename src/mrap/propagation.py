@@ -11,14 +11,18 @@ operator over the live targets (missing entries that receive a message):
 ``x <- (1 - d) x + d (A x + c)``. ``A`` holds ``w * eta / q`` per path
 between two live entries, with ``q`` the target's total weight; ``c`` folds
 in the intercepts and every prediction from a fixed source (an observed
-entry or a silent target). The compile counts each entry's messages first
-(the plan of :mod:`mrap.regression`, which ``count_paths`` sums), then
-builds the paths target by target, in blocks of whole entities, so no
-path-sized array outlives its block. ``A`` is stored as jagged diagonals
-(Saad, 1989): rows by degree, one contiguous slot per k-th entry of a row.
+entry or a silent target). An ablation is a mask on the plan's model table.
+The compile counts each entry's messages first (the plan of
+:mod:`mrap.regression`, which ``count_paths`` sums), then builds the paths
+target by target, in blocks of whole entities, so no path-sized array
+outlives its block. ``A`` is stored as jagged diagonals (Saad, 1989): rows
+by degree, one contiguous slot per k-th entry of a row.
 
 Updates are synchronous: iteration k reads only the k-1 values, and each
-row sums its terms in path order from zero, so results are bit-reproducible.
+row sums its terms in path order from zero, so results are bit-reproducible
+(no sum goes through BLAS, whose bits depend on its thread count). The run
+stops at the first iteration at which the max delta of every target type is
+below its tolerance (``conv_frac`` times the type's observed range) or 0.
 The diagnostic loss of each iteration (the ``loss`` column of the trace) is
 a quadratic form in the live values, centered on the initial values so that
 it keeps its digits at magnitudes like years. It reads the ``A x`` of the
@@ -41,7 +45,7 @@ import numpy as np
 from .attributes import AttributeTable, Status
 from .codec import write_table
 from .ingest import DatasetBundle
-from .regression import Incidences, ModelRegistry, PathKey, incidences, inflow, ragged
+from .regression import Incidences, ModelRegistry, incidences, inflow, ragged
 
 logger = logging.getLogger(__name__)
 
@@ -73,14 +77,6 @@ class PropagationConfig:
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
-    def allows(self, key: PathKey) -> bool:
-        """Whether messages over ``key`` are active under the ablation flags."""
-        if self.no_cross:
-            return not key.is_inner and not key.is_cross
-        if self.no_inner:
-            return not key.is_inner
-        return True
-
 
 @dataclass
 class ImputationReport:
@@ -91,7 +87,9 @@ class ImputationReport:
     target_entries: np.ndarray = field(repr=False)
     n_messages: np.ndarray = field(repr=False)  # per target entry
     total_weight: np.ndarray = field(repr=False)
-    trace: list[tuple[int, str, float, float]] = field(default_factory=list, repr=False)
+    types: list[str] = field(repr=False)  # labels of the target types, ascending by id
+    deltas: np.ndarray = field(repr=False)  # (iterations, types): max absolute change
+    losses: np.ndarray = field(repr=False)  # per iteration
 
 
 BLOCK = 32768  # compile work per block: (target entry, incidence) pairs plus candidate paths
@@ -116,27 +114,6 @@ def _paths(inc: Incidences, attrs: AttributeTable, t0: int, t1: int) -> tuple[np
     mid = inc.model.reshape(-1)[row[pair] * n_types + j]
     keep = (src >= 0) & (mid >= 0)
     return src[keep], t0 + target[pair[keep]], mid[keep]
-
-
-def _init_values(bundle: DatasetBundle) -> np.ndarray:
-    """Loaded values with every MISSING entry reset to its type's global mean."""
-    attrs = bundle.attrs
-    values = attrs.values.copy()
-    targets = bundle.target_indices()
-    for attr in np.unique(attrs.attr_ids[targets]):
-        means = attrs.mean_value(int(attr))  # raises DataError if nothing observed
-        sel = targets[attrs.attr_ids[targets] == attr]
-        values[sel] = means
-    return values
-
-
-def _target_ranges(bundle: DatasetBundle) -> dict[int, float]:
-    """Observed range per attribute type that has at least one target."""
-    attrs = bundle.attrs
-    targets = bundle.target_indices()
-    return {
-        int(attr): attrs.value_range(int(attr)) for attr in np.unique(attrs.attr_ids[targets])
-    }
 
 
 def _jagged(degree: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -202,7 +179,8 @@ class _Operator(NamedTuple):
         slope = (ax - self.ax0) * (-2.0 * self.q)
         slope += self.h * y
         slope += self.g
-        return self.loss0 + float(np.dot(slope, y))
+        slope *= y
+        return self.loss0 + float(slope.sum())  # a pairwise sum: unlike BLAS dot, its bits ignore the thread count
 
 
 def _compile(
@@ -220,7 +198,7 @@ def _compile(
     attrs = bundle.attrs
     n, attr = attrs.n_entries, attrs.attr_ids
     clock = time.perf_counter()
-    inc = incidences(bundle.graph, registry, attrs, cfg.allows)
+    inc = incidences(bundle.graph, registry, attrs, cfg.no_cross, cfg.no_inner)
     planned = inflow(inc, attrs, np.ones(n, dtype=bool))
     logger.info("paths: %d built in %.3f s", planned.sum(), time.perf_counter() - clock)
 
@@ -260,7 +238,8 @@ def _compile(
         # the loss at values, and its gradient and curvature per entry
         r0 = values[tgt] - (values[src] * e + t)
         wr = w * r0
-        loss0 += float(np.dot(wr, r0))
+        r0 *= wr
+        loss0 += float(r0.sum())
         wr *= 2.0
         g[t0:t1] += np.bincount(local, weights=wr, minlength=t1 - t0)
         h[t0:t1] += np.bincount(local, weights=w, minlength=t1 - t0)
@@ -281,34 +260,30 @@ def run(
     cfg: PropagationConfig | None = None,
     initial: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ImputationReport]:
-    """Propagate until every attribute type's max delta drops below tolerance.
+    """Propagate until every target type's max delta drops below its tolerance.
 
     Returns the final values, aligned with the attribute entries, plus a
-    report with per-target message counts and a per-iteration trace of
-    (iteration, type, max delta, total loss).
+    report with per-target message counts and, per iteration, the max delta
+    of each target type and the total loss.
     Non-convergence within ``max_iters`` is reported, not raised. ``initial``
     warm-starts the target values (observed entries are clamped regardless).
     """
     cfg = cfg or PropagationConfig()
     attrs = bundle.attrs
     targets = bundle.target_indices()
-    if initial is None:
-        values = _init_values(bundle)
-    else:
-        values = attrs.values.copy()
-        values[targets] = np.asarray(initial, dtype=np.float64)[targets]
+    types, type_of = np.unique(attrs.attr_ids[targets], return_inverse=True)
+    # per target type: its observed mean and its tolerance (a DataError where nothing is observed)
+    stats = [(attrs.mean_value(t), cfg.conv_frac * attrs.value_range(t)) for t in types.tolist()]
+    mean, tol = np.array(stats).reshape(-1, 2).T
+    values = attrs.values.copy()
+    values[targets] = mean[type_of] if initial is None else np.asarray(initial, dtype=np.float64)[targets]
     op, n_msgs, weight_sum = _compile(bundle, registry, cfg, values)
 
-    ranges = _target_ranges(bundle)
-    tol = {attr: cfg.conv_frac * rng for attr, rng in ranges.items()}
-    type_labels = {attr: attrs.types.label(attr) for attr in ranges}
     live_attr = attrs.attr_ids[op.live]
     type_starts = np.flatnonzero(np.diff(live_attr, prepend=-1))
     live_types = live_attr[type_starts]
 
-    trace: list[tuple[int, str, float, float]] = []
-    converged = not ranges  # nothing to impute converges immediately
-    iteration = 0
+    deltas, losses = [], []
     clock = time.perf_counter()
     x, ax = op.x0, op.ax0
     for iteration in range(1, cfg.max_iters + 1):
@@ -318,15 +293,10 @@ def run(
             max_delta[live_types] = np.maximum.reduceat(np.abs(new - x), type_starts)
             values[op.live] = new
             x, ax = new, op.product(values)
-        loss_now = op.loss(x, ax)
-        converged = True
-        for attr in ranges:
-            d = float(max_delta[attr])
-            trace.append((iteration, type_labels[attr], d, loss_now))
-            # delta == 0 counts as converged even when the range (and so the
-            # tolerance) is zero for a constant-valued type
-            if not (d < tol[attr] or d == 0.0):
-                converged = False
+        deltas.append(max_delta[types])
+        losses.append(op.loss(x, ax))
+        # a delta of 0 meets a constant type's zero tolerance
+        converged = bool(((deltas[-1] < tol) | (deltas[-1] == 0.0)).all())
         if converged:
             break
     seconds = time.perf_counter() - clock
@@ -336,7 +306,7 @@ def run(
         seconds,
         1000.0 * seconds / iteration,
         converged,
-        loss_now,
+        losses[-1],
     )
 
     if not converged:
@@ -350,7 +320,9 @@ def run(
         target_entries=targets,
         n_messages=n_msgs[targets],
         total_weight=weight_sum[targets],
-        trace=trace,
+        types=attrs.types.labels_of(types),
+        deltas=np.array(deltas).reshape(iteration, len(types)),
+        losses=np.array(losses),
     )
     return values, report
 
@@ -366,7 +338,8 @@ def write_imputations(
 
 
 def write_trace(path: str | os.PathLike, report: ImputationReport) -> None:
-    """Per-iteration convergence trace as CSV."""
-    iterations, types, deltas, losses = zip(*report.trace) if report.trace else ((),) * 4
-    columns = [np.array(iterations, dtype=np.int64), types, np.array(deltas), np.array(losses)]
+    """Convergence trace as CSV: one row per iteration and target type, types by ascending id."""
+    iterations, n_types = report.deltas.shape
+    iteration = np.repeat(np.arange(1, iterations + 1), n_types)
+    columns = [iteration, report.types * iterations, report.deltas.ravel(), np.repeat(report.losses, n_types)]
     write_table(path, columns, sep=",", header="iter,attr_type,max_delta,loss")

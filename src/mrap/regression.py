@@ -24,13 +24,14 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import IO, Callable, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .attributes import AttributeTable, Status
 from .codec import Table, parse_prefix, read_table, repeated, write_table
 from .errors import (
+    ConfigError,
     DataError,
     DegenerateRegressorError,
     InsufficientSupportError,
@@ -141,7 +142,7 @@ class AdmissionConfig:
 
     @staticmethod
     def parse_exclusions(specs: Iterable[str]) -> tuple[tuple[str, str, str | None], ...]:
-        """Parse ``"attrA,attrB[,link]"`` strings into normalized tuples."""
+        """Parse ``"attrA,attrB[,link]"`` strings into ``(attrA, attrB, link or None)`` tuples."""
         rules = []
         for spec in specs:
             parts = [p.strip() for p in spec.split(",")]
@@ -154,19 +155,26 @@ class AdmissionConfig:
                 raise ValueError(f"exclusion must be 'attrA,attrB[,link]', got {spec!r}")
             if not a or not b:
                 raise ValueError(f"exclusion with empty attribute in {spec!r}")
-            lo, hi = sorted((a, b))
-            rules.append((lo, hi, link))
+            rules.append((a, b, link))
         return tuple(rules)
 
-    def excludes(self, key: PathKey, graph: KnowledgeGraph, attrs: AttributeTable) -> bool:
-        if not self.exclusions:
-            return False
-        pair = tuple(sorted((attrs.types.label(key.dep), attrs.types.label(key.indep))))
-        link = INNER_LABEL if key.is_inner else graph.relations.label(key.relation)  # type: ignore[arg-type]
-        for a, b, rule_link in self.exclusions:
-            if (a, b) == pair and (rule_link is None or rule_link == link):
-                return True
-        return False
+    def excluded_ids(self, graph: KnowledgeGraph, attrs: AttributeTable) -> set[tuple[int, int, int | None]]:
+        """Each rule as (type id, type id, link): type ids ascending, the link a relation id, -1 for INNER or None.
+
+        A rule naming a label that the data does not have raises a ConfigError.
+        """
+        rules = set()
+        for rule in self.exclusions:
+            a, b, link = rule
+            named = [("attribute type", attrs.types, a), ("attribute type", attrs.types, b)]
+            if link not in (None, INNER_LABEL):
+                named.append(("relation", graph.relations, link))
+            for kind, vocab, label in named:
+                if vocab.get(label) is None:
+                    raise ConfigError(f"exclusion {','.join(filter(None, rule))!r}: the data has no {kind} {label!r}")
+            link_id = None if link is None else -1 if link == INNER_LABEL else graph.relations.id(link)
+            rules.add((*sorted((attrs.types.id(a), attrs.types.id(b))), link_id))
+        return rules
 
 
 @dataclass
@@ -197,10 +205,11 @@ def fit_simple_regression(
     mu_x = float(x.mean())
     mu_y = float(y.mean())
     dx = x - mu_x
-    sxx = float(dx @ dx)
+    # pairwise sums: unlike BLAS dot, their bits ignore the thread count
+    sxx = float((dx * dx).sum())
     if sxx == 0.0:
         raise DegenerateRegressorError("independent variable has zero variance")
-    eta = float(dx @ (y - mu_y)) / sxx
+    eta = float((dx * (y - mu_y)).sum()) / sxx
     tau = float(np.mean(y - eta * x))
     resid = y - eta * x - tau
     sigma2 = float(np.mean(resid * resid))
@@ -316,18 +325,23 @@ def incidences(
     graph: KnowledgeGraph,
     registry: ModelRegistry,
     attrs: AttributeTable,
-    allows: Callable[[PathKey], bool],
+    no_cross: bool = False,
+    no_inner: bool = False,
 ) -> Incidences:
-    """The incidences of the graph, with the models that ``allows`` keeps active."""
+    """The incidences of the graph, with every model active but those the ablation flags drop.
+
+    ``no_cross`` drops every model between two types (every inner model too), ``no_inner`` the inner ones.
+    """
     n_types, n_entities = attrs.n_types, graph.n_entities
     span = relation_span(graph, registry)
     model = np.full((2 * span + 1, n_types, n_types), -1, dtype=np.int32)
-    params = []
-    for key, m in registry.models.items():
-        if allows(key):
-            model[2 * span if key.is_inner else key.direction * span + key.relation, key.dep, key.indep] = len(params)
-            params.append((m.eta, m.tau, m.weight))
-    model[2 * span, np.arange(n_types), np.arange(n_types)] = -1  # no entry messages itself
+    for i, key in enumerate(registry.models):
+        model[2 * span if key.is_inner else key.direction * span + key.relation, key.dep, key.indep] = i
+    if no_cross:
+        model[:, ~np.eye(n_types, dtype=bool)] = -1
+    if no_inner:
+        model[2 * span] = -1
+    params = [(m.eta, m.tau, m.weight) for m in registry.models.values()]
     entry_of = np.full(n_entities * n_types, -1, dtype=np.int64)
     entry_of[attrs.entity_ids * n_types + attrs.attr_ids] = np.arange(attrs.n_entries)
 
@@ -376,7 +390,7 @@ def count_paths(graph: KnowledgeGraph, registry: ModelRegistry, attrs: Attribute
     model's direction or within one entity. This is the ``paths:`` count of a
     propagation run without ablation flags.
     """
-    inc = incidences(graph, registry, attrs, lambda key: True)
+    inc = incidences(graph, registry, attrs)
     return int(inflow(inc, attrs, np.ones(attrs.n_entries, dtype=bool)).sum())
 
 
@@ -431,11 +445,13 @@ def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = No
     """
     admission = admission or AdmissionConfig()
     graph, attrs = bundle.graph, bundle.attrs
+    excluded = admission.excluded_ids(graph, attrs)
     models: dict[PathKey, RegressionModel] = {}
     rejections: Counter[str] = Counter()
 
     for key, ys, xs in training_pairs(bundle):
-        if admission.excludes(key, graph, attrs):
+        pair = sorted((key.dep, key.indep))
+        if {(*pair, None), (*pair, -1 if key.is_inner else key.relation)} & excluded:
             rejections["excluded"] += 1
             continue
         if len(ys) < max(2, admission.min_support):

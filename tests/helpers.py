@@ -18,7 +18,7 @@ from mrap.errors import DataError, MrapError, ParseError
 from mrap.evaluation import EvalReport, EvalRow
 from mrap.graph import Direction, KnowledgeGraph, Vocabulary, build_graph
 from mrap.ingest import DatasetBundle, Split, load_dataset
-from mrap.propagation import PropagationConfig, _init_values, run
+from mrap.propagation import PropagationConfig, run
 from mrap.regression import (
     INNER_LABEL,
     EntryIndex,
@@ -522,6 +522,24 @@ class Message(NamedTuple):
     source_entity: int
 
 
+def allows(cfg: PropagationConfig, key: PathKey) -> bool:
+    """Whether messages over ``key`` are active under the ablation flags of ``cfg``."""
+    if cfg.no_cross:
+        return not key.is_inner and not key.is_cross
+    if cfg.no_inner:
+        return not key.is_inner
+    return True
+
+
+def init_values(bundle) -> np.ndarray:
+    """The loaded values with every target at the observed mean of its type, as ``run`` starts."""
+    attrs = bundle.attrs
+    values = attrs.values.copy()
+    for t in bundle.target_indices().tolist():
+        values[t] = attrs.mean_value(int(attrs.attr_ids[t]))
+    return values
+
+
 def collect_messages(bundle, registry, values, target, cfg) -> list[Message]:
     """All messages flowing into one tracked (entity, attribute) entry.
 
@@ -541,7 +559,7 @@ def collect_messages(bundle, registry, values, target, cfg) -> list[Message]:
                 attr, int(attrs.attr_ids[entry]), oriented.relation, oriented.direction
             )
             model = registry.models.get(key)
-            if model is not None and cfg.allows(key):
+            if model is not None and allows(cfg, key):
                 messages.append(
                     Message(target, model.predict(float(values[entry])), model.weight, key, neighbor)
                 )
@@ -551,7 +569,7 @@ def collect_messages(bundle, registry, values, target, cfg) -> list[Message]:
             continue
         key = PathKey.inner(attr, src_attr)
         model = registry.models.get(key)
-        if model is not None and cfg.allows(key):
+        if model is not None and allows(cfg, key):
             messages.append(
                 Message(target, model.predict(float(values[entry])), model.weight, key, entity)
             )
@@ -821,8 +839,9 @@ def reference_write_imputations(fh, bundle, values, report):
 
 def reference_write_trace(fh, report):
     fh.write("iter,attr_type,max_delta,loss\n")
-    for iteration, attr, delta, loss_val in report.trace:
-        fh.write(f"{iteration},{attr},{delta:.17g},{loss_val:.17g}\n")
+    for iteration, (deltas, loss_val) in enumerate(zip(report.deltas, report.losses), start=1):
+        for attr, delta in zip(report.types, deltas):
+            fh.write(f"{iteration},{attr},{delta:.17g},{loss_val:.17g}\n")
 
 
 def reference_read_imputed(lines, path, bundle):
@@ -878,24 +897,24 @@ def _link(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every active path as (src, tgt, model id), plus the models' eta, tau and weight rows.
 
-    Paths come edge by edge in stored edge order, each edge's forward paths
-    before its reverse ones, then the inner paths entity by entity. This
-    fixes the order in which each target's messages are summed.
+    A model's id is its place in the registry, active or not. Paths come
+    edge by edge in stored edge order, each edge's forward paths before its
+    reverse ones, then the inner paths entity by entity. This fixes the
+    order in which each target's messages are summed.
     """
     graph, attrs = bundle.graph, bundle.attrs
     n_types, attr = attrs.n_types, attrs.attr_ids
     shape = (2, relation_span(graph, registry), n_types, n_types)
     relational = np.full(shape, -1, dtype=np.int32)  # direction, relation, dep, indep
     inner = np.full((n_types, n_types), -1, dtype=np.int32)  # dep, indep
-    params = []
-    for key, model in registry.models.items():
-        if not cfg.allows(key):
+    for i, key in enumerate(registry.models):
+        if not allows(cfg, key):
             continue
         if key.is_inner:
-            inner[key.dep, key.indep] = len(params)
+            inner[key.dep, key.indep] = i
         else:
-            relational[key.direction, key.relation, key.dep, key.indep] = len(params)
-        params.append((model.eta, model.tau, model.weight))
+            relational[key.direction, key.relation, key.dep, key.indep] = i
+    params = [(model.eta, model.tau, model.weight) for model in registry.models.values()]
     models = np.array(params, dtype=np.float64).reshape(-1, 3).T.copy()
 
     index = EntryIndex.of(attrs, graph.n_entities)
@@ -966,7 +985,7 @@ def fixed_point_oracle(
     targets = bundle.target_indices()
     unknowns = [int(t) for t in targets if weight_sum[t] > 0.0]
     pos = {entry: i for i, entry in enumerate(unknowns)}
-    const_values = _init_values(bundle)
+    const_values = init_values(bundle)
 
     # union-find over unknowns coupled by a path
     parent = list(range(len(unknowns)))

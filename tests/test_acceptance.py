@@ -169,7 +169,7 @@ def test_criterion_4_exact_recovery_on_noiseless_data():
             )
         )
         assert total <= 1e-9 * scale
-        assert report.trace[-1][3] <= 1e-9 * scale
+        assert report.losses[-1] <= 1e-9 * scale
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(

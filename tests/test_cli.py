@@ -4,8 +4,12 @@ import csv
 import errno
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,15 @@ from mrap.cli import (
     build_config,
     main,
 )
+
+
+SRC_DIR = Path(mrap.__file__).resolve().parents[1]
+
+
+def _python(*args, **env) -> subprocess.CompletedProcess:
+    """Run this interpreter in a fresh process that imports ``mrap`` from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR), **env)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
 
 
 @pytest.fixture()
@@ -163,6 +176,24 @@ class TestPipeline:
         assert found
         last_loss = float((out / "trace.csv").read_text().splitlines()[-1].split(",")[3])
         assert float(found.group(1)) == pytest.approx(last_loss, rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            ("birth,deaht", "exclusion 'birth,deaht': the data has no attribute type 'deaht'"),
+            ("birth,death,knowz", "exclusion 'birth,death,knowz': the data has no relation 'knowz'"),
+        ],
+        ids=["attribute", "relation"],
+    )
+    def test_exclude_naming_a_label_the_data_lacks_exits_1(self, dataset, tmp_path, capsys, rule, message):
+        out = tmp_path / "o"
+        assert main(["fit", *_args(dataset, out, "--min-support", "3", "--exclude", rule)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (out / "models.tsv").exists()
+
+    def test_exclude_counts_the_keys_it_drops(self, dataset, tmp_path, capsys):
+        assert main(["fit", *_args(dataset, tmp_path / "o", "--min-support", "3", "--exclude", "birth,death")]) == EXIT_OK
+        assert "  excluded: 3" in capsys.readouterr().out.splitlines()
 
     def test_ablation_flags_thread_through(self, dataset, tmp_path):
         out_a = tmp_path / "a"
@@ -549,9 +580,9 @@ class TestConfigFile:
 
     def test_threads_config_key_is_unknown(self, dataset, tmp_path, capsys):
         config = tmp_path / "threads.cfg"
-        config.write_text("threads=4\n")
+        config.write_text("# settings\nseed=3\nthreads=4\n")
         assert main(["split", "--config", str(config), *_args(dataset, tmp_path / "o")]) == EXIT_USAGE
-        assert "unknown config key 'threads'" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [f"error: {config}:3: unknown config key 'threads'"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])
@@ -587,3 +618,32 @@ class TestDeterminism:
                 }
             )
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="on one core OpenBLAS runs every dot product on one thread")
+    def test_blas_thread_count_does_not_change_bytes(self, tmp_path):
+        # OpenBLAS splits only long dot products across threads. With the
+        # loss summed by BLAS dot, trace.csv of this graph (about 10,000 live
+        # targets) differed between one and two threads; at 2,000 entities
+        # it did not.
+        generate = bench_generate()
+        spec = generate.GraphSpec(entities=4000, edges_per_entity=5, relations=20, noise_relations=0, types=6, density=0.5)
+        inputs = tmp_path / "in"
+        generate.write_graph(spec, 201, inputs)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            argv = _args((inputs / "triples.tsv", inputs / "attrs.tsv"), out, "--seed", "7", "--observed-fraction", "0.2")
+            result = _python("-m", "mrap.cli", "impute", *argv, OPENBLAS_NUM_THREADS=threads)
+            assert result.returncode == EXIT_OK, result.stderr
+            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert set(outputs[0]) == {"models.tsv", "imputed.tsv", "trace.csv"}
+        assert outputs[0] == outputs[1]
+
+
+class TestImports:
+    def test_the_cli_does_not_import_scipy(self):
+        # scipy serves test references only: its import alone adds about
+        # 20 MB to the peak RSS of a run
+        result = _python("-c", "import sys, mrap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"

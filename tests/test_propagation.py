@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -16,11 +17,13 @@ from helpers import (
     fixed_point_oracle,
     imputed_table,
     index,
+    init_values,
     load_rows,
     loss,
     make_bundle,
     make_model,
     random_instance,
+    reference_write_trace,
     registry_of,
     target_of,
 )
@@ -32,7 +35,6 @@ from mrap import propagation
 from mrap.propagation import (
     PropagationConfig,
     _compile,
-    _init_values,
     _jagged,
     _Operator,
     _paths,
@@ -212,7 +214,7 @@ class TestTargetMajorCompile:
             attrs, n = bundle.attrs, bundle.attrs.n_entries
             src, tgt, mid, params = _link(bundle, registry, cfg)
             order = np.argsort(tgt, kind="stable")
-            inc = incidences(bundle.graph, registry, attrs, cfg.allows)
+            inc = incidences(bundle.graph, registry, attrs, cfg.no_cross, cfg.no_inner)
             np.testing.assert_array_equal(inc.params, params)
             # blocks cut at any entity boundaries give the same paths
             cuts = np.sort(rng.choice(inc.entries, size=3)).tolist()
@@ -230,7 +232,7 @@ class TestTargetMajorCompile:
         for _ in range(25):
             bundle, registry = random_instance(rng, quirks=True)
             n = bundle.attrs.n_entries
-            op, n_msgs, weight_sum = _compile(bundle, registry, cfg, _init_values(bundle))
+            op, n_msgs, weight_sum = _compile(bundle, registry, cfg, init_values(bundle))
             src, tgt, mid, (eta, _, weight) = _link(bundle, registry, cfg)
             row_of = np.full(n, len(op.live))
             row_of[op.live] = np.arange(len(op.live))
@@ -257,17 +259,17 @@ class TestTargetMajorCompile:
         registry = registry_of(fwd, derive_reverse(fwd))
         src, tgt, mid, _ = _link(bundle, registry, PropagationConfig())
         order = np.argsort(tgt, kind="stable")
-        inc = incidences(bundle.graph, registry, bundle.attrs, PropagationConfig().allows)
+        inc = incidences(bundle.graph, registry, bundle.attrs, )
         for got, want in zip(_paths(inc, bundle.attrs, 0, bundle.attrs.n_entries), (src, tgt, mid)):
             np.testing.assert_array_equal(got, want[order])
 
     def test_empty_registry_has_no_paths_and_no_live_rows(self):
         bundle, _ = random_instance(np.random.default_rng(43), quirks=True)
-        inc = incidences(bundle.graph, registry_of(), bundle.attrs, PropagationConfig().allows)
+        inc = incidences(bundle.graph, registry_of(), bundle.attrs, )
         src, tgt, mid = _paths(inc, bundle.attrs, 0, bundle.attrs.n_entries)
         assert len(src) == len(tgt) == len(mid) == 0
-        op, n_msgs, _ = _compile(bundle, registry_of(), PropagationConfig(), _init_values(bundle))
-        assert len(op.live) == 0 and op.widths == [] and op.product(_init_values(bundle)).shape == (0,)
+        op, n_msgs, _ = _compile(bundle, registry_of(), PropagationConfig(), init_values(bundle))
+        assert len(op.live) == 0 and op.widths == [] and op.product(init_values(bundle)).shape == (0,)
         assert not n_msgs.any()
 
     def test_paths_only_into_observed_entries_leave_no_live_rows(self):
@@ -281,7 +283,7 @@ class TestTargetMajorCompile:
         registry = registry_of(fwd, derive_reverse(fwd))
         values, report = run(bundle, registry, PropagationConfig())
         assert report.converged and report.n_silent == 1
-        assert report.trace[-1][3] == pytest.approx(loss(bundle, registry, values), rel=1e-12)
+        assert report.losses[-1] == pytest.approx(loss(bundle, registry, values), rel=1e-12)
 
     def test_plan_counts_bits_without_numpy_2(self, monkeypatch):
         # np.bitwise_count is NumPy 2 only; the package supports numpy>=1.24
@@ -308,7 +310,7 @@ class TestTargetMajorCompile:
             3, 0.2, entities=2000, edges_per_entity=5, relations=20, noise_relations=0, types=6, density=0.5
         )
         registry = build_registry(bundle, AdmissionConfig())
-        op = _compile(bundle, registry, PropagationConfig(), _init_values(bundle))[0]
+        op = _compile(bundle, registry, PropagationConfig(), init_values(bundle))[0]
         op_bytes = sum(field.nbytes for field in op if isinstance(field, np.ndarray))
         del op
         tracemalloc.start()
@@ -406,15 +408,15 @@ class TestRun:
         s1, r1 = run(bundle, registry, cfg)
         s2, r2 = run(bundle, registry, cfg)
         np.testing.assert_array_equal(s1, s2)
-        assert r1.trace == r2.trace
+        assert r1.types == r2.types
+        np.testing.assert_array_equal(r1.deltas, r2.deltas)
+        np.testing.assert_array_equal(r1.losses, r2.losses)
 
     def test_engine_matches_per_target_aggregation(self):
         rng = np.random.default_rng(33)
         bundle, registry = random_instance(rng)
         cfg = PropagationConfig(damping=1.0, max_iters=1)
-        from mrap.propagation import _init_values
-
-        init = _init_values(bundle)
+        init = init_values(bundle)
         values, report = run(bundle, registry, cfg)
         attrs = bundle.attrs
         for t, n_msgs in zip(report.target_entries, report.n_messages):
@@ -466,7 +468,7 @@ class TestRun:
         assert bundle.attrs.n_types == bundle.attrs.n_entries == 0
         values, report = run(bundle, registry_of(), PropagationConfig())
         assert report.converged and values.shape == (0,)
-        assert report.n_targets == 0 and report.trace == []
+        assert report.n_targets == 0 and report.types == [] and report.deltas.size == 0
 
     def test_imputed_table_marks_targets(self):
         from mrap.attributes import Status
@@ -490,10 +492,73 @@ class TestRun:
         bundle = _chain_bundle()
         model = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 1.0, 25.0, 0.5)
         _, report = run(bundle, registry_of(model), PropagationConfig())
-        assert report.trace
-        iters = [row[0] for row in report.trace]
-        assert iters == sorted(iters)
-        assert {row[1] for row in report.trace} == {"v"}
+        assert report.types == ["v"]
+        assert report.deltas.shape == (report.iterations, 1) == (len(report.losses), 1)
+
+
+class TestStopRule:
+    """The run stops at the first iteration at which every target type meets its tolerance.
+
+    Type ``v`` (id 0) has observed values 0 and 100, so a tolerance of 0.1;
+    type ``c`` (id 1) is constant, so its range and tolerance are 0 and it
+    meets its tolerance only on a delta of exactly 0.
+    """
+
+    @staticmethod
+    def _bundle(chain: int):
+        triples = [("ov", "p", "tv"), ("oc", "p", "t1")] + [(f"t{i}", "p", f"t{i + 1}") for i in range(1, chain)]
+        observed = {("ov", "v"): 100.0, ("anchor", "v"): 0.0, ("oc", "c"): 5.0, ("anchor", "c"): 5.0}
+        missing = {("tv", "v"): 0.0} | {(f"t{i}", "c"): 0.0 for i in range(1, chain + 1)}
+        bundle = make_bundle(triples, observed, missing, attr_order=("v", "c"))
+        registry = registry_of(*(make_model(PathKey.relational(t, t, 0, Direction.FORWARD), 1.0, 0.0, 1.0) for t in (0, 1)))
+        return bundle, registry
+
+    @staticmethod
+    def _trace_rows(tmp_path, report) -> list[str]:
+        propagation.write_trace(tmp_path / "trace.csv", report)
+        text = (tmp_path / "trace.csv").read_text()
+        reference = io.StringIO()
+        reference_write_trace(reference, report)
+        assert text == reference.getvalue()
+        return text.splitlines()[1:]
+
+    # a delta equal to the tolerance does not meet it: at 2**-10 the
+    # tolerance is 25 / 2**8, the delta of iteration 9
+    @pytest.mark.parametrize("conv_frac, iterations", [(0.001, 9), (2.0**-10, 10)])
+    def test_constant_type_waits_for_the_other(self, tmp_path, conv_frac, iterations):
+        # c is at its fixed point from the start; v halves its distance each
+        # iteration, from a delta of 25 to 25 / 2**8 < 0.1 at iteration 9
+        bundle, registry = self._bundle(chain=1)
+        _, report = run(bundle, registry, PropagationConfig(damping=0.5, conv_frac=conv_frac))
+        assert report.converged and report.iterations == iterations
+        assert report.types == ["v", "c"]
+        np.testing.assert_array_equal(report.deltas[:, 1], 0.0)
+        np.testing.assert_array_equal(report.deltas[:, 0], 25.0 / 2.0 ** np.arange(iterations))
+        rows = self._trace_rows(tmp_path, report)
+        assert [row.split(",")[:2] for row in rows] == [[str(k), t] for k in range(1, iterations + 1) for t in ("v", "c")]
+        assert rows[:2] == ["1,v,25,625", "1,c,0,625"]  # the loss is v's residual 100 - 75, squared
+
+    def test_other_type_waits_for_the_constant_one(self, tmp_path):
+        # undamped, v is exact after one iteration; the c chain starts at 7
+        # and takes one iteration per link to settle at 5, then one more to
+        # show a delta of 0
+        bundle, registry = self._bundle(chain=3)
+        initial = init_values(bundle)
+        for i in range(1, 4):
+            initial[entry_index(bundle, f"t{i}", "c")] = 7.0
+        _, report = run(bundle, registry, PropagationConfig(damping=1.0), initial=initial)
+        assert report.converged and report.iterations == 4
+        np.testing.assert_array_equal(report.deltas, [[50.0, 2.0], [0.0, 2.0], [0.0, 2.0], [0.0, 0.0]])
+        rows = self._trace_rows(tmp_path, report)
+        assert [row.split(",")[:3] for row in rows[-2:]] == [["4", "v", "0"], ["4", "c", "0"]]
+
+    def test_a_constant_type_that_keeps_moving_does_not_converge(self):
+        bundle, registry = self._bundle(chain=3)
+        initial = init_values(bundle)
+        for i in range(1, 4):
+            initial[entry_index(bundle, f"t{i}", "c")] = 7.0
+        _, report = run(bundle, registry, PropagationConfig(damping=1.0, max_iters=3), initial=initial)
+        assert not report.converged and report.iterations == 3
 
 
 class TestFixedPointOracle:
@@ -603,7 +668,7 @@ class TestLoss:
     def test_loss_recorded_per_iteration(self):
         bundle, registry = self._stationary_setup()
         _, report = run(bundle, registry, PropagationConfig(max_iters=20))
-        losses = [row[3] for row in report.trace]
+        losses = report.losses
         assert len(losses) >= 2
         assert losses[-1] <= losses[0]
 
@@ -615,7 +680,7 @@ class TestLoss:
             for cfg in (PropagationConfig(max_iters=1), PropagationConfig(no_inner=True, max_iters=7)):
                 values, report = run(bundle, registry, cfg)
                 want = loss(bundle, registry, values, cfg)
-                assert report.trace[-1][3] == pytest.approx(want, rel=1e-12, abs=1e-12)
+                assert report.losses[-1] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_trace_loss_equals_loss_at_year_magnitudes(self):
         # values near 2000 with residuals of a few units: an uncentered form
@@ -630,7 +695,7 @@ class TestLoss:
             values, report = run(bundle, registry, cfg)
             assert report.iterations == k
             want = loss(bundle, registry, values, cfg)
-            assert report.trace[-1][3] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert report.losses[-1] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_no_cross_admits_fewer_paths_than_no_inner(self):
         rng = np.random.default_rng(36)
