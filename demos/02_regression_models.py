@@ -59,8 +59,9 @@ print(f"  reverse is derived analytically: {reverse.fit.derived_reverse}\n")
 check = derive_reverse(forward)
 x = 1935.0
 print("prediction round trip through the affine inverse:")
-print(f"  forward({x}) = {forward.predict(x):.3f}")
-print(f"  reverse(forward({x})) = {check.predict(forward.predict(x)):.6f}\n")
+y = forward.eta * x + forward.tau
+print(f"  forward({x}) = {y:.3f}")
+print(f"  reverse(forward({x})) = {check.eta * y + check.tau:.6f}\n")
 
 print("model dump lines (17 significant digits for exact reload):")
 with tempfile.TemporaryDirectory() as tmp:

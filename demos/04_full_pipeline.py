@@ -69,7 +69,7 @@ print(format_report_table(reports))
 print("ablations on the same split:")
 # all three variants share the registry and differ only in the message filter flags
 ablation_reports = ablation_suite(bundle, cfg, registry, setup="100%")
-print(format_report_table(ablation_reports, merge_local_global=False))
+print(format_report_table(ablation_reports))
 print(
     "without cross-type messages nothing predictive remains here, so the\n"
     "w/o Cross error collapses to the Global baseline; dropping only the\n"

@@ -17,9 +17,9 @@ directory:
 
 Each artifact is replaced atomically, so a failed write leaves the last one.
 
-Exit codes: 0 success, 1 usage or config error, 2 data error (with the line
-of a bad file), 3 propagation finished without converging (outputs are
-still written). The ``MRAP_LOG``
+Exit codes: 0 success, 1 usage or config error, 2 data error (a bad row
+as ``PATH:LINE: reason``), 3 propagation finished without converging
+(outputs are still written). The ``MRAP_LOG``
 environment variable (error|warn|info|debug) controls diagnostics on stderr.
 """
 from __future__ import annotations
@@ -30,6 +30,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import IO, Callable, TypeVar
 
 import numpy as np
 
@@ -69,6 +70,7 @@ from .regression import (
 )
 
 logger = logging.getLogger(__name__)
+T = TypeVar("T")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -247,13 +249,20 @@ def _out_path(cfg: RunConfig, name: str) -> Path:
     return Path(cfg.out) / name
 
 
+def _read(path: str | os.PathLike, read: Callable[[IO[bytes]], T]) -> T:
+    """``read`` of the file at ``path``; the error of a bad row names the file and the line."""
+    with open(path, "rb") as fh:
+        try:
+            return read(fh)
+        except ParseError as exc:
+            raise DataError(f"{path}:{exc.line_no}: {exc.reason}") from None
+
+
 def _load_inputs(cfg: RunConfig) -> tuple[KnowledgeGraph, AttributeTable]:
     if not cfg.triples or not cfg.attrs:
         raise ConfigError("both --triples and --attrs input paths are required")
-    with open(cfg.triples, "rb") as fh:
-        triples = parse_triples(fh)
-    with open(cfg.attrs, "rb") as fh:
-        attributes, _ = parse_attributes(fh)
+    triples = _read(cfg.triples, parse_triples)
+    attributes, _ = _read(cfg.attrs, parse_attributes)
     return load_dataset(triples, attributes)
 
 
@@ -262,8 +271,7 @@ def load_bundle(cfg: RunConfig) -> DatasetBundle:
     graph, attrs = _load_inputs(cfg)
     manifest_path = _out_path(cfg, SPLIT_FILE)
     if manifest_path.exists():
-        with open(manifest_path, "rb") as fh:
-            bundle = apply_split_manifest(graph, attrs, read_split_manifest(fh))
+        bundle = _read(manifest_path, lambda fh: apply_split_manifest(graph, attrs, read_split_manifest(fh)))
         logger.info("split restored from %s", manifest_path)
     else:
         bundle = split_attributes(graph, attrs, cfg.split_spec)
@@ -272,9 +280,9 @@ def load_bundle(cfg: RunConfig) -> DatasetBundle:
 
 def load_or_fit_registry(cfg: RunConfig, bundle: DatasetBundle, write_if_built: bool) -> ModelRegistry:
     models_path = _out_path(cfg, MODELS_FILE)
+    cfg.admission.excluded_ids(bundle.graph, bundle.attrs)  # a rule naming no label fails, even with a dump
     if models_path.exists():
-        with open(models_path, "rb") as fh:
-            registry = read_model_dump(fh, bundle.graph, bundle.attrs)
+        registry = _read(models_path, lambda fh: read_model_dump(fh, bundle.graph, bundle.attrs))
         logger.info("models restored from %s", models_path)
         return registry
     registry = build_registry(bundle, cfg.admission)
@@ -299,12 +307,11 @@ def _read_imputed(path: Path, bundle: DatasetBundle) -> tuple[np.ndarray, np.nda
             row = twice[0]
             raise ParseError(f"duplicate target ({entity[row]!r}, {attr[row]!r})", table.line(row))
         if n < len(table):
-            raise DataError(f"{path}:{table.line(n)}: unknown target ({entity[n]!r}, {attr[n]!r})")
+            raise ParseError(f"unknown target ({entity[n]!r}, {attr[n]!r})", table.line(n))
         idx = attrs.lookup(eids, aids)
         return idx[idx >= 0], values[idx >= 0]
 
-    with open(path, "rb") as fh:
-        return read_table(fh, 5, convert)
+    return _read(path, lambda fh: read_table(fh, 5, convert))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -407,7 +414,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
         bundle, cfg.propagation, registry=registry, split=split, setup=cfg.setup_label
     )
     write_report_csv(_out_path(cfg, ABLATION_CSV), reports)
-    table = format_report_table(reports, merge_local_global=False)
+    table = format_report_table(reports)
     write_text(_out_path(cfg, ABLATION_TXT), table)
     print(table, end="")
     if any(report.converged is False for report in reports):

@@ -7,11 +7,15 @@ class MrapError(Exception):
 
 
 class ParseError(MrapError):
-    """A data file violated its line format. Carries the 1-based line number."""
+    """A row of a data file is malformed or does not fit the loaded data.
+
+    Carries the 1-based line number and the reason without it.
+    """
 
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.reason = message
 
 
 class DataError(MrapError):

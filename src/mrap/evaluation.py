@@ -41,12 +41,6 @@ class EvalReport:
     rows: list[EvalRow] = field(default_factory=list)
     converged: bool | None = None  # set for propagation-backed methods
 
-    def row(self, attr: str) -> EvalRow | None:
-        for r in self.rows:
-            if r.attr == attr:
-                return r
-        return None
-
 
 def baseline_global(bundle: DatasetBundle, entries: np.ndarray | None = None) -> np.ndarray:
     """Predictions over all entries: the observed mean of its type at each of ``entries``.
@@ -191,55 +185,32 @@ def write_report_csv(path: str | os.PathLike, reports: list[EvalReport]) -> None
     write_table(path, columns, sep=",", header="method,setup,attr_type,mae,rmse,n_test,n_unpredicted")
 
 
-def format_report_table(reports: list[EvalReport], merge_local_global: bool = True) -> str:
+def format_report_table(reports: list[EvalReport]) -> str:
     """Aligned text table, one attribute row per line, MAE/RMSE per method.
 
-    When both Global and Local reports are present and merging is on, they
-    collapse into one Local/Global column showing the better MAE of the two;
-    an asterisk marks rows where Global outperforms Local.
+    When both Global and Local reports are present, they collapse into one
+    Local/Global column showing the better MAE of the two; an asterisk marks
+    rows where Global does at least as well as Local.
     """
-    by_method = {r.method: r for r in reports}
-    merged = merge_local_global and "Global" in by_method and "Local" in by_method
-    columns: list[tuple[str, EvalReport | None]] = []
-    if merged:
-        columns.append(("Local/Global", None))
-    for report in reports:
-        if merged and report.method in ("Global", "Local"):
-            continue
-        columns.append((report.method, report))
-
-    attr_order: list[str] = []
-    for report in reports:
-        for row in report.rows:
-            if row.attr not in attr_order:
-                attr_order.append(row.attr)
 
     def fmt(x: float) -> str:
         return f"{x:.6g}"
 
-    header = ["attribute"]
-    for name, _ in columns:
-        header += [f"{name} MAE", f"{name} RMSE"]
-    lines = [header]
-    for attr in attr_order:
-        line = [attr]
-        for name, report in columns:
-            if report is None:
-                g = by_method["Global"].row(attr)
-                l = by_method["Local"].row(attr)
-                if g is None or l is None:
-                    line += ["-", "-"]
-                    continue
-                best = g if g.mae <= l.mae else l
-                star = "*" if g.mae <= l.mae else ""
-                line += [star + fmt(best.mae), star + fmt(best.rmse)]
-            else:
-                row = report.row(attr)
-                line += ["-", "-"] if row is None else [fmt(row.mae), fmt(row.rmse)]
-        lines.append(line)
+    by_method = {r.method: r for r in reports}
+    columns = [(r.method, {row.attr: (fmt(row.mae), fmt(row.rmse)) for row in r.rows}) for r in reports]
+    if "Global" in by_method and "Local" in by_method:
+        global_rows = {row.attr: row for row in by_method["Global"].rows}
+        best = {}
+        for local in by_method["Local"].rows:
+            glob = global_rows.get(local.attr)
+            if glob is not None:
+                row, star = (glob, "*") if glob.mae <= local.mae else (local, "")
+                best[local.attr] = (star + fmt(row.mae), star + fmt(row.rmse))
+        columns = [("Local/Global", best)] + [c for c in columns if c[0] not in ("Global", "Local")]
 
-    widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
-    out = []
-    for line in lines:
-        out.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(line)))
-    return "\n".join(out) + "\n"
+    attr_order = dict.fromkeys(row.attr for report in reports for row in report.rows)
+    lines = [["attribute"] + [f"{name} {stat}" for name, _ in columns for stat in ("MAE", "RMSE")]]
+    for attr in attr_order:
+        lines.append([attr] + [cell for _, cells in columns for cell in cells.get(attr, ("-", "-"))])
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "".join("  ".join(cell.rjust(width) for cell, width in zip(line, widths)) + "\n" for line in lines)

@@ -246,8 +246,8 @@ def read_split_manifest(source: IO) -> Table:
 def apply_split_manifest(graph: KnowledgeGraph, attrs: AttributeTable, manifest: Table) -> DatasetBundle:
     """Rebuild a bundle from a previously written manifest.
 
-    The manifest must label every attribute entry exactly once. An unknown
-    or repeated row is reported for the first such row in manifest order.
+    The manifest must label every attribute entry exactly once. The first
+    unknown or repeated row in manifest order raises a ParseError.
     """
     entities, types, codes = manifest.columns
     idx = attrs.lookup(graph.entities.ids(entities), attrs.types.ids(types))
@@ -256,8 +256,8 @@ def apply_split_manifest(graph: KnowledgeGraph, attrs: AttributeTable, manifest:
     if bad.size:
         row = bad[0]
         if unknown[row]:
-            raise DataError(f"manifest row ({entities[row]!r}, {types[row]!r}) not in the attribute table")
-        raise DataError(f"manifest labels ({entities[row]!r}, {types[row]!r}) twice")
+            raise ParseError(f"manifest row ({entities[row]!r}, {types[row]!r}) not in the attribute table", manifest.line(row))
+        raise ParseError(f"manifest labels ({entities[row]!r}, {types[row]!r}) twice", manifest.line(row))
     if len(manifest) < attrs.n_entries:
         raise DataError(f"manifest leaves {attrs.n_entries - len(manifest)} attribute entries unlabeled")
     split = np.empty(attrs.n_entries, dtype=np.int8)

@@ -32,7 +32,6 @@ from .attributes import AttributeTable, Status
 from .codec import Table, parse_prefix, read_table, repeated, write_table
 from .errors import (
     ConfigError,
-    DataError,
     DegenerateRegressorError,
     InsufficientSupportError,
     NonInvertibleSlopeError,
@@ -85,11 +84,6 @@ class PathKey:
     def is_inner(self) -> bool:
         return self.relation is None
 
-    @property
-    def is_cross(self) -> bool:
-        """True when the message crosses attribute types."""
-        return self.dep != self.indep
-
     def reversed(self) -> "PathKey":
         """The key of the analytically derived opposite-direction model."""
         if self.is_inner:
@@ -115,9 +109,6 @@ class RegressionModel:
     sigma2: float
     weight: float
     fit: FitSummary
-
-    def predict(self, x: float) -> float:
-        return self.eta * x + self.tau
 
 
 @dataclass(frozen=True)
@@ -567,7 +558,7 @@ def _dump_models(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -> 
     codes = (np.where(inner, 0, 1 + 2 * relation + direction) * n_types + dep) * n_types + indep
     twice = np.flatnonzero(repeated(codes[:first]))
     if twice.size:
-        raise DataError(f"model dump line {table.line(int(twice[0]))}: duplicate key")
+        raise ParseError("duplicate key", table.line(int(twice[0])))
     if first < n_rows:
         message = next(explain(first) for mask, explain in checks if mask[first])
         raise ParseError(message, table.line(first))
@@ -585,9 +576,9 @@ def _dump_models(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -> 
 def read_model_dump(source: IO, graph: KnowledgeGraph, attrs: AttributeTable) -> ModelRegistry:
     """Reload a registry written by :func:`write_model_dump`.
 
-    The first row with an unknown label, a non-finite number or a
-    ``sigma2`` or ``weight`` that is not positive raises a ParseError; a
-    key that an earlier row already has raises a DataError.
+    The first row with an unknown label, a non-finite number, a ``sigma2``
+    or ``weight`` that is not positive, or a key that an earlier row already
+    has raises a ParseError.
     """
     models = read_table(source, 11, lambda table: _dump_models(table, graph, attrs))
     return ModelRegistry(models=models)

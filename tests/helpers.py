@@ -17,7 +17,7 @@ from mrap.codec import Table, read_table
 from mrap.errors import DataError, MrapError, ParseError
 from mrap.evaluation import EvalReport, EvalRow
 from mrap.graph import Direction, KnowledgeGraph, Vocabulary, build_graph
-from mrap.ingest import DatasetBundle, Split, load_dataset
+from mrap.ingest import DatasetBundle, Split, SplitSpec, load_dataset, split_attributes, subsample_observed
 from mrap.propagation import PropagationConfig, run
 from mrap.regression import (
     INNER_LABEL,
@@ -362,6 +362,17 @@ def bench_generate():
     return _bench_module("generate")
 
 
+def bench_bundle(seed: int, observed_fraction: float, **spec):
+    """A ``bench/generate.py`` graph, split and subsampled with ``seed``."""
+    generate = bench_generate()
+    edges, values, present = generate.generate(generate.GraphSpec(**spec), seed=seed)
+    triples = [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in edges.tolist()]
+    ents, types = np.nonzero(present)
+    rows = [(f"e{e}", f"a{k}", float(values[e, k])) for e, k in zip(ents.tolist(), types.tolist())]
+    bundle = split_attributes(*load_rows(triples, rows), SplitSpec(seed=seed))
+    return subsample_observed(bundle, observed_fraction, seed=seed)
+
+
 def bench_spans():
     """The benchmark's span recorder, ``bench/spans.py``."""
     return _bench_module("spans")
@@ -525,7 +536,7 @@ class Message(NamedTuple):
 def allows(cfg: PropagationConfig, key: PathKey) -> bool:
     """Whether messages over ``key`` are active under the ablation flags of ``cfg``."""
     if cfg.no_cross:
-        return not key.is_inner and not key.is_cross
+        return not key.is_inner and key.dep == key.indep
     if cfg.no_inner:
         return not key.is_inner
     return True
@@ -561,7 +572,7 @@ def collect_messages(bundle, registry, values, target, cfg) -> list[Message]:
             model = registry.models.get(key)
             if model is not None and allows(cfg, key):
                 messages.append(
-                    Message(target, model.predict(float(values[entry])), model.weight, key, neighbor)
+                    Message(target, model.eta * float(values[entry]) + model.tau, model.weight, key, neighbor)
                 )
     for entry in entries[entity]:
         src_attr = int(attrs.attr_ids[entry])
@@ -571,7 +582,7 @@ def collect_messages(bundle, registry, values, target, cfg) -> list[Message]:
         model = registry.models.get(key)
         if model is not None and allows(cfg, key):
             messages.append(
-                Message(target, model.predict(float(values[entry])), model.weight, key, entity)
+                Message(target, model.eta * float(values[entry]) + model.tau, model.weight, key, entity)
             )
     return messages
 
@@ -641,14 +652,14 @@ def reference_apply_split_manifest(graph, attrs, manifest):
     """
     entry_of = index(attrs)
     split = np.full(attrs.n_entries, -1, dtype=np.int8)
-    for entity, attr, code in manifest:
+    for line_no, (entity, attr, code) in enumerate(manifest, start=1):
         eid = graph.entities.get(entity)
         aid = attrs.types.get(attr)
         idx = None if eid is None or aid is None else entry_of.get((eid, aid))
         if idx is None:
-            raise DataError(f"manifest row ({entity!r}, {attr!r}) not in the attribute table")
+            raise ParseError(f"manifest row ({entity!r}, {attr!r}) not in the attribute table", line_no)
         if split[idx] != -1:
-            raise DataError(f"manifest labels ({entity!r}, {attr!r}) twice")
+            raise ParseError(f"manifest labels ({entity!r}, {attr!r}) twice", line_no)
         split[idx] = int(code)
     if (split == -1).any():
         missing = int((split == -1).sum())
@@ -821,7 +832,7 @@ def reference_read_model_dump(lines, graph, attrs):
             if name in ("sigma2", "weight") and float(text) <= 0.0:
                 raise ParseError(f"non-positive {name} {text!r}", line_no)
         if key in models:
-            raise DataError(f"model dump line {line_no}: duplicate key")
+            raise ParseError("duplicate key", line_no)
         models[key] = model
     return models
 
@@ -845,7 +856,17 @@ def reference_write_trace(fh, report):
 
 
 def reference_read_imputed(lines, path, bundle):
-    """Per-row ``imputed.tsv`` reader: predictions by (entity id, attribute id)."""
+    """Per-row ``imputed.tsv`` reader: predictions by (entity id, attribute id).
+
+    The error of a bad row names ``path`` and the line, as the CLI reports it.
+    """
+    try:
+        return _reference_imputed_rows(lines, bundle)
+    except ParseError as exc:
+        raise DataError(f"{path}:{exc.line_no}: {exc.reason}") from None
+
+
+def _reference_imputed_rows(lines, bundle):
     preds = {}
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
@@ -858,7 +879,7 @@ def reference_read_imputed(lines, path, bundle):
         eid = bundle.graph.entities.get(entity)
         aid = bundle.attrs.types.get(attr)
         if eid is None or aid is None:
-            raise DataError(f"{path}:{line_no}: unknown target ({entity!r}, {attr!r})")
+            raise ParseError(f"unknown target ({entity!r}, {attr!r})", line_no)
         try:
             prediction = float(value)
         except ValueError:
@@ -1046,6 +1067,46 @@ def fixed_point_oracle(
     }
 
 
+def sparse_fixed_point(
+    bundle: DatasetBundle,
+    registry: ModelRegistry,
+    cfg: PropagationConfig | None = None,
+) -> np.ndarray:
+    """Exact fixed point of the message-passing update by one sparse solve.
+
+    The system is that of :func:`fixed_point_oracle`: the unknowns are the
+    targets with at least one message; observed entries and message-less
+    targets are constants at their ``init_values``. ``(I - A) x = c`` is
+    solved with GMRES to a relative residual of 1e-13, which stays fast at
+    sizes where a direct sparse solve does not. Returns the values of every
+    entry; raises a RuntimeError when GMRES does not converge.
+    """
+    from scipy.sparse import csr_matrix, identity
+    from scipy.sparse.linalg import gmres
+
+    cfg = cfg or PropagationConfig()
+    paths = _build_paths(bundle, registry, cfg)
+    live = bundle.attrs.status[paths.tgt] == Status.MISSING
+    src, tgt, eta, tau, weight = (column[live] for column in paths)
+    n = bundle.attrs.n_entries
+    weight_sum = np.bincount(tgt, weights=weight, minlength=n)
+    unknowns = np.flatnonzero(weight_sum > 0.0)
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[unknowns] = np.arange(len(unknowns))
+    values = init_values(bundle)
+    coupled = pos[src] >= 0
+    share = weight / weight_sum[tgt]
+    c = np.bincount(pos[tgt], weights=share * (tau + np.where(coupled, 0.0, eta * values[src])), minlength=len(unknowns))
+    a = csr_matrix(
+        ((share * eta)[coupled], (pos[tgt[coupled]], pos[src[coupled]])), shape=(len(unknowns), len(unknowns))
+    )
+    x, info = gmres(identity(len(unknowns), format="csr") - a, c, rtol=1e-13, atol=0.0)
+    if info != 0:
+        raise RuntimeError(f"GMRES did not converge (info {info}) on {len(unknowns)} unknowns")
+    values[unknowns] = x
+    return values
+
+
 # -- dict references for array scoring ----------------------------------------
 #
 # The library scores prediction vectors over the attribute entries. These are
@@ -1137,6 +1198,68 @@ def reference_evaluate(
             )
         )
     return report
+
+
+def _row(report: EvalReport, attr: str) -> EvalRow | None:
+    """The first row of ``attr`` in ``report``, by a linear scan."""
+    for r in report.rows:
+        if r.attr == attr:
+            return r
+    return None
+
+
+def reference_format_report_table(reports: list[EvalReport]) -> str:
+    """The column-by-column renderer that ``format_report_table`` replaced, at its default merge.
+
+    When both Global and Local reports are present, they collapse into one
+    Local/Global column showing the better MAE of the two; an asterisk marks
+    rows where Global outperforms Local.
+    """
+    by_method = {r.method: r for r in reports}
+    merged = "Global" in by_method and "Local" in by_method
+    columns: list[tuple[str, EvalReport | None]] = []
+    if merged:
+        columns.append(("Local/Global", None))
+    for report in reports:
+        if merged and report.method in ("Global", "Local"):
+            continue
+        columns.append((report.method, report))
+
+    attr_order: list[str] = []
+    for report in reports:
+        for row in report.rows:
+            if row.attr not in attr_order:
+                attr_order.append(row.attr)
+
+    def fmt(x: float) -> str:
+        return f"{x:.6g}"
+
+    header = ["attribute"]
+    for name, _ in columns:
+        header += [f"{name} MAE", f"{name} RMSE"]
+    lines = [header]
+    for attr in attr_order:
+        line = [attr]
+        for name, report in columns:
+            if report is None:
+                g = _row(by_method["Global"], attr)
+                l = _row(by_method["Local"], attr)
+                if g is None or l is None:
+                    line += ["-", "-"]
+                    continue
+                best = g if g.mae <= l.mae else l
+                star = "*" if g.mae <= l.mae else ""
+                line += [star + fmt(best.mae), star + fmt(best.rmse)]
+            else:
+                row = _row(report, attr)
+                line += ["-", "-"] if row is None else [fmt(row.mae), fmt(row.rmse)]
+        lines.append(line)
+
+    widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
+    out = []
+    for line in lines:
+        out.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(line)))
+    return "\n".join(out) + "\n"
 
 
 def reference_propagation_predictions(bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig):
@@ -1234,8 +1357,9 @@ def _reference_dump_model(fields: tuple[str, ...], graph: KnowledgeGraph, attrs:
 def rowwise_read_model_dump(source: IO, graph: KnowledgeGraph, attrs: AttributeTable) -> ModelRegistry:
     """Per-row form of ``read_model_dump``: one row converted and checked at a time.
 
-    The first row with an unknown label, a non-finite number or a
-    ``sigma2`` or ``weight`` that is not positive raises a ParseError.
+    The first row with an unknown label, a non-finite number, a ``sigma2``
+    or ``weight`` that is not positive, or a key that an earlier row already
+    has raises a ParseError.
     """
     def convert(table: Table) -> dict[PathKey, RegressionModel]:
         models: dict[PathKey, RegressionModel] = {}
@@ -1245,7 +1369,7 @@ def rowwise_read_model_dump(source: IO, graph: KnowledgeGraph, attrs: AttributeT
             except ValueError as exc:
                 raise ParseError(str(exc), table.line(row)) from None
             if model.key in models:
-                raise DataError(f"model dump line {table.line(row)}: duplicate key")
+                raise ParseError("duplicate key", table.line(row))
             models[model.key] = model
         return models
 

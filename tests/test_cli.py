@@ -191,6 +191,17 @@ class TestPipeline:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not (out / "models.tsv").exists()
 
+    @pytest.mark.parametrize("command", ["impute", "ablate"])
+    def test_exclude_is_checked_when_the_model_dump_is_reused(self, dataset, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        assert main(["fit", *_args(dataset, out, "--min-support", "3")]) == EXIT_OK
+        written = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert main([command, *_args(dataset, out, "--min-support", "3", "--exclude", "birth,deaht")]) == EXIT_USAGE
+        message = "error: exclusion 'birth,deaht': the data has no attribute type 'deaht'"
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+
     def test_exclude_counts_the_keys_it_drops(self, dataset, tmp_path, capsys):
         assert main(["fit", *_args(dataset, tmp_path / "o", "--min-support", "3", "--exclude", "birth,death")]) == EXIT_OK
         assert "  excluded: 3" in capsys.readouterr().out.splitlines()
@@ -381,14 +392,17 @@ class TestExitCodes:
             return "".join([lines[0], "\t".join(fields), *lines[2:]])
 
         assert self._corrupt_imputed(dataset, tmp_path, nan_on_line_2) == EXIT_DATA
-        assert "line 2: non-finite value 'nan'" in capsys.readouterr().err
+        imputed = tmp_path / "out" / "imputed.tsv"
+        assert capsys.readouterr().err == f"error: {imputed}:2: non-finite value 'nan'\n"
 
     def test_eval_rejects_duplicate_imputed_target(self, dataset, tmp_path, capsys):
         def repeat_line_1(lines):
             return "".join([lines[0], *lines])
 
         assert self._corrupt_imputed(dataset, tmp_path, repeat_line_1) == EXIT_DATA
-        assert "line 2: duplicate target" in capsys.readouterr().err
+        imputed = tmp_path / "out" / "imputed.tsv"
+        entity, attr = imputed.read_text().split("\t")[:2]
+        assert capsys.readouterr().err == f"error: {imputed}:2: duplicate target ({entity!r}, {attr!r})\n"
 
     @pytest.mark.parametrize("which", [0, 1], ids=["triples", "attrs"])
     def test_bad_byte_in_input_names_its_line(self, dataset, tmp_path, capsys, which):
@@ -397,8 +411,41 @@ class TestExitCodes:
         lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
         path.write_bytes(b"\n".join(lines))
         assert main(["impute", *_args(dataset, tmp_path / "out", "--min-support", "3")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {path}:3: invalid UTF-8 byte 0xff\n"
+
+    @pytest.mark.parametrize(
+        "name, before, command, line_2, reason",
+        [
+            ("triples.tsv", None, "impute", lambda one, two: "p0\tknows\n", "expected 3 tab-separated fields, got 2"),
+            ("attrs.tsv", None, "impute", lambda one, two: "p0\tbirth\tabc\n", "unparseable float 'abc'"),
+            (
+                "split.tsv",
+                "split",
+                "impute",
+                lambda one, two: "zz\tbirth\ttrain\n",
+                "manifest row ('zz', 'birth') not in the attribute table",
+            ),
+            ("split.tsv", "split", "impute", lambda one, two: one, "manifest labels ({0!r}, {1!r}) twice"),
+            ("models.tsv", "fit", "impute", lambda one, two: re.sub(r"^([^\t]*\t[^\t]*\t)[^\t]*", r"\1Q", two), "unknown relation 'Q'"),
+            ("models.tsv", "fit", "ablate", lambda one, two: one, "duplicate key"),
+            ("imputed.tsv", "impute", "eval", lambda one, two: "zz\tbirth\t1.0\t1\t1.0\n", "unknown target ('zz', 'birth')"),
+        ],
+        ids=["triples", "attrs", "split-unknown", "split-repeated", "models-relation", "models-repeated", "imputed"],
+    )
+    def test_a_bad_row_names_its_file_and_line(self, dataset, tmp_path, capsys, name, before, command, line_2, reason):
+        out = tmp_path / "out"
+        base = _args(dataset, out, "--seed", "7", "--min-support", "3")
+        if before is not None:
+            assert main([before, *base]) == EXIT_OK
+        path = {"triples.tsv": dataset[0], "attrs.tsv": dataset[1]}.get(name, out / name)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = line_2(lines[0], lines[1])
+        sep = "\t"
+        path.write_text("".join(lines), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, *base]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert "line 3: invalid UTF-8 byte 0xff" in err
+        assert err == f"error: {path}:2: {reason.format(*lines[0].split(sep))}\n"
         assert "Traceback" not in err
 
     def test_impute_rejects_non_finite_model_dump(self, dataset, tmp_path, capsys):
@@ -411,7 +458,7 @@ class TestExitCodes:
         fields[4] = "nan"  # eta
         models.write_text("".join(["\t".join(fields), *lines[1:]]), encoding="utf-8")
         assert main(["impute", *base]) == EXIT_DATA
-        assert "line 1: non-finite eta 'nan'" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {models}:1: non-finite eta 'nan'\n"
         assert not (out / "imputed.tsv").exists()
 
     def test_failed_write_keeps_previous_artifacts(self, dataset, tmp_path, monkeypatch):

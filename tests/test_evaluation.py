@@ -13,6 +13,7 @@ from helpers import (
     reference_baseline_global,
     reference_baseline_local,
     reference_evaluate,
+    reference_format_report_table,
     reference_propagation_predictions,
     registry_of,
     six_node_fixture,
@@ -25,6 +26,8 @@ from helpers import (
 from mrap.cli import EXIT_DATA, EXIT_OK, main
 from mrap.errors import DataError
 from mrap.evaluation import (
+    EvalReport,
+    EvalRow,
     ablation_suite,
     baseline_global,
     baseline_local,
@@ -379,6 +382,33 @@ class TestReportOutput:
         assert "Local/Global" in table
         # Local (20, 15, 15) beats Global (15, 15, 15) on MAE here? Check row content exists
         assert "h" in table
+
+    def test_random_report_sets_render_as_the_reference(self):
+        rng = np.random.default_rng(14)
+        methods = ["MrAP", "Global", "Local", "w/o Inner", "w/o Cross"]
+        attrs = ["birth", "death", "height", "release", "a0", "weight_kg"]
+        magnitudes = [1e-7, 0.5, 3.0, 1234.5678, 1.5e6, 2.5e11]
+        merged = ties = exponents = 0
+        for _ in range(200):
+            reports = []
+            for method in rng.permutation(methods)[: int(rng.integers(1, 6))].tolist():
+                rows = []
+                for attr in rng.permutation(attrs)[: int(rng.integers(1, 7))].tolist():
+                    mae, rmse = rng.choice(magnitudes, 2) * rng.uniform(0.5, 2.0, 2)
+                    rows.append(EvalRow(attr, float(mae), float(rmse), 10, 0))
+                reports.append(EvalReport(method, "20%", rows))
+            by_method = {r.method: r for r in reports}
+            if "Global" in by_method and "Local" in by_method:
+                merged += 1
+                local = {row.attr: row for row in by_method["Local"].rows}
+                for row in by_method["Global"].rows:
+                    if row.attr in local and rng.random() < 0.5:  # a tie goes to Global
+                        row.mae = local[row.attr].mae
+                        ties += 1
+            table = format_report_table(reports)
+            assert table == reference_format_report_table(reports)
+            exponents += "e-" in table and "e+" in table
+        assert merged > 30 and ties > 30 and exponents > 30
 
     def test_asterisk_marks_global_wins(self):
         bundle = make_bundle(

@@ -10,7 +10,7 @@ from helpers import (
     _build_paths,
     _link,
     aggregate,
-    bench_generate,
+    bench_bundle,
     collect_messages,
     combine,
     entry_index,
@@ -18,7 +18,6 @@ from helpers import (
     imputed_table,
     index,
     init_values,
-    load_rows,
     loss,
     make_bundle,
     make_model,
@@ -30,7 +29,6 @@ from helpers import (
 
 from mrap.attributes import Status
 from mrap.graph import Direction
-from mrap.ingest import Split, SplitSpec, split_attributes, subsample_observed
 from mrap import propagation
 from mrap.propagation import (
     PropagationConfig,
@@ -44,17 +42,6 @@ from mrap.regression import AdmissionConfig, PathKey, build_registry, derive_rev
 
 CONFIGS = [PropagationConfig(), PropagationConfig(no_inner=True), PropagationConfig(no_cross=True)]
 CONFIG_IDS = ["full", "no_inner", "no_cross"]
-
-
-def bench_bundle(seed: int, observed_fraction: float, **spec):
-    """A ``bench/generate.py`` graph, split and subsampled with ``seed``."""
-    generate = bench_generate()
-    edges, values, present = generate.generate(generate.GraphSpec(**spec), seed=seed)
-    triples = [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in edges.tolist()]
-    ents, types = np.nonzero(present)
-    rows = [(f"e{e}", f"a{k}", float(values[e, k])) for e, k in zip(ents.tolist(), types.tolist())]
-    bundle = split_attributes(*load_rows(triples, rows), SplitSpec(seed=seed))
-    return subsample_observed(bundle, observed_fraction, seed=seed)
 
 
 class FakeMessage:
@@ -138,7 +125,7 @@ class TestCollectMessages:
         msgs = collect_messages(
             bundle, registry, bundle.attrs.values, target_of(bundle, "b", "y"), PropagationConfig()
         )
-        kinds = {(m.key.is_inner, m.key.is_cross) for m in msgs}
+        kinds = {(m.key.is_inner, m.key.dep != m.key.indep) for m in msgs}
         assert len(msgs) == 3
         assert kinds == {(False, True), (False, False), (True, True)}
 
@@ -165,7 +152,7 @@ class TestCollectMessages:
         )
         assert len(msgs) == 1
         only = msgs[0].key
-        assert not only.is_inner and not only.is_cross
+        assert not only.is_inner and only.dep == only.indep
 
 
 def _oracle_paths(bundle, registry, cfg):
