@@ -14,15 +14,7 @@ import numpy as np
 from mrap import Table, load_dataset
 from mrap.graph import Direction
 from mrap.ingest import DatasetBundle
-from mrap.regression import (
-    AdmissionConfig,
-    PathKey,
-    build_registry,
-    derive_reverse,
-    fit_simple_regression,
-    training_pairs,
-    write_model_dump,
-)
+from mrap.regression import AdmissionConfig, PathKey, build_registry, training_pairs, write_model_dump
 
 rng = np.random.default_rng(0)
 
@@ -40,28 +32,40 @@ for i in range(40):
 graph, table = load_dataset(Table(list(zip(*triples))), Table(list(zip(*attr_rows))))
 bundle = DatasetBundle(graph=graph, attrs=table, split=np.zeros(table.n_entries, dtype=np.int8))
 
-key = PathKey.relational(dep=0, indep=0, relation=0, direction=Direction.FORWARD)
-ys, xs = next((ys, xs) for k, ys, xs in training_pairs(bundle) if k == key)
-eta, tau, sigma2, fit = fit_simple_regression(ys, xs)
-print(f"fitted over {fit.support} parent->child pairs:")
-print(f"  child_birth = {eta:.4f} * parent_birth + {tau:.2f}   sigma^2 = {sigma2:.2f}")
-print(f"  r^2 = {fit.r2:.3f}, weight = 1/sigma^2 = {1 / sigma2:.4f}\n")
+# every observed training pair, sorted by the code of its fit key: the key
+# (dep | indep, relation, direction) has code ((2 relation + direction) T + dep) T + indep
+# for T attribute types, so (birth | birth, child_of, forward) is code 0
+code, ys, xs = training_pairs(bundle)
+ys, xs = ys[code == 0], xs[code == 0]
+print(f"{ys.size} parent->child pairs, e.g. parent {xs[0]:.1f} -> child {ys[0]:.1f}\n")
 
-# the same machinery through the registry, which also derives reverses
+# the registry fits every key in one grouped pass and derives the reverses
 registry = build_registry(bundle, AdmissionConfig(min_support=5))
+key = PathKey.relational(dep=0, indep=0, relation=0, direction=Direction.FORWARD)
 forward = registry.models[key]
 reverse = registry.models[key.reversed()]
-print("registry models:")
-print(f"  forward: eta={forward.eta:.4f} tau={forward.tau:.2f} weight={forward.weight:.4f}")
-print(f"  reverse: eta={reverse.eta:.4f} tau={reverse.tau:.2f} weight={reverse.weight:.4f}")
-print(f"  reverse is derived analytically: {reverse.fit.derived_reverse}\n")
+print(f"fitted over {forward.fit.support} parent->child pairs:")
+print(f"  child_birth = {forward.eta:.4f} * parent_birth + {forward.tau:.2f}   sigma^2 = {forward.sigma2:.2f}")
+print(f"  r^2 = {forward.fit.r2:.3f}, weight = 1/sigma^2 = {forward.weight:.4f}")
 
-check = derive_reverse(forward)
+# the closed form is ordinary least squares: np.polyfit on the same pairs agrees
+slope, intercept = np.polyfit(xs, ys, 1)
+assert np.isclose(forward.eta, slope, rtol=1e-9) and np.isclose(forward.tau, intercept, rtol=1e-9)
+print(f"  np.polyfit on the same pairs: slope {slope:.4f}, intercept {intercept:.2f}\n")
+
+print("derived reverse model (parent_birth from child_birth):")
+print(f"  reverse: eta={reverse.eta:.4f} tau={reverse.tau:.2f} weight={reverse.weight:.4f}")
+print(f"  reverse is derived analytically: {reverse.fit.derived_reverse}")
+# eta' = 1/eta, tau' = -tau/eta, w' = eta^2 / sigma^2
+assert np.isclose(reverse.eta, 1.0 / forward.eta) and np.isclose(reverse.tau, -forward.tau / forward.eta)
+assert np.isclose(reverse.weight, forward.eta**2 / forward.sigma2)
+print("  matches eta' = 1/eta, tau' = -tau/eta, w' = eta^2/sigma^2\n")
+
 x = 1935.0
 print("prediction round trip through the affine inverse:")
 y = forward.eta * x + forward.tau
 print(f"  forward({x}) = {y:.3f}")
-print(f"  reverse(forward({x})) = {check.eta * y + check.tau:.6f}\n")
+print(f"  reverse(forward({x})) = {reverse.eta * y + reverse.tau:.6f}\n")
 
 print("model dump lines (17 significant digits for exact reload):")
 with tempfile.TemporaryDirectory() as tmp:

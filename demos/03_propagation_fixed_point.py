@@ -12,7 +12,7 @@ from mrap.attributes import AttributeTable, Status
 from mrap.graph import Direction, Vocabulary, build_graph
 from mrap.ingest import DatasetBundle, Split
 from mrap.propagation import PropagationConfig, run
-from mrap.regression import FitSummary, ModelRegistry, PathKey, RegressionModel, derive_reverse
+from mrap.regression import FitSummary, ModelRegistry, PathKey, RegressionModel
 
 graph = build_graph(["a", "b"], ["p", "p"], ["b", "c"])  # a -p-> b -p-> c
 types = Vocabulary(["v"])
@@ -31,7 +31,12 @@ forward = RegressionModel(
     key=key, eta=1.0, tau=1.0, sigma2=1.0, weight=1.0,
     fit=FitSummary(support=10, r2=0.9),
 )
-registry = ModelRegistry(models={key: forward, key.reversed(): derive_reverse(forward)})
+# the reverse model follows analytically: eta' = 1/eta, tau' = -tau/eta, w' = eta^2/sigma^2
+reverse = RegressionModel(
+    key=key.reversed(), eta=1.0, tau=-1.0, sigma2=1.0, weight=1.0,
+    fit=FitSummary(support=10, r2=0.9, derived_reverse=True),
+)
+registry = ModelRegistry(models={key: forward, key.reversed(): reverse})
 
 # run returns the final values, aligned with the attribute entries, and a report
 values, report = run(bundle, registry, PropagationConfig(damping=0.5, max_iters=1000))

@@ -10,11 +10,7 @@ from .codec import Table
 from .errors import (
     ConfigError,
     DataError,
-    DegenerateRegressorError,
-    FitError,
-    InsufficientSupportError,
     MrapError,
-    NonInvertibleSlopeError,
     ParseError,
 )
 from .evaluation import (
@@ -57,8 +53,6 @@ from .regression import (
     RegressionModel,
     build_registry,
     count_paths,
-    derive_reverse,
-    fit_simple_regression,
     read_model_dump,
     training_pairs,
     write_model_dump,

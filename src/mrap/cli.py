@@ -250,12 +250,14 @@ def _out_path(cfg: RunConfig, name: str) -> Path:
 
 
 def _read(path: str | os.PathLike, read: Callable[[IO[bytes]], T]) -> T:
-    """``read`` of the file at ``path``; the error of a bad row names the file and the line."""
+    """``read`` of the file at ``path``; its errors name the file, and that of a bad row the line."""
     with open(path, "rb") as fh:
         try:
             return read(fh)
         except ParseError as exc:
             raise DataError(f"{path}:{exc.line_no}: {exc.reason}") from None
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def _load_inputs(cfg: RunConfig) -> tuple[KnowledgeGraph, AttributeTable]:

@@ -22,21 +22,5 @@ class DataError(MrapError):
     """Loaded data cannot support the requested operation."""
 
 
-class FitError(MrapError):
-    """A regression model could not be fitted or derived."""
-
-
-class InsufficientSupportError(FitError):
-    """Fewer training pairs than the fit requires."""
-
-
-class DegenerateRegressorError(FitError):
-    """The independent variable has zero variance over the training pairs."""
-
-
-class NonInvertibleSlopeError(FitError):
-    """Slope too close to zero for the reverse model to be derived."""
-
-
 class ConfigError(MrapError):
     """Invalid configuration value or combination (usage error for the CLI)."""

@@ -13,6 +13,24 @@ same scheme with the node set in place of the edge set; the canonical fit
 direction regresses the higher attribute id on the lower one and the swapped
 model is derived.
 
+Every model key has one integer code, ``(kind * n_types + dep) * n_types +
+indep``. A relational key has ``kind = 2 * relation + direction``, a
+within-node key ``kind = 2 * span``, where ``span`` is the number of
+relations. Ascending codes list the relational keys by relation, direction,
+dep and indep, then the within-node keys by dep and indep. The mirror of a
+code, the key of its derived reverse, flips the direction bit of a
+relational kind and swaps dep and indep. The fit, the model dump and the
+propagation's model table all number models by this code.
+
+All keys are fitted in one grouped pass: the training pairs, sorted by code,
+are summed per key with ``np.add.reduceat``. A key is rejected by the first
+of these rules that applies, and tallied under its name: ``excluded`` (an
+exclusion rule names the key), ``insufficient_support`` (fewer pairs than
+the minimum), ``degenerate_regressor`` (the independent values are
+constant), ``low_r2`` (r2 below the minimum). An admitted fit's residual
+variance is raised to a floor, and its derived reverse is dropped as
+``non_invertible_reverse`` when the slope is too close to zero.
+
 The module also plans the message paths of the propagation from the edge
 and entry arrays: per attribute entry, the number of (source entry, model)
 pairs that predict it. :func:`count_paths` is the total of that plan.
@@ -21,22 +39,15 @@ from __future__ import annotations
 
 import logging
 import os
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, NamedTuple
 
 import numpy as np
 
 from .attributes import AttributeTable, Status
 from .codec import Table, parse_prefix, read_table, repeated, write_table
-from .errors import (
-    ConfigError,
-    DegenerateRegressorError,
-    InsufficientSupportError,
-    NonInvertibleSlopeError,
-    ParseError,
-)
+from .errors import ConfigError, ParseError
 from .graph import Direction, KnowledgeGraph
 from .ingest import DatasetBundle
 
@@ -179,53 +190,6 @@ class ModelRegistry:
         return len(self.models)
 
 
-def fit_simple_regression(
-    y: np.ndarray, x: np.ndarray
-) -> tuple[float, float, float, FitSummary]:
-    """Closed-form least squares of y on x.
-
-    Returns (eta, tau, sigma2, summary) where sigma2 is the raw mean squared
-    residual (no variance floor applied) and the summary's r2 is clamped to
-    [0, 1], defined as 1 when y has zero variance.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    n = y.size
-    if n < 2:
-        raise InsufficientSupportError(f"need at least 2 pairs, got {n}")
-    mu_x = float(x.mean())
-    mu_y = float(y.mean())
-    dx = x - mu_x
-    # pairwise sums: unlike BLAS dot, their bits ignore the thread count
-    sxx = float((dx * dx).sum())
-    if sxx == 0.0:
-        raise DegenerateRegressorError("independent variable has zero variance")
-    eta = float((dx * (y - mu_y)).sum()) / sxx
-    tau = float(np.mean(y - eta * x))
-    resid = y - eta * x - tau
-    sigma2 = float(np.mean(resid * resid))
-    var_y = float(np.mean((y - mu_y) ** 2))
-    r2 = 1.0 if var_y == 0.0 else min(1.0, max(0.0, 1.0 - sigma2 / var_y))
-    return eta, tau, sigma2, FitSummary(support=n, r2=r2)
-
-
-def derive_reverse(model: RegressionModel, eta_min: float = 0.0) -> RegressionModel:
-    """Analytic opposite-direction model: eta'=1/eta, tau'=-tau/eta, w'=eta^2/sigma^2."""
-    if model.eta == 0.0 or abs(model.eta) < eta_min:
-        raise NonInvertibleSlopeError(
-            f"slope {model.eta!r} below invertibility threshold {eta_min!r}"
-        )
-    eta2 = model.eta * model.eta
-    return RegressionModel(
-        key=model.key.reversed(),
-        eta=1.0 / model.eta,
-        tau=-model.tau / model.eta,
-        sigma2=model.sigma2 / eta2,
-        weight=eta2 / model.sigma2,
-        fit=replace(model.fit, derived_reverse=True),
-    )
-
-
 # -- the edge x entry join ---------------------------------------------------------
 
 
@@ -281,9 +245,40 @@ class EntryIndex(NamedTuple):
         return self.entries[base + i[keep]], self.entries[base + j[keep]]
 
 
-def relation_span(graph: KnowledgeGraph, registry: ModelRegistry) -> int:
-    """One more than the largest relation id of the graph or of a registry key."""
-    return max([graph.n_relations] + [k.relation + 1 for k in registry.models if not k.is_inner])
+def _code(kind: np.ndarray, dep: np.ndarray, indep: np.ndarray, n_types: int) -> np.ndarray:
+    """The model code of each (kind, dep, indep) (see the module docstring); ``np.unravel_index`` inverts it."""
+    return (kind * n_types + dep) * n_types + indep
+
+
+def _codes(graph: KnowledgeGraph, registry: ModelRegistry, n_types: int) -> tuple[int, np.ndarray]:
+    """The span and, in registry order, the code of every model (see the module docstring).
+
+    The span is one more than the largest relation id of the graph or of a registry key.
+    """
+    keys = [(-1 if k.is_inner else k.relation, k.direction or 0, k.dep, k.indep) for k in registry.models]
+    relation, direction, dep, indep = np.array(keys, dtype=np.int64).reshape(-1, 4).T
+    span = max(graph.n_relations, int(relation.max(initial=-1)) + 1)
+    return span, _code(np.where(relation < 0, 2 * span, 2 * relation + direction), dep, indep, n_types)
+
+
+def _mirror(codes: np.ndarray, span: int, n_types: int) -> np.ndarray:
+    """The code of each key's opposite-direction key: a relational kind's direction bit flips, dep and indep swap."""
+    kind, dep, indep = np.unravel_index(codes, (2 * span + 1, n_types, n_types))
+    return _code(np.where(kind < 2 * span, kind ^ 1, kind), indep, dep, n_types)
+
+
+def _models(codes: np.ndarray, span: int, n_types: int, *columns: list) -> dict[PathKey, RegressionModel]:
+    """The models of the given codes, in their order.
+
+    The columns are eta, tau, sigma2, weight, support, r2 and derived, each a list with one value per code.
+    """
+    kinds, deps, indeps = (a.tolist() for a in np.unravel_index(codes, (2 * span + 1, n_types, n_types)))
+    directions = tuple(Direction)
+    models: dict[PathKey, RegressionModel] = {}
+    for kind, dep, indep, eta, tau, sigma2, weight, support, r2, derived in zip(kinds, deps, indeps, *columns):
+        key = PathKey(dep, indep) if kind == 2 * span else PathKey(dep, indep, kind >> 1, directions[kind & 1])
+        models[key] = RegressionModel(key, eta, tau, sigma2, weight, FitSummary(support, r2, derived))
+    return models
 
 
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # set bits per byte
@@ -302,11 +297,11 @@ class Incidences(NamedTuple):
     """
 
     src: np.ndarray  # source entity per incidence
-    kind: np.ndarray  # relation (forward), span + relation (reverse) or 2 span (inner)
+    kind: np.ndarray  # 2 relation (forward), 2 relation + 1 (reverse) or 2 span (inner)
     first: np.ndarray  # per entity, plus one past the last: its first incidence
     entries: np.ndarray  # per entity, plus one past the last: its first entry
     entry_of: np.ndarray  # entity * n_types + type -> entry, -1 where none
-    model: np.ndarray  # (kind, dep, indep) -> model id, -1 where none is active
+    model: np.ndarray  # (kind, dep, indep), the model code -> model id, -1 where none is active
     cols: np.ndarray
     types: np.ndarray
     params: np.ndarray  # (3, models): eta, tau, weight
@@ -324,10 +319,10 @@ def incidences(
     ``no_cross`` drops every model between two types (every inner model too), ``no_inner`` the inner ones.
     """
     n_types, n_entities = attrs.n_types, graph.n_entities
-    span = relation_span(graph, registry)
-    model = np.full((2 * span + 1, n_types, n_types), -1, dtype=np.int32)
-    for i, key in enumerate(registry.models):
-        model[2 * span if key.is_inner else key.direction * span + key.relation, key.dep, key.indep] = i
+    span, codes = _codes(graph, registry, n_types)
+    model = np.full((2 * span + 1) * n_types * n_types, -1, dtype=np.int32)
+    model[codes] = np.arange(codes.size)
+    model = model.reshape(2 * span + 1, n_types, n_types)
     if no_cross:
         model[:, ~np.eye(n_types, dtype=bool)] = -1
     if no_inner:
@@ -340,7 +335,7 @@ def incidences(
     # edge by edge, forward into the tail, then reverse into the head; inner last
     tgt = np.concatenate([np.column_stack([tail, head]).ravel(), np.arange(n_entities)])
     src = np.concatenate([np.column_stack([head, tail]).ravel(), np.arange(n_entities)])
-    kind = np.concatenate([np.column_stack([relation, span + relation]).ravel(), np.full(n_entities, 2 * span)])
+    kind = np.concatenate([np.column_stack([2 * relation, 2 * relation + 1]).ravel(), np.full(n_entities, 2 * span)])
     order = np.arange(len(tgt))
     for shift in range(0, max(n_entities - 1, 1).bit_length(), 16):  # stable radix passes: no combined code
         order = order[np.argsort((tgt[order] >> shift).astype(np.uint16), kind="stable")]
@@ -385,96 +380,112 @@ def count_paths(graph: KnowledgeGraph, registry: ModelRegistry, attrs: Attribute
     return int(inflow(inc, attrs, np.ones(attrs.n_entries, dtype=bool)).sum())
 
 
-def _groups(codes: np.ndarray, ys: np.ndarray, xs: np.ndarray):
-    """(code, ys, xs) slices per distinct code, codes ascending.
-
-    The stable sort keeps each group's pairs in their original order.
-    """
-    order = np.argsort(codes, kind="stable")
-    codes, ys, xs = codes[order], ys[order], xs[order]
-    starts = np.flatnonzero(np.diff(codes, prepend=-1))
-    ends = np.append(starts[1:], codes.size)
-    for lo, hi in zip(starts.tolist(), ends.tolist()):
-        yield int(codes[lo]), ys[lo:hi], xs[lo:hi]
-
-
-def training_pairs(bundle: DatasetBundle) -> Iterator[tuple[PathKey, np.ndarray, np.ndarray]]:
-    """``(fit key, ys, xs)`` for every fit key with at least one observed training pair.
+def training_pairs(bundle: DatasetBundle) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(code, ys, xs)`` of every observed training pair, stably sorted by the code of its fit key.
 
     One join over OBSERVED entries yields every pair. Relational keys are
     FORWARD, one pair per stored edge whose tail observes ``dep`` and whose
     head observes ``indep``; reverse models are derived, never fitted. Inner
     keys regress the higher attribute id on the lower, one pair per entity
-    observing both. Relational keys come first in ascending (relation, dep,
-    indep) order, then inner keys in ascending (dep, indep) order; each
-    key's pairs come in stored edge or entity id order.
+    observing both. Each key's pairs come in stored edge or entity id order.
     """
     graph, attrs = bundle.graph, bundle.attrs
-    n_types, attr, values = attrs.n_types, attrs.attr_ids, attrs.values
+    n_types, attr = attrs.n_types, attrs.attr_ids
     observed = EntryIndex.of(attrs, graph.n_entities, attrs.status == Status.OBSERVED)
-
     edge, head_e, tail_e = observed.edge_pairs(graph)
-    codes = (graph.edge_array[edge, 1] * n_types + attr[tail_e]) * n_types + attr[head_e]
-    for code, ys, xs in _groups(codes, values[tail_e], values[head_e]):
-        relation, dep, indep = np.unravel_index(code, (graph.n_relations, n_types, n_types))
-        yield PathKey.relational(int(dep), int(indep), int(relation), Direction.FORWARD), ys, xs
-
     dep_e, indep_e = observed.node_pairs()
     canonical = attr[dep_e] > attr[indep_e]
-    dep_e, indep_e = dep_e[canonical], indep_e[canonical]
-    codes = attr[dep_e] * n_types + attr[indep_e]
-    for code, ys, xs in _groups(codes, values[dep_e], values[indep_e]):
-        yield PathKey.inner(*divmod(code, n_types)), ys, xs
+    ys = np.concatenate([tail_e, dep_e[canonical]])
+    xs = np.concatenate([head_e, indep_e[canonical]])
+    kind = np.concatenate([2 * graph.edge_array[edge, 1], np.full(int(canonical.sum()), 2 * graph.n_relations)])
+    code = _code(kind, attr[ys], attr[xs], n_types)
+    order = np.argsort(code, kind="stable")
+    return code[order], attrs.values[ys[order]], attrs.values[xs[order]]
+
+
+def _grouped_fit(code: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The least-squares fit of ys on xs per distinct code, codes ascending.
+
+    Returns the columns code, support, sxx, eta, tau, sigma2 and r2, with
+    sigma2 the mean squared residual before the floor and r2 clamped to
+    [0, 1], 1 where y is constant. A key of one pair or of a constant x
+    divides by zero; the admission rules reject it.
+    """
+    starts = np.flatnonzero(np.diff(code, prepend=-1))
+    n = np.diff(np.append(starts, code.size))
+    group = np.repeat(np.arange(starts.size), n)
+
+    def total(v: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(v, starts)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dx = xs - (total(xs) / n)[group]
+        dy = ys - (total(ys) / n)[group]
+        sxx = total(dx * dx)
+        eta = total(dx * dy) / sxx
+        var_y = total(dy * dy) / n
+        resid = ys - eta[group] * xs
+        tau = total(resid) / n
+        resid -= tau[group]
+        sigma2 = total(resid * resid) / n
+        r2 = np.where(var_y == 0.0, 1.0, np.clip(1.0 - sigma2 / var_y, 0.0, 1.0))
+    return code[starts], n, sxx, eta, tau, sigma2, r2
 
 
 def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = None) -> ModelRegistry:
-    """Fit and admit a model for every key of :func:`training_pairs`.
+    """Fit every key of :func:`training_pairs` in one grouped pass and admit the models.
 
-    Each admitted fit also registers its derived opposite-direction model
-    when the slope is invertible. Rejection reasons are tallied in
-    ``registry.rejections``.
+    Models come in code order of their fit keys, each admitted fit followed
+    by its derived opposite-direction model when the slope is invertible.
+    ``registry.rejections`` counts, per reason, the keys that a rule of the
+    module docstring rejected and the reverses that were dropped.
     """
     admission = admission or AdmissionConfig()
     graph, attrs = bundle.graph, bundle.attrs
-    excluded = admission.excluded_ids(graph, attrs)
-    models: dict[PathKey, RegressionModel] = {}
-    rejections: Counter[str] = Counter()
+    span, n_types = graph.n_relations, attrs.n_types
+    code, n, sxx, eta, tau, sigma2, r2 = _grouped_fit(*training_pairs(bundle))
 
-    for key, ys, xs in training_pairs(bundle):
-        pair = sorted((key.dep, key.indep))
-        if {(*pair, None), (*pair, -1 if key.is_inner else key.relation)} & excluded:
-            rejections["excluded"] += 1
-            continue
-        if len(ys) < max(2, admission.min_support):
-            rejections["insufficient_support"] += 1
-            continue
-        try:
-            eta, tau, sigma2, fit = fit_simple_regression(ys, xs)
-        except DegenerateRegressorError:
-            rejections["degenerate_regressor"] += 1
-            continue
-        if fit.r2 < admission.r2_min:
-            rejections["low_r2"] += 1
-            continue
-        dep_range = attrs.value_range(key.dep)
-        floor = VAR_FLOOR_SCALE * dep_range * dep_range
-        if floor <= 0.0:
-            floor = VAR_FLOOR_SCALE  # constant-valued type: absolute floor
-        sigma2 = max(sigma2, floor)
-        model = RegressionModel(
-            key=key, eta=eta, tau=tau, sigma2=sigma2, weight=1.0 / sigma2, fit=fit
+    kind, dep, indep = np.unravel_index(code, (2 * span + 1, n_types, n_types))
+    link, lo, hi = np.where(kind < 2 * span, kind >> 1, -1), np.minimum(dep, indep), np.maximum(dep, indep)
+    excluded = np.zeros(code.size, dtype=bool)
+    for a, b, link_id in admission.excluded_ids(graph, attrs):
+        excluded |= (lo == a) & (hi == b) & (True if link_id is None else link == link_id)
+    rules = {
+        "excluded": excluded,
+        "insufficient_support": n < max(2, admission.min_support),
+        "degenerate_regressor": sxx == 0.0,
+        "low_r2": r2 < admission.r2_min,
+    }
+    rejections: dict[str, int] = {}
+    rejected = np.zeros(code.size, dtype=bool)
+    for reason, mask in rules.items():
+        if count := int((mask & ~rejected).sum()):
+            rejections[reason] = count
+        rejected |= mask
+
+    fit = np.flatnonzero(~rejected)
+    ranges = np.zeros(n_types)
+    for t in {*dep[fit].tolist(), *indep[fit].tolist()}:
+        ranges[t] = attrs.value_range(t)
+    dep_range, indep_range = ranges[dep[fit]], ranges[indep[fit]]
+    floor = VAR_FLOOR_SCALE * dep_range * dep_range
+    sigma2 = np.maximum(sigma2[fit], np.where(floor > 0.0, floor, VAR_FLOOR_SCALE))  # a constant type: absolute floor
+    eta, tau = eta[fit], tau[fit]
+    eta_min = np.divide(ETA_MIN_SCALE * dep_range, indep_range, out=np.zeros(fit.size), where=indep_range > 0.0)
+    invertible = (eta != 0.0) & ~(np.abs(eta) < eta_min)
+    if count := int(fit.size - invertible.sum()):
+        rejections["non_invertible_reverse"] = count
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # the slopes of dropped reverses
+        eta2 = eta * eta
+        params = np.stack(
+            [[eta, tau, sigma2, 1.0 / sigma2], [1.0 / eta, -tau / eta, sigma2 / eta2, eta2 / sigma2]], axis=-1
         )
-        models[key] = model
-        indep_range = attrs.value_range(key.indep)
-        eta_min = ETA_MIN_SCALE * dep_range / indep_range if indep_range > 0.0 else 0.0
-        try:
-            reverse = derive_reverse(model, eta_min)
-        except NonInvertibleSlopeError:
-            rejections["non_invertible_reverse"] += 1
-            continue
-        models[reverse.key] = reverse
-
-    registry = ModelRegistry(models=models, rejections=dict(rejections))
+    keep = np.column_stack([np.ones(fit.size, dtype=bool), invertible]).ravel()  # each fit, then its reverse
+    codes = np.column_stack([code[fit], _mirror(code[fit], span, n_types)]).ravel()[keep]
+    columns = [*params.reshape(4, -1)[:, keep].tolist(), np.repeat(n[fit], 2)[keep].tolist()]
+    columns += [np.repeat(r2[fit], 2)[keep].tolist(), np.tile([False, True], fit.size)[keep].tolist()]
+    registry = ModelRegistry(models=_models(codes, span, n_types, *columns), rejections=rejections)
     logger.info(
         "registry: %d models admitted, rejections %s", len(registry), registry.rejections
     )
@@ -488,7 +499,9 @@ def write_model_dump(
     path: str | os.PathLike, registry: ModelRegistry, graph: KnowledgeGraph, attrs: AttributeTable
 ) -> None:
     """Write one tab-separated line per model, floats at 17 significant digits."""
-    keys = sorted(registry.models, key=lambda k: (k.is_inner, k.relation or 0, k.direction or 0, k.dep, k.indep))
+    _, codes = _codes(graph, registry, attrs.n_types)
+    keys = list(registry.models)
+    keys = [keys[i] for i in np.argsort(codes).tolist()]
     models = [registry.models[key] for key in keys]
     numbers = np.array([(m.eta, m.tau, m.sigma2, m.weight, m.fit.r2) for m in models], dtype=np.float64)
     eta, tau, sigma2, weight, r2 = numbers.reshape(-1, 5).T
@@ -554,8 +567,8 @@ def _dump_models(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -> 
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     first = int(bad.argmax()) if bad.any() else n_rows
 
-    n_types = attrs.n_types
-    codes = (np.where(inner, 0, 1 + 2 * relation + direction) * n_types + dep) * n_types + indep
+    n_types, span = attrs.n_types, graph.n_relations
+    codes = _code(np.where(inner, 2 * span, 2 * relation + direction), dep, indep, n_types)
     twice = np.flatnonzero(repeated(codes[:first]))
     if twice.size:
         raise ParseError("duplicate key", table.line(int(twice[0])))
@@ -563,14 +576,7 @@ def _dump_models(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -> 
         message = next(explain(first) for mask, explain in checks if mask[first])
         raise ParseError(message, table.line(first))
 
-    models: dict[PathKey, RegressionModel] = {}
-    directions = tuple(Direction)
-    keys = zip(dep.tolist(), indep.tolist(), relation.tolist(), direction.tolist(), inner.tolist())
-    for (d, i, rel, way, is_inner), eta, tau, sigma2, weight, support, r2, flag in zip(keys, *numbers, derived):
-        key = PathKey(d, i) if is_inner else PathKey(d, i, rel, directions[way])
-        fit = FitSummary(support, r2, flag == "true")
-        models[key] = RegressionModel(key, eta, tau, sigma2, weight, fit)
-    return models
+    return _models(codes, span, n_types, *numbers, [flag == "true" for flag in derived])
 
 
 def read_model_dump(source: IO, graph: KnowledgeGraph, attrs: AttributeTable) -> ModelRegistry:

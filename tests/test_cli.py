@@ -429,8 +429,9 @@ class TestExitCodes:
             ("models.tsv", "fit", "impute", lambda one, two: re.sub(r"^([^\t]*\t[^\t]*\t)[^\t]*", r"\1Q", two), "unknown relation 'Q'"),
             ("models.tsv", "fit", "ablate", lambda one, two: one, "duplicate key"),
             ("imputed.tsv", "impute", "eval", lambda one, two: "zz\tbirth\t1.0\t1\t1.0\n", "unknown target ('zz', 'birth')"),
+            ("split.tsv", "split", "impute", lambda one, two: "", "manifest leaves 1 attribute entries unlabeled"),
         ],
-        ids=["triples", "attrs", "split-unknown", "split-repeated", "models-relation", "models-repeated", "imputed"],
+        ids=["triples", "attrs", "split-unknown", "split-repeated", "models-relation", "models-repeated", "imputed", "split-short"],
     )
     def test_a_bad_row_names_its_file_and_line(self, dataset, tmp_path, capsys, name, before, command, line_2, reason):
         out = tmp_path / "out"
@@ -445,7 +446,8 @@ class TestExitCodes:
         capsys.readouterr()
         assert main([command, *base]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert err == f"error: {path}:2: {reason.format(*lines[0].split(sep))}\n"
+        where = f"{path}:2" if lines[1] else f"{path}"  # a deleted row leaves no line to name
+        assert err == f"error: {where}: {reason.format(*lines[0].split(sep))}\n"
         assert "Traceback" not in err
 
     def test_impute_rejects_non_finite_model_dump(self, dataset, tmp_path, capsys):

@@ -13,6 +13,7 @@ from helpers import (
     bench_bundle,
     collect_messages,
     combine,
+    derive_reverse,
     entry_index,
     fixed_point_oracle,
     imputed_table,
@@ -38,7 +39,7 @@ from mrap.propagation import (
     _paths,
     run,
 )
-from mrap.regression import AdmissionConfig, PathKey, build_registry, derive_reverse, incidences, inflow, ragged
+from mrap.regression import AdmissionConfig, PathKey, build_registry, incidences, inflow, ragged
 
 CONFIGS = [PropagationConfig(), PropagationConfig(no_inner=True), PropagationConfig(no_cross=True)]
 CONFIG_IDS = ["full", "no_inner", "no_cross"]

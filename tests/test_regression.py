@@ -5,33 +5,37 @@ import numpy as np
 import pytest
 
 from helpers import (
+    DegenerateRegressorError,
+    InsufficientSupportError,
+    NonInvertibleSlopeError,
     _link,
+    derive_reverse,
     extract_pairs,
+    fit_simple_regression,
+    key_of,
     make_bundle,
     make_model,
+    one_key_per_relation,
     random_instance,
     registry_of,
     rowwise_read_model_dump,
     target_of,
 )
 
-from mrap.errors import (
-    DataError,
-    DegenerateRegressorError,
-    InsufficientSupportError,
-    NonInvertibleSlopeError,
-    ParseError,
-)
+from mrap.errors import DataError, ParseError
 from mrap.graph import Direction
 from mrap.propagation import PropagationConfig
 from mrap.regression import (
+    ETA_MIN_SCALE,
+    VAR_FLOOR_SCALE,
     AdmissionConfig,
     PathKey,
+    _codes,
+    _mirror,
     build_registry,
     count_paths,
-    derive_reverse,
-    fit_simple_regression,
     read_model_dump,
+    training_pairs,
     write_model_dump,
 )
 
@@ -71,60 +75,110 @@ class TestExtractPairs:
             extract_pairs(bundle, PathKey.relational(0, 1, 0, Direction.REVERSE))
 
 
+def _fit(ys, xs, **admission):
+    """The registry of a bundle whose one fit key regresses ys on xs, and that key."""
+    bundle, (key,) = one_key_per_relation([(ys, xs)])
+    return build_registry(bundle, AdmissionConfig(min_support=2, **admission)), key
+
+
+def _random_lines(rng, n_keys: int, n_pairs: int = 8):
+    """``(ys, xs)`` samples of noisy lines with random slopes of 0.1 to 10 in magnitude."""
+    samples = []
+    for _ in range(n_keys):
+        eta, tau = rng.uniform(0.1, 10) * rng.choice([-1, 1]), rng.uniform(-100, 100)
+        x = rng.uniform(-100, 100, n_pairs)
+        samples.append((eta * x + tau + rng.normal(0, 1, n_pairs), x))
+    return samples
+
+
+def assert_matches_oracle(model, ys, xs, attrs):
+    """A fit of the grouped pass against the scalar oracle, within bounds set from float64 rounding.
+
+    The grouped sums run in a different order from the oracle's pairwise
+    ones, so only the last bits may differ; support and the flags are exact.
+    """
+    eta, tau, sigma2, fit = fit_simple_regression(ys, xs)
+    assert (model.fit.support, model.fit.derived_reverse) == (fit.support, False)
+    assert abs(model.eta - eta) <= 1e-13 * abs(eta)
+    assert abs(model.tau - tau) <= 1e-13 * float(np.abs(ys).max())
+    assert abs(model.fit.r2 - fit.r2) <= 1e-12
+    dep_range = attrs.value_range(model.key.dep)
+    floor = VAR_FLOOR_SCALE * dep_range * dep_range or VAR_FLOOR_SCALE
+    assert model.sigma2 >= floor
+    if sigma2 < floor * (1.0 - 1e-11):
+        assert model.sigma2 == floor
+    assert model.sigma2 == pytest.approx(max(sigma2, floor), rel=1e-11)
+    assert model.weight == 1.0 / model.sigma2
+
+
 class TestFitSimpleRegression:
+    """The closed-form fit of ``build_registry``, on bundles of one fit key."""
+
     def test_exact_line(self):
-        eta, tau, sigma2, fit = fit_simple_regression(np.array([3.0, 5.0, 7.0]), np.array([1.0, 2.0, 3.0]))
-        assert eta == pytest.approx(2.0, abs=1e-12)
-        assert tau == pytest.approx(1.0, abs=1e-12)
-        assert sigma2 == pytest.approx(0.0, abs=1e-24)
-        assert fit.r2 == 1.0
+        registry, key = _fit([3.0, 5.0, 7.0], [1.0, 2.0, 3.0])
+        model = registry.models[key]
+        assert model.eta == pytest.approx(2.0, abs=1e-12)
+        assert model.tau == pytest.approx(1.0, abs=1e-12)
+        assert model.sigma2 == 1e-12 * 4.0 * 4.0  # a zero residual is raised to the floor: y spans 4
+        assert model.fit.r2 == 1.0
 
     def test_noisy_sample_matches_independent_oracle(self):
         # values frozen from the lstsq oracle: eta=1.5, tau=-1/6, sigma2=1/18
         y = np.array([0.0, 1.0, 3.0])
         x = np.array([0.0, 1.0, 2.0])
-        eta, tau, sigma2, _ = fit_simple_regression(y, x)
-        assert eta == pytest.approx(1.5, rel=1e-12)
-        assert tau == pytest.approx(-1.0 / 6.0, rel=1e-12)
-        assert sigma2 == pytest.approx(1.0 / 18.0, rel=1e-12)
+        registry, key = _fit(y, x)
+        model = registry.models[key]
+        assert model.eta == pytest.approx(1.5, rel=1e-12)
+        assert model.tau == pytest.approx(-1.0 / 6.0, rel=1e-12)
+        assert model.sigma2 == pytest.approx(1.0 / 18.0, rel=1e-12)
         o_eta, o_tau, o_sigma2 = lstsq_oracle(y, x)
-        assert eta == pytest.approx(o_eta, rel=1e-9)
-        assert tau == pytest.approx(o_tau, rel=1e-9)
-        assert sigma2 == pytest.approx(o_sigma2, rel=1e-9)
+        assert model.eta == pytest.approx(o_eta, rel=1e-9)
+        assert model.tau == pytest.approx(o_tau, rel=1e-9)
+        assert model.sigma2 == pytest.approx(o_sigma2, rel=1e-9)
 
     def test_insufficient_support(self):
-        with pytest.raises(InsufficientSupportError):
-            fit_simple_regression(np.array([1.0]), np.array([1.0]))
+        registry, key = _fit([1.0], [1.0])
+        assert not registry.models
+        assert registry.rejections == {"insufficient_support": 1}
 
     def test_degenerate_regressor(self):
-        with pytest.raises(DegenerateRegressorError):
-            fit_simple_regression(np.array([1.0, 2.0]), np.array([3.0, 3.0]))
+        registry, key = _fit([1.0, 2.0], [3.0, 3.0])
+        assert not registry.models
+        assert registry.rejections == {"degenerate_regressor": 1}
 
     def test_residual_mean_is_zero(self):
         rng = np.random.default_rng(11)
+        samples = []
         for _ in range(100):
             n = int(rng.integers(2, 40))
             x = rng.uniform(-50, 50, n)
             y = rng.uniform(-50, 50, n)
-            if np.ptp(x) == 0:
-                continue
-            eta, tau, _, _ = fit_simple_regression(y, x)
-            assert abs(np.mean(y - eta * x - tau)) < 1e-9 * max(1.0, np.abs(y).max())
+            if np.ptp(x) > 0:
+                samples.append((y, x))
+        bundle, keys = one_key_per_relation(samples)
+        registry = build_registry(bundle, AdmissionConfig(min_support=2))
+        for key, (y, x) in zip(keys, samples):
+            model = registry.models[key]
+            assert abs(np.mean(y - model.eta * x - model.tau)) < 1e-9 * max(1.0, np.abs(y).max())
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(12)
         x = rng.uniform(0, 10, 20)
         y = 3.0 * x + 1.0 + rng.normal(0, 0.5, 20)
-        eta, tau, _, _ = fit_simple_regression(y, x)
         c = 7.5
-        eta_c, tau_c, _, _ = fit_simple_regression(y, c * x)
-        assert eta_c == pytest.approx(eta / c, rel=1e-9)
+        bundle, keys = one_key_per_relation([(y, x), (y, c * x)])
+        registry = build_registry(bundle, AdmissionConfig(min_support=2))
+        model, scaled = (registry.models[key] for key in keys)
+        assert scaled.eta == pytest.approx(model.eta / c, rel=1e-9)
         for xv in (0.0, 1.0, -4.2):
-            assert eta_c * (c * xv) + tau_c == pytest.approx(eta * xv + tau, rel=1e-9, abs=1e-9)
+            assert scaled.eta * (c * xv) + scaled.tau == pytest.approx(model.eta * xv + model.tau, rel=1e-9, abs=1e-9)
 
     def test_r2_clamped_and_degenerate_y(self):
-        _, _, _, fit = fit_simple_regression(np.array([5.0, 5.0, 5.0]), np.array([1.0, 2.0, 3.0]))
-        assert fit.r2 == 1.0  # zero y-variance
+        registry, key = _fit([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
+        model = registry.models[key]
+        assert model.fit.r2 == 1.0  # zero y-variance
+        assert model.eta == 0.0 and model.sigma2 == 1e-12  # a constant type gets the absolute floor
+        assert registry.rejections == {"non_invertible_reverse": 1}
 
 
 class TestPredict:
@@ -137,60 +191,73 @@ class TestPredict:
         assert model.eta * 42.0 + model.tau == 42.0
 
     def test_fitted_model_prediction(self):
-        eta, tau, _, _ = fit_simple_regression(np.array([0.0, 1.0, 3.0]), np.array([0.0, 1.0, 2.0]))
-        assert eta * 2.0 + tau == pytest.approx(17.0 / 6.0, rel=1e-12)
+        registry, key = _fit([0.0, 1.0, 3.0], [0.0, 1.0, 2.0])
+        model = registry.models[key]
+        assert model.eta * 2.0 + model.tau == pytest.approx(17.0 / 6.0, rel=1e-12)
 
 
 class TestDeriveReverse:
-    def _model(self, eta, tau, sigma2):
-        return make_model(PathKey.relational(1, 0, 0, Direction.FORWARD), eta, tau, sigma2)
+    """The derived reverse models of ``build_registry``.
+
+    On x = 0, 0, 1, 1 the residuals (a, -a, b, -b) are orthogonal to both
+    regressors, so y = eta x + tau + r fits eta, tau and (a^2 + b^2) / 2 exactly.
+    """
+
+    XS = [0.0, 0.0, 1.0, 1.0]
+
+    def _pair(self, ys):
+        registry, key = _fit(ys, self.XS)
+        return registry.models[key], registry.models[key.reversed()]
 
     def test_basic(self):
-        rev = derive_reverse(self._model(2.0, 4.0, 1.0))
+        fwd, rev = self._pair([5.0, 3.0, 7.0, 5.0])
+        assert (fwd.eta, fwd.tau, fwd.sigma2) == (2.0, 4.0, 1.0)
         assert (rev.eta, rev.tau, rev.weight) == (0.5, -2.0, 4.0)
         assert rev.key == PathKey.relational(0, 1, 0, Direction.REVERSE)
-        assert rev.fit.derived_reverse
+        assert rev.fit.derived_reverse and not fwd.fit.derived_reverse
 
     def test_identity_slope(self):
-        rev = derive_reverse(self._model(1.0, 0.0, 2.0))
+        fwd, rev = self._pair([2.0, -2.0, 1.0, 1.0])
+        assert (fwd.eta, fwd.tau, fwd.sigma2) == (1.0, 0.0, 2.0)
         assert (rev.eta, rev.tau, rev.weight) == (1.0, 0.0, 0.5)
 
     def test_negative_slope(self):
-        rev = derive_reverse(self._model(-0.5, 1.0, 4.0))
+        fwd, rev = self._pair([3.0, -1.0, 2.5, -1.5])
+        assert (fwd.eta, fwd.tau, fwd.sigma2) == (-0.5, 1.0, 4.0)
         assert (rev.eta, rev.tau, rev.weight) == (-2.0, 2.0, 0.0625)
 
     def test_non_invertible(self):
-        with pytest.raises(NonInvertibleSlopeError):
-            derive_reverse(self._model(1e-12, 0.0, 1.0), eta_min=1e-9)
-        with pytest.raises(NonInvertibleSlopeError):
-            derive_reverse(self._model(0.0, 0.0, 1.0))
+        # y spans about 2 and x spans 1: slopes below about 2e-9 have no reverse
+        for slope, invertible in ((0.0, False), (1e-12, False), (1e-8, True)):
+            registry, key = _fit([1.0, -1.0, 1.0 + slope, -1.0 + slope], self.XS)
+            assert key in registry.models
+            assert (key.reversed() in registry.models) == invertible
+            assert registry.rejections == ({} if invertible else {"non_invertible_reverse": 1})
 
     def test_double_reverse_round_trip(self):
-        rng = np.random.default_rng(21)
-        for _ in range(200):
-            eta = rng.uniform(0.1, 10) * rng.choice([-1, 1])
-            tau = rng.uniform(-100, 100)
-            sigma2 = rng.uniform(1e-6, 100)
-            model = self._model(eta, tau, sigma2)
-            back = derive_reverse(derive_reverse(model))
-            assert back.key == model.key
-            assert back.eta == pytest.approx(eta, rel=1e-12)
-            assert back.tau == pytest.approx(tau, rel=1e-12, abs=1e-12)
-            assert back.sigma2 == pytest.approx(sigma2, rel=1e-12)
+        bundle, keys = one_key_per_relation(_random_lines(np.random.default_rng(21), 200))
+        registry = build_registry(bundle, AdmissionConfig(min_support=2))
+        for key in keys:
+            fwd, rev = registry.models[key], registry.models[key.reversed()]
+            assert rev.key.reversed() == fwd.key
+            # the reverse derived from the reverse is the fitted model
+            assert 1.0 / rev.eta == pytest.approx(fwd.eta, rel=1e-12)
+            assert -rev.tau / rev.eta == pytest.approx(fwd.tau, rel=1e-12, abs=1e-12)
+            assert rev.sigma2 / (rev.eta * rev.eta) == pytest.approx(fwd.sigma2, rel=1e-12)
 
     def test_prediction_round_trip(self):
         rng = np.random.default_rng(22)
-        for _ in range(200):
-            model = self._model(rng.uniform(0.1, 10) * rng.choice([-1, 1]), rng.uniform(-100, 100), 1.0)
-            rev = derive_reverse(model)
+        bundle, keys = one_key_per_relation(_random_lines(rng, 200))
+        registry = build_registry(bundle, AdmissionConfig(min_support=2))
+        for key in keys:
+            fwd, rev = registry.models[key], registry.models[key.reversed()]
             x = rng.uniform(-100, 100)
-            assert rev.eta * (model.eta * x + model.tau) + rev.tau == pytest.approx(x, rel=1e-9, abs=1e-9)
+            assert rev.eta * (fwd.eta * x + fwd.tau) + rev.tau == pytest.approx(x, rel=1e-9, abs=1e-9)
 
     def test_weight_consistency(self):
-        model = self._model(3.0, 1.0, 0.25)
-        assert model.weight * model.sigma2 == pytest.approx(1.0, abs=1e-12)
-        rev = derive_reverse(model)
-        assert rev.weight == pytest.approx(model.eta**2 / model.sigma2, rel=1e-12)
+        fwd, rev = self._pair([1.5, 0.5, 4.5, 3.5])  # eta 3, tau 1, sigma2 0.25
+        assert fwd.weight * fwd.sigma2 == pytest.approx(1.0, abs=1e-12)
+        assert rev.weight == pytest.approx(fwd.eta**2 / fwd.sigma2, rel=1e-12)
         assert rev.weight * rev.sigma2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -251,18 +318,42 @@ class TestBuildRegistry:
         assert registry.rejections.get("low_r2", 0) == 1
 
     def test_grouped_fit_equals_per_key_extraction(self):
-        # build_registry groups pairs in one pass; refitting from the public
-        # per-key extraction must give the identical model
+        # build_registry fits every key in one grouped pass; refitting from
+        # the per-key extraction must give the same model up to rounding
         bundle = _line_bundle()
         registry = build_registry(bundle, AdmissionConfig(min_support=5))
         for key, model in registry.models.items():
             if model.fit.derived_reverse:
                 continue
             ys, xs = extract_pairs(bundle, key)
-            eta, tau, sigma2, fit = fit_simple_regression(ys, xs)
-            assert model.eta == eta and model.tau == tau
-            assert model.sigma2 >= sigma2  # floor can only lift the variance
-            assert model.fit.support == fit.support
+            assert_matches_oracle(model, ys, xs, bundle.attrs)
+
+    def test_each_admission_rule_tallies_its_key(self):
+        # one fit key (y | x) per relation; each key meets the first rule it
+        # fails, and an excluded key with too few pairs counts as excluded
+        samples = {
+            "excluded": ([1.0, 2.0, 3.0, 5.0], [0.0, 1.0, 2.0, 3.0]),
+            "excluded_and_few": ([1.0], [2.0]),
+            "few": ([1.0, 2.0], [0.0, 1.0]),
+            "flat": ([1.0, 2.0, 4.0, 3.0], [2.0, 2.0, 2.0, 2.0]),
+            "noise": ([1.0, -1.0, -1.0, 1.0], [0.0, 1.0, 2.0, 3.0]),
+            "zero_slope": ([4.0, 4.0, 4.0], [0.0, 1.0, 2.0]),
+            "line": ([1.0, 3.0, 5.0], [0.0, 1.0, 2.0]),
+        }
+        bundle, keys = one_key_per_relation(list(samples.values()))
+        relations = [f"r{k}" for k in range(len(samples))]
+        rules = AdmissionConfig.parse_exclusions([f"x,y,{relations[0]}", f"y,x,{relations[1]}"])
+        registry = build_registry(bundle, AdmissionConfig(min_support=3, r2_min=0.5, exclusions=rules))
+        assert registry.rejections == {
+            "excluded": 2,
+            "insufficient_support": 1,
+            "degenerate_regressor": 1,
+            "low_r2": 1,
+            "non_invertible_reverse": 1,
+        }
+        line, zero_slope = keys[6], keys[5]
+        assert list(registry.models) == sorted([zero_slope, line, line.reversed()], key=lambda k: k.relation)
+        assert registry.models[line].sigma2 == 1e-12 * 6.0 * 6.0  # exact, so at the floor: y spans -1 to 5
 
     def test_inner_canonical_fit_and_derived_swap(self):
         observed = {}
@@ -279,7 +370,7 @@ class TestBuildRegistry:
 
 
 class TestRegistryOnRandomInstances:
-    def test_every_key_equals_its_extracted_fit_bit_for_bit(self):
+    def test_every_key_matches_the_scalar_oracle(self):
         rng = np.random.default_rng(41)
         admission = AdmissionConfig(min_support=2)
         fitted = 0
@@ -293,23 +384,71 @@ class TestRegistryOnRandomInstances:
                 for dep in range(attrs.n_types)
                 for indep in range(attrs.n_types)
             ] + [PathKey.inner(dep, indep) for dep in range(attrs.n_types) for indep in range(dep)]
+            # the scalar oracle, key by key in code order: admitted keys and the rejection tally
+            order, tally = [], Counter()
             for key in keys:
                 ys, xs = extract_pairs(bundle, key)
                 try:
-                    eta, tau, sigma2, fit = fit_simple_regression(ys, xs)
-                except (InsufficientSupportError, DegenerateRegressorError):
-                    assert key not in registry.models
+                    fit_simple_regression(ys, xs)
+                except InsufficientSupportError:
+                    tally["insufficient_support"] += ys.size == 1  # a key without pairs is no key
                     continue
-                model = registry.models.get(key)
-                assert model is not None and not model.fit.derived_reverse
-                assert (model.eta, model.tau, model.fit) == (eta, tau, fit)
-                dep_range = attrs.value_range(key.dep)
-                assert model.sigma2 == max(sigma2, 1e-12 * dep_range * dep_range or 1e-12)
+                except DegenerateRegressorError:
+                    tally["degenerate_regressor"] += 1
+                    continue
+                model = registry.models[key]
+                assert_matches_oracle(model, ys, xs, attrs)
+                order.append(key)
                 fitted += 1
-            assert sum(not m.fit.derived_reverse for m in registry.models.values()) == sum(
-                1 for key in keys if key in registry.models
-            )
+                dep_range, indep_range = attrs.value_range(key.dep), attrs.value_range(key.indep)
+                eta_min = ETA_MIN_SCALE * dep_range / indep_range if indep_range > 0.0 else 0.0
+                try:
+                    reverse = derive_reverse(model, eta_min)
+                except NonInvertibleSlopeError:
+                    tally["non_invertible_reverse"] += 1
+                    continue
+                assert registry.models[reverse.key] == reverse  # the same arithmetic, bit for bit
+                order.append(reverse.key)
+            assert list(registry.models) == order
+            assert registry.rejections == {reason: n for reason, n in tally.items() if n}
         assert fitted > 50
+
+    def test_mirror_code_is_the_reversed_key(self):
+        rng = np.random.default_rng(46)
+        mirrored = 0
+        for _ in range(10):
+            bundle, _ = random_instance(rng, quirks=True)
+            registry = build_registry(bundle, AdmissionConfig(min_support=2))
+            n_types = bundle.attrs.n_types
+            span, codes = _codes(bundle.graph, registry, n_types)
+            for key, code, mirror in zip(registry.models, codes.tolist(), _mirror(codes, span, n_types).tolist()):
+                assert key_of(code, span, n_types) == key
+                assert key_of(mirror, span, n_types) == key.reversed()
+                mirrored += 1
+        assert mirrored > 50
+
+
+class TestTrainingPairs:
+    def test_equals_the_per_key_extraction_on_quirk_instances(self):
+        rng = np.random.default_rng(44)
+        for _ in range(15):
+            bundle, _ = random_instance(rng, quirks=True)
+            graph, attrs = bundle.graph, bundle.attrs
+            code, ys, xs = training_pairs(bundle)
+            assert (np.diff(code) >= 0).all()
+            codes = np.unique(code).tolist()
+            keys = [key_of(c, graph.n_relations, attrs.n_types) for c in codes]
+            every_key = [
+                PathKey.relational(dep, indep, rel, Direction.FORWARD)
+                for rel in range(graph.n_relations)
+                for dep in range(attrs.n_types)
+                for indep in range(attrs.n_types)
+            ] + [PathKey.inner(dep, indep) for dep in range(attrs.n_types) for indep in range(dep)]
+            assert keys == [key for key in every_key if extract_pairs(bundle, key)[0].size]
+            for c, key in zip(codes, keys):
+                want_ys, want_xs = extract_pairs(bundle, key)
+                assert ys[code == c].tolist() == want_ys.tolist()
+                assert xs[code == c].tolist() == want_xs.tolist()
 
 
 class TestCountPaths:
