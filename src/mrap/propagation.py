@@ -15,8 +15,12 @@ entry or a silent target). An ablation is a mask on the plan's model table.
 The compile counts each entry's messages first (the plan of
 :mod:`mrap.regression`, which ``count_paths`` sums), then builds the paths
 target by target, in blocks of whole entities, so no path-sized array
-outlives its block. ``A`` is stored as jagged diagonals (Saad, 1989): rows
-by degree, one contiguous slot per k-th entry of a row.
+outlives its block. A block lists the source entries of its entities'
+incidences once, and each target entry takes its entity's run of that list.
+Each per-path term is computed once and serves every sum that needs it: the
+prediction ``eta x_s + tau`` feeds ``c`` and the loss, ``w eta`` feeds ``A``
+and the curvature. ``A`` is stored as jagged diagonals (Saad, 1989): rows by
+degree, one contiguous slot per k-th entry of a row.
 
 Updates are synchronous: iteration k reads only the k-1 values, and each
 row sums its terms in path order from zero, so results are bit-reproducible
@@ -45,7 +49,7 @@ import numpy as np
 from .attributes import AttributeTable, Status
 from .codec import write_table
 from .ingest import DatasetBundle
-from .regression import Incidences, ModelRegistry, incidences, inflow, ragged
+from .regression import Incidences, ModelRegistry, incidences, inflow
 
 logger = logging.getLogger(__name__)
 
@@ -92,28 +96,40 @@ class ImputationReport:
     losses: np.ndarray = field(repr=False)  # per iteration
 
 
-BLOCK = 32768  # compile work per block: (target entry, incidence) pairs plus candidate paths
+BLOCK = 32768  # compile work per block: (target entry, incidence) and (target entry, candidate) pairs
 
 
 def _paths(inc: Incidences, attrs: AttributeTable, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(src, tgt, model id) of every path into the entries ``t0:t1``, in message order.
 
-    Each (target entry, incidence) pair walks the shorter of two ascending
-    type lists, its source's entries or its model row, and keeps the types
-    in both.
+    The block lists the source entries of its entities' incidences once: the
+    candidates, incidence by incidence, each incidence's by ascending type.
+    Each target entry takes its entity's run of candidates and keeps those
+    whose model (incidence kind, target type, candidate type) is active.
     """
-    n_types, entity = attrs.n_types, attrs.entity_ids[t0:t1]
-    target, k = ragged(inc.first[entity + 1] - inc.first[entity])
-    i = inc.first[entity[target]] + k
-    source, row = inc.src[i], inc.kind[i] * n_types + attrs.attr_ids[t0 + target]
-    a0, a1, b0, b1 = inc.entries[source], inc.entries[source + 1], inc.cols[row], inc.cols[row + 1]
-    lo, hi = np.where(b1 - b0 < a1 - a0, [b0, b1], [a0, a1])
-    pair, k = ragged(hi - lo)
-    j = inc.types[lo[pair] + k]
-    src = inc.entry_of[source[pair] * n_types + j]
-    mid = inc.model.reshape(-1)[row[pair] * n_types + j]
-    keep = (src >= 0) & (mid >= 0)
-    return src[keep], t0 + target[pair[keep]], mid[keep]
+    n_types, entity, dep = attrs.n_types, attrs.entity_ids[t0:t1], attrs.attr_ids[t0:t1]
+    new = np.diff(entity, prepend=-1) != 0
+    owner = entity[new]  # the block's entities that have entries
+    n_inc = inc.first[owner + 1] - inc.first[owner]
+    i = _runs(inc.first[owner], n_inc)  # their incidences
+    source = np.take(inc.src, i)
+    kind = np.take(inc.kind, i)
+    lo = np.take(inc.entries, source)
+    size = np.take(inc.entries, source + 1) - lo
+    cand = _runs(lo, size)
+    base = np.repeat(kind * n_types**2, size) + np.take(attrs.attr_ids, cand)  # the model code but for dep * n_types
+    stop = np.cumsum(size)[np.cumsum(n_inc) - 1]  # per owner: one past its last candidate
+    j = np.cumsum(new) - 1  # per target entry: its owner
+    length = np.diff(stop, prepend=0)[j]
+    c = _runs(stop[j] - length, length)  # each target entry's candidates: its owner's run
+    mid = np.take(inc.model.reshape(-1), np.take(base, c) + np.repeat(dep * n_types, length))
+    keep = np.flatnonzero(mid >= 0)
+    return np.take(cand, np.take(c, keep)), t0 + np.take(np.repeat(np.arange(t1 - t0), length), keep), np.take(mid, keep)
+
+
+def _runs(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The indices ``start[r]:start[r] + length[r]`` of every run ``r``, concatenated."""
+    return np.arange(length.sum()) + np.repeat(start - np.cumsum(length) + length, length)
 
 
 def _jagged(degree: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -212,40 +228,53 @@ def _compile(
     slot_of[is_live] = rank
     live = np.flatnonzero(is_live)[np.argsort(attr[is_live], kind="stable")]
     a_src, a = np.empty(start[-1], dtype=np.int64), np.empty(start[-1])
-    fixed_values = np.where(is_live, 0.0, values)
 
-    # blocks of whole target entities, about BLOCK pairs and candidate paths each
+    # blocks of whole target entities, about BLOCK pairs each
     size = np.diff(inc.entries)
     work = size * np.add.reduceat(1 + size[inc.src], inc.first[:-1])  # every entity has an inner incidence
     cuts = np.flatnonzero(np.diff((np.cumsum(work) - work) // BLOCK)) + 1
     bounds = inc.entries[np.concatenate([[0], cuts, [len(size)]])].tolist()
     q, c, g, h = (np.zeros(n) for _ in range(4))  # per entry
+    eta, tau, weight = inc.params
     loss0 = 0.0
     for t0, t1 in zip(bounds[:-1], bounds[1:]):
         src, tgt, mid = _paths(inc, attrs, t0, t1)
-        p = np.flatnonzero(missing[tgt] & is_live[src])  # the paths between two live entries
-        row, k = ragged(degree[t0:t1])
-        if (len(src), len(p)) != (planned[t0:t1].sum(), len(row)):
-            raise RuntimeError(f"entries {t0}:{t1}: {len(src)} paths, {len(p)} live; planned {planned[t0:t1].sum()}, {len(row)}")
+        n_in, n_live = planned[t0:t1], degree[t0:t1]
+        live_src = np.take(is_live, src)
+        p = np.flatnonzero(np.take(missing, tgt) & live_src)  # the paths between two live entries
+        if (len(src), len(p)) != (n_in.sum(), n_live.sum()):
+            raise RuntimeError(f"entries {t0}:{t1}: {len(src)} paths, {len(p)} live; planned {n_in.sum()}, {n_live.sum()}")
         # q, c and A: a target's paths all sit in this block, in path order
-        local, (e, t, w) = tgt - t0, inc.params[:, mid]  # eta, tau, weight
-        q[t0:t1] = np.bincount(local, weights=w, minlength=t1 - t0)
-        qt = q[tgt]
-        c[t0:t1] = np.bincount(local, weights=(e * fixed_values[src] + t) * w / qt, minlength=t1 - t0)
-        at = start[k] + slot_of[t0 + row]
-        a_src[at], a[at] = src[p], w[p] * e[p] / qt[p]
+        local, w, e, t = tgt - t0, np.take(weight, mid), np.take(eta, mid), np.take(tau, mid)
+        del tgt, mid  # each path array goes after its last use, which keeps the block's arrays in cache
+        q[t0:t1] = qb = np.bincount(local, weights=w, minlength=t1 - t0)
+        pred = np.take(values, src)
+        pred *= e
+        pred += t
+        terms = np.where(live_src, t, pred)  # a live source's prediction is in A
+        terms *= w
+        terms /= np.repeat(qb, n_in)
+        c[t0:t1] = np.bincount(local, weights=terms, minlength=t1 - t0)
+        del live_src, t, terms
+        we = w * e
+        # the k-th live path of a row goes to slot k
+        at = np.take(start, _runs(np.zeros_like(n_live), n_live)) + np.repeat(slot_of[t0:t1], n_live)
+        a_src[at], a[at] = np.take(src, p), np.take(we, p) / np.repeat(qb, n_live)
+        del p, at
 
         # the loss at values, and its gradient and curvature per entry
-        r0 = values[tgt] - (values[src] * e + t)
+        r0 = np.subtract(np.repeat(values[t0:t1], n_in), pred, out=pred)
         wr = w * r0
         r0 *= wr
         loss0 += float(r0.sum())
         wr *= 2.0
         g[t0:t1] += np.bincount(local, weights=wr, minlength=t1 - t0)
-        h[t0:t1] += np.bincount(local, weights=w, minlength=t1 - t0)
-        np.subtract.at(g, src, wr * e)
-        np.add.at(h, src, w * e * e)
-        del src, tgt, mid, p, row, k, local, w, e, t, qt, at, r0, wr  # before the next block's paths
+        h[t0:t1] += qb  # the weights of the paths into each entry: q
+        wr *= e
+        np.subtract.at(g, src, wr)
+        we *= e
+        np.add.at(h, src, we)
+        del src, local, w, e, pred, r0, we, wr  # before the next block's paths
 
     op = _Operator(live, a_src, a, slot_of[live], widths, c[live], values[live], None, q[live], g[live], h[live], loss0)
     op = op._replace(ax0=op.product(values))  # the first update's A x as well

@@ -281,6 +281,7 @@ def _models(codes: np.ndarray, span: int, n_types: int, *columns: list) -> dict[
     return models
 
 
+_BYTES = np.arange(256, dtype=np.uint8)
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # set bits per byte
 
 
@@ -291,19 +292,14 @@ class Incidences(NamedTuple):
     at its head; each entity has one inner incidence with itself. Sorted by
     target entity, then stored edge, forward first, inner last, they give a
     target entry's messages in order, each incidence's by ascending source
-    entry, which is ascending source type. Model row ``kind * n_types + dep``
-    has its indep types at ``types[cols[row]:cols[row + 1]]``, and entity
-    ``e`` its entries' at ``types[entries[e]:entries[e + 1]]``.
+    entry, which is ascending source type.
     """
 
     src: np.ndarray  # source entity per incidence
     kind: np.ndarray  # 2 relation (forward), 2 relation + 1 (reverse) or 2 span (inner)
     first: np.ndarray  # per entity, plus one past the last: its first incidence
     entries: np.ndarray  # per entity, plus one past the last: its first entry
-    entry_of: np.ndarray  # entity * n_types + type -> entry, -1 where none
-    model: np.ndarray  # (kind, dep, indep), the model code -> model id, -1 where none is active
-    cols: np.ndarray
-    types: np.ndarray
+    model: np.ndarray  # (kind, dep, indep), the model code -> int64 model id, -1 where none is active
     params: np.ndarray  # (3, models): eta, tau, weight
 
 
@@ -320,7 +316,7 @@ def incidences(
     """
     n_types, n_entities = attrs.n_types, graph.n_entities
     span, codes = _codes(graph, registry, n_types)
-    model = np.full((2 * span + 1) * n_types * n_types, -1, dtype=np.int32)
+    model = np.full((2 * span + 1) * n_types * n_types, -1, dtype=np.int64)
     model[codes] = np.arange(codes.size)
     model = model.reshape(2 * span + 1, n_types, n_types)
     if no_cross:
@@ -328,8 +324,6 @@ def incidences(
     if no_inner:
         model[2 * span] = -1
     params = [(m.eta, m.tau, m.weight) for m in registry.models.values()]
-    entry_of = np.full(n_entities * n_types, -1, dtype=np.int64)
-    entry_of[attrs.entity_ids * n_types + attrs.attr_ids] = np.arange(attrs.n_entries)
 
     head, relation, tail = graph.edge_array.T
     # edge by edge, forward into the tail, then reverse into the head; inner last
@@ -344,10 +338,7 @@ def incidences(
         kind[order],
         np.concatenate([[0], np.cumsum(np.bincount(tgt, minlength=n_entities))]),
         np.concatenate([[0], np.cumsum(np.bincount(attrs.entity_ids, minlength=n_entities))]),
-        entry_of,
         model,
-        attrs.n_entries + np.concatenate([[0], np.cumsum((model >= 0).sum(axis=2))]),
-        np.concatenate([attrs.attr_ids, np.nonzero(model >= 0)[2]]),  # row-major: ascending in each row
         np.array(params, dtype=np.float64).reshape(-1, 3).T.copy(),
     )
 
@@ -356,16 +347,22 @@ def inflow(inc: Incidences, attrs: AttributeTable, source: np.ndarray) -> np.nda
     """Per entry: its messages from the entries the boolean ``source`` marks.
 
     An incidence carries one message per type present at its source that has
-    a model with the target's type as dep, counted as bits.
+    a model with the target's type as dep. Types are bits, eight to a byte:
+    per byte of the dep's model row, a table of 256 popcounts gives each
+    incidence's count from its kind and its source's byte.
     """
-    present = np.zeros((len(inc.first) - 1, attrs.n_types), dtype=bool)
-    present[attrs.entity_ids[source], attrs.attr_ids[source]] = True
-    have = np.packbits(present, axis=1, bitorder="little")[inc.src]
-    rows = np.packbits(inc.model >= 0, axis=2, bitorder="little")  # kind, dep, bits of indep
-    per_entity = np.zeros(present.shape, dtype=np.int64)
-    for d in range(attrs.n_types):
-        per_entity[:, d] = np.add.reduceat(_POPCOUNT[rows[:, d][inc.kind] & have].sum(axis=1, dtype=np.int64), inc.first[:-1])
-    return per_entity[attrs.entity_ids, attrs.attr_ids]
+    n_entities, n_types = len(inc.first) - 1, attrs.n_types
+    present = np.zeros((n_entities, n_types), dtype=bool)
+    present.reshape(-1)[attrs.entity_ids[source] * n_types + attrs.attr_ids[source]] = True
+    have = np.packbits(present, axis=1, bitorder="little")  # entity, bytes of types
+    rows = np.packbits(inc.model >= 0, axis=2, bitorder="little")  # kind, dep, bytes of indep
+    per_entity = np.zeros((n_types, n_entities), dtype=np.int64)
+    for b in range(have.shape[1]):
+        at = inc.kind * 256 + np.take(have[:, b], inc.src)  # (kind, source byte) of each incidence
+        for d in range(n_types):
+            table = _POPCOUNT[rows[:, d, b, None] & _BYTES]  # kind, byte -> messages
+            per_entity[d] += np.add.reduceat(np.take(table.reshape(-1), at), inc.first[:-1], dtype=np.int64)
+    return per_entity[attrs.attr_ids, attrs.entity_ids]
 
 
 def count_paths(graph: KnowledgeGraph, registry: ModelRegistry, attrs: AttributeTable) -> int:

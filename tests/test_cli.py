@@ -2,13 +2,14 @@ import argparse
 import builtins
 import csv
 import errno
+import json
 import logging
 import math
 import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -289,6 +290,28 @@ class TestBenchmarkTracing:
         assert info["regression.build_registry"]["models"] == info["propagation.run"]["models"] > 0
         assert info["propagation.run"]["iterations"] > 0
         assert info["propagation.run"]["paths"] == _logged_paths(caplog.records)
+
+    def test_a_traced_repeat_measures_every_layer(self, tmp_path, monkeypatch):
+        # bench/run.py --workload staged-reuse --trace 1 on a small graph: a
+        # traced repeat must bind every span and give every per-layer metric,
+        # and the result line must stay strict JSON
+        import mrap.propagation  # noqa: F401  the bench reaches them through the package
+        import mrap.regression  # noqa: F401
+
+        bench = bench_run()
+        monkeypatch.setattr(bench, "WORK_DIR", tmp_path)
+        workload = bench.WORKLOADS["staged-reuse"]
+        monkeypatch.setitem(bench.WORKLOADS, "staged-reuse", replace(workload, spec=replace(workload.spec, entities=400)))
+        checks = bench.Checks()
+        runner = bench.Bench(mrap, "staged-reuse", 201, checks)
+        repeats = [runner.repeat(traced=False), runner.repeat(traced=False), runner.repeat(traced=True)]
+        assert checks.failures == []
+        assert runner.recorder.unbound == []
+        layers = repeats[-1].layers
+        assert {k: v for k, v in layers.items() if not isinstance(v, (int, float)) or not math.isfinite(v)} == {}
+        _, per_layer = bench.summarize(repeats, checks)
+        assert checks.failures == []
+        json.dumps({k: bench.metric_entry(v, bench.LAYER_UNITS[k]) for k, v in per_layer.items()}, allow_nan=False)
 
     def test_eval_and_ablate_spans_fire(self, dataset, tmp_path):
         spans = bench_spans()

@@ -232,6 +232,75 @@ class TestTargetMajorCompile:
             targets = bundle.target_indices()
             np.testing.assert_array_equal(n_msgs[targets], np.bincount(tgt, minlength=n)[targets])
 
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+    def test_operator_terms_are_the_oracle_path_sums(self, cfg):
+        # q and c bit for bit as bincount over the oracle paths in target-major
+        # order; loss0, g and h against a direct per-path evaluation
+        rng = np.random.default_rng(46)
+        for _ in range(25):
+            bundle, registry = random_instance(rng, quirks=True)
+            n, targets = bundle.attrs.n_entries, bundle.target_indices()
+            values = init_values(bundle)
+            values[targets] += rng.normal(size=len(targets))
+            op, _, q = _compile(bundle, registry, cfg, values)
+            src, tgt, mid, (eta, tau, weight) = _link(bundle, registry, cfg)
+            order = np.argsort(tgt, kind="stable")
+            src, tgt, w, e, t = src[order], tgt[order], weight[mid[order]], eta[mid[order]], tau[mid[order]]
+            want_q = np.bincount(tgt, weights=w, minlength=n)
+            np.testing.assert_array_equal(q[targets].view(np.int64), want_q[targets].view(np.int64))
+            fixed = values.copy()
+            fixed[op.live] = 0.0
+            want_c = np.bincount(tgt, weights=(e * fixed[src] + t) * w / want_q[tgt], minlength=n)[op.live]
+            np.testing.assert_array_equal(op.c.view(np.int64), want_c.view(np.int64))
+
+            r0 = values[tgt] - (e * values[src] + t)
+            assert op.loss0 == pytest.approx(float((w * r0 * r0).sum()), rel=1e-12, abs=1e-300)
+            g_in, g_out = 2.0 * w * r0, 2.0 * w * e * r0
+            want_g = np.bincount(tgt, weights=g_in, minlength=n) - np.bincount(src, weights=g_out, minlength=n)
+            scale = np.bincount(tgt, weights=np.abs(g_in), minlength=n) + np.bincount(src, weights=np.abs(g_out), minlength=n)
+            assert (np.abs(op.g - want_g[op.live]) <= 1e-12 * scale[op.live]).all()  # g is a difference of sums
+            want_h = np.bincount(tgt, weights=w, minlength=n) + np.bincount(src, weights=w * e * e, minlength=n)
+            np.testing.assert_allclose(op.h, want_h[op.live], rtol=1e-12)
+
+    def test_the_plan_counts_past_eight_types(self):
+        # ten types take two bytes of type bits per entity and per model row
+        bundle = bench_bundle(5, 0.5, entities=300, edges_per_entity=3, relations=4, noise_relations=0, types=10, density=0.6)
+        registry = build_registry(bundle, AdmissionConfig())
+        attrs, n = bundle.attrs, bundle.attrs.n_entries
+        src, tgt, _, _ = _link(bundle, registry, PropagationConfig())
+        assert len(tgt) > 0 and attrs.n_types == 10
+        inc = incidences(bundle.graph, registry, attrs)
+        np.testing.assert_array_equal(inflow(inc, attrs, np.ones(n, dtype=bool)), np.bincount(tgt, minlength=n))
+        sources = np.random.default_rng(50).random(n) < 0.5
+        np.testing.assert_array_equal(inflow(inc, attrs, sources), np.bincount(tgt[sources[src]], minlength=n))
+
+    def test_an_empty_block_has_no_paths(self):
+        bundle, registry = random_instance(np.random.default_rng(48), quirks=True)
+        inc = incidences(bundle.graph, registry, bundle.attrs)
+        for t in (0, int(inc.entries[len(inc.entries) // 2]), bundle.attrs.n_entries):
+            for column in _paths(inc, bundle.attrs, t, t):
+                assert column.dtype == np.int64 and column.shape == (0,)
+
+    def test_blocks_of_one_entity_build_the_same_operator(self, monkeypatch):
+        # "c" carries no entries and comes last: with one entity per block, the last block is empty
+        triples = [("a", "p", "b"), ("d", "p", "b"), ("b", "p", "c")]
+        bundle = make_bundle(triples, {("a", "v"): 1.0, ("d", "v"): 3.0}, {("b", "v"): 0.0}, attr_order=("v",))
+        fwd = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 2.0, 1.0, 1.0)
+        instances = [(bundle, registry_of(fwd, derive_reverse(fwd)))]
+        rng = np.random.default_rng(49)
+        instances += [random_instance(rng, quirks=True) for _ in range(10)]
+        for bundle, registry in instances:
+            values = init_values(bundle)
+            want, _, want_q = _compile(bundle, registry, PropagationConfig(), values)
+            with monkeypatch.context() as patch:
+                patch.setattr(propagation, "BLOCK", 1)
+                got, _, q = _compile(bundle, registry, PropagationConfig(), values)
+            for field in ("live", "src", "a", "c", "q"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+            np.testing.assert_array_equal(q, want_q)
+            for field in ("g", "h", "loss0"):
+                np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=1e-12, atol=1e-12)
+
     def test_incidence_order_past_one_radix_digit(self):
         # more than 2**16 entities: the incidences are ordered in two stable
         # 16-bit passes, with no combined (entity, edge) code to overflow
