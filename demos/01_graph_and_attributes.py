@@ -46,7 +46,8 @@ entity_ids = [graph.entities.id(e) for e, _, _ in rows]
 attr_ids = [types.add(a) for _, a, _ in rows]
 table = AttributeTable.build(graph.n_entities, types, entity_ids, attr_ids, [v for _, _, v in rows])
 
-print("attribute summaries (count, min, max, mean):")
+print("attribute summaries over observed entries:")
 for attr in range(table.n_types):
-    print(f"  {types.label(attr):15s} {table.type_summary(attr)}")
+    observed = table.observed_values(attr)
+    print(f"  {types.label(attr):15s} count = {observed.size}, mean = {table.mean_value(attr)}")
     print(f"  {'':15s} observed range = {table.value_range(attr)}")

@@ -126,7 +126,3 @@ class AttributeTable:
 
     def mean_value(self, attr: int) -> float:
         return self._observed_stats(attr)[3]
-
-    def type_summary(self, attr: int) -> tuple[int, float, float, float]:
-        """(count, min, max, mean) over observed entries of the type."""
-        return self._observed_stats(attr)

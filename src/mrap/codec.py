@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import re
+from itertools import chain
 from pathlib import Path
 from typing import IO, Callable, Sequence, TypeVar
 
@@ -155,18 +156,19 @@ def write_table(
     written at 17 significant digits (``%.17g``), integer arrays in full.
     With ``sep=","`` a string that holds a comma or a double quote is quoted
     as in RFC 4180: enclosed in double quotes, each of its own doubled.
+    The whole table is formatted by one ``%``: a row's format, repeated
+    once per row, over every cell in row order.
     """
-    texts = [
-        map(("%.17g" if column.dtype.kind == "f" else "%d").__mod__, column.tolist())
-        if isinstance(column, np.ndarray)
-        else map(_csv_field, column) if sep == ","
-        else column
-        for column in columns
-    ]
-    lines = [header] if header is not None else []
-    lines.extend(map(sep.join, zip(*texts)))
-    lines.append("")  # every line ends with a newline
-    write_text(path, "\n".join(lines))
+    specs, cells = [], []
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            specs.append("%.17g" if column.dtype.kind == "f" else "%d")
+            cells.append(column.tolist())
+        else:
+            specs.append("%s")
+            cells.append(map(_csv_field, column) if sep == "," else column)
+    body = (sep.join(specs) + "\n") * len(columns[0]) % tuple(chain.from_iterable(zip(*cells)))
+    write_text(path, body if header is None else header + "\n" + body)
 
 
 def _csv_field(text: str) -> str:

@@ -30,8 +30,9 @@ below its tolerance (``conv_frac`` times the type's observed range) or 0.
 The diagnostic loss of each iteration (the ``loss`` column of the trace) is
 a quadratic form in the live values, centered on the initial values so that
 it keeps its digits at magnitudes like years. It reads the ``A x`` of the
-next update, so an iteration costs one gather over ``A``, one slice-add per
-slot and work linear in the live targets.
+next update, so an iteration costs a gather per chunk of about ``BLOCK``
+entries of ``A``, a slice-add per slot and work linear in the live targets,
+with no path-sized temporary.
 
 Missing entries start at the global mean of their attribute type, so targets
 that never receive a message degrade to the per-type mean baseline.
@@ -96,7 +97,9 @@ class ImputationReport:
     losses: np.ndarray = field(repr=False)  # per iteration
 
 
-BLOCK = 32768  # compile work per block: (target entry, incidence) and (target entry, candidate) pairs
+# compile work per block: (target entry, incidence) and (target entry, candidate)
+# pairs; and the entries of A that a product gathers at once
+BLOCK = 32768
 
 
 def _paths(inc: Incidences, attrs: AttributeTable, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,6 +152,8 @@ class _Operator(NamedTuple):
 
     ``A`` is held as jagged diagonals (:func:`_jagged`): the source entry
     ``src`` and coefficient ``a`` of each entry, slot by slot, a row's in path order.
+    :meth:`product` applies it a chunk of slots at a time: a gather per
+    chunk, a slice-add per slot.
 
     The loss is a quadratic form centered on the initial live values ``x0``.
     With ``y = x - x0``, ``r0`` each path's residual at ``x0`` and ``q`` each
@@ -180,13 +185,26 @@ class _Operator(NamedTuple):
     loss0: float
 
     def product(self, values: np.ndarray) -> np.ndarray:
-        """``A x`` for the entry buffer ``values``: each row sums its terms in path order from zero."""
-        terms = np.take(values, self.src)
-        terms *= self.a
-        acc, lo = np.zeros(len(self.live)), 0
-        for width in self.widths:
-            acc[:width] += terms[lo : lo + width]
-            lo += width
+        """``A x`` for the entry buffer ``values``: each row sums its terms in path order from zero.
+
+        ``A`` is applied in chunks: runs of consecutive slots holding at most
+        ``BLOCK`` entries, or one wider slot. A chunk's terms are gathered and
+        scaled at once, then each of its slots is slice-added, so a call holds
+        one chunk of terms, never all of them.
+        """
+        acc, widths, k, lo = np.zeros(len(self.live)), self.widths, 0, 0
+        while k < len(widths):
+            stop, hi = k + 1, lo + widths[k]  # the chunk: slots k:stop, entries lo:hi
+            while stop < len(widths) and hi + widths[stop] - lo <= BLOCK:
+                hi += widths[stop]
+                stop += 1
+            terms = np.take(values, self.src[lo:hi])
+            terms *= self.a[lo:hi]
+            at = 0
+            for width in widths[k:stop]:
+                acc[:width] += terms[at : at + width]
+                at += width
+            k, lo = stop, hi
         return acc[self.rank]
 
     def loss(self, x: np.ndarray, ax: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from typing import IO, Mapping, NamedTuple
 import numpy as np
 
 from mrap.attributes import AttributeTable, Status
-from mrap.codec import Table, read_table
+from mrap.codec import Table, _csv_field, read_table, write_text
 from mrap.errors import DataError, MrapError, ParseError
 from mrap.evaluation import EvalReport, EvalRow
 from mrap.graph import Direction, KnowledgeGraph, Vocabulary, build_graph
@@ -941,6 +941,21 @@ def reference_write_imputations(fh, bundle, values, report):
             f"{attrs.types.label(int(attrs.attr_ids[t]))}\t"
             f"{values[t]:.17g}\t{int(n_msg)}\t{w:.17g}\n"
         )
+
+
+def reference_write_table(path, columns, sep="\t", header=None):
+    """The per-field, per-row table writer that ``write_table`` replaced."""
+    texts = [
+        map(("%.17g" if column.dtype.kind == "f" else "%d").__mod__, column.tolist())
+        if isinstance(column, np.ndarray)
+        else map(_csv_field, column) if sep == ","
+        else column
+        for column in columns
+    ]
+    lines = [header] if header is not None else []
+    lines.extend(map(sep.join, zip(*texts)))
+    lines.append("")  # every line ends with a newline
+    write_text(path, "\n".join(lines))
 
 
 def reference_write_trace(fh, report):

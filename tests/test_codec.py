@@ -16,6 +16,7 @@ from helpers import (
     reference_write_imputations,
     reference_write_model_dump,
     reference_write_split_manifest,
+    reference_write_table,
     reference_write_trace,
     rows_of,
 )
@@ -323,6 +324,27 @@ class TestTable:
             assert [row[0] for row in csv.reader(fh)] == labels
         write_table(path, [labels, np.array([1, 2, 3, 4])])  # tab-separated files are written as they are
         assert path.read_bytes() == b'h,cm\t1\nw"x\t2\nplain\t3\n\t4\n'
+
+    def test_write_table_matches_the_per_row_writer(self, tmp_path):
+        rng = np.random.default_rng(60)
+        floats = np.array([1e-07, 1.5e16, -0.0, np.nan, np.inf, -np.inf, 0.1, 1950.25, -3.0, 5e-324])
+        for _ in range(200):
+            n_rows = int(rng.integers(0, 12)) * (rng.random() < 0.85)
+            columns = []
+            for _ in range(int(rng.integers(1, 6)) if rng.random() < 0.8 else 1):
+                kind = int(rng.integers(3))
+                if kind == 0:  # labels with commas, double quotes and format characters
+                    columns.append(["".join(rng.choice(list('ab,"% Ü東'), int(rng.integers(0, 5)))) for _ in range(n_rows)])
+                elif kind == 1:
+                    columns.append(rng.integers(-(2**62), 2**62, n_rows, dtype=np.int64))
+                else:
+                    drawn = rng.normal(size=n_rows) * 10.0 ** rng.integers(-20, 20, n_rows)
+                    columns.append(np.where(rng.random(n_rows) < 0.5, rng.choice(floats, n_rows), drawn))
+            sep = ("\t", ",")[int(rng.integers(2))]
+            header = None if rng.random() < 0.5 else sep.join(f"c{k}" for k in range(len(columns)))
+            write_table(tmp_path / "new", columns, sep=sep, header=header)
+            reference_write_table(tmp_path / "ref", columns, sep=sep, header=header)
+            assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
 
     def test_read_table_accepts_text_streams(self):
         table = read_table(io.StringIO("a\tb\n# c\nd\te"), 2, lambda t: t)

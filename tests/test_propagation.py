@@ -43,6 +43,9 @@ from mrap.regression import AdmissionConfig, PathKey, build_registry, incidences
 
 CONFIGS = [PropagationConfig(), PropagationConfig(no_inner=True), PropagationConfig(no_cross=True)]
 CONFIG_IDS = ["full", "no_inner", "no_cross"]
+# product chunk sizes: a chunk edge between every two slots, inside runs of
+# narrow slots, and the default, next to any slot wider than it
+BLOCKS = (1, 7, propagation.BLOCK)
 
 
 class FakeMessage:
@@ -191,6 +194,15 @@ class TestBuildPaths:
         assert _build_paths(bundle, registry_of(), PropagationConfig()).n == 0
 
 
+@pytest.fixture(scope="module")
+def sparse_mix_2000():
+    """The sparse-mix shape at 2,000 entities, and its registry."""
+    bundle = bench_bundle(
+        3, 0.2, entities=2000, edges_per_entity=5, relations=20, noise_relations=0, types=6, density=0.5
+    )
+    return bundle, build_registry(bundle, AdmissionConfig())
+
+
 class TestTargetMajorCompile:
     @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
     def test_paths_are_the_edge_major_oracle_sorted_by_target(self, cfg):
@@ -215,7 +227,7 @@ class TestTargetMajorCompile:
             np.testing.assert_array_equal(inflow(inc, attrs, sources), np.bincount(tgt[sources[src]], minlength=n))
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
-    def test_product_is_bit_equal_to_bincount_over_the_oracle_paths(self, cfg):
+    def test_product_is_bit_equal_to_bincount_over_the_oracle_paths(self, cfg, monkeypatch):
         rng = np.random.default_rng(42)
         for _ in range(25):
             bundle, registry = random_instance(rng, quirks=True)
@@ -228,7 +240,11 @@ class TestTargetMajorCompile:
             a = weight[mid[live]] * eta[mid[live]] / weight_sum[tgt[live]]
             x = rng.normal(size=n) * 1e3
             want = np.bincount(row_of[tgt[live]], weights=a * x[src[live]], minlength=len(op.live))
-            np.testing.assert_array_equal(op.product(x).view(np.int64), want.view(np.int64))
+            for block in BLOCKS:
+                with monkeypatch.context() as patch:
+                    patch.setattr(propagation, "BLOCK", block)
+                    got = op.product(x)
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
             targets = bundle.target_indices()
             np.testing.assert_array_equal(n_msgs[targets], np.bincount(tgt, minlength=n)[targets])
 
@@ -358,15 +374,11 @@ class TestTargetMajorCompile:
         with pytest.raises(RuntimeError, match="planned"):
             run(bundle, registry)
 
-    def test_run_peak_memory_is_a_small_multiple_of_the_operator(self):
-        # sparse-mix shape at 2,000 entities: the operator, one product's
-        # terms, the per-edge plan and one block's paths peak at 3.2x the
-        # operator's bytes; a compile that holds every path at once, as one
-        # edge-major join does, peaks near 5x
-        bundle = bench_bundle(
-            3, 0.2, entities=2000, edges_per_entity=5, relations=20, noise_relations=0, types=6, density=0.5
-        )
-        registry = build_registry(bundle, AdmissionConfig())
+    def test_run_peak_memory_is_a_small_multiple_of_the_operator(self, sparse_mix_2000):
+        # sparse-mix shape at 2,000 entities: the operator, the per-edge plan and
+        # one block's paths peak at 2.9x the operator's bytes; a compile that
+        # holds every path at once, as one edge-major join does, peaks near 5x
+        bundle, registry = sparse_mix_2000
         op = _compile(bundle, registry, PropagationConfig(), init_values(bundle))[0]
         op_bytes = sum(field.nbytes for field in op if isinstance(field, np.ndarray))
         del op
@@ -377,6 +389,22 @@ class TestTargetMajorCompile:
         finally:
             tracemalloc.stop()
         assert peak < 4.0 * op_bytes
+
+    def test_a_product_holds_one_chunk_of_terms(self, sparse_mix_2000, monkeypatch):
+        # the chunk's terms, the row sums and the result; a product that
+        # gathers every term at once peaks near 8 (len(a) + 2 len(live))
+        bundle, registry = sparse_mix_2000
+        values = init_values(bundle)
+        op = _compile(bundle, registry, PropagationConfig(), values)[0]
+        monkeypatch.setattr(propagation, "BLOCK", 64)
+        tracemalloc.start()
+        try:
+            op.product(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(op.a) > 2 * op.widths[0]  # a whole gather would break the bound
+        assert peak <= 8 * (max(64, op.widths[0]) + 2 * len(op.live)) + 4096
 
 
 class TestJaggedSweep:
@@ -391,7 +419,11 @@ class TestJaggedSweep:
         a[start[k] + rank[rows]] = terms
         op = _Operator(np.arange(len(degree)), np.zeros(len(terms), dtype=np.int64), a, rank, widths, *[None] * 7)
         want = np.bincount(rows, weights=terms, minlength=len(degree))
-        np.testing.assert_array_equal(op.product(np.ones(1)).view(np.int64), want.view(np.int64))
+        for block in BLOCKS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(propagation, "BLOCK", block)
+                got = op.product(np.ones(1))
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_random_operators(self):
         rng = np.random.default_rng(45)
