@@ -43,7 +43,7 @@ rows = [
     ("lost_in_translation", "film_release", 2003.0),
 ]
 entity_ids = [graph.entities.id(e) for e, _, _ in rows]
-attr_ids = [types.add(a) for _, a, _ in rows]
+attr_ids = types.intern(a for _, a, _ in rows)
 table = AttributeTable.build(graph.n_entities, types, entity_ids, attr_ids, [v for _, _, v in rows])
 
 print("attribute summaries over observed entries:")

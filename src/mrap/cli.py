@@ -4,12 +4,10 @@ All subcommands read the same configuration, assembled from built-in
 defaults, an optional flat ``key=value`` config file, and command-line
 flags (highest precedence). The settings are the fields of ``RunConfig``.
 A config key is its flag's name with ``_`` in place of ``-`` (``conv_frac``
-for ``--conv-frac``); ``exclude`` takes ``;``-separated rules, and booleans
-read ``1/true/yes/on`` or ``0/false/no/off``. ``--no-cross`` and
-``--no-inner`` can only switch an ablation on: they cannot unset a file's
-``true``. Every run is deterministic given the seed, so
-repeated commands reproduce byte-identical artifacts in the output
-directory:
+for ``--conv-frac``), and ``exclude`` takes ``;``-separated rules. ``ablate``
+runs each variant on the models it keeps. Every run is deterministic given
+the seed, so repeated commands reproduce byte-identical artifacts in the
+output directory:
 
     split.tsv     split manifest            models.tsv    model dump
     imputed.tsv   imputed values            trace.csv     convergence trace
@@ -104,15 +102,6 @@ def _parse_split(text: str) -> tuple[float, float, float]:
         raise ConfigError(f"unparseable split fractions {text!r}") from None
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
 def _parse_exclude(text: str) -> tuple[str, ...]:
     return tuple(r.strip() for r in text.split(";") if r.strip())
 
@@ -138,18 +127,16 @@ class RunConfig:
     triples: str | None = _setting(None, metavar="PATH", help="tab-separated triple file")
     attrs: str | None = _setting(None, metavar="PATH", help="tab-separated attribute file")
     out: str = _setting("out", metavar="DIR", help="output directory (default: out)")
-    seed: int = _setting(0, type=int, metavar="N")
+    seed: int = _setting(SplitSpec.seed, type=int, metavar="N")
     split: tuple[float, float, float] = _setting(
-        (0.8, 0.1, 0.1), _parse_split, from_flag=_parse_split, metavar="A/B/C", help="train/dev/test fractions"
+        SplitSpec().fractions, _parse_split, from_flag=_parse_split, metavar="A/B/C", help="train/dev/test fractions"
     )
     observed_fraction: float = _setting(1.0, type=float, metavar="F")
-    damping: float = _setting(0.5, type=float, metavar="X")
-    conv_frac: float = _setting(0.001, type=float, metavar="X")
-    max_iters: int = _setting(200, type=int, metavar="N")
-    no_cross: bool = _setting(False, _parse_bool, action="store_true")
-    no_inner: bool = _setting(False, _parse_bool, action="store_true")
-    min_support: int = _setting(5, type=int, metavar="N")
-    r2_min: float = _setting(0.0, type=float, metavar="X")
+    damping: float = _setting(PropagationConfig.damping, type=float, metavar="X")
+    conv_frac: float = _setting(PropagationConfig.conv_frac, type=float, metavar="X")
+    max_iters: int = _setting(PropagationConfig.max_iters, type=int, metavar="N")
+    min_support: int = _setting(AdmissionConfig.min_support, type=int, metavar="N")
+    r2_min: float = _setting(AdmissionConfig.r2_min, type=float, metavar="X")
     exclude: tuple[str, ...] = _setting(
         (),
         _parse_exclude,
@@ -176,13 +163,7 @@ class RunConfig:
 
     @property
     def propagation(self) -> PropagationConfig:
-        return PropagationConfig(
-            damping=self.damping,
-            conv_frac=self.conv_frac,
-            max_iters=self.max_iters,
-            no_cross=self.no_cross,
-            no_inner=self.no_inner,
-        )
+        return PropagationConfig(damping=self.damping, conv_frac=self.conv_frac, max_iters=self.max_iters)
 
     @property
     def admission(self) -> AdmissionConfig:
@@ -235,7 +216,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"{args.config}:{line_no}: config key {key!r}: {exc}") from None
     for name, setting in _SETTINGS.items():
         flag = getattr(args, name)
-        if flag is not None:  # flags default to None, a store-true flag included
+        if flag is not None:  # flags default to None
             values[name] = setting.metadata["from_flag"](flag)
     cfg = RunConfig(**values)
     cfg.validate()

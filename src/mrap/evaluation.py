@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,18 +159,20 @@ def ablation_suite(
 ) -> list[EvalReport]:
     """Evaluate the full model, w/o Inner, and w/o Cross on the same split.
 
-    All three runs share one registry and differ only in the message filter
-    flags, so the comparison isolates the contribution of within-node and
-    cross-type messages.
+    Each variant runs with ``cfg`` on the models of ``registry`` it keeps:
+    MrAP on every model, w/o Inner on the relational ones, w/o Cross on those
+    that predict a type from itself, which are relational (a within-node
+    model links two types). So the comparison isolates the contribution of
+    within-node and cross-type messages.
     """
     reports = []
     variants = (
-        ("MrAP", replace(cfg, no_cross=False, no_inner=False)),
-        ("w/o Inner", replace(cfg, no_cross=False, no_inner=True)),
-        ("w/o Cross", replace(cfg, no_cross=True, no_inner=False)),
+        ("MrAP", lambda key: True),
+        ("w/o Inner", lambda key: not key.is_inner),
+        ("w/o Cross", lambda key: key.dep == key.indep),
     )
-    for label, variant_cfg in variants:
-        preds, run_report = propagation_predictions(bundle, registry, variant_cfg)
+    for label, keeps in variants:
+        preds, run_report = propagation_predictions(bundle, ModelRegistry({k: m for k, m in registry.models.items() if keeps(k)}), cfg)
         report = evaluate(preds, bundle, split, method=label, setup=setup)
         report.converged = run_report.converged
         reports.append(report)

@@ -26,21 +26,8 @@ class Vocabulary:
         self._ids: dict[str, int] = {}
         self.intern(labels)
 
-    def add(self, label: str) -> int:
-        """Intern a label and return its id (existing or freshly assigned)."""
-        idx = self._ids.get(label)
-        if idx is None:
-            idx = len(self._labels)
-            self._ids[label] = idx
-            self._labels.append(label)
-        return idx
-
     def intern(self, labels: Iterable[str]) -> list[int]:
-        """Intern every label in order and return their ids.
-
-        New labels get ids in first-seen order, exactly as repeated
-        :meth:`add` calls would assign them.
-        """
+        """Intern every label in order and return their ids; new labels get the next ids in first-seen order."""
         ids = self._ids
         known = len(ids)
         out = [ids.setdefault(label, len(ids)) for label in labels]

@@ -11,7 +11,7 @@ operator over the live targets (missing entries that receive a message):
 ``x <- (1 - d) x + d (A x + c)``. ``A`` holds ``w * eta / q`` per path
 between two live entries, with ``q`` the target's total weight; ``c`` folds
 in the intercepts and every prediction from a fixed source (an observed
-entry or a silent target). An ablation is a mask on the plan's model table.
+entry or a silent target). An ablation runs on the models it keeps.
 The compile counts each entry's messages first (the plan of
 :mod:`mrap.regression`, which ``count_paths`` sums), then builds the paths
 target by target, in blocks of whole entities, so no path-sized array
@@ -61,16 +61,12 @@ class PropagationConfig:
 
     ``conv_frac`` scales each attribute type's observed range into the
     per-type convergence threshold on the max absolute value change between
-    consecutive iterations. ``no_cross`` restricts messages to same-type
-    relational paths (which subsumes ``no_inner``: inner messages always
-    cross attribute types); ``no_inner`` drops only within-node messages.
+    consecutive iterations.
     """
 
     damping: float = 0.5
     conv_frac: float = 0.001
     max_iters: int = 200
-    no_cross: bool = False
-    no_inner: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
@@ -108,7 +104,7 @@ def _paths(inc: Incidences, attrs: AttributeTable, t0: int, t1: int) -> tuple[np
     The block lists the source entries of its entities' incidences once: the
     candidates, incidence by incidence, each incidence's by ascending type.
     Each target entry takes its entity's run of candidates and keeps those
-    whose model (incidence kind, target type, candidate type) is active.
+    for which the registry has a model (incidence kind, target type, candidate type).
     """
     n_types, entity, dep = attrs.n_types, attrs.entity_ids[t0:t1], attrs.attr_ids[t0:t1]
     new = np.diff(entity, prepend=-1) != 0
@@ -232,7 +228,7 @@ def _compile(
     attrs = bundle.attrs
     n, attr = attrs.n_entries, attrs.attr_ids
     clock = time.perf_counter()
-    inc = incidences(bundle.graph, registry, attrs, cfg.no_cross, cfg.no_inner)
+    inc = incidences(bundle.graph, registry, attrs)
     planned = inflow(inc, attrs, np.ones(n, dtype=bool))
     logger.info("paths: %d built in %.3f s", planned.sum(), time.perf_counter() - clock)
 

@@ -286,7 +286,7 @@ _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  #
 
 
 class Incidences(NamedTuple):
-    """Every way a message reaches an entity, in message order, with the active models.
+    """Every way a message reaches an entity, in message order, with the registry's models.
 
     Each edge is one forward incidence at its tail and one reverse incidence
     at its head; each entity has one inner incidence with itself. Sorted by
@@ -299,30 +299,17 @@ class Incidences(NamedTuple):
     kind: np.ndarray  # 2 relation (forward), 2 relation + 1 (reverse) or 2 span (inner)
     first: np.ndarray  # per entity, plus one past the last: its first incidence
     entries: np.ndarray  # per entity, plus one past the last: its first entry
-    model: np.ndarray  # (kind, dep, indep), the model code -> int64 model id, -1 where none is active
+    model: np.ndarray  # (kind, dep, indep), the model code -> int64 model id, -1 where there is none
     params: np.ndarray  # (3, models): eta, tau, weight
 
 
-def incidences(
-    graph: KnowledgeGraph,
-    registry: ModelRegistry,
-    attrs: AttributeTable,
-    no_cross: bool = False,
-    no_inner: bool = False,
-) -> Incidences:
-    """The incidences of the graph, with every model active but those the ablation flags drop.
-
-    ``no_cross`` drops every model between two types (every inner model too), ``no_inner`` the inner ones.
-    """
+def incidences(graph: KnowledgeGraph, registry: ModelRegistry, attrs: AttributeTable) -> Incidences:
+    """The incidences of the graph, with every model of the registry active."""
     n_types, n_entities = attrs.n_types, graph.n_entities
     span, codes = _codes(graph, registry, n_types)
     model = np.full((2 * span + 1) * n_types * n_types, -1, dtype=np.int64)
     model[codes] = np.arange(codes.size)
     model = model.reshape(2 * span + 1, n_types, n_types)
-    if no_cross:
-        model[:, ~np.eye(n_types, dtype=bool)] = -1
-    if no_inner:
-        model[2 * span] = -1
     params = [(m.eta, m.tau, m.weight) for m in registry.models.values()]
 
     head, relation, tail = graph.edge_array.T
@@ -370,8 +357,8 @@ def count_paths(graph: KnowledgeGraph, registry: ModelRegistry, attrs: Attribute
 
     A path is one (source entry, model, target entry) triple: the model's
     indep type at the source, its dep type at the target, over an edge in the
-    model's direction or within one entity. This is the ``paths:`` count of a
-    propagation run without ablation flags.
+    model's direction or within one entity. This is the ``paths:`` count that
+    a propagation run on the registry logs.
     """
     inc = incidences(graph, registry, attrs)
     return int(inflow(inc, attrs, np.ones(attrs.n_entries, dtype=bool)).sum())

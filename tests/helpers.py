@@ -80,8 +80,7 @@ def make_bundle(
     attr_entities = [e for e, _ in observed] + [e for e, _ in missing]
     graph = build_graph(*table_of(triples).columns, extra_entities=attr_entities)
     types = Vocabulary(attr_order)
-    for _, attr in list(observed) + list(missing):
-        types.add(attr)
+    types.intern(attr for _, attr in list(observed) + list(missing))
     entries = {**observed, **missing}
     table = AttributeTable.build(
         graph.n_entities,
@@ -505,12 +504,13 @@ def reference_build_graph(triples, extra_entities=()):
     for head, relation, tail in triples:
         if not head or not relation or not tail:
             raise ValueError(f"triple with empty field: {(head, relation, tail)!r}")
-        edge = (entities.add(head), relations.add(relation), entities.add(tail))
+        (head_id, tail_id), (relation_id,) = entities.intern((head, tail)), relations.intern((relation,))
+        edge = (head_id, relation_id, tail_id)
         if edge not in seen:
             seen.add(edge)
             edges.append(edge)
     for label in extra_entities:
-        entities.add(label)
+        entities.intern((label,))
     edges.sort()
     return entities.labels, relations.labels, edges
 
@@ -628,13 +628,22 @@ class Message(NamedTuple):
     source_entity: int
 
 
-def allows(cfg: PropagationConfig, key: PathKey) -> bool:
-    """Whether messages over ``key`` are active under the ablation flags of ``cfg``."""
-    if cfg.no_cross:
+# the ablations of the paper, as the parametrize ids of the tests
+ABLATIONS = ("full", "no_inner", "no_cross")
+
+
+def allows(ablation: str, key: PathKey) -> bool:
+    """Whether ``ablation`` keeps the model of ``key``: w/o Cross only same-type relational ones."""
+    if ablation == "no_cross":
         return not key.is_inner and key.dep == key.indep
-    if cfg.no_inner:
+    if ablation == "no_inner":
         return not key.is_inner
     return True
+
+
+def ablated(registry: ModelRegistry, ablation: str) -> ModelRegistry:
+    """The registry of the models that ``ablation`` keeps, in registry order."""
+    return ModelRegistry({key: model for key, model in registry.models.items() if allows(ablation, key)})
 
 
 def init_values(bundle) -> np.ndarray:
@@ -646,7 +655,7 @@ def init_values(bundle) -> np.ndarray:
     return values
 
 
-def collect_messages(bundle, registry, values, target, cfg) -> list[Message]:
+def collect_messages(bundle, registry, values, target) -> list[Message]:
     """All messages flowing into one tracked (entity, attribute) entry.
 
     Relational messages come first, in the graph's deterministic adjacency
@@ -665,7 +674,7 @@ def collect_messages(bundle, registry, values, target, cfg) -> list[Message]:
                 attr, int(attrs.attr_ids[entry]), oriented.relation, oriented.direction
             )
             model = registry.models.get(key)
-            if model is not None and allows(cfg, key):
+            if model is not None:
                 messages.append(
                     Message(target, model.eta * float(values[entry]) + model.tau, model.weight, key, neighbor)
                 )
@@ -675,7 +684,7 @@ def collect_messages(bundle, registry, values, target, cfg) -> list[Message]:
             continue
         key = PathKey.inner(attr, src_attr)
         model = registry.models.get(key)
-        if model is not None and allows(cfg, key):
+        if model is not None:
             messages.append(
                 Message(target, model.eta * float(values[entry]) + model.tau, model.weight, key, entity)
             )
@@ -1023,12 +1032,10 @@ class _Paths(NamedTuple):
         return len(self.src)
 
 
-def _link(
-    bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every active path as (src, tgt, model id), plus the models' eta, tau and weight rows.
+def _link(bundle: DatasetBundle, registry: ModelRegistry) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every path as (src, tgt, model id), plus the models' eta, tau and weight rows.
 
-    A model's id is its place in the registry, active or not. Paths come
+    A model's id is its place in the registry. Paths come
     edge by edge in stored edge order, each edge's forward paths before its
     reverse ones, then the inner paths entity by entity. This fixes the
     order in which each target's messages are summed.
@@ -1039,8 +1046,6 @@ def _link(
     relational = np.full(shape, -1, dtype=np.int32)  # direction, relation, dep, indep
     inner = np.full((n_types, n_types), -1, dtype=np.int32)  # dep, indep
     for i, key in enumerate(registry.models):
-        if not allows(cfg, key):
-            continue
         if key.is_inner:
             inner[key.dep, key.indep] = i
         else:
@@ -1065,37 +1070,27 @@ def _link(
     return src, tgt, mid, models
 
 
-def _build_paths(bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig) -> _Paths:
-    """Enumerate every active path between tracked entries, in fixed order."""
-    src, tgt, mid, (eta, tau, weight) = _link(bundle, registry, cfg)
+def _build_paths(bundle: DatasetBundle, registry: ModelRegistry) -> _Paths:
+    """Enumerate every path between tracked entries, in fixed order."""
+    src, tgt, mid, (eta, tau, weight) = _link(bundle, registry)
     return _Paths(src=src, tgt=tgt, eta=eta[mid], tau=tau[mid], weight=weight[mid])
 
 
-def loss(
-    bundle: DatasetBundle,
-    registry: ModelRegistry,
-    values: np.ndarray,
-    cfg: PropagationConfig | None = None,
-) -> float:
-    """Total weighted squared prediction error over all active paths.
+def loss(bundle: DatasetBundle, registry: ModelRegistry, values: np.ndarray) -> float:
+    """Total weighted squared prediction error over all paths.
 
     Sums, for every tracked entry, the squared differences between its
     current value and each prediction flowing into it, scaled by the model
     weights. Diagnostic only: the propagation minimizes this per node, not
     globally.
     """
-    cfg = cfg or PropagationConfig()
     values = np.asarray(values)
-    paths = _build_paths(bundle, registry, cfg)
+    paths = _build_paths(bundle, registry)
     resid = values[paths.tgt] - (paths.eta * values[paths.src] + paths.tau)
     return float(np.dot(paths.weight * resid, resid))
 
 
-def fixed_point_oracle(
-    bundle: DatasetBundle,
-    registry: ModelRegistry,
-    cfg: PropagationConfig | None = None,
-) -> dict[tuple[int, int], float]:
+def fixed_point_oracle(bundle: DatasetBundle, registry: ModelRegistry) -> dict[tuple[int, int], float]:
     """Exact fixed point of the message-passing update by direct linear solve.
 
     Builds the stationarity system value = (sum of weighted predictions) /
@@ -1105,9 +1100,8 @@ def fixed_point_oracle(
     small instances; raises :class:`SingularSystemError` naming the targets
     of any underdetermined component.
     """
-    cfg = cfg or PropagationConfig()
     attrs = bundle.attrs
-    paths = _build_paths(bundle, registry, cfg)
+    paths = _build_paths(bundle, registry)
     missing = attrs.status == Status.MISSING
     upd = _Paths(*(a[missing[paths.tgt]] for a in paths)) if paths.n else paths
 
@@ -1177,11 +1171,7 @@ def fixed_point_oracle(
     }
 
 
-def sparse_fixed_point(
-    bundle: DatasetBundle,
-    registry: ModelRegistry,
-    cfg: PropagationConfig | None = None,
-) -> np.ndarray:
+def sparse_fixed_point(bundle: DatasetBundle, registry: ModelRegistry) -> np.ndarray:
     """Exact fixed point of the message-passing update by one sparse solve.
 
     The system is that of :func:`fixed_point_oracle`: the unknowns are the
@@ -1194,8 +1184,7 @@ def sparse_fixed_point(
     from scipy.sparse import csr_matrix, identity
     from scipy.sparse.linalg import gmres
 
-    cfg = cfg or PropagationConfig()
-    paths = _build_paths(bundle, registry, cfg)
+    paths = _build_paths(bundle, registry)
     live = bundle.attrs.status[paths.tgt] == Status.MISSING
     src, tgt, eta, tau, weight = (column[live] for column in paths)
     n = bundle.attrs.n_entries

@@ -120,7 +120,7 @@ def _converged_random_runs(n_instances: int, seed: int):
         if not report.converged:
             continue
         try:
-            oracle = fixed_point_oracle(bundle, registry, cfg)
+            oracle = fixed_point_oracle(bundle, registry)
         except SingularSystemError:
             continue  # non-unique fixed point: nothing to compare against
         out.append((bundle, registry, cfg, values, report, oracle))
@@ -156,7 +156,7 @@ def test_criterion_3_at_sparse_mix_size():
     cfg = PropagationConfig(conv_frac=1e-12, max_iters=1000)
     values, report = run(bundle, registry, cfg)
     assert report.converged
-    want = sparse_fixed_point(bundle, registry, cfg)
+    want = sparse_fixed_point(bundle, registry)
     attrs = bundle.attrs
     targets = report.target_entries
     gap = np.abs(values[targets] - want[targets])
@@ -192,8 +192,8 @@ def test_criterion_4_exact_recovery_on_noiseless_data():
             tol = RECOVERY_TOL * max(attrs.value_range(attr), 1e-12)
             want = truth[(int(attrs.entity_ids[t]), attr)]
             assert abs(values[t] - want) < tol
-        total = loss(bundle, registry, values, cfg)
-        paths = _build_paths(bundle, registry, cfg)
+        total = loss(bundle, registry, values)
+        paths = _build_paths(bundle, registry)
         scale = float(
             np.sum(
                 paths.weight
@@ -220,7 +220,7 @@ def test_criterion_5_local_stationarity_at_convergence():
                 continue
             attr = int(attrs.attr_ids[t])
             target = (int(attrs.entity_ids[t]), attr)
-            messages = collect_messages(bundle, registry, values, target, cfg)
+            messages = collect_messages(bundle, registry, values, target)
             gap = abs(values[t] - aggregate(messages))
             assert gap < RECOVERY_TOL * max(attrs.value_range(attr), 1e-12)
             stationary_checked += 1

@@ -207,14 +207,6 @@ class TestPipeline:
         assert main(["fit", *_args(dataset, tmp_path / "o", "--min-support", "3", "--exclude", "birth,death")]) == EXIT_OK
         assert "  excluded: 3" in capsys.readouterr().out.splitlines()
 
-    def test_ablation_flags_thread_through(self, dataset, tmp_path):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        base = lambda out, *extra: _args(dataset, out, "--seed", "1", "--min-support", "3", *extra)
-        assert main(["impute", *base(out_a)]) == EXIT_OK
-        assert main(["impute", *base(out_b, "--no-cross")]) == EXIT_OK
-        assert (out_a / "imputed.tsv").read_text() != (out_b / "imputed.tsv").read_text()
-
 
 class TestBenchmarkSmoke:
     def test_planted_forest_recovered_through_cli(self, tmp_path):
@@ -510,7 +502,7 @@ class TestExitCodes:
                 raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(mrap.codec, "open", lambda *a, **k: HalfWriter(builtins.open(*a, **k)), raising=False)
-        assert main(["impute", *base, "--no-cross"]) == EXIT_DATA
+        assert main(["impute", *base, "--damping", "0.7"]) == EXIT_DATA
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("where", ["flag", "config"])
@@ -537,7 +529,6 @@ class TestExitCodes:
 # ({loc} is "PATH:LINE: config key 'NAME': "; None where no text fails to parse).
 INT = "{loc}invalid literal for int() with base 10: {bad!r}"
 FLOAT = "{loc}could not convert string to float: {bad!r}"
-BOOL = "{loc}expected a boolean, got {bad!r}"
 SETTINGS = [
     ("triples", None, "t.tsv", "t.tsv", ["--triples", "u.tsv"], "u.tsv", None, None),
     ("attrs", None, "a.tsv", "a.tsv", ["--attrs", "b.tsv"], "b.tsv", None, None),
@@ -557,8 +548,6 @@ SETTINGS = [
     ("damping", 0.5, "0.7", 0.7, ["--damping", "0.9"], 0.9, "x", FLOAT),
     ("conv_frac", 0.001, "0.01", 0.01, ["--conv-frac", "0.1"], 0.1, "", FLOAT),
     ("max_iters", 200, "50", 50, ["--max-iters", "60"], 60, "1.5", INT),
-    ("no_cross", False, "off", False, ["--no-cross"], True, "maybe", BOOL),
-    ("no_inner", False, "0", False, ["--no-inner"], True, "y", BOOL),
     ("min_support", 5, "3", 3, ["--min-support", "4"], 4, "three", INT),
     ("r2_min", 0.0, "0.1", 0.1, ["--r2-min", "0.2"], 0.2, "-", FLOAT),
     (
@@ -598,12 +587,16 @@ class TestConfigFile:
             loc = f"{config}:2: config key {name!r}: "
             assert capsys.readouterr().err == f"error: {error.format(loc=loc, bad=bad)}\n"
 
-    def test_store_true_flag_cannot_unset_a_files_true(self, tmp_path):
+    def test_removed_ablation_flags_fail_as_usage(self, dataset, tmp_path, capsys):
+        # an ablation is a registry of the models it keeps, which only `ablate` builds
+        out = tmp_path / "o"
+        assert main(["impute", *_args(dataset, out, "--no-cross")]) == EXIT_USAGE
         config = tmp_path / "run.cfg"
-        config.write_text("no_cross=yes\nno_inner=on\n")
-        for argv in ([], ["--no-cross", "--no-inner"]):
-            cfg = build_config(_build_parser().parse_args(["stats", "--config", str(config), *argv]))
-            assert (cfg.no_cross, cfg.no_inner) == (True, True)
+        config.write_text("no_cross=yes\n")
+        capsys.readouterr()
+        assert main(["impute", *_args(dataset, out, "--config", str(config))]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {config}:1: unknown config key 'no_cross'\n"
+        assert not out.exists()
 
     def test_parser_options_are_pinned(self):
         parser = _build_parser()
@@ -612,8 +605,8 @@ class TestConfigFile:
         for sub in commands.values():
             assert [s for a in sub._actions for s in a.option_strings] == [
                 "-h", "--help", "--config", "--triples", "--attrs", "--out", "--seed", "--split",
-                "--observed-fraction", "--damping", "--conv-frac", "--max-iters", "--no-cross",
-                "--no-inner", "--min-support", "--r2-min", "--exclude", "--eval-split",
+                "--observed-fraction", "--damping", "--conv-frac", "--max-iters", "--min-support",
+                "--r2-min", "--exclude", "--eval-split",
             ]
 
     def test_duplicate_config_key(self, tmp_path, capsys):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    ABLATIONS,
+    ablated,
     entry_index,
     export_differences,
     extract_pairs,
@@ -38,7 +40,7 @@ from mrap.evaluation import (
 )
 from mrap.graph import Direction
 from mrap.ingest import DatasetBundle, Split
-from mrap.propagation import PropagationConfig
+from mrap.propagation import PropagationConfig, run
 from mrap.regression import PathKey
 
 
@@ -297,6 +299,21 @@ class TestAblationSuite:
             assert [(r.attr, r.mae, r.rmse) for r in a.rows] == [
                 (r.attr, r.mae, r.rmse) for r in b.rows
             ]
+
+    def test_ablation_suite_runs_each_variant_on_its_models(self):
+        rng = np.random.default_rng(52)
+        cfg = PropagationConfig(max_iters=50)
+        for _ in range(10):
+            bundle, registry = random_instance(rng, quirks=True)
+            reports = ablation_suite(bundle, cfg, registry=registry)
+            assert [r.method for r in reports] == ["MrAP", "w/o Inner", "w/o Cross"]
+            for report, ablation in zip(reports, ABLATIONS):
+                values, run_report = run(bundle, ablated(registry, ablation), cfg)
+                preds = np.full(bundle.attrs.n_entries, np.nan)
+                preds[run_report.target_entries] = values[run_report.target_entries]
+                want = evaluate(preds, bundle, Split.TEST, method=report.method)
+                want.converged = run_report.converged
+                assert repr(report) == repr(want)  # floats repr exactly: bit for bit
 
 
 class TestExportDifferences:

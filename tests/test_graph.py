@@ -96,8 +96,7 @@ class TestVocabulary:
     def test_bijection(self):
         vocab = Vocabulary(["x", "y"])
         assert vocab.id("x") == 0 and vocab.label(1) == "y"
-        assert vocab.add("x") == 0
-        assert vocab.add("z") == 2
+        assert vocab.intern(["x", "z", "z"]) == [0, 2, 2]
         assert len(vocab) == 3
 
     def test_get_missing(self):
@@ -108,9 +107,11 @@ class TestVocabulary:
         for _ in range(20):
             seed_labels = [f"l{i}" for i in rng.integers(0, 6, size=int(rng.integers(0, 4)))]
             labels = [f"l{i}" for i in rng.integers(0, 12, size=int(rng.integers(0, 30)))]
-            bulk, single = Vocabulary(seed_labels), Vocabulary(seed_labels)
-            assert bulk.intern(labels) == [single.add(label) for label in labels]
-            assert bulk.labels == single.labels
+            bulk, ids = Vocabulary(seed_labels), {}  # ids: each label added once, when first seen
+            for label in seed_labels + labels:
+                ids.setdefault(label, len(ids))
+            assert bulk.intern(labels) == [ids[label] for label in labels]
+            assert bulk.labels == list(ids)
             assert all(bulk.id(label) == i for i, label in enumerate(bulk))
 
 
@@ -127,7 +128,8 @@ class TestArrayLoadMatchesReference:
         assert [tuple(row) for row in graph.edge_array.tolist()] == edges
 
         types = Vocabulary()
-        entries = [(ent_labels.index(e), types.add(a), v) for e, a, v in attr_rows]
+        type_ids = types.intern(a for _, a, _ in attr_rows)
+        entries = [(ent_labels.index(e), a, v) for (e, _, v), a in zip(attr_rows, type_ids)]
         entity_ids, attr_ids, values, ref_index, ref_per_entity = reference_attribute_entries(
             len(ent_labels), entries
         )

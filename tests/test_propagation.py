@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from helpers import (
+    ABLATIONS,
     IMPUTED,
     SingularSystemError,
     _build_paths,
     _link,
+    ablated,
     aggregate,
     bench_bundle,
     collect_messages,
@@ -41,8 +43,6 @@ from mrap.propagation import (
 )
 from mrap.regression import AdmissionConfig, PathKey, build_registry, incidences, inflow, ragged
 
-CONFIGS = [PropagationConfig(), PropagationConfig(no_inner=True), PropagationConfig(no_cross=True)]
-CONFIG_IDS = ["full", "no_inner", "no_cross"]
 # product chunk sizes: a chunk edge between every two slots, inside runs of
 # narrow slots, and the default, next to any slot wider than it
 BLOCKS = (1, 7, propagation.BLOCK)
@@ -97,7 +97,7 @@ class TestCollectMessages:
         model = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 1.0, 25.0, 0.5)
         registry = registry_of(model)
         values = bundle.attrs.values
-        msgs = collect_messages(bundle, registry, values, target_of(bundle, "b", "v"), PropagationConfig())
+        msgs = collect_messages(bundle, registry, values, target_of(bundle, "b", "v"))
         assert len(msgs) == 1
         assert msgs[0].prediction == 1964.0
         assert msgs[0].weight == 2.0
@@ -105,7 +105,7 @@ class TestCollectMessages:
     def test_untracked_target_rejected(self):
         bundle = _chain_bundle()
         with pytest.raises(ValueError):
-            collect_messages(bundle, registry_of(), bundle.attrs.values, (0, 99), PropagationConfig())
+            collect_messages(bundle, registry_of(), bundle.attrs.values, (0, 99))
 
     def _cross_setup(self):
         # b has missing 'y'; neighbor a has observed 'x' (cross relational);
@@ -126,47 +126,33 @@ class TestCollectMessages:
 
     def test_all_message_kinds(self):
         bundle, registry = self._cross_setup()
-        msgs = collect_messages(
-            bundle, registry, bundle.attrs.values, target_of(bundle, "b", "y"), PropagationConfig()
-        )
+        msgs = collect_messages(bundle, registry, bundle.attrs.values, target_of(bundle, "b", "y"))
         kinds = {(m.key.is_inner, m.key.dep != m.key.indep) for m in msgs}
         assert len(msgs) == 3
         assert kinds == {(False, True), (False, False), (True, True)}
 
     def test_no_inner_filter(self):
         bundle, registry = self._cross_setup()
-        msgs = collect_messages(
-            bundle,
-            registry,
-            bundle.attrs.values,
-            target_of(bundle, "b", "y"),
-            PropagationConfig(no_inner=True),
-        )
+        msgs = collect_messages(bundle, ablated(registry, "no_inner"), bundle.attrs.values, target_of(bundle, "b", "y"))
         assert len(msgs) == 2
         assert all(not m.key.is_inner for m in msgs)
 
     def test_no_cross_filter_subsumes_no_inner(self):
         bundle, registry = self._cross_setup()
-        msgs = collect_messages(
-            bundle,
-            registry,
-            bundle.attrs.values,
-            target_of(bundle, "b", "y"),
-            PropagationConfig(no_cross=True),
-        )
+        msgs = collect_messages(bundle, ablated(registry, "no_cross"), bundle.attrs.values, target_of(bundle, "b", "y"))
         assert len(msgs) == 1
         only = msgs[0].key
         assert not only.is_inner and only.dep == only.indep
 
 
-def _oracle_paths(bundle, registry, cfg):
+def _oracle_paths(bundle, registry):
     """Sorted (src entry, tgt entry, eta, tau, weight) of every message, per target."""
     attrs = bundle.attrs
     entry_of = index(attrs)
     out = []
     for tgt in range(attrs.n_entries):
         target = (int(attrs.entity_ids[tgt]), int(attrs.attr_ids[tgt]))
-        for msg in collect_messages(bundle, registry, attrs.values, target, cfg):
+        for msg in collect_messages(bundle, registry, attrs.values, target):
             src = entry_of[(msg.source_entity, msg.key.indep)]
             model = registry.models[msg.key]
             out.append((src, tgt, model.eta, model.tau, model.weight))
@@ -174,24 +160,21 @@ def _oracle_paths(bundle, registry, cfg):
 
 
 class TestBuildPaths:
-    @pytest.mark.parametrize(
-        "cfg",
-        [PropagationConfig(), PropagationConfig(no_inner=True), PropagationConfig(no_cross=True)],
-        ids=["full", "no_inner", "no_cross"],
-    )
-    def test_join_matches_per_target_oracle(self, cfg):
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_join_matches_per_target_oracle(self, ablation):
         # self-loops, parallel edges, attribute-less and isolated entities
         rng = np.random.default_rng(37)
         for _ in range(15):
             bundle, registry = random_instance(rng, quirks=True)
-            paths = _build_paths(bundle, registry, cfg)
+            registry = ablated(registry, ablation)
+            paths = _build_paths(bundle, registry)
             got = sorted(zip(*(column.tolist() for column in paths)))
-            assert got == _oracle_paths(bundle, registry, cfg)
+            assert got == _oracle_paths(bundle, registry)
 
     def test_no_models_no_paths(self):
         rng = np.random.default_rng(38)
         bundle, _ = random_instance(rng, quirks=True)
-        assert _build_paths(bundle, registry_of(), PropagationConfig()).n == 0
+        assert _build_paths(bundle, registry_of()).n == 0
 
 
 @pytest.fixture(scope="module")
@@ -204,17 +187,18 @@ def sparse_mix_2000():
 
 
 class TestTargetMajorCompile:
-    @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
-    def test_paths_are_the_edge_major_oracle_sorted_by_target(self, cfg):
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_paths_are_the_edge_major_oracle_sorted_by_target(self, ablation):
         # self-loops, parallel edges, attribute-less and attribute-only
         # entities, relations without models
         rng = np.random.default_rng(41)
         for _ in range(25):
             bundle, registry = random_instance(rng, quirks=True)
+            registry = ablated(registry, ablation)
             attrs, n = bundle.attrs, bundle.attrs.n_entries
-            src, tgt, mid, params = _link(bundle, registry, cfg)
+            src, tgt, mid, params = _link(bundle, registry)
             order = np.argsort(tgt, kind="stable")
-            inc = incidences(bundle.graph, registry, attrs, cfg.no_cross, cfg.no_inner)
+            inc = incidences(bundle.graph, registry, attrs)
             np.testing.assert_array_equal(inc.params, params)
             # blocks cut at any entity boundaries give the same paths
             cuts = np.sort(rng.choice(inc.entries, size=3)).tolist()
@@ -226,14 +210,15 @@ class TestTargetMajorCompile:
             sources = rng.random(n) < 0.5
             np.testing.assert_array_equal(inflow(inc, attrs, sources), np.bincount(tgt[sources[src]], minlength=n))
 
-    @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
-    def test_product_is_bit_equal_to_bincount_over_the_oracle_paths(self, cfg, monkeypatch):
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_product_is_bit_equal_to_bincount_over_the_oracle_paths(self, ablation, monkeypatch):
         rng = np.random.default_rng(42)
         for _ in range(25):
             bundle, registry = random_instance(rng, quirks=True)
+            registry = ablated(registry, ablation)
             n = bundle.attrs.n_entries
-            op, n_msgs, weight_sum = _compile(bundle, registry, cfg, init_values(bundle))
-            src, tgt, mid, (eta, _, weight) = _link(bundle, registry, cfg)
+            op, n_msgs, weight_sum = _compile(bundle, registry, PropagationConfig(), init_values(bundle))
+            src, tgt, mid, (eta, _, weight) = _link(bundle, registry)
             row_of = np.full(n, len(op.live))
             row_of[op.live] = np.arange(len(op.live))
             live = (row_of[src] < len(op.live)) & (row_of[tgt] < len(op.live))
@@ -248,18 +233,19 @@ class TestTargetMajorCompile:
             targets = bundle.target_indices()
             np.testing.assert_array_equal(n_msgs[targets], np.bincount(tgt, minlength=n)[targets])
 
-    @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
-    def test_operator_terms_are_the_oracle_path_sums(self, cfg):
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_operator_terms_are_the_oracle_path_sums(self, ablation):
         # q and c bit for bit as bincount over the oracle paths in target-major
         # order; loss0, g and h against a direct per-path evaluation
         rng = np.random.default_rng(46)
         for _ in range(25):
             bundle, registry = random_instance(rng, quirks=True)
+            registry = ablated(registry, ablation)
             n, targets = bundle.attrs.n_entries, bundle.target_indices()
             values = init_values(bundle)
             values[targets] += rng.normal(size=len(targets))
-            op, _, q = _compile(bundle, registry, cfg, values)
-            src, tgt, mid, (eta, tau, weight) = _link(bundle, registry, cfg)
+            op, _, q = _compile(bundle, registry, PropagationConfig(), values)
+            src, tgt, mid, (eta, tau, weight) = _link(bundle, registry)
             order = np.argsort(tgt, kind="stable")
             src, tgt, w, e, t = src[order], tgt[order], weight[mid[order]], eta[mid[order]], tau[mid[order]]
             want_q = np.bincount(tgt, weights=w, minlength=n)
@@ -283,7 +269,7 @@ class TestTargetMajorCompile:
         bundle = bench_bundle(5, 0.5, entities=300, edges_per_entity=3, relations=4, noise_relations=0, types=10, density=0.6)
         registry = build_registry(bundle, AdmissionConfig())
         attrs, n = bundle.attrs, bundle.attrs.n_entries
-        src, tgt, _, _ = _link(bundle, registry, PropagationConfig())
+        src, tgt, _, _ = _link(bundle, registry)
         assert len(tgt) > 0 and attrs.n_types == 10
         inc = incidences(bundle.graph, registry, attrs)
         np.testing.assert_array_equal(inflow(inc, attrs, np.ones(n, dtype=bool)), np.bincount(tgt, minlength=n))
@@ -330,15 +316,15 @@ class TestTargetMajorCompile:
         assert bundle.graph.n_entities > 2**16
         fwd = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 0.5, 1.0, 1.0)
         registry = registry_of(fwd, derive_reverse(fwd))
-        src, tgt, mid, _ = _link(bundle, registry, PropagationConfig())
+        src, tgt, mid, _ = _link(bundle, registry)
         order = np.argsort(tgt, kind="stable")
-        inc = incidences(bundle.graph, registry, bundle.attrs, )
+        inc = incidences(bundle.graph, registry, bundle.attrs)
         for got, want in zip(_paths(inc, bundle.attrs, 0, bundle.attrs.n_entries), (src, tgt, mid)):
             np.testing.assert_array_equal(got, want[order])
 
     def test_empty_registry_has_no_paths_and_no_live_rows(self):
         bundle, _ = random_instance(np.random.default_rng(43), quirks=True)
-        inc = incidences(bundle.graph, registry_of(), bundle.attrs, )
+        inc = incidences(bundle.graph, registry_of(), bundle.attrs)
         src, tgt, mid = _paths(inc, bundle.attrs, 0, bundle.attrs.n_entries)
         assert len(src) == len(tgt) == len(mid) == 0
         op, n_msgs, _ = _compile(bundle, registry_of(), PropagationConfig(), init_values(bundle))
@@ -368,7 +354,7 @@ class TestTargetMajorCompile:
 
     def test_a_block_that_misses_its_plan_raises(self, monkeypatch):
         bundle, registry = random_instance(np.random.default_rng(44), quirks=True)
-        assert _build_paths(bundle, registry, PropagationConfig()).n > 0
+        assert _build_paths(bundle, registry).n > 0
         build = propagation._paths
         monkeypatch.setattr(propagation, "_paths", lambda *args: tuple(column[1:] for column in build(*args)))
         with pytest.raises(RuntimeError, match="planned"):
@@ -510,7 +496,7 @@ class TestRun:
         attrs = bundle.attrs
         for t, n_msgs in zip(report.target_entries, report.n_messages):
             target = (int(attrs.entity_ids[t]), int(attrs.attr_ids[t]))
-            msgs = collect_messages(bundle, registry, init, target, cfg)
+            msgs = collect_messages(bundle, registry, init, target)
             assert len(msgs) == n_msgs
             if msgs:
                 assert values[t] == pytest.approx(aggregate(msgs), rel=1e-12, abs=1e-12)
@@ -534,7 +520,7 @@ class TestRun:
     def test_warm_start_keeps_fixed_point_for_any_damping(self):
         rng = np.random.default_rng(34)
         bundle, registry = random_instance(rng)
-        solution = fixed_point_oracle(bundle, registry, PropagationConfig())
+        solution = fixed_point_oracle(bundle, registry)
         attrs = bundle.attrs
         fixed = attrs.values.copy()
         for t in bundle.target_indices():
@@ -659,7 +645,7 @@ class TestFixedPointOracle:
             attr_order=("v",),
         )
         model = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 2.0, 1.0, 1e-9)
-        solution = fixed_point_oracle(bundle, registry_of(model), PropagationConfig())
+        solution = fixed_point_oracle(bundle, registry_of(model))
         assert solution[target_of(bundle, "b", "v")] == 3.0
 
     def test_three_node_path_exact(self):
@@ -670,7 +656,7 @@ class TestFixedPointOracle:
             attr_order=("v",),
         )
         fwd = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 1.0, 1.0, 1.0)
-        solution = fixed_point_oracle(bundle, registry_of(fwd, derive_reverse(fwd)), PropagationConfig())
+        solution = fixed_point_oracle(bundle, registry_of(fwd, derive_reverse(fwd)))
         assert solution[target_of(bundle, "b", "v")] == pytest.approx(1.0, abs=1e-12)
         assert solution[target_of(bundle, "c", "v")] == pytest.approx(2.0, abs=1e-12)
 
@@ -684,7 +670,7 @@ class TestFixedPointOracle:
             if not report.converged:
                 continue
             try:
-                solution = fixed_point_oracle(bundle, registry, cfg)
+                solution = fixed_point_oracle(bundle, registry)
             except SingularSystemError:
                 # a forward model plus its derived reverse between two
                 # otherwise isolated targets is one constraint for two
@@ -710,7 +696,7 @@ class TestFixedPointOracle:
         )
         fwd = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 1.0, 0.0, 1.0)
         with pytest.raises(SingularSystemError) as err:
-            fixed_point_oracle(bundle, registry_of(fwd, derive_reverse(fwd)), PropagationConfig())
+            fixed_point_oracle(bundle, registry_of(fwd, derive_reverse(fwd)))
         assert sorted(err.value.targets) == [("u", "t"), ("v", "t")]
 
     def test_silent_targets_fixed_at_init_mean(self):
@@ -720,7 +706,7 @@ class TestFixedPointOracle:
             {("loner", "h"): 0.0},
             attr_order=("h",),
         )
-        solution = fixed_point_oracle(bundle, registry_of(), PropagationConfig())
+        solution = fixed_point_oracle(bundle, registry_of())
         assert solution[target_of(bundle, "loner", "h")] == 15.0
 
 
@@ -737,22 +723,21 @@ class TestLoss:
 
     def test_perturbing_the_fixed_point_increases_loss(self):
         bundle, registry = self._stationary_setup()
-        cfg = PropagationConfig()
-        solution = fixed_point_oracle(bundle, registry, cfg)
+        solution = fixed_point_oracle(bundle, registry)
         values = bundle.attrs.values.copy()
         idx = entry_index(bundle, "b", "v")
         values[idx] = solution[target_of(bundle, "b", "v")]
-        base = loss(bundle, registry, values, cfg)
+        base = loss(bundle, registry, values)
         for delta in (0.1, -0.1):
             perturbed = values.copy()
             perturbed[idx] += delta
-            assert loss(bundle, registry, perturbed, cfg) > base
+            assert loss(bundle, registry, perturbed) > base
 
     def test_zero_residual_data_has_near_zero_loss(self):
         bundle, registry = self._stationary_setup()
         values = bundle.attrs.values.copy()
         values[entry_index(bundle, "b", "v")] = 3.0  # exactly on the fitted line
-        assert loss(bundle, registry, values, PropagationConfig()) == pytest.approx(0.0, abs=1e-18)
+        assert loss(bundle, registry, values) == pytest.approx(0.0, abs=1e-18)
 
     def test_loss_recorded_per_iteration(self):
         bundle, registry = self._stationary_setup()
@@ -766,9 +751,12 @@ class TestLoss:
         rng = np.random.default_rng(39)
         for _ in range(10):
             bundle, registry = random_instance(rng, quirks=True)
-            for cfg in (PropagationConfig(max_iters=1), PropagationConfig(no_inner=True, max_iters=7)):
-                values, report = run(bundle, registry, cfg)
-                want = loss(bundle, registry, values, cfg)
+            for kept, cfg in (
+                (registry, PropagationConfig(max_iters=1)),
+                (ablated(registry, "no_inner"), PropagationConfig(max_iters=7)),
+            ):
+                values, report = run(bundle, kept, cfg)
+                want = loss(bundle, kept, values)
                 assert report.losses[-1] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_trace_loss_equals_loss_at_year_magnitudes(self):
@@ -783,7 +771,7 @@ class TestLoss:
             cfg = PropagationConfig(conv_frac=1e-12, max_iters=k)
             values, report = run(bundle, registry, cfg)
             assert report.iterations == k
-            want = loss(bundle, registry, values, cfg)
+            want = loss(bundle, registry, values)
             assert report.losses[-1] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_no_cross_admits_fewer_paths_than_no_inner(self):
@@ -791,8 +779,8 @@ class TestLoss:
         found = False
         for _ in range(10):
             bundle, registry = random_instance(rng)
-            _, r_inner = run(bundle, registry, PropagationConfig(no_inner=True, max_iters=1))
-            _, r_cross = run(bundle, registry, PropagationConfig(no_cross=True, max_iters=1))
+            _, r_inner = run(bundle, ablated(registry, "no_inner"), PropagationConfig(max_iters=1))
+            _, r_cross = run(bundle, ablated(registry, "no_cross"), PropagationConfig(max_iters=1))
             assert int(r_cross.n_messages.sum()) <= int(r_inner.n_messages.sum())
             if int(r_cross.n_messages.sum()) < int(r_inner.n_messages.sum()):
                 found = True

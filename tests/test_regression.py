@@ -24,7 +24,6 @@ from helpers import (
 
 from mrap.errors import DataError, ParseError
 from mrap.graph import Direction
-from mrap.propagation import PropagationConfig
 from mrap.regression import (
     ETA_MIN_SCALE,
     VAR_FLOOR_SCALE,
@@ -457,7 +456,7 @@ class TestCountPaths:
         for _ in range(15):
             bundle, registry = random_instance(rng, quirks=True)
             count = count_paths(bundle.graph, registry, bundle.attrs)
-            assert count == len(_link(bundle, registry, PropagationConfig())[0])
+            assert count == len(_link(bundle, registry)[0])
 
     def _setup(self, with_reverse, y_at_v):
         observed = {("n", "x"): 2.0}
