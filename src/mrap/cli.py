@@ -427,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=help_text)
+        sub.add_parser(name, parents=[common], help=help_text, allow_abbrev=False)  # a flag has one spelling
     return parser
 
 

@@ -10,29 +10,29 @@ The update is affine, so :func:`run` compiles the paths once into an
 operator over the live targets (missing entries that receive a message):
 ``x <- (1 - d) x + d (A x + c)``. ``A`` holds ``w * eta / q`` per path
 between two live entries, with ``q`` the target's total weight; ``c`` folds
-in the intercepts and every prediction from a fixed source (an observed
-entry or a silent target). An ablation runs on the models it keeps.
-The compile counts each entry's messages first (the plan of
-:mod:`mrap.regression`, which ``count_paths`` sums), then builds the paths
-target by target, in blocks of whole entities, so no path-sized array
-outlives its block. A block lists the source entries of its entities'
-incidences once, and each target entry takes its entity's run of that list.
-Each per-path term is computed once and serves every sum that needs it: the
-prediction ``eta x_s + tau`` feeds ``c`` and the loss, ``w eta`` feeds ``A``
-and the curvature. ``A`` is stored as jagged diagonals (Saad, 1989): rows by
-degree, one contiguous slot per k-th entry of a row.
+in the intercepts and every prediction from a fixed (observed) source. An
+ablation runs on the models it keeps. The compile counts each entry's
+messages first (the plan of :mod:`mrap.regression`, which ``count_paths``
+sums), then builds only the paths into live targets, in blocks of them, so
+no path-sized array outlives its block. A block lists the source entries of
+its targets' entities' incidences once, and each target takes its entity's
+run of that list. Each per-path term is computed once and serves every sum
+that needs it: the prediction ``eta x_s + tau`` feeds ``c`` and the loss.
+``A`` is stored as jagged diagonals (Saad, 1989): rows by degree, one
+contiguous slot per k-th entry of a row.
 
 Updates are synchronous: iteration k reads only the k-1 values, and each
 row sums its terms in path order from zero, so results are bit-reproducible
 (no sum goes through BLAS, whose bits depend on its thread count). The run
 stops at the first iteration at which the max delta of every target type is
 below its tolerance (``conv_frac`` times the type's observed range) or 0.
-The diagnostic loss of each iteration (the ``loss`` column of the trace) is
-a quadratic form in the live values, centered on the initial values so that
-it keeps its digits at magnitudes like years. It reads the ``A x`` of the
-next update, so an iteration costs a gather per chunk of about ``BLOCK``
-entries of ``A``, a slice-add per slot and work linear in the live targets,
-with no path-sized temporary.
+The diagnostic loss of each iteration (the ``loss`` column of the trace)
+sums over the paths with a live end; it is a quadratic form in the live
+values, centered on the initial values so that it keeps its digits at
+magnitudes like years. It reads the ``A x`` of the next update, so an
+iteration costs a gather per chunk of about ``BLOCK`` entries of ``A``, a
+slice-add per slot and work linear in the live targets, with no path-sized
+temporary.
 
 Missing entries start at the global mean of their attribute type, so targets
 that never receive a message degrade to the per-type mean baseline.
@@ -98,17 +98,18 @@ class ImputationReport:
 BLOCK = 32768
 
 
-def _paths(inc: Incidences, attrs: AttributeTable, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(src, tgt, model id) of every path into the entries ``t0:t1``, in message order.
+def _paths(inc: Incidences, attrs: AttributeTable, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(src, row, model id) of every path into the ascending entries ``targets``, in message order.
 
-    The block lists the source entries of its entities' incidences once: the
-    candidates, incidence by incidence, each incidence's by ascending type.
-    Each target entry takes its entity's run of candidates and keeps those
-    for which the registry has a model (incidence kind, target type, candidate type).
+    The block lists the source entries of its targets' entities' incidences
+    once: the candidates, incidence by incidence, each incidence's by
+    ascending type. Each target takes its entity's run of candidates and keeps
+    those for which the registry has a model (incidence kind, target type, candidate type).
+    A path's row is the position of its target in ``targets``.
     """
-    n_types, entity, dep = attrs.n_types, attrs.entity_ids[t0:t1], attrs.attr_ids[t0:t1]
+    n_types, entity, dep = attrs.n_types, attrs.entity_ids[targets], attrs.attr_ids[targets]
     new = np.diff(entity, prepend=-1) != 0
-    owner = entity[new]  # the block's entities that have entries
+    owner = entity[new]  # the block's entities that have targets
     n_inc = inc.first[owner + 1] - inc.first[owner]
     i = _runs(inc.first[owner], n_inc)  # their incidences
     source = np.take(inc.src, i)
@@ -123,7 +124,7 @@ def _paths(inc: Incidences, attrs: AttributeTable, t0: int, t1: int) -> tuple[np
     c = _runs(stop[j] - length, length)  # each target entry's candidates: its owner's run
     mid = np.take(inc.model.reshape(-1), np.take(base, c) + np.repeat(dep * n_types, length))
     keep = np.flatnonzero(mid >= 0)
-    return np.take(cand, np.take(c, keep)), t0 + np.take(np.repeat(np.arange(t1 - t0), length), keep), np.take(mid, keep)
+    return np.take(cand, np.take(c, keep)), np.take(np.repeat(np.arange(len(targets)), length), keep), np.take(mid, keep)
 
 
 def _runs(start: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -151,20 +152,18 @@ class _Operator(NamedTuple):
     :meth:`product` applies it a chunk of slots at a time: a gather per
     chunk, a slice-add per slot.
 
-    The loss is a quadratic form centered on the initial live values ``x0``.
-    With ``y = x - x0``, ``r0`` each path's residual at ``x0`` and ``q`` each
-    row's total weight::
+    The loss sums ``w r^2`` over every path into or out of a live row, ``r``
+    the path's residual; a path between two fixed entries adds a constant and
+    is left out. In a mirror-closed registry, a path out of a row has the term
+    of its mirror, a path into it, so a path from a fixed source counts twice.
+    The gradient is then ``4 q (x - A x - c)``, with ``q`` each row's total
+    weight, and the quadratic is exact from its value ``loss0`` at the
+    initial live values ``x0``::
 
-        loss(x) = loss0 + g.y + h.y^2 - 2 (q y).(A x - A x0)
+        loss(x) = loss0 + 2 (q (x - x0)).((x - A x - c) + (x0 - A x0 - c))
 
-    where ``loss0`` is the loss at ``x0`` over all paths, and ``g`` and ``h``
-    sum ``2 w r0`` and ``w`` over the paths into each row, minus
-    ``2 w eta r0`` and plus ``w eta^2`` over the paths out of it. The last
-    term is the cross product of the paths between two live entries, since
-    ``w eta = q a`` on each of them. Centering keeps the terms of the order
-    of the residuals: at years near 2000 the loss stays within about 3e-13
-    relative of a direct sum over the paths (uncentered: 1e-11). ``A x`` is
-    the product the next update needs anyway.
+    Both sums of residuals keep the loss's digits at magnitudes like years.
+    ``A x`` is the product the next update needs anyway.
     """
 
     live: np.ndarray  # entry index per row, grouped by attribute type
@@ -176,8 +175,6 @@ class _Operator(NamedTuple):
     x0: np.ndarray  # per row: the value the loss is centered on
     ax0: np.ndarray  # A x0
     q: np.ndarray  # per row: total weight of the paths into it
-    g: np.ndarray
-    h: np.ndarray
     loss0: float
 
     def product(self, values: np.ndarray) -> np.ndarray:
@@ -205,12 +202,11 @@ class _Operator(NamedTuple):
 
     def loss(self, x: np.ndarray, ax: np.ndarray) -> float:
         """The loss at live values ``x``, given ``ax = A x``."""
-        y = x - self.x0
-        slope = (ax - self.ax0) * (-2.0 * self.q)
-        slope += self.h * y
-        slope += self.g
-        slope *= y
-        return self.loss0 + float(slope.sum())  # a pairwise sum: unlike BLAS dot, its bits ignore the thread count
+        residual = x - ax
+        residual -= self.c
+        residual += self.x0 - self.ax0 - self.c
+        residual *= self.q * (x - self.x0)
+        return self.loss0 + 2.0 * float(residual.sum())  # a pairwise sum: unlike BLAS dot, its bits ignore the thread count
 
 
 def _compile(
@@ -222,8 +218,9 @@ def _compile(
     """The operator at the initial ``values``, plus message count and total weight per entry.
 
     A plan counts each entry's messages, and those from live sources, before
-    any path exists. Blocks of whole target entities then build their paths,
+    any path exists. Blocks of live targets then build the paths into them,
     sum what their targets own and write their ``A`` entries into their slots.
+    The fixed point reads no path into a fixed entry, and the loss takes it from its mirror.
     """
     attrs = bundle.attrs
     n, attr = attrs.n_entries, attrs.attr_ids
@@ -233,64 +230,56 @@ def _compile(
     logger.info("paths: %d built in %.3f s", planned.sum(), time.perf_counter() - clock)
 
     clock = time.perf_counter()
-    missing = attrs.status == Status.MISSING
-    is_live = missing & (planned > 0)  # a target with a message
-    degree = np.where(is_live, inflow(inc, attrs, is_live), 0)  # messages from live sources
+    is_live = (attrs.status == Status.MISSING) & (planned > 0)  # a target with a message
+    degree = inflow(inc, attrs, is_live)  # messages from live sources
+    targets = np.flatnonzero(is_live)
     # rows in entry order within a degree, so that a block writes each slot in runs
-    rank, widths, start = _jagged(degree[is_live])
-    slot_of = np.zeros(n, dtype=np.int64)
-    slot_of[is_live] = rank
-    live = np.flatnonzero(is_live)[np.argsort(attr[is_live], kind="stable")]
+    rank, widths, start = _jagged(degree[targets])
+    by_type = np.argsort(attr[targets], kind="stable")
+    live = targets[by_type]
     a_src, a = np.empty(start[-1], dtype=np.int64), np.empty(start[-1])
 
-    # blocks of whole target entities, about BLOCK pairs each
+    # blocks of live targets, about BLOCK (target, incidence) and (target, candidate) pairs each
     size = np.diff(inc.entries)
-    work = size * np.add.reduceat(1 + size[inc.src], inc.first[:-1])  # every entity has an inner incidence
+    work = np.add.reduceat(1 + size[inc.src], inc.first[:-1])[attrs.entity_ids[targets]]  # every entity has an inner incidence
     cuts = np.flatnonzero(np.diff((np.cumsum(work) - work) // BLOCK)) + 1
-    bounds = inc.entries[np.concatenate([[0], cuts, [len(size)]])].tolist()
-    q, c, g, h = (np.zeros(n) for _ in range(4))  # per entry
+    bounds = np.concatenate([[0], cuts, [len(targets)]]).tolist()
+    q, c = np.zeros(n), np.zeros(n)  # per entry
     eta, tau, weight = inc.params
     loss0 = 0.0
-    for t0, t1 in zip(bounds[:-1], bounds[1:]):
-        src, tgt, mid = _paths(inc, attrs, t0, t1)
-        n_in, n_live = planned[t0:t1], degree[t0:t1]
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
+        block = targets[b0:b1]
+        src, local, mid = _paths(inc, attrs, block)
+        n_in, n_live = planned[block], degree[block]
         live_src = np.take(is_live, src)
-        p = np.flatnonzero(np.take(missing, tgt) & live_src)  # the paths between two live entries
+        p = np.flatnonzero(live_src)  # the paths between two live entries
         if (len(src), len(p)) != (n_in.sum(), n_live.sum()):
-            raise RuntimeError(f"entries {t0}:{t1}: {len(src)} paths, {len(p)} live; planned {n_in.sum()}, {n_live.sum()}")
+            raise RuntimeError(f"targets {b0}:{b1}: {len(src)} paths, {len(p)} live; planned {n_in.sum()}, {n_live.sum()}")
         # q, c and A: a target's paths all sit in this block, in path order
-        local, w, e, t = tgt - t0, np.take(weight, mid), np.take(eta, mid), np.take(tau, mid)
-        del tgt, mid  # each path array goes after its last use, which keeps the block's arrays in cache
-        q[t0:t1] = qb = np.bincount(local, weights=w, minlength=t1 - t0)
+        w, e, t = np.take(weight, mid), np.take(eta, mid), np.take(tau, mid)
+        del mid  # each path array goes after its last use, which keeps the block's arrays in cache
+        q[block] = qb = np.bincount(local, weights=w, minlength=b1 - b0)
         pred = np.take(values, src)
         pred *= e
         pred += t
         terms = np.where(live_src, t, pred)  # a live source's prediction is in A
         terms *= w
         terms /= np.repeat(qb, n_in)
-        c[t0:t1] = np.bincount(local, weights=terms, minlength=t1 - t0)
-        del live_src, t, terms
-        we = w * e
+        c[block] = np.bincount(local, weights=terms, minlength=b1 - b0)
+        del local, t, terms
         # the k-th live path of a row goes to slot k
-        at = np.take(start, _runs(np.zeros_like(n_live), n_live)) + np.repeat(slot_of[t0:t1], n_live)
-        a_src[at], a[at] = np.take(src, p), np.take(we, p) / np.repeat(qb, n_live)
-        del p, at
+        at = np.take(start, _runs(np.zeros_like(n_live), n_live)) + np.repeat(rank[b0:b1], n_live)
+        a_src[at], a[at] = np.take(src, p), np.take(w * e, p) / np.repeat(qb, n_live)
+        del src, e, p, at
 
-        # the loss at values, and its gradient and curvature per entry
-        r0 = np.subtract(np.repeat(values[t0:t1], n_in), pred, out=pred)
-        wr = w * r0
-        r0 *= wr
-        loss0 += float(r0.sum())
-        wr *= 2.0
-        g[t0:t1] += np.bincount(local, weights=wr, minlength=t1 - t0)
-        h[t0:t1] += qb  # the weights of the paths into each entry: q
-        wr *= e
-        np.subtract.at(g, src, wr)
-        we *= e
-        np.add.at(h, src, we)
-        del src, local, w, e, pred, r0, we, wr  # before the next block's paths
+        # the loss at values: a path from a fixed source counts for its mirror too
+        r0 = np.subtract(np.repeat(values[block], n_in), pred, out=pred)
+        r0 *= r0
+        r0 *= w
+        loss0 += float(r0.sum()) + float(r0[~live_src].sum())
+        del w, pred, r0, live_src  # before the next block's paths
 
-    op = _Operator(live, a_src, a, slot_of[live], widths, c[live], values[live], None, q[live], g[live], h[live], loss0)
+    op = _Operator(live, a_src, a, rank[by_type], widths, c[live], values[live], None, q[live], loss0)
     op = op._replace(ax0=op.product(values))  # the first update's A x as well
     logger.info("operator: %d entries over %d live targets, %d blocks, %d slots, compiled in %.3f s",
                 len(a), len(live), len(bounds) - 1, len(widths), time.perf_counter() - clock)
@@ -307,8 +296,8 @@ def run(
 
     Returns the final values, aligned with the attribute entries, plus a
     report with per-target message counts and, per iteration, the max delta
-    of each target type and the total loss.
-    Non-convergence within ``max_iters`` is reported, not raised. ``initial``
+    of each target type and the loss over the paths with a live end (the
+    registry must be closed under the mirror). Non-convergence within ``max_iters`` is reported, not raised. ``initial``
     warm-starts the target values (observed entries are clamped regardless).
     """
     cfg = cfg or PropagationConfig()

@@ -27,9 +27,11 @@ are summed per key with ``np.add.reduceat``. A key is rejected by the first
 of these rules that applies, and tallied under its name: ``excluded`` (an
 exclusion rule names the key), ``insufficient_support`` (fewer pairs than
 the minimum), ``degenerate_regressor`` (the independent values are
-constant), ``low_r2`` (r2 below the minimum). An admitted fit's residual
-variance is raised to a floor, and its derived reverse is dropped as
-``non_invertible_reverse`` when the slope is too close to zero.
+constant), ``low_r2`` (r2 below the minimum), ``non_invertible_slope`` (the
+slope is too close to zero to derive the reverse). An admitted fit's
+residual variance is raised to a floor, and it enters with its derived
+reverse: every registry is closed under the mirror, and the model dump
+reader and the propagation's plan refuse one that is not.
 
 The module also plans the message paths of the propagation from the edge
 and entry arrays: per attribute entry, the number of (source entry, model)
@@ -304,9 +306,12 @@ class Incidences(NamedTuple):
 
 
 def incidences(graph: KnowledgeGraph, registry: ModelRegistry, attrs: AttributeTable) -> Incidences:
-    """The incidences of the graph, with every model of the registry active."""
+    """The incidences of the graph, with every model of the registry active; a model without its mirror raises a ValueError."""
     n_types, n_entities = attrs.n_types, graph.n_entities
     span, codes = _codes(graph, registry, n_types)
+    lonely = np.flatnonzero(~np.isin(_mirror(codes, span, n_types), codes))
+    if lonely.size:
+        raise ValueError(f"the registry has no mirror for {list(registry.models)[lonely[0]]}")
     model = np.full((2 * span + 1) * n_types * n_types, -1, dtype=np.int64)
     model[codes] = np.arange(codes.size)
     model = model.reshape(2 * span + 1, n_types, n_types)
@@ -420,9 +425,8 @@ def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = No
     """Fit every key of :func:`training_pairs` in one grouped pass and admit the models.
 
     Models come in code order of their fit keys, each admitted fit followed
-    by its derived opposite-direction model when the slope is invertible.
-    ``registry.rejections`` counts, per reason, the keys that a rule of the
-    module docstring rejected and the reverses that were dropped.
+    by its derived opposite-direction model. ``registry.rejections`` counts,
+    per reason, the keys that a rule of the module docstring rejected.
     """
     admission = admission or AdmissionConfig()
     graph, attrs = bundle.graph, bundle.attrs
@@ -434,11 +438,17 @@ def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = No
     excluded = np.zeros(code.size, dtype=bool)
     for a, b, link_id in admission.excluded_ids(graph, attrs):
         excluded |= (lo == a) & (hi == b) & (True if link_id is None else link == link_id)
+    ranges = np.zeros(n_types)
+    for t in {*dep.tolist(), *indep.tolist()}:
+        ranges[t] = attrs.value_range(t)
+    dep_range, indep_range = ranges[dep], ranges[indep]
+    eta_min = np.divide(ETA_MIN_SCALE * dep_range, indep_range, out=np.zeros(code.size), where=indep_range > 0.0)
     rules = {
         "excluded": excluded,
         "insufficient_support": n < max(2, admission.min_support),
         "degenerate_regressor": sxx == 0.0,
         "low_r2": r2 < admission.r2_min,
+        "non_invertible_slope": (eta == 0.0) | (np.abs(eta) < eta_min),
     }
     rejections: dict[str, int] = {}
     rejected = np.zeros(code.size, dtype=bool)
@@ -448,27 +458,13 @@ def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = No
         rejected |= mask
 
     fit = np.flatnonzero(~rejected)
-    ranges = np.zeros(n_types)
-    for t in {*dep[fit].tolist(), *indep[fit].tolist()}:
-        ranges[t] = attrs.value_range(t)
-    dep_range, indep_range = ranges[dep[fit]], ranges[indep[fit]]
-    floor = VAR_FLOOR_SCALE * dep_range * dep_range
+    floor = VAR_FLOOR_SCALE * dep_range[fit] * dep_range[fit]
     sigma2 = np.maximum(sigma2[fit], np.where(floor > 0.0, floor, VAR_FLOOR_SCALE))  # a constant type: absolute floor
     eta, tau = eta[fit], tau[fit]
-    eta_min = np.divide(ETA_MIN_SCALE * dep_range, indep_range, out=np.zeros(fit.size), where=indep_range > 0.0)
-    invertible = (eta != 0.0) & ~(np.abs(eta) < eta_min)
-    if count := int(fit.size - invertible.sum()):
-        rejections["non_invertible_reverse"] = count
-
-    with np.errstate(divide="ignore", invalid="ignore"):  # the slopes of dropped reverses
-        eta2 = eta * eta
-        params = np.stack(
-            [[eta, tau, sigma2, 1.0 / sigma2], [1.0 / eta, -tau / eta, sigma2 / eta2, eta2 / sigma2]], axis=-1
-        )
-    keep = np.column_stack([np.ones(fit.size, dtype=bool), invertible]).ravel()  # each fit, then its reverse
-    codes = np.column_stack([code[fit], _mirror(code[fit], span, n_types)]).ravel()[keep]
-    columns = [*params.reshape(4, -1)[:, keep].tolist(), np.repeat(n[fit], 2)[keep].tolist()]
-    columns += [np.repeat(r2[fit], 2)[keep].tolist(), np.tile([False, True], fit.size)[keep].tolist()]
+    eta2 = eta * eta
+    params = np.stack([[eta, tau, sigma2, 1.0 / sigma2], [1.0 / eta, -tau / eta, sigma2 / eta2, eta2 / sigma2]], axis=-1)
+    codes = np.column_stack([code[fit], _mirror(code[fit], span, n_types)]).ravel()  # each fit, then its reverse
+    columns = [*params.reshape(4, -1).tolist(), np.repeat(n[fit], 2).tolist(), np.repeat(r2[fit], 2).tolist(), [False, True] * fit.size]
     registry = ModelRegistry(models=_models(codes, span, n_types, *columns), rejections=rejections)
     logger.info(
         "registry: %d models admitted, rejections %s", len(registry), registry.rejections
@@ -514,13 +510,13 @@ def _parse_error(parse, text: str) -> str:
     raise AssertionError(f"{text!r} parses")
 
 
-def _dump_models(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -> dict[PathKey, RegressionModel]:
-    """The models of the rows of a model dump; the first bad row raises its error.
+def _dump_models(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -> tuple[dict[PathKey, RegressionModel], ParseError | None]:
+    """The models of the rows of a model dump, and the error of the first whose mirror no row has.
 
-    Every field is converted and checked column by column. The checks of a
-    row run in a fixed order: labels, then the parse of each number, then
-    the finite and positive checks, so the first failing check of the first
-    bad row gives the message.
+    The first bad row raises its error. Every field is converted and checked
+    column by column. The checks of a row run in a fixed order: labels, then
+    the parse of each number, then the finite and positive checks, so the
+    first failing check of the first bad row gives the message.
     """
     dep_l, indep_l, rel_l, dir_l, *number_texts, derived = table.columns
     n_rows = len(table)
@@ -559,8 +555,12 @@ def _dump_models(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -> 
     if first < n_rows:
         message = next(explain(first) for mask, explain in checks if mask[first])
         raise ParseError(message, table.line(first))
-
-    return _models(codes, span, n_types, *numbers, [flag == "true" for flag in derived])
+    lonely, error = np.flatnonzero(~np.isin(_mirror(codes, span, n_types), codes)), None
+    if lonely.size:
+        r = int(lonely[0])
+        link = "within the node" if inner[r] else f"over {rel_l[r]} {dir_l[r]}"
+        error = ParseError(f"no mirror for {dep_l[r]!r} from {indep_l[r]!r} {link}", table.line(r))
+    return _models(codes, span, n_types, *numbers, [flag == "true" for flag in derived]), error
 
 
 def read_model_dump(source: IO, graph: KnowledgeGraph, attrs: AttributeTable) -> ModelRegistry:
@@ -568,7 +568,10 @@ def read_model_dump(source: IO, graph: KnowledgeGraph, attrs: AttributeTable) ->
 
     The first row with an unknown label, a non-finite number, a ``sigma2``
     or ``weight`` that is not positive, or a key that an earlier row already
-    has raises a ParseError.
+    has raises a ParseError. Once every line has parsed, so does the first
+    row whose mirror no row has.
     """
-    models = read_table(source, 11, lambda table: _dump_models(table, graph, attrs))
+    models, lonely = read_table(source, 11, lambda table: _dump_models(table, graph, attrs))
+    if lonely is not None:
+        raise lonely
     return ModelRegistry(models=models)

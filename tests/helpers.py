@@ -415,9 +415,7 @@ def random_instance(rng: np.random.Generator, max_nodes: int = 20, quirks: bool 
                         tau=float(rng.uniform(-5, 5)),
                         sigma2=float(rng.uniform(0.25, 4.0)),
                     )
-                    models.append(fwd)
-                    if rng.random() < 0.7:
-                        models.append(derive_reverse(fwd))
+                    models += [fwd, derive_reverse(fwd)]
     for dep in range(n_types):
         for indep in range(dep):
             if rng.random() < 0.5:
@@ -894,8 +892,8 @@ def reference_write_model_dump(fh, registry, graph, attrs):
 
 
 def reference_read_model_dump(lines, graph, attrs):
-    """Per-row model dump reader, with the finite and positive checks of the library."""
-    models = {}
+    """Per-row model dump reader, with the finite and positive checks and the mirror rule of the library."""
+    models, rows = {}, []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip() or line.startswith("#"):
@@ -938,7 +936,18 @@ def reference_read_model_dump(lines, graph, attrs):
         if key in models:
             raise ParseError("duplicate key", line_no)
         models[key] = model
+        rows.append((fields, line_no))
+    reference_check_mirrors(models, rows)
     return models
+
+
+def reference_check_mirrors(models: dict[PathKey, RegressionModel], rows: list[tuple[list[str] | tuple[str, ...], int]]) -> None:
+    """Raise the ParseError of the first model whose mirror is absent; ``rows`` holds each model's fields and line."""
+    for key, (fields, line_no) in zip(models, rows):
+        if key.reversed() not in models:
+            dep, indep, relation, direction = fields[:4]
+            link = "within the node" if relation == INNER_LABEL else f"over {relation} {direction}"
+            raise ParseError(f"no mirror for {dep!r} from {indep!r} {link}", line_no)
 
 
 def reference_write_imputations(fh, bundle, values, report):
@@ -1076,17 +1085,23 @@ def _build_paths(bundle: DatasetBundle, registry: ModelRegistry) -> _Paths:
     return _Paths(src=src, tgt=tgt, eta=eta[mid], tau=tau[mid], weight=weight[mid])
 
 
-def loss(bundle: DatasetBundle, registry: ModelRegistry, values: np.ndarray) -> float:
+def loss(bundle: DatasetBundle, registry: ModelRegistry, values: np.ndarray, skip_fixed: bool = False) -> float:
     """Total weighted squared prediction error over all paths.
 
     Sums, for every tracked entry, the squared differences between its
     current value and each prediction flowing into it, scaled by the model
     weights. Diagnostic only: the propagation minimizes this per node, not
-    globally.
+    globally. ``skip_fixed`` leaves out the paths between two fixed entries
+    (observed ones, or targets that no message reaches), as a run's trace does.
     """
     values = np.asarray(values)
     paths = _build_paths(bundle, registry)
     resid = values[paths.tgt] - (paths.eta * values[paths.src] + paths.tau)
+    if skip_fixed:
+        attrs = bundle.attrs
+        live = (attrs.status == Status.MISSING) & (np.bincount(paths.tgt, minlength=attrs.n_entries) > 0)
+        keep = live[paths.tgt] | live[paths.src]
+        return float(np.dot(paths.weight[keep] * resid[keep], resid[keep]))
     return float(np.dot(paths.weight * resid, resid))
 
 
@@ -1461,10 +1476,11 @@ def rowwise_read_model_dump(source: IO, graph: KnowledgeGraph, attrs: AttributeT
 
     The first row with an unknown label, a non-finite number, a ``sigma2``
     or ``weight`` that is not positive, or a key that an earlier row already
-    has raises a ParseError.
+    has raises a ParseError; then the first row whose mirror no row has.
     """
-    def convert(table: Table) -> dict[PathKey, RegressionModel]:
+    def convert(table: Table) -> tuple[dict[PathKey, RegressionModel], list[tuple[tuple[str, ...], int]]]:
         models: dict[PathKey, RegressionModel] = {}
+        rows = []
         for row, fields in enumerate(zip(*table.columns)):
             try:
                 model = _reference_dump_model(fields, graph, attrs)
@@ -1473,7 +1489,9 @@ def rowwise_read_model_dump(source: IO, graph: KnowledgeGraph, attrs: AttributeT
             if model.key in models:
                 raise ParseError("duplicate key", table.line(row))
             models[model.key] = model
-        return models
+            rows.append((fields, table.line(row)))
+        return models, rows
 
-    models = read_table(source, 11, convert)
+    models, rows = read_table(source, 11, convert)
+    reference_check_mirrors(models, rows)  # once every line has parsed
     return ModelRegistry(models=models)

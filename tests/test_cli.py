@@ -349,6 +349,12 @@ class TestExitCodes:
     def test_usage_error_unknown_flag(self):
         assert main(["impute", "--definitely-not-a-flag"]) == EXIT_USAGE
 
+    def test_a_flag_prefix_is_unknown(self, dataset, tmp_path, capsys):
+        # every flag has one spelling: a prefix of --damping or --max-iters is no flag
+        assert main(["impute", *_args(dataset, tmp_path / "o", "--damp", "0.7", "--max", "9")]) == EXIT_USAGE
+        assert "unrecognized arguments: --damp 0.7 --max 9" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_threads_flag_is_unknown(self, dataset, tmp_path):
         assert main(["impute", *_args(dataset, tmp_path / "o", "--threads", "4")]) == EXIT_USAGE
         assert not (tmp_path / "o").exists()
@@ -476,6 +482,23 @@ class TestExitCodes:
         models.write_text("".join(["\t".join(fields), *lines[1:]]), encoding="utf-8")
         assert main(["impute", *base]) == EXIT_DATA
         assert capsys.readouterr().err == f"error: {models}:1: non-finite eta 'nan'\n"
+        assert not (out / "imputed.tsv").exists()
+
+    def test_impute_rejects_a_model_dump_missing_a_mirror(self, dataset, tmp_path, capsys):
+        # the first row loses its line; its mirror's row is left alone and named
+        out = tmp_path / "out"
+        base = _args(dataset, out, "--seed", "7", "--min-support", "3")
+        assert main(["fit", *base]) == EXIT_OK
+        models = out / "models.tsv"
+        dropped, *lines = models.read_text(encoding="utf-8").splitlines(keepends=True)
+        models.write_text("".join(lines), encoding="utf-8")
+        dep, indep, relation, direction = dropped.split("\t")[:4]
+        flipped = {"forward": "reverse", "reverse": "forward", "-": "-"}[direction]
+        line = next(n for n, row in enumerate(lines, 1) if row.split("\t")[:4] == [indep, dep, relation, flipped])
+        link = "within the node" if relation == "INNER" else f"over {relation} {flipped}"
+        capsys.readouterr()
+        assert main(["impute", *base]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {models}:{line}: no mirror for {indep!r} from {dep!r} {link}\n"
         assert not (out / "imputed.tsv").exists()
 
     def test_failed_write_keeps_previous_artifacts(self, dataset, tmp_path, monkeypatch):

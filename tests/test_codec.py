@@ -89,7 +89,9 @@ def _corrupt(rng, data: bytes, kind: str, n_fields: int, column: int, bad: str) 
     elif kind == "arity":
         fields = fields[:-1] if rng.random() < 0.5 else fields + [b"extra"]
     elif kind == "empty":
-        fields[int(rng.integers(n_fields))] = b""
+        at = int(rng.integers(n_fields))
+        if at < len(fields):  # a line an earlier fault left short may lack the field
+            fields[at] = b""
     elif kind == "byte":
         at = int(rng.integers(len(fields)))
         fields[at] = fields[at][:1] + b"\xff" + fields[at][1:]

@@ -25,6 +25,7 @@ from helpers import (
     write_differences,
 )
 
+from mrap import evaluation
 from mrap.cli import EXIT_DATA, EXIT_OK, main
 from mrap.errors import DataError
 from mrap.evaluation import (
@@ -41,7 +42,7 @@ from mrap.evaluation import (
 from mrap.graph import Direction
 from mrap.ingest import DatasetBundle, Split
 from mrap.propagation import PropagationConfig, run
-from mrap.regression import PathKey
+from mrap.regression import AdmissionConfig, PathKey, _codes, _mirror, build_registry
 
 
 class TestBaselineGlobal:
@@ -314,6 +315,27 @@ class TestAblationSuite:
                 want = evaluate(preds, bundle, Split.TEST, method=report.method)
                 want.converged = run_report.converged
                 assert repr(report) == repr(want)  # floats repr exactly: bit for bit
+
+    def test_every_variant_runs_on_a_mirror_closed_registry(self, monkeypatch):
+        # w/o Inner keeps the relational models and w/o Cross those with
+        # dep == indep: the mirror of each such model is one too
+        rng = np.random.default_rng(54)
+        seen = []
+
+        def record(bundle, registry, cfg):
+            seen.append(registry)
+            return propagation_predictions(bundle, registry, cfg)
+
+        monkeypatch.setattr(evaluation, "propagation_predictions", record)
+        for _ in range(10):
+            bundle, _ = random_instance(rng, quirks=True)
+            registry = build_registry(bundle, AdmissionConfig(min_support=2))
+            seen.clear()
+            ablation_suite(bundle, PropagationConfig(max_iters=5), registry=registry)
+            assert [len(kept) for kept in seen] == [len(ablated(registry, a)) for a in ABLATIONS]
+            for kept in seen:
+                span, codes = _codes(bundle.graph, kept, bundle.attrs.n_types)
+                assert np.isin(_mirror(codes, span, bundle.attrs.n_types), codes).all()
 
 
 class TestExportDifferences:

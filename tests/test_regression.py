@@ -30,6 +30,7 @@ from mrap.regression import (
     AdmissionConfig,
     PathKey,
     _codes,
+    _grouped_fit,
     _mirror,
     build_registry,
     count_paths,
@@ -173,11 +174,13 @@ class TestFitSimpleRegression:
             assert scaled.eta * (c * xv) + scaled.tau == pytest.approx(model.eta * xv + model.tau, rel=1e-9, abs=1e-9)
 
     def test_r2_clamped_and_degenerate_y(self):
-        registry, key = _fit([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
-        model = registry.models[key]
-        assert model.fit.r2 == 1.0  # zero y-variance
-        assert model.eta == 0.0 and model.sigma2 == 1e-12  # a constant type gets the absolute floor
-        assert registry.rejections == {"non_invertible_reverse": 1}
+        ys, xs = np.array([5.0, 5.0, 5.0]), np.array([1.0, 2.0, 3.0])
+        _, _, _, eta, _, sigma2, r2 = _grouped_fit(np.zeros(3, dtype=np.int64), ys, xs)
+        assert r2.tolist() == [1.0]  # zero y-variance
+        assert eta.tolist() == sigma2.tolist() == [0.0]
+        registry, key = _fit(ys, xs)
+        assert len(registry) == 0  # a zero slope has no reverse, so the key is rejected whole
+        assert registry.rejections == {"non_invertible_slope": 1}
 
 
 class TestPredict:
@@ -226,12 +229,12 @@ class TestDeriveReverse:
         assert (rev.eta, rev.tau, rev.weight) == (-2.0, 2.0, 0.0625)
 
     def test_non_invertible(self):
-        # y spans about 2 and x spans 1: slopes below about 2e-9 have no reverse
+        # y spans about 2 and x spans 1: slopes below about 2e-9 have no
+        # reverse, and a fit without its reverse is rejected whole
         for slope, invertible in ((0.0, False), (1e-12, False), (1e-8, True)):
             registry, key = _fit([1.0, -1.0, 1.0 + slope, -1.0 + slope], self.XS)
-            assert key in registry.models
-            assert (key.reversed() in registry.models) == invertible
-            assert registry.rejections == ({} if invertible else {"non_invertible_reverse": 1})
+            assert list(registry.models) == ([key, key.reversed()] if invertible else [])
+            assert registry.rejections == ({} if invertible else {"non_invertible_slope": 1})
 
     def test_double_reverse_round_trip(self):
         bundle, keys = one_key_per_relation(_random_lines(np.random.default_rng(21), 200))
@@ -324,6 +327,7 @@ class TestBuildRegistry:
         for key, model in registry.models.items():
             if model.fit.derived_reverse:
                 continue
+            assert key.reversed() in registry.models
             ys, xs = extract_pairs(bundle, key)
             assert_matches_oracle(model, ys, xs, bundle.attrs)
 
@@ -348,10 +352,10 @@ class TestBuildRegistry:
             "insufficient_support": 1,
             "degenerate_regressor": 1,
             "low_r2": 1,
-            "non_invertible_reverse": 1,
+            "non_invertible_slope": 1,
         }
-        line, zero_slope = keys[6], keys[5]
-        assert list(registry.models) == sorted([zero_slope, line, line.reversed()], key=lambda k: k.relation)
+        line = keys[6]
+        assert list(registry.models) == [line, line.reversed()]
         assert registry.models[line].sigma2 == 1e-12 * 6.0 * 6.0  # exact, so at the floor: y spans -1 to 5
 
     def test_inner_canonical_fit_and_derived_swap(self):
@@ -388,26 +392,27 @@ class TestRegistryOnRandomInstances:
             for key in keys:
                 ys, xs = extract_pairs(bundle, key)
                 try:
-                    fit_simple_regression(ys, xs)
+                    eta = fit_simple_regression(ys, xs)[0]
                 except InsufficientSupportError:
                     tally["insufficient_support"] += ys.size == 1  # a key without pairs is no key
                     continue
                 except DegenerateRegressorError:
                     tally["degenerate_regressor"] += 1
                     continue
-                model = registry.models[key]
-                assert_matches_oracle(model, ys, xs, attrs)
-                order.append(key)
-                fitted += 1
                 dep_range, indep_range = attrs.value_range(key.dep), attrs.value_range(key.indep)
                 eta_min = ETA_MIN_SCALE * dep_range / indep_range if indep_range > 0.0 else 0.0
                 try:
-                    reverse = derive_reverse(model, eta_min)
+                    derive_reverse(make_model(key, eta, 0.0, 1.0), eta_min)
                 except NonInvertibleSlopeError:
-                    tally["non_invertible_reverse"] += 1
+                    tally["non_invertible_slope"] += 1  # no reverse, so no model
+                    assert key not in registry.models
                     continue
+                model = registry.models[key]
+                assert_matches_oracle(model, ys, xs, attrs)
+                reverse = derive_reverse(model, eta_min)
                 assert registry.models[reverse.key] == reverse  # the same arithmetic, bit for bit
-                order.append(reverse.key)
+                order += [key, reverse.key]
+                fitted += 1
             assert list(registry.models) == order
             assert registry.rejections == {reason: n for reason, n in tally.items() if n}
         assert fitted > 50
@@ -468,8 +473,10 @@ class TestCountPaths:
         return bundle, registry_of(*models)
 
     def test_single_forward_path(self):
+        # a model without its mirror: the plan refuses the registry
         bundle, registry = self._setup(with_reverse=False, y_at_v=True)
-        assert count_paths(bundle.graph, registry, bundle.attrs) == 1
+        with pytest.raises(ValueError, match="no mirror for PathKey"):
+            count_paths(bundle.graph, registry, bundle.attrs)
 
     def test_target_without_the_dep_type_gets_no_path(self):
         # v has no y entry, so the y-from-x model has nothing to predict there
@@ -576,8 +583,12 @@ class TestModelDump:
             rows = [line.split("\t") for line in (tmp_path / "models.tsv").read_text().splitlines()]
             for _ in range(int(rng.integers(0, 4))):
                 row = rows[int(rng.integers(len(rows)))]
-                if rng.random() < 0.2:  # repeat a row further down
+                draw = rng.random()
+                if draw < 0.2:  # repeat a row further down
                     rows.insert(int(rng.integers(rows.index(row) + 1, len(rows) + 1)), list(row))
+                    continue
+                if draw < 0.3 and len(rows) > 1:  # drop a row, which leaves its mirror alone
+                    rows.remove(row)
                     continue
                 column = int(rng.integers(11))
                 texts = bad_texts[kinds[column]]
@@ -591,5 +602,5 @@ class TestModelDump:
             assert got == outcome(rowwise_read_model_dump, data)
             seen["ok" if isinstance(got, list) else got[1].split(": ")[1].split(" ")[0]] += 1
         assert seen["ok"] > 20
-        for word in ("duplicate", "unknown", "inner", "could", "invalid", "non-finite", "non-positive"):
+        for word in ("duplicate", "unknown", "inner", "could", "invalid", "non-finite", "non-positive", "no"):
             assert seen[word] > 2, (word, seen)
