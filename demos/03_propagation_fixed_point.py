@@ -9,10 +9,10 @@ clamped at its loaded value.
 import numpy as np
 
 from mrap.attributes import AttributeTable, Status
-from mrap.graph import Direction, Vocabulary, build_graph
+from mrap.graph import Vocabulary, build_graph
 from mrap.ingest import DatasetBundle, Split
 from mrap.propagation import PropagationConfig, run
-from mrap.regression import FitSummary, ModelRegistry, PathKey, RegressionModel
+from mrap.regression import ModelRegistry
 
 graph = build_graph(["a", "b"], ["p", "p"], ["b", "c"])  # a -p-> b -p-> c
 types = Vocabulary(["v"])
@@ -26,17 +26,22 @@ status[hidden] = Status.MISSING  # hide b and c, keep a clamped at 0
 split[hidden] = int(Split.TEST)
 bundle = DatasetBundle(graph=graph, attrs=table.with_status(status), split=split)
 
-key = PathKey.relational(0, 0, 0, Direction.FORWARD)
-forward = RegressionModel(
-    key=key, eta=1.0, tau=1.0, sigma2=1.0, weight=1.0,
-    fit=FitSummary(support=10, r2=0.9),
+# the registry is a table with one row per model. A model's code is
+# ((2 relation + direction) T + dep) T + indep for T attribute types, so with
+# one type the forward model over p is code 0 and its reverse code 1. The
+# reverse follows analytically: eta' = 1/eta, tau' = -tau/eta, w' = eta^2/sigma^2
+registry = ModelRegistry(
+    codes=np.array([0, 1]),
+    eta=np.array([1.0, 1.0]),
+    tau=np.array([1.0, -1.0]),
+    sigma2=np.array([1.0, 1.0]),
+    weight=np.array([1.0, 1.0]),
+    support=np.array([10, 10]),
+    r2=np.array([0.9, 0.9]),
+    derived=np.array([False, True]),
+    span=1,
+    n_types=1,
 )
-# the reverse model follows analytically: eta' = 1/eta, tau' = -tau/eta, w' = eta^2/sigma^2
-reverse = RegressionModel(
-    key=key.reversed(), eta=1.0, tau=-1.0, sigma2=1.0, weight=1.0,
-    fit=FitSummary(support=10, r2=0.9, derived_reverse=True),
-)
-registry = ModelRegistry(models={key: forward, key.reversed(): reverse})
 
 # run returns the final values, aligned with the attribute entries, and a report
 values, report = run(bundle, registry, PropagationConfig(damping=0.5, max_iters=1000))

@@ -342,7 +342,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         print("rejections:")
         for reason in sorted(registry.rejections):
             print(f"  {reason}: {registry.rejections[reason]}")
-    if not registry.models:
+    if not len(registry):
         logger.warning("no models admitted; imputation would fall back to global means")
     return EXIT_OK
 

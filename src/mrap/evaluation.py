@@ -167,13 +167,14 @@ def ablation_suite(
     within-node and cross-type messages.
     """
     reports = []
+    kind, dep, indep = np.unravel_index(registry.codes, registry.shape)
     variants = (
-        ("MrAP", lambda key: True),
-        ("w/o Inner", lambda key: not key.is_inner),
-        ("w/o Cross", lambda key: key.dep == key.indep),
+        ("MrAP", np.ones(len(registry), dtype=bool)),
+        ("w/o Inner", kind < 2 * registry.span),
+        ("w/o Cross", dep == indep),
     )
     for label, keeps in variants:
-        preds, run_report = propagation_predictions(bundle, ModelRegistry({k: m for k, m in registry.models.items() if keeps(k)}), cfg)
+        preds, run_report = propagation_predictions(bundle, registry.take(keeps), cfg)
         report = evaluate(preds, bundle, split, method=label, setup=setup)
         report.converged = run_report.converged
         reports.append(report)

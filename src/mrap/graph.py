@@ -8,9 +8,10 @@ reads.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import islice, repeat
+from itertools import count, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -23,14 +24,18 @@ class Vocabulary:
 
     def __init__(self, labels: Iterable[str] = ()):
         self._labels: list[str] = []
-        self._ids: dict[str, int] = {}
+        self._ids: defaultdict[str, int] = defaultdict(None)  # a factory only while interning
         self.intern(labels)
 
     def intern(self, labels: Iterable[str]) -> list[int]:
         """Intern every label in order and return their ids; new labels get the next ids in first-seen order."""
         ids = self._ids
         known = len(ids)
-        out = [ids.setdefault(label, len(ids)) for label in labels]
+        ids.default_factory = count(known).__next__  # a missing label takes the next id
+        try:
+            out = list(map(ids.__getitem__, labels))
+        finally:
+            ids.default_factory = None
         self._labels.extend(islice(ids, known, None))
         return out
 

@@ -22,6 +22,11 @@ code, the key of its derived reverse, flips the direction bit of a
 relational kind and swaps dep and indep. The fit, the model dump and the
 propagation's model table all number models by this code.
 
+A :class:`ModelRegistry` is a table: one row per model, with its code, its
+parameters and its fit summary as columns. Its ``models`` view, the rows as
+``RegressionModel`` objects keyed by ``PathKey``, is built on first read;
+the library reads only the columns.
+
 All keys are fitted in one grouped pass: the training pairs, sorted by code,
 are summed per key with ``np.add.reduceat``. A key is rejected by the first
 of these rules that applies, and tallied under its name: ``excluded`` (an
@@ -43,6 +48,7 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from typing import IO, Iterable, NamedTuple
 
@@ -178,15 +184,47 @@ class AdmissionConfig:
         return rules
 
 
-@dataclass
-class ModelRegistry:
-    """Admitted models keyed by path, frozen after construction."""
+_COLUMNS = ("codes", "eta", "tau", "sigma2", "weight", "support", "r2", "derived")  # a registry's per-model arrays
 
-    models: dict[PathKey, RegressionModel]
+
+@dataclass(frozen=True, eq=False)
+class ModelRegistry:
+    """Admitted models as columns, one row per model in registry order.
+
+    ``codes`` holds each model's key code (see the module docstring) under
+    ``span`` and ``n_types``; the other columns hold its parameters and fit
+    summary, ``derived`` marking a derived reverse. ``models`` is a view of
+    the rows as ``RegressionModel`` objects keyed by ``PathKey``, built on
+    first read for tests, demos and the benchmark's observer.
+    """
+
+    codes: np.ndarray  # int64
+    eta: np.ndarray
+    tau: np.ndarray
+    sigma2: np.ndarray
+    weight: np.ndarray
+    support: np.ndarray  # int64
+    r2: np.ndarray
+    derived: np.ndarray  # bool
+    span: int
+    n_types: int
     rejections: dict[str, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.models)
+        return len(self.codes)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """The (kind, dep, indep) shape of the codes: ``np.unravel_index(codes, shape)`` splits them."""
+        return 2 * self.span + 1, self.n_types, self.n_types
+
+    def take(self, keep: np.ndarray) -> "ModelRegistry":
+        """The registry of the models that the boolean mask ``keep`` selects, in registry order."""
+        return ModelRegistry(*(getattr(self, name)[keep] for name in _COLUMNS), self.span, self.n_types)
+
+    @cached_property
+    def models(self) -> dict[PathKey, RegressionModel]:
+        return _models(self)
 
 
 # -- the edge x entry join ---------------------------------------------------------
@@ -249,33 +287,20 @@ def _code(kind: np.ndarray, dep: np.ndarray, indep: np.ndarray, n_types: int) ->
     return (kind * n_types + dep) * n_types + indep
 
 
-def _codes(graph: KnowledgeGraph, registry: ModelRegistry, n_types: int) -> tuple[int, np.ndarray]:
-    """The span and, in registry order, the code of every model (see the module docstring).
-
-    The span is one more than the largest relation id of the graph or of a registry key.
-    """
-    keys = [(-1 if k.is_inner else k.relation, k.direction or 0, k.dep, k.indep) for k in registry.models]
-    relation, direction, dep, indep = np.array(keys, dtype=np.int64).reshape(-1, 4).T
-    span = max(graph.n_relations, int(relation.max(initial=-1)) + 1)
-    return span, _code(np.where(relation < 0, 2 * span, 2 * relation + direction), dep, indep, n_types)
-
-
 def _mirror(codes: np.ndarray, span: int, n_types: int) -> np.ndarray:
     """The code of each key's opposite-direction key: a relational kind's direction bit flips, dep and indep swap."""
     kind, dep, indep = np.unravel_index(codes, (2 * span + 1, n_types, n_types))
     return _code(np.where(kind < 2 * span, kind ^ 1, kind), indep, dep, n_types)
 
 
-def _models(codes: np.ndarray, span: int, n_types: int, *columns: list) -> dict[PathKey, RegressionModel]:
-    """The models of the given codes, in their order.
-
-    The columns are eta, tau, sigma2, weight, support, r2 and derived, each a list with one value per code.
-    """
-    kinds, deps, indeps = (a.tolist() for a in np.unravel_index(codes, (2 * span + 1, n_types, n_types)))
-    directions = tuple(Direction)
+def _models(registry: ModelRegistry) -> dict[PathKey, RegressionModel]:
+    """The models of the registry as objects keyed by path, in registry order."""
+    kinds, deps, indeps = (a.tolist() for a in np.unravel_index(registry.codes, registry.shape))
+    columns = (getattr(registry, name).tolist() for name in _COLUMNS[1:])
+    directions, inner = tuple(Direction), 2 * registry.span
     models: dict[PathKey, RegressionModel] = {}
     for kind, dep, indep, eta, tau, sigma2, weight, support, r2, derived in zip(kinds, deps, indeps, *columns):
-        key = PathKey(dep, indep) if kind == 2 * span else PathKey(dep, indep, kind >> 1, directions[kind & 1])
+        key = PathKey(dep, indep) if kind == inner else PathKey(dep, indep, kind >> 1, directions[kind & 1])
         models[key] = RegressionModel(key, eta, tau, sigma2, weight, FitSummary(support, r2, derived))
     return models
 
@@ -305,14 +330,15 @@ class Incidences(NamedTuple):
 def incidences(graph: KnowledgeGraph, registry: ModelRegistry, attrs: AttributeTable) -> Incidences:
     """The incidences of the graph, with every model of the registry active; a model without its mirror raises a ValueError."""
     n_types, n_entities = attrs.n_types, graph.n_entities
-    span, codes = _codes(graph, registry, n_types)
+    span = max(graph.n_relations, registry.span)
+    kind, dep, indep = np.unravel_index(registry.codes, registry.shape)  # coded again under the graph's shape
+    codes = _code(np.where(kind < 2 * registry.span, kind, 2 * span), dep, indep, n_types)
     lonely = np.flatnonzero(~np.isin(_mirror(codes, span, n_types), codes))
     if lonely.size:
         raise ValueError(f"the registry has no mirror for {list(registry.models)[lonely[0]]}")
     model = np.full((2 * span + 1) * n_types * n_types, -1, dtype=np.int64)
     model[codes] = np.arange(codes.size)
     model = model.reshape(2 * span + 1, n_types, n_types)
-    params = [(m.eta, m.tau, m.weight) for m in registry.models.values()]
 
     head, relation, tail = graph.edge_array.T
     # edge by edge, forward into the tail, then reverse into the head; inner last
@@ -328,7 +354,7 @@ def incidences(graph: KnowledgeGraph, registry: ModelRegistry, attrs: AttributeT
         np.concatenate([[0], np.cumsum(np.bincount(tgt, minlength=n_entities))]),
         np.concatenate([[0], np.cumsum(np.bincount(attrs.entity_ids, minlength=n_entities))]),
         model,
-        np.array(params, dtype=np.float64).reshape(-1, 3).T.copy(),
+        np.stack([registry.eta, registry.tau, registry.weight]),
     )
 
 
@@ -466,8 +492,8 @@ def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = No
     eta2 = eta * eta
     params = np.stack([[eta, tau, sigma2, 1.0 / sigma2], [1.0 / eta, -tau / eta, sigma2 / eta2, eta2 / sigma2]], axis=-1)
     codes = np.column_stack([code[fit], _mirror(code[fit], span, n_types)]).ravel()  # each fit, then its reverse
-    columns = [*params.reshape(4, -1).tolist(), np.repeat(n[fit], 2).tolist(), np.repeat(r2[fit], 2).tolist(), [False, True] * fit.size]
-    registry = ModelRegistry(models=_models(codes, span, n_types, *columns), rejections=rejections)
+    derived = np.tile([False, True], fit.size)
+    registry = ModelRegistry(codes, *params.reshape(4, -1), np.repeat(n[fit], 2), np.repeat(r2[fit], 2), derived, span, n_types, rejections)
     logger.info(
         "registry: %d models admitted, rejections %s", len(registry), registry.rejections
     )
@@ -480,27 +506,36 @@ def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = No
 def write_model_dump(
     path: str | os.PathLike, registry: ModelRegistry, graph: KnowledgeGraph, attrs: AttributeTable
 ) -> None:
-    """Write one tab-separated line per model, floats at 17 significant digits."""
-    _, codes = _codes(graph, registry, attrs.n_types)
-    keys = list(registry.models)
-    keys = [keys[i] for i in np.argsort(codes).tolist()]
-    models = [registry.models[key] for key in keys]
-    numbers = np.array([(m.eta, m.tau, m.sigma2, m.weight, m.fit.r2) for m in models], dtype=np.float64)
-    eta, tau, sigma2, weight, r2 = numbers.reshape(-1, 5).T
+    """Write one tab-separated line per model, ascending by code, floats at 17 significant digits."""
+    order = np.argsort(registry.codes)
+    kind, dep, indep = np.unravel_index(registry.codes[order], registry.shape)
+    inner = kind == 2 * registry.span
+    links = [*graph.relations.labels, INNER_LABEL]
+    directions = [*_DIRECTION_NAMES.values(), "-"]
     labels = [
-        attrs.types.labels_of([key.dep for key in keys]),
-        attrs.types.labels_of([key.indep for key in keys]),
-        [INNER_LABEL if key.is_inner else graph.relations.label(key.relation) for key in keys],  # type: ignore[arg-type]
-        ["-" if key.is_inner else _DIRECTION_NAMES[key.direction] for key in keys],  # type: ignore[index]
+        attrs.types.labels_of(dep),
+        attrs.types.labels_of(indep),
+        list(map(links.__getitem__, np.where(inner, len(links) - 1, kind >> 1).tolist())),
+        list(map(directions.__getitem__, np.where(inner, 2, kind & 1).tolist())),
     ]
-    support = np.array([m.fit.support for m in models], dtype=np.int64)
-    derived = ["true" if m.fit.derived_reverse else "false" for m in models]
-    write_table(path, [*labels, eta, tau, sigma2, weight, support, r2, derived])
+    numbers = [getattr(registry, name)[order] for name in _COLUMNS[1:-1]]  # eta to r2, in dump order
+    write_table(path, [*labels, *numbers, np.where(registry.derived[order], "true", "false").tolist()])
 
 
 _DIRECTIONS = {name: int(direction) for direction, name in _DIRECTION_NAMES.items()}
+_FLAGS = {"false": 0, "true": 1}
+
+
+def _count(text: str) -> int:
+    """``int(text)``; a ValueError also where the count leaves the int64 range."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"support {text!r} out of the int64 range")
+    return value
+
+
 # the number columns of a model dump row, in the order a row's numbers are parsed
-_NUMBERS = (("eta", float), ("tau", float), ("sigma2", float), ("weight", float), ("support", int), ("r2", float))
+_NUMBERS = (("eta", float), ("tau", float), ("sigma2", float), ("weight", float), ("support", _count), ("r2", float))
 
 
 def _parse_error(parse, text: str) -> str:
@@ -512,13 +547,14 @@ def _parse_error(parse, text: str) -> str:
     raise AssertionError(f"{text!r} parses")
 
 
-def _dump_models(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -> tuple[dict[PathKey, RegressionModel], ParseError | None]:
-    """The models of the rows of a model dump, and the error of the first whose mirror no row has.
+def _dump_registry(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -> tuple[ModelRegistry, ParseError | None]:
+    """The registry of the rows of a model dump, and the error of the first whose mirror no row has.
 
     The first bad row raises its error. Every field is converted and checked
     column by column. The checks of a row run in a fixed order: labels, then
-    the parse of each number, then the finite and positive checks, so the
-    first failing check of the first bad row gives the message.
+    the parse of each number, then the finite and positive checks, then the
+    ``derived_reverse`` flag, so the first failing check of the first bad row
+    gives the message.
     """
     dep_l, indep_l, rel_l, dir_l, *number_texts, derived = table.columns
     n_rows = len(table)
@@ -526,6 +562,7 @@ def _dump_models(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -> 
     relation = graph.relations.ids(rel_l)
     direction = np.fromiter(map(_DIRECTIONS.get, dir_l, repeat(-1)), dtype=np.int64, count=n_rows)
     inner = np.fromiter(map(INNER_LABEL.__eq__, rel_l), dtype=bool, count=n_rows)
+    flag = np.fromiter(map(_FLAGS.get, derived, repeat(-1)), dtype=np.int64, count=n_rows)
     numbers = [parse_prefix(texts, parse) for texts, (_, parse) in zip(number_texts, _NUMBERS)]
 
     checks = [
@@ -546,6 +583,7 @@ def _dump_models(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -> 
         checks.append((~np.isfinite(column), lambda r, name=name, texts=texts: f"non-finite {name} {texts[r]!r}"))
         if name in ("sigma2", "weight"):
             checks.append((column <= 0.0, lambda r, name=name, texts=texts: f"non-positive {name} {texts[r]!r}"))
+    checks.append((flag < 0, lambda r: f"unknown derived_reverse {derived[r]!r}"))
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     first = int(bad.argmax()) if bad.any() else n_rows
 
@@ -562,18 +600,20 @@ def _dump_models(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -> 
         r = int(lonely[0])
         link = "within the node" if inner[r] else f"over {rel_l[r]} {dir_l[r]}"
         error = ParseError(f"no mirror for {dep_l[r]!r} from {indep_l[r]!r} {link}", table.line(r))
-    return _models(codes, span, n_types, *numbers, [flag == "true" for flag in derived]), error
+    columns = [np.array(values, dtype=np.int64 if name == "support" else np.float64) for values, (name, _) in zip(numbers, _NUMBERS)]
+    return ModelRegistry(codes, *columns, flag == 1, span, n_types), error
 
 
 def read_model_dump(source: IO, graph: KnowledgeGraph, attrs: AttributeTable) -> ModelRegistry:
     """Reload a registry written by :func:`write_model_dump`.
 
     The first row with an unknown label, a non-finite number, a ``sigma2``
-    or ``weight`` that is not positive, or a key that an earlier row already
-    has raises a ParseError. Once every line has parsed, so does the first
-    row whose mirror no row has.
+    or ``weight`` that is not positive, a ``derived_reverse`` other than
+    ``true`` or ``false``, or a key that an earlier row already has raises a
+    ParseError. Once every line has parsed, so does the first row whose
+    mirror no row has.
     """
-    models, lonely = read_table(source, 11, lambda table: _dump_models(table, graph, attrs))
+    registry, lonely = read_table(source, 11, lambda table: _dump_registry(table, graph, attrs))
     if lonely is not None:
         raise lonely
-    return ModelRegistry(models=models)
+    return registry

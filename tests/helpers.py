@@ -142,8 +142,30 @@ def make_model(key: PathKey, eta: float, tau: float, sigma2: float, support: int
     )
 
 
-def registry_of(*models: RegressionModel) -> ModelRegistry:
-    return ModelRegistry(models={m.key: m for m in models})
+def registry_of(*models: RegressionModel, span: int | None = None, n_types: int | None = None) -> ModelRegistry:
+    """The columnar registry of model objects, in their order.
+
+    ``span`` and ``n_types`` default to the smallest that code every key.
+    """
+    keys = [m.key for m in models]
+    if span is None:
+        span = max([k.relation + 1 for k in keys if not k.is_inner], default=0)
+    if n_types is None:
+        n_types = max([max(k.dep, k.indep) + 1 for k in keys], default=1)
+    numbers = np.array([(m.eta, m.tau, m.sigma2, m.weight, m.fit.r2) for m in models], dtype=np.float64).reshape(-1, 5)
+    eta, tau, sigma2, weight, r2 = numbers.T.copy()
+    return ModelRegistry(
+        np.array([code_of(k, span, n_types) for k in keys], dtype=np.int64),
+        eta,
+        tau,
+        sigma2,
+        weight,
+        np.array([m.fit.support for m in models], dtype=np.int64),
+        r2,
+        np.array([m.fit.derived_reverse for m in models], dtype=bool),
+        span,
+        n_types,
+    )
 
 
 # -- moved out of the library: the scalar fit and derivation, one key at a time --
@@ -642,7 +664,7 @@ def allows(ablation: str, key: PathKey) -> bool:
 
 def ablated(registry: ModelRegistry, ablation: str) -> ModelRegistry:
     """The registry of the models that ``ablation`` keeps, in registry order."""
-    return ModelRegistry({key: model for key, model in registry.models.items() if allows(ablation, key)})
+    return registry_of(*(m for key, m in registry.models.items() if allows(ablation, key)), span=registry.span, n_types=registry.n_types)
 
 
 def init_values(bundle) -> np.ndarray:
@@ -918,14 +940,10 @@ def reference_read_model_dump(lines, graph, attrs):
                 if direction is None:
                     raise ParseError(f"unknown direction {dir_l!r}", line_no)
                 key = PathKey.relational(dep, indep, relation, direction)
-            model = RegressionModel(
-                key=key,
-                eta=float(eta),
-                tau=float(tau),
-                sigma2=float(sigma2),
-                weight=float(weight),
-                fit=FitSummary(support=int(support), r2=float(r2), derived_reverse=derived == "true"),
-            )
+            params = [float(eta), float(tau), float(sigma2), float(weight)]  # parsed in column order
+            if not -(2**63) <= int(support) < 2**63:
+                raise ValueError(f"support {support!r} out of the int64 range")
+            model = RegressionModel(key, *params, FitSummary(support=int(support), r2=float(r2), derived_reverse=derived == "true"))
         except ValueError as exc:
             raise ParseError(str(exc), line_no) from None
         texts = {"eta": eta, "tau": tau, "sigma2": sigma2, "weight": weight, "r2": r2}
@@ -934,6 +952,8 @@ def reference_read_model_dump(lines, graph, attrs):
                 raise ParseError(f"non-finite {name} {text!r}", line_no)
             if name in ("sigma2", "weight") and float(text) <= 0.0:
                 raise ParseError(f"non-positive {name} {text!r}", line_no)
+        if derived not in ("true", "false"):
+            raise ParseError(f"unknown derived_reverse {derived!r}", line_no)
         if key in models:
             raise ParseError("duplicate key", line_no)
         models[key] = model
@@ -1463,6 +1483,8 @@ def _reference_dump_model(fields: tuple[str, ...], graph: KnowledgeGraph, attrs:
             raise ValueError(f"unknown direction {dir_l!r}")
         key = PathKey.relational(dep, indep, relation, direction)
     params = [float(eta), float(tau), float(sigma2), float(weight)]
+    if not -(2**63) <= int(support) < 2**63:
+        raise ValueError(f"support {support!r} out of the int64 range")
     fit = FitSummary(int(support), float(r2), derived == "true")
     texts = (eta, tau, sigma2, weight, r2)
     for name, text, value in zip(("eta", "tau", "sigma2", "weight", "r2"), texts, params + [fit.r2]):
@@ -1470,6 +1492,8 @@ def _reference_dump_model(fields: tuple[str, ...], graph: KnowledgeGraph, attrs:
             raise ValueError(f"non-finite {name} {text!r}")
         if name in ("sigma2", "weight") and value <= 0.0:
             raise ValueError(f"non-positive {name} {text!r}")
+    if derived not in ("true", "false"):
+        raise ValueError(f"unknown derived_reverse {derived!r}")
     return RegressionModel(key, *params, fit)
 
 
@@ -1496,4 +1520,4 @@ def rowwise_read_model_dump(source: IO, graph: KnowledgeGraph, attrs: AttributeT
 
     models, rows = read_table(source, 11, convert)
     reference_check_mirrors(models, rows)  # once every line has parsed
-    return ModelRegistry(models=models)
+    return registry_of(*models.values(), span=graph.n_relations, n_types=attrs.n_types)

@@ -18,6 +18,7 @@ from helpers import bench_generate, bench_run, bench_spans, write_cli_dataset
 
 import mrap
 import mrap.codec
+import mrap.regression
 from mrap.cli import (
     EXIT_DATA,
     EXIT_NOCONV,
@@ -26,8 +27,10 @@ from mrap.cli import (
     RunConfig,
     _build_parser,
     build_config,
+    load_bundle,
     main,
 )
+from mrap.regression import AdmissionConfig
 
 
 SRC_DIR = Path(mrap.__file__).resolve().parents[1]
@@ -77,6 +80,24 @@ class TestPipeline:
         assert (out / "ablation.csv").exists()
         table = capsys.readouterr().out
         assert "w/o Cross" in table
+
+    def test_no_command_builds_model_objects(self, dataset, tmp_path, capsys, monkeypatch):
+        # the registry is columns: the ``models`` view serves tests, demos and the benchmark's observer only
+        def unbuilt(registry):
+            raise AssertionError("a command built the registry's model objects")
+
+        runs = []
+        for name in ("plain", "guarded"):
+            if name == "guarded":
+                monkeypatch.setattr(mrap.regression, "_models", unbuilt)
+            out = tmp_path / name
+            base = _args(dataset, out, "--seed", "7", "--min-support", "3")
+            for command in ("stats", "split", "fit", "impute", "eval", "ablate"):
+                assert main([command, *base]) == EXIT_OK, command
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            runs.append((stdout, {path.name: path.read_bytes() for path in sorted(out.iterdir())}))
+        assert runs[0] == runs[1]
+        assert set(runs[0][1]) == {"split.tsv", "models.tsv", "imputed.tsv", "trace.csv", "report.csv", "report.txt", "ablation.csv", "ablation.txt"}
 
     def test_stats_lists_counts(self, dataset, tmp_path, capsys):
         assert main(["stats", *_args(dataset, tmp_path / "o", "--min-support", "3")]) == EXIT_OK
@@ -282,6 +303,20 @@ class TestBenchmarkTracing:
         assert info["regression.build_registry"]["models"] == info["propagation.run"]["models"] > 0
         assert info["propagation.run"]["iterations"] > 0
         assert info["propagation.run"]["paths"] == _logged_paths(caplog.records)
+
+    def test_the_registry_observer_counts_built_and_reloaded_registries(self, dataset, tmp_path):
+        # the traced smoke's build_registry observer reads the ``models`` view of any registry
+        observe = bench_run().observers()["regression.build_registry"]
+        base = _args(dataset, tmp_path / "out", "--seed", "7", "--min-support", "3")
+        assert main(["fit", *base]) == EXIT_OK
+        bundle = load_bundle(build_config(_build_parser().parse_args(["impute", *base])))
+        with open(tmp_path / "out" / "models.tsv", "rb") as fh:
+            reloaded = mrap.regression.read_model_dump(fh, bundle.graph, bundle.attrs)
+        for registry in (mrap.regression.build_registry(bundle, AdmissionConfig(min_support=3)), reloaded):
+            counts = observe((bundle,), {}, registry)
+            assert "unobservable" not in counts
+            assert counts["models"] == len(registry) > 0
+            assert counts["fits"] == len(registry) // 2
 
     def test_a_traced_repeat_measures_every_layer(self, tmp_path, monkeypatch):
         # bench/run.py --workload staged-reuse --trace 1 on a small graph: a
@@ -491,10 +526,11 @@ class TestExitCodes:
             ("split.tsv", "split", "impute", lambda one, two: one, "manifest labels ({0!r}, {1!r}) twice"),
             ("models.tsv", "fit", "impute", lambda one, two: re.sub(r"^([^\t]*\t[^\t]*\t)[^\t]*", r"\1Q", two), "unknown relation 'Q'"),
             ("models.tsv", "fit", "ablate", lambda one, two: one, "duplicate key"),
+            ("models.tsv", "fit", "impute", lambda one, two: two.rsplit("\t", 1)[0] + "\tmaybe\n", "unknown derived_reverse 'maybe'"),
             ("imputed.tsv", "impute", "eval", lambda one, two: "zz\tbirth\t1.0\t1\t1.0\n", "unknown target ('zz', 'birth')"),
             ("split.tsv", "split", "impute", lambda one, two: "", "manifest leaves 1 attribute entries unlabeled"),
         ],
-        ids=["triples", "attrs", "split-unknown", "split-repeated", "models-relation", "models-repeated", "imputed", "split-short"],
+        ids=["triples", "attrs", "split-unknown", "split-repeated", "models-relation", "models-repeated", "models-derived", "imputed", "split-short"],
     )
     def test_a_bad_row_names_its_file_and_line(self, dataset, tmp_path, capsys, name, before, command, line_2, reason):
         out = tmp_path / "out"

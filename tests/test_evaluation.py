@@ -1,5 +1,6 @@
 import io
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from mrap.evaluation import (
 from mrap.graph import Direction
 from mrap.ingest import DatasetBundle, Split
 from mrap.propagation import PropagationConfig, run
-from mrap.regression import AdmissionConfig, PathKey, _codes, _mirror, build_registry
+from mrap.regression import AdmissionConfig, PathKey, _mirror, build_registry
 
 
 class TestBaselineGlobal:
@@ -320,7 +321,7 @@ class TestAblationSuite:
         # w/o Inner keeps the relational models and w/o Cross those with
         # dep == indep: the mirror of each such model is one too
         rng = np.random.default_rng(54)
-        seen = []
+        seen, kinds = [], Counter()
 
         def record(bundle, registry, cfg):
             seen.append(registry)
@@ -332,10 +333,12 @@ class TestAblationSuite:
             registry = build_registry(bundle, AdmissionConfig(min_support=2))
             seen.clear()
             ablation_suite(bundle, PropagationConfig(max_iters=5), registry=registry)
-            assert [len(kept) for kept in seen] == [len(ablated(registry, a)) for a in ABLATIONS]
+            # each variant's mask keeps exactly the models that the oracle's ``allows`` keeps, in registry order
+            assert [list(kept.models.items()) for kept in seen] == [list(ablated(registry, a).models.items()) for a in ABLATIONS]
             for kept in seen:
-                span, codes = _codes(bundle.graph, kept, bundle.attrs.n_types)
-                assert np.isin(_mirror(codes, span, bundle.attrs.n_types), codes).all()
+                assert np.isin(_mirror(kept.codes, kept.span, kept.n_types), kept.codes).all()
+            kinds.update("inner" if k.is_inner else "same" if k.dep == k.indep else "cross" for k in registry.models)
+        assert min(kinds[kind] for kind in ("same", "cross", "inner")) > 10, kinds
 
 
 class TestExportDifferences:

@@ -113,6 +113,9 @@ class TestVocabulary:
             assert bulk.intern(labels) == [ids[label] for label in labels]
             assert bulk.labels == list(ids)
             assert all(bulk.id(label) == i for i, label in enumerate(bulk))
+            with pytest.raises(KeyError):  # interning leaves no default behind
+                bulk.id("unseen")
+            assert "unseen" not in bulk and bulk.get("unseen") is None and len(bulk) == len(ids)
 
 
 class TestArrayLoadMatchesReference:

@@ -29,7 +29,6 @@ from mrap.regression import (
     VAR_FLOOR_SCALE,
     AdmissionConfig,
     PathKey,
-    _codes,
     _grouped_fit,
     _mirror,
     build_registry,
@@ -430,7 +429,7 @@ class TestRegistryOnRandomInstances:
             bundle, _ = random_instance(rng, quirks=True)
             registry = build_registry(bundle, AdmissionConfig(min_support=2))
             n_types = bundle.attrs.n_types
-            span, codes = _codes(bundle.graph, registry, n_types)
+            span, codes = registry.span, registry.codes
             for key, code, mirror in zip(registry.models, codes.tolist(), _mirror(codes, span, n_types).tolist()):
                 assert key_of(code, span, n_types) == key
                 assert key_of(mirror, span, n_types) == key.reversed()
@@ -539,6 +538,8 @@ class TestModelDump:
             (7, "nan", "non-finite weight 'nan'"),
             (7, "-2.5", "non-positive weight '-2.5'"),
             (9, "nan", "non-finite r2 'nan'"),
+            (8, "9223372036854775808", "support '9223372036854775808' out of the int64 range"),
+            (10, "maybe", "unknown derived_reverse 'maybe'"),
         ],
     )
     def test_non_finite_or_non_positive_field_rejected(self, tmp_path, column, text, message):
