@@ -26,6 +26,7 @@ import argparse
 import logging
 import os
 import sys
+import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import IO, Callable, TypeVar
@@ -244,9 +245,10 @@ def _read(path: str | os.PathLike, read: Callable[[IO[bytes]], T]) -> T:
 def _load_inputs(cfg: RunConfig) -> tuple[KnowledgeGraph, AttributeTable]:
     if not cfg.triples or not cfg.attrs:
         raise ConfigError("both --triples and --attrs input paths are required")
+    start = time.perf_counter()
     triples = _read(cfg.triples, parse_triples)
     attributes, _ = _read(cfg.attrs, parse_attributes)
-    return load_dataset(triples, attributes)
+    return load_dataset(triples, attributes, start)
 
 
 def load_bundle(cfg: RunConfig) -> DatasetBundle:

@@ -4,9 +4,11 @@ Each file is a table: one row per line, fields separated by tabs (commas in
 ``trace.csv``). Readers share one set of line rules: UTF-8; ``\n``,
 ``\r\n`` or a lone ``\r`` ends a line, and the last line needs no end;
 lines starting with ``#`` and blank or whitespace-only lines are skipped
-but counted; every other line has the format's field count. A well-formed
-file is checked and split in bulk; only a file that fails that check is
-read again line by line, to find its first bad line.
+but counted; every other line has the format's field count. A file whose
+every line is a data line is checked and split in bulk. A file that has a
+``#`` line, a blank line or a line starting with whitespace, or that fails
+the bulk check, is read line by line (``_scan``), which also finds its
+first bad line.
 """
 from __future__ import annotations
 

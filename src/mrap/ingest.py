@@ -110,12 +110,14 @@ def _attribute_columns(table: Table) -> tuple[Table, int]:
     values = parse_floats(table, texts[:empty], "unparseable float {!r}")
     if empty < len(table):
         raise ParseError("empty field in attribute row", table.line(empty))
-    last = dict(zip(zip(entities, types), range(len(table))))  # first-seen order, last row
+    # keyed on "entity<TAB>type": a label holds no tab, and a string key, unlike
+    # a tuple, is no object the garbage collector tracks, so no collection runs
+    last = dict(zip(map("\t".join, zip(entities, types)), range(len(table))))  # first-seen order, last row
     duplicates = len(table) - len(last)
     if duplicates:
         logger.warning("attribute file contained %d duplicate keys (last occurrence kept)", duplicates)
-        entities, types = [e for e, _ in last], [a for _, a in last]
-        values = values[np.fromiter(last.values(), dtype=np.int64, count=len(last))]
+        rows = list(last.values())
+        entities, types, values = [entities[r] for r in rows], [types[r] for r in rows], values[rows]
     return Table([entities, types, values]), duplicates
 
 
@@ -129,13 +131,17 @@ def parse_attributes(source: IO) -> tuple[Table, int]:
     return read_table(source, 3, _attribute_columns)
 
 
-def load_dataset(triples: Table, attributes: Table) -> tuple[KnowledgeGraph, AttributeTable]:
+def load_dataset(
+    triples: Table, attributes: Table, start: float | None = None
+) -> tuple[KnowledgeGraph, AttributeTable]:
     """Assemble graph and attribute table from parsed triple and attribute columns.
 
     Entities that appear only in the attribute rows are retained as isolated
-    nodes; they can still receive inner-node messages.
+    nodes; they can still receive inner-node messages. The ``loaded:`` line
+    times the load from ``start``, a ``time.perf_counter()`` reading (default:
+    this call), so a caller that read and parsed the files counts that too.
     """
-    start = time.perf_counter()
+    start = time.perf_counter() if start is None else start
     entities, type_labels, values = attributes.columns
     graph = build_graph(*triples.columns, extra_entities=entities)
     types = Vocabulary()

@@ -37,7 +37,8 @@ slope is too close to zero to derive the reverse, as the exact slope 0 of a
 key whose dependent values are all equal is). An admitted fit's
 residual variance is raised to a floor, and it enters with its derived
 reverse: every registry is closed under the mirror, and the model dump
-reader and the propagation's plan refuse one that is not.
+reader and the propagation's plan refuse one that is not. The reader also
+refuses a mirror pair that is not a fit and its derived reverse.
 
 The module also plans the message paths of the propagation from the edge
 and entry arrays: per attribute entry, the number of (source entry, model)
@@ -548,13 +549,15 @@ def _parse_error(parse, text: str) -> str:
 
 
 def _dump_registry(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -> tuple[ModelRegistry, ParseError | None]:
-    """The registry of the rows of a model dump, and the error of the first whose mirror no row has.
+    """The registry of the rows of a model dump, and the error of its first row that is not paired.
 
     The first bad row raises its error. Every field is converted and checked
     column by column. The checks of a row run in a fixed order: labels, then
-    the parse of each number, then the finite and positive checks, then the
-    ``derived_reverse`` flag, so the first failing check of the first bad row
-    gives the message.
+    the parse of each number, then each number's range in column order, then
+    the ``derived_reverse`` flag, so the first failing check of the first bad
+    row gives the message. The error returned is that of the first row whose
+    mirror no row has, else that of the first row of the first pair that
+    :func:`_pair_checks` rejects.
     """
     dep_l, indep_l, rel_l, dir_l, *number_texts, derived = table.columns
     n_rows = len(table)
@@ -576,13 +579,16 @@ def _dump_registry(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -
         checks.append((rows >= len(values), lambda r, texts=texts, parse=parse: _parse_error(parse, texts[r])))
     parsed = min(map(len, numbers))  # the rows every number of which parses
     for texts, (name, _), values in zip(number_texts, _NUMBERS, numbers):
+        column = np.ones(n_rows, dtype=np.int64 if name == "support" else np.float64)
+        column[:parsed] = values[:parsed]  # rows beyond ``parsed`` already fail their parse
         if name == "support":
+            checks.append((column < 2, lambda r, texts=texts: f"support {texts[r]!r} below 2"))
             continue
-        column = np.ones(n_rows)  # rows beyond ``parsed`` already fail their parse
-        column[:parsed] = values[:parsed]
         checks.append((~np.isfinite(column), lambda r, name=name, texts=texts: f"non-finite {name} {texts[r]!r}"))
         if name in ("sigma2", "weight"):
             checks.append((column <= 0.0, lambda r, name=name, texts=texts: f"non-positive {name} {texts[r]!r}"))
+        if name == "r2":
+            checks.append(((column < 0.0) | (column > 1.0), lambda r, texts=texts: f"r2 {texts[r]!r} outside [0, 1]"))
     checks.append((flag < 0, lambda r: f"unknown derived_reverse {derived[r]!r}"))
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     first = int(bad.argmax()) if bad.any() else n_rows
@@ -595,25 +601,70 @@ def _dump_registry(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -
     if first < n_rows:
         message = next(explain(first) for mask, explain in checks if mask[first])
         raise ParseError(message, table.line(first))
-    lonely, error = np.flatnonzero(~np.isin(_mirror(codes, span, n_types), codes)), None
+    columns = [np.array(values, dtype=np.int64 if name == "support" else np.float64) for values, (name, _) in zip(numbers, _NUMBERS)]
+    registry = ModelRegistry(codes, *columns, flag == 1, span, n_types)
+
+    def key(r: int) -> str:
+        link = "within the node" if inner[r] else f"over {rel_l[r]} {dir_l[r]}"
+        return f"{dep_l[r]!r} from {indep_l[r]!r} {link}"
+
+    mirror = _mirror(codes, span, n_types)
+    lonely = np.flatnonzero(~np.isin(mirror, codes))
     if lonely.size:
         r = int(lonely[0])
-        link = "within the node" if inner[r] else f"over {rel_l[r]} {dir_l[r]}"
-        error = ParseError(f"no mirror for {dep_l[r]!r} from {indep_l[r]!r} {link}", table.line(r))
-    columns = [np.array(values, dtype=np.int64 if name == "support" else np.float64) for values, (name, _) in zip(numbers, _NUMBERS)]
-    return ModelRegistry(codes, *columns, flag == 1, span, n_types), error
+        return registry, ParseError(f"no mirror for {key(r)}", table.line(r))
+    pair_checks = _pair_checks(registry, mirror)
+    bad = np.logical_or.reduce(pair_checks)
+    if not bad.any():
+        return registry, None
+    r = int(bad.argmax())  # each pair's two rows fail alike: this is the first row of the first bad pair
+    messages = (
+        f"both have derived_reverse {derived[r]}",
+        "have a fit whose weight is not 1/sigma2",
+        "are not a fit and its derived reverse",
+        "differ in support or r2",
+    )
+    message = next(text for mask, text in zip(pair_checks, messages) if mask[r])
+    return registry, ParseError(f"{key(r)} and its mirror {message}", table.line(r))
+
+
+def _pair_checks(registry: ModelRegistry, mirror: np.ndarray) -> list[np.ndarray]:
+    """Per row, whether it and its mirror row fail each check of a fit and its derived reverse.
+
+    In order: the two rows are not one fit and one derived reverse; the fit's
+    weight is not ``1/sigma2``; the derived row's parameters are not those
+    ``build_registry`` derives from the fit's, bit for bit; the two rows
+    differ in support or r2. Each ``mirror`` code must be a row's code.
+    """
+    order = np.argsort(registry.codes)
+    partner = order[np.searchsorted(registry.codes, mirror, sorter=order)]
+    derived, rows = registry.derived, np.arange(len(registry))
+    fit, rev = np.where(derived, partner, rows), np.where(derived, rows, partner)
+    eta, tau, sigma2 = registry.eta[fit], registry.tau[fit], registry.sigma2[fit]
+    with np.errstate(all="ignore"):  # a zero slope derives infinities, which no finite row equals
+        eta2 = eta * eta
+        derivation = (registry.eta[rev], registry.tau[rev], registry.sigma2[rev], registry.weight[rev])
+        expected = (1.0 / eta, -tau / eta, sigma2 / eta2, eta2 / sigma2)
+        return [
+            derived == derived[partner],
+            registry.weight[fit] != 1.0 / sigma2,
+            np.logical_or.reduce([got != want for got, want in zip(derivation, expected)]),
+            (registry.support != registry.support[partner]) | (registry.r2 != registry.r2[partner]),
+        ]
 
 
 def read_model_dump(source: IO, graph: KnowledgeGraph, attrs: AttributeTable) -> ModelRegistry:
     """Reload a registry written by :func:`write_model_dump`.
 
     The first row with an unknown label, a non-finite number, a ``sigma2``
-    or ``weight`` that is not positive, a ``derived_reverse`` other than
-    ``true`` or ``false``, or a key that an earlier row already has raises a
-    ParseError. Once every line has parsed, so does the first row whose
-    mirror no row has.
+    or ``weight`` that is not positive, a ``support`` below 2, an ``r2``
+    outside [0, 1], a ``derived_reverse`` other than ``true`` or ``false``,
+    or a key that an earlier row already has raises a ParseError. Once every
+    line has parsed, so does the first row whose mirror no row has, and
+    then the first row of the first pair of mirror rows that are not a fit
+    and its derived reverse (see :func:`_pair_checks`).
     """
-    registry, lonely = read_table(source, 11, lambda table: _dump_registry(table, graph, attrs))
-    if lonely is not None:
-        raise lonely
+    registry, unpaired = read_table(source, 11, lambda table: _dump_registry(table, graph, attrs))
+    if unpaired is not None:
+        raise unpaired
     return registry

@@ -915,7 +915,7 @@ def reference_write_model_dump(fh, registry, graph, attrs):
 
 
 def reference_read_model_dump(lines, graph, attrs):
-    """Per-row model dump reader, with the finite and positive checks and the mirror rule of the library."""
+    """Per-row model dump reader, with the range checks, the mirror rule and the pair rule of the library."""
     models, rows = {}, []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
@@ -946,12 +946,18 @@ def reference_read_model_dump(lines, graph, attrs):
             model = RegressionModel(key, *params, FitSummary(support=int(support), r2=float(r2), derived_reverse=derived == "true"))
         except ValueError as exc:
             raise ParseError(str(exc), line_no) from None
-        texts = {"eta": eta, "tau": tau, "sigma2": sigma2, "weight": weight, "r2": r2}
+        texts = {"eta": eta, "tau": tau, "sigma2": sigma2, "weight": weight, "support": support, "r2": r2}
         for name, text in texts.items():
+            if name == "support":
+                if int(text) < 2:
+                    raise ParseError(f"support {text!r} below 2", line_no)
+                continue
             if not math.isfinite(float(text)):
                 raise ParseError(f"non-finite {name} {text!r}", line_no)
             if name in ("sigma2", "weight") and float(text) <= 0.0:
                 raise ParseError(f"non-positive {name} {text!r}", line_no)
+            if name == "r2" and not 0.0 <= float(text) <= 1.0:
+                raise ParseError(f"r2 {text!r} outside [0, 1]", line_no)
         if derived not in ("true", "false"):
             raise ParseError(f"unknown derived_reverse {derived!r}", line_no)
         if key in models:
@@ -963,12 +969,35 @@ def reference_read_model_dump(lines, graph, attrs):
 
 
 def reference_check_mirrors(models: dict[PathKey, RegressionModel], rows: list[tuple[list[str] | tuple[str, ...], int]]) -> None:
-    """Raise the ParseError of the first model whose mirror is absent; ``rows`` holds each model's fields and line."""
+    """Raise the ParseError of the first model whose mirror is absent, else of the first that is not paired with it.
+
+    ``rows`` holds each model's fields and line. A model and its mirror are
+    paired when one is a fit with weight ``1/sigma2``, the other its derived
+    reverse as ``derive_reverse`` computes it, and both have one support and r2.
+    """
+    def key_text(fields) -> str:
+        dep, indep, relation, direction = fields[:4]
+        link = "within the node" if relation == INNER_LABEL else f"over {relation} {direction}"
+        return f"{dep!r} from {indep!r} {link}"
+
     for key, (fields, line_no) in zip(models, rows):
         if key.reversed() not in models:
-            dep, indep, relation, direction = fields[:4]
-            link = "within the node" if relation == INNER_LABEL else f"over {relation} {direction}"
-            raise ParseError(f"no mirror for {dep!r} from {indep!r} {link}", line_no)
+            raise ParseError(f"no mirror for {key_text(fields)}", line_no)
+    for key, (fields, line_no) in zip(models, rows):
+        model, mirror = models[key], models[key.reversed()]
+        pair = f"{key_text(fields)} and its mirror"
+        if model.fit.derived_reverse == mirror.fit.derived_reverse:
+            raise ParseError(f"{pair} both have derived_reverse {fields[10]}", line_no)
+        fit, rev = (mirror, model) if model.fit.derived_reverse else (model, mirror)
+        if fit.weight != 1.0 / fit.sigma2:
+            raise ParseError(f"{pair} have a fit whose weight is not 1/sigma2", line_no)
+        eta2 = fit.eta * fit.eta
+        if eta2 == 0.0 or (rev.eta, rev.tau, rev.sigma2, rev.weight) != (
+            1.0 / fit.eta, -fit.tau / fit.eta, fit.sigma2 / eta2, eta2 / fit.sigma2
+        ):
+            raise ParseError(f"{pair} are not a fit and its derived reverse", line_no)
+        if (model.fit.support, model.fit.r2) != (mirror.fit.support, mirror.fit.r2):
+            raise ParseError(f"{pair} differ in support or r2", line_no)
 
 
 def reference_write_imputations(fh, bundle, values, report):
@@ -1486,12 +1515,18 @@ def _reference_dump_model(fields: tuple[str, ...], graph: KnowledgeGraph, attrs:
     if not -(2**63) <= int(support) < 2**63:
         raise ValueError(f"support {support!r} out of the int64 range")
     fit = FitSummary(int(support), float(r2), derived == "true")
-    texts = (eta, tau, sigma2, weight, r2)
-    for name, text, value in zip(("eta", "tau", "sigma2", "weight", "r2"), texts, params + [fit.r2]):
+    texts = (eta, tau, sigma2, weight, support, r2)
+    for name, text, value in zip(("eta", "tau", "sigma2", "weight", "support", "r2"), texts, params + [fit.support, fit.r2]):
+        if name == "support":
+            if value < 2:
+                raise ValueError(f"support {text!r} below 2")
+            continue
         if not math.isfinite(value):
             raise ValueError(f"non-finite {name} {text!r}")
         if name in ("sigma2", "weight") and value <= 0.0:
             raise ValueError(f"non-positive {name} {text!r}")
+        if name == "r2" and not 0.0 <= value <= 1.0:
+            raise ValueError(f"r2 {text!r} outside [0, 1]")
     if derived not in ("true", "false"):
         raise ValueError(f"unknown derived_reverse {derived!r}")
     return RegressionModel(key, *params, fit)
@@ -1501,8 +1536,10 @@ def rowwise_read_model_dump(source: IO, graph: KnowledgeGraph, attrs: AttributeT
     """Per-row form of ``read_model_dump``: one row converted and checked at a time.
 
     The first row with an unknown label, a non-finite number, a ``sigma2``
-    or ``weight`` that is not positive, or a key that an earlier row already
-    has raises a ParseError; then the first row whose mirror no row has.
+    or ``weight`` that is not positive, a ``support`` below 2, an ``r2``
+    outside [0, 1], or a key that an earlier row already has raises a
+    ParseError; then the first row whose mirror no row has, and then the
+    first row that is not paired with its mirror.
     """
     def convert(table: Table) -> tuple[dict[PathKey, RegressionModel], list[tuple[tuple[str, ...], int]]]:
         models: dict[PathKey, RegressionModel] = {}

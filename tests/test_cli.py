@@ -2,6 +2,7 @@ import argparse
 import builtins
 import csv
 import errno
+import gc
 import json
 import logging
 import math
@@ -9,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -167,9 +169,16 @@ class TestPipeline:
         assert main(["eval", *base]) == EXIT_OK
         assert (out / "report.csv").read_bytes() == plain
 
-    def test_info_log_times_propagation_layers(self, dataset, tmp_path, caplog):
+    def test_info_log_times_propagation_layers(self, dataset, tmp_path, caplog, monkeypatch):
         out = tmp_path / "out"
         base = _args(dataset, out, "--seed", "1", "--min-support", "3")
+        parse, pause = mrap.cli.parse_attributes, 0.25
+
+        def slow_parse(source):  # the load's seconds must count the parse
+            time.sleep(pause)
+            return parse(source)
+
+        monkeypatch.setattr(mrap.cli, "parse_attributes", slow_parse)
         with caplog.at_level(logging.INFO, logger="mrap.propagation"), caplog.at_level(
             logging.INFO, logger="mrap.ingest"
         ), caplog.at_level(logging.INFO, logger="mrap.cli"):
@@ -180,12 +189,13 @@ class TestPipeline:
         assert ", seed=1, " in config and ", min_support=3, " in config
         loaded = "\n".join(r.getMessage() for r in caplog.records if r.name == "mrap.ingest")
         # 40 people: 80 distinct triples over 80 entities, 3 attribute types
-        assert re.search(
+        found = re.search(
             r"^loaded: 80 triples read, 0 duplicates dropped, 80 entities, 2 relations, 80 edges, "
-            r"120 attribute entries of 3 types in \d+\.\d+ s$",
+            r"120 attribute entries of 3 types in (\d+\.\d+) s$",
             loaded,
             re.M,
         )
+        assert found and float(found.group(1)) >= pause
         text = "\n".join(r.getMessage() for r in caplog.records if r.name == "mrap.propagation")
         # one line per layer, each with its count and seconds
         assert re.search(r"^paths: \d+ built in \d+\.\d+ s$", text, re.M)
@@ -253,6 +263,39 @@ class TestBenchmarkSmoke:
             assert abs(value - truth[key]) <= 1e-9 * (1 + abs(truth[key])), key
         trace = (out / "trace.csv").read_text().splitlines()[1:]
         assert trace and all(math.isfinite(float(row.split(",")[3])) for row in trace)
+
+
+class TestGarbageCollector:
+    COMMANDS = ("stats", "split", "fit", "impute", "eval", "ablate")
+
+    def test_no_collection_starts_inside_a_command(self, dataset, tmp_path):
+        # a tracked object built per input row (a tuple key, say) would start
+        # about 30 collections per command on this file
+        generate = bench_generate()
+        spec = generate.GraphSpec(entities=4000, edges_per_entity=2, relations=4, noise_relations=0, types=10, density=0.6)
+        counts, _ = generate.write_graph(spec, seed=201, out_dir=tmp_path / "in")
+        assert counts["attributes"] >= 20_000
+        big = (tmp_path / "in" / "triples.tsv", tmp_path / "in" / "attrs.tsv")
+        for command in self.COMMANDS:  # what a command imports on first use may collect once
+            assert main([command, *_args(dataset, tmp_path / "warm", "--min-support", "3")]) == EXIT_OK
+        started = []
+
+        def callback(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.callbacks.append(callback)
+        try:
+            collections = {}
+            for command in self.COMMANDS:
+                gc.collect()
+                started.clear()
+                assert main([command, *_args(big, tmp_path / "out", "--seed", "7")]) == EXIT_OK
+                collections[command] = len(started)
+        finally:
+            gc.callbacks.remove(callback)
+        assert collections == dict.fromkeys(self.COMMANDS, 0)
 
 
 class TestBenchmarkTracing:
@@ -527,10 +570,17 @@ class TestExitCodes:
             ("models.tsv", "fit", "impute", lambda one, two: re.sub(r"^([^\t]*\t[^\t]*\t)[^\t]*", r"\1Q", two), "unknown relation 'Q'"),
             ("models.tsv", "fit", "ablate", lambda one, two: one, "duplicate key"),
             ("models.tsv", "fit", "impute", lambda one, two: two.rsplit("\t", 1)[0] + "\tmaybe\n", "unknown derived_reverse 'maybe'"),
+            (
+                "models.tsv",
+                "fit",
+                "impute",
+                lambda one, two: "\t".join([*two.split("\t")[:4], "5.0", *two.split("\t")[5:10], "true\n"]),
+                "'birth' from 'death' over knows forward and its mirror both have derived_reverse true",
+            ),
             ("imputed.tsv", "impute", "eval", lambda one, two: "zz\tbirth\t1.0\t1\t1.0\n", "unknown target ('zz', 'birth')"),
             ("split.tsv", "split", "impute", lambda one, two: "", "manifest leaves 1 attribute entries unlabeled"),
         ],
-        ids=["triples", "attrs", "split-unknown", "split-repeated", "models-relation", "models-repeated", "models-derived", "imputed", "split-short"],
+        ids=["triples", "attrs", "split-unknown", "split-repeated", "models-relation", "models-repeated", "models-derived", "models-pair", "imputed", "split-short"],
     )
     def test_a_bad_row_names_its_file_and_line(self, dataset, tmp_path, capsys, name, before, command, line_2, reason):
         out = tmp_path / "out"

@@ -538,7 +538,11 @@ class TestModelDump:
             (7, "nan", "non-finite weight 'nan'"),
             (7, "-2.5", "non-positive weight '-2.5'"),
             (9, "nan", "non-finite r2 'nan'"),
+            (9, "1.5", "r2 '1.5' outside [0, 1]"),
+            (9, "-0.25", "r2 '-0.25' outside [0, 1]"),
             (8, "9223372036854775808", "support '9223372036854775808' out of the int64 range"),
+            (8, "-3", "support '-3' below 2"),
+            (8, "1", "support '1' below 2"),
             (10, "maybe", "unknown derived_reverse 'maybe'"),
         ],
     )
@@ -553,6 +557,34 @@ class TestModelDump:
         with pytest.raises(ParseError) as err:
             read_model_dump(io.StringIO("\n".join(lines)), bundle.graph, bundle.attrs)
         assert str(err.value) == f"line 2: {message}"
+
+    @pytest.mark.parametrize(
+        "row, column, text, line, message",
+        [
+            (1, 10, "true", 2, "'x' from 'y' over p forward and its mirror both have derived_reverse true"),
+            (6, 10, "false", 2, "'x' from 'y' over p forward and its mirror both have derived_reverse false"),
+            (1, 7, "next", 2, "'x' from 'y' over p forward and its mirror have a fit whose weight is not 1/sigma2"),
+            *[(6, column, "next", 2, "'x' from 'y' over p forward and its mirror are not a fit and its derived reverse") for column in (4, 5, 6, 7)],
+            (6, 8, "6", 2, "'x' from 'y' over p forward and its mirror differ in support or r2"),
+            (1, 9, "0.5", 2, "'x' from 'y' over p forward and its mirror differ in support or r2"),
+            (9, 4, "next", 9, "'x' from 'y' within the node and its mirror are not a fit and its derived reverse"),
+        ],
+        ids=["both-derived", "none-derived", "fit-weight", "eta", "tau", "sigma2", "weight", "support", "r2", "inner"],
+    )
+    def test_a_pair_that_is_not_a_fit_and_its_reverse_rejected(self, tmp_path, row, column, text, line, message):
+        # rows 1 and 6 are 'x' from 'y' over p forward (fit) and reverse (derived);
+        # rows 8 and 9 the derived and the fit model within the node
+        bundle = _line_bundle()
+        registry = build_registry(bundle, AdmissionConfig(min_support=5))
+        write_model_dump(tmp_path / "models.tsv", registry, bundle.graph, bundle.attrs)
+        rows = [line.split("\t") for line in (tmp_path / "models.tsv").read_text(encoding="utf-8").splitlines()]
+        assert [fields[10] for fields in rows] == ["false"] * 4 + ["true"] * 5 + ["false"]
+        rows[row][column] = f"{np.nextafter(float(rows[row][column]), np.inf):.17g}" if text == "next" else text
+        data = "".join("\t".join(fields) + "\n" for fields in rows)
+        for read in (read_model_dump, rowwise_read_model_dump):
+            with pytest.raises(ParseError) as err:
+                read(io.StringIO(data), bundle.graph, bundle.attrs)
+            assert str(err.value) == f"line {line}: {message}"
 
     def test_bad_line_rejected(self):
         bundle = _line_bundle()
