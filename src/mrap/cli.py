@@ -268,7 +268,7 @@ def load_or_fit_registry(cfg: RunConfig, bundle: DatasetBundle, write_if_built: 
     cfg.admission.excluded_ids(bundle.graph, bundle.attrs)  # a rule naming no label fails, even with a dump
     if models_path.exists():
         registry = _read(models_path, lambda fh: read_model_dump(fh, bundle.graph, bundle.attrs))
-        logger.info("models restored from %s", models_path)
+        logger.info("models restored from %s: %d models (%d fits)", models_path, len(registry), (~registry.derived).sum())
         return registry
     registry = build_registry(bundle, cfg.admission)
     if write_if_built:

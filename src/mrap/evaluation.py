@@ -79,8 +79,9 @@ def baseline_local(bundle: DatasetBundle, entries: np.ndarray | None = None) -> 
     head, _, tail = bundle.graph.edge_array.T
     # distinct (entity, neighbor) pairs of the wanted entities over both edge directions, ascending
     at_head, at_tail = wanted[head], wanted[tail]
-    codes = np.concatenate([head[at_head] * n_entities + tail[at_head], tail[at_tail] * n_entities + head[at_tail]])
-    entity, neighbor = np.divmod(np.unique(codes), n_entities)
+    codes = np.sort(np.concatenate([head[at_head] * n_entities + tail[at_head], tail[at_tail] * n_entities + head[at_tail]]))
+    # each code once, by a sort: np.unique without return_index would import numpy.ma
+    entity, neighbor = np.divmod(codes[np.diff(codes, prepend=-1) != 0], n_entities)
     first = np.searchsorted(entity, np.arange(n_entities + 1))
 
     n_nb = first[t_entity + 1] - first[t_entity]

@@ -36,9 +36,9 @@ equal), ``low_r2`` (r2 below the minimum), ``non_invertible_slope`` (the
 slope is too close to zero to derive the reverse, as the exact slope 0 of a
 key whose dependent values are all equal is). An admitted fit's
 residual variance is raised to a floor, and it enters with its derived
-reverse: every registry is closed under the mirror, and the model dump
-reader and the propagation's plan refuse one that is not. The reader also
-refuses a mirror pair that is not a fit and its derived reverse.
+reverse: every registry is closed under the mirror, and the propagation's
+plan refuses one that is not. The model dump holds only the fits; its
+reader derives each reverse and weight as the fit does.
 
 The module also plans the message paths of the propagation from the edge
 and entry arrays: per attribute entry, the number of (source entry, model)
@@ -450,6 +450,18 @@ def _grouped_fit(code: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> tuple[np.n
     return code[starts], n, sxx, eta, tau, sigma2, r2
 
 
+def _with_reverses(
+    code: np.ndarray, eta: np.ndarray, tau: np.ndarray, sigma2: np.ndarray, support: np.ndarray, r2: np.ndarray,
+    span: int, n_types: int, rejections: dict[str, int] | None = None,
+) -> ModelRegistry:
+    """The mirror-closed registry of the fit columns: each fit, weighted ``1/sigma2``, then its derived reverse."""
+    eta2 = eta * eta
+    params = np.stack([[eta, tau, sigma2, 1.0 / sigma2], [1.0 / eta, -tau / eta, sigma2 / eta2, eta2 / sigma2]], axis=-1)
+    codes = np.column_stack([code, _mirror(code, span, n_types)]).ravel()
+    derived = np.tile([False, True], code.size)
+    return ModelRegistry(codes, *params.reshape(4, -1), np.repeat(support, 2), np.repeat(r2, 2), derived, span, n_types, rejections or {})
+
+
 def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = None) -> ModelRegistry:
     """Fit every key of :func:`training_pairs` in one grouped pass and admit the models.
 
@@ -489,12 +501,7 @@ def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = No
     fit = np.flatnonzero(~rejected)
     floor = VAR_FLOOR_SCALE * dep_range[fit] * dep_range[fit]
     sigma2 = np.maximum(sigma2[fit], np.where(floor > 0.0, floor, VAR_FLOOR_SCALE))  # a constant type: absolute floor
-    eta, tau = eta[fit], tau[fit]
-    eta2 = eta * eta
-    params = np.stack([[eta, tau, sigma2, 1.0 / sigma2], [1.0 / eta, -tau / eta, sigma2 / eta2, eta2 / sigma2]], axis=-1)
-    codes = np.column_stack([code[fit], _mirror(code[fit], span, n_types)]).ravel()  # each fit, then its reverse
-    derived = np.tile([False, True], fit.size)
-    registry = ModelRegistry(codes, *params.reshape(4, -1), np.repeat(n[fit], 2), np.repeat(r2[fit], 2), derived, span, n_types, rejections)
+    registry = _with_reverses(code[fit], eta[fit], tau[fit], sigma2, n[fit], r2[fit], span, n_types, rejections)
     logger.info(
         "registry: %d models admitted, rejections %s", len(registry), registry.rejections
     )
@@ -502,29 +509,6 @@ def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = No
 
 
 # -- model dump ----------------------------------------------------------------
-
-
-def write_model_dump(
-    path: str | os.PathLike, registry: ModelRegistry, graph: KnowledgeGraph, attrs: AttributeTable
-) -> None:
-    """Write one tab-separated line per model, ascending by code, floats at 17 significant digits."""
-    order = np.argsort(registry.codes)
-    kind, dep, indep = np.unravel_index(registry.codes[order], registry.shape)
-    inner = kind == 2 * registry.span
-    links = [*graph.relations.labels, INNER_LABEL]
-    directions = [*_DIRECTION_NAMES.values(), "-"]
-    labels = [
-        attrs.types.labels_of(dep),
-        attrs.types.labels_of(indep),
-        list(map(links.__getitem__, np.where(inner, len(links) - 1, kind >> 1).tolist())),
-        list(map(directions.__getitem__, np.where(inner, 2, kind & 1).tolist())),
-    ]
-    numbers = [getattr(registry, name)[order] for name in _COLUMNS[1:-1]]  # eta to r2, in dump order
-    write_table(path, [*labels, *numbers, np.where(registry.derived[order], "true", "false").tolist()])
-
-
-_DIRECTIONS = {name: int(direction) for direction, name in _DIRECTION_NAMES.items()}
-_FLAGS = {"false": 0, "true": 1}
 
 
 def _count(text: str) -> int:
@@ -536,7 +520,27 @@ def _count(text: str) -> int:
 
 
 # the number columns of a model dump row, in the order a row's numbers are parsed
-_NUMBERS = (("eta", float), ("tau", float), ("sigma2", float), ("weight", float), ("support", _count), ("r2", float))
+_NUMBERS = (("eta", float), ("tau", float), ("sigma2", float), ("support", _count), ("r2", float))
+_DIRECTIONS = {name: int(direction) for direction, name in _DIRECTION_NAMES.items()}
+
+
+def write_model_dump(
+    path: str | os.PathLike, registry: ModelRegistry, graph: KnowledgeGraph, attrs: AttributeTable
+) -> None:
+    """Write one tab-separated line per fit, ascending by code, floats at 17 significant digits."""
+    fit = np.flatnonzero(~registry.derived)
+    order = fit[np.argsort(registry.codes[fit])]
+    kind, dep, indep = np.unravel_index(registry.codes[order], registry.shape)
+    inner = kind == 2 * registry.span
+    links = [*graph.relations.labels, INNER_LABEL]
+    directions = [*_DIRECTION_NAMES.values(), "-"]
+    labels = [
+        attrs.types.labels_of(dep),
+        attrs.types.labels_of(indep),
+        list(map(links.__getitem__, np.where(inner, len(links) - 1, kind >> 1).tolist())),
+        list(map(directions.__getitem__, np.where(inner, 2, kind & 1).tolist())),
+    ]
+    write_table(path, [*labels, *(getattr(registry, name)[order] for name, _ in _NUMBERS)])
 
 
 def _parse_error(parse, text: str) -> str:
@@ -548,24 +552,22 @@ def _parse_error(parse, text: str) -> str:
     raise AssertionError(f"{text!r} parses")
 
 
-def _dump_registry(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -> tuple[ModelRegistry, ParseError | None]:
-    """The registry of the rows of a model dump, and the error of its first row that is not paired.
+def _dump_registry(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -> ModelRegistry:
+    """The registry of the rows of a model dump: each row's fit, then its derived reverse.
 
-    The first bad row raises its error. Every field is converted and checked
-    column by column. The checks of a row run in a fixed order: labels, then
-    the parse of each number, then each number's range in column order, then
-    the ``derived_reverse`` flag, so the first failing check of the first bad
-    row gives the message. The error returned is that of the first row whose
-    mirror no row has, else that of the first row of the first pair that
-    :func:`_pair_checks` rejects.
+    Every field is converted and checked column by column. The checks of a
+    row run in a fixed order: labels, then the parse of each number, then
+    each number's range in column order, then the derivation, so the first
+    failing check of the first bad row gives the message. A row above it
+    whose key or whose reverse's key an earlier row already has raises
+    ``duplicate key`` first.
     """
-    dep_l, indep_l, rel_l, dir_l, *number_texts, derived = table.columns
+    dep_l, indep_l, rel_l, dir_l, *number_texts = table.columns
     n_rows = len(table)
     dep, indep = attrs.types.ids(dep_l), attrs.types.ids(indep_l)
     relation = graph.relations.ids(rel_l)
     direction = np.fromiter(map(_DIRECTIONS.get, dir_l, repeat(-1)), dtype=np.int64, count=n_rows)
     inner = np.fromiter(map(INNER_LABEL.__eq__, rel_l), dtype=bool, count=n_rows)
-    flag = np.fromiter(map(_FLAGS.get, derived, repeat(-1)), dtype=np.int64, count=n_rows)
     numbers = [parse_prefix(texts, parse) for texts, (_, parse) in zip(number_texts, _NUMBERS)]
 
     checks = [
@@ -574,97 +576,54 @@ def _dump_registry(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -
         (~inner & (relation < 0), lambda r: f"unknown relation {rel_l[r]!r}"),
         (~inner & (direction < 0), lambda r: f"unknown direction {dir_l[r]!r}"),
     ]
+    n_types, span = attrs.n_types, graph.n_relations
+    unlabelled = np.logical_or.reduce([mask for mask, _ in checks])
+    codes = np.where(unlabelled, 0, _code(np.where(inner, 2 * span, 2 * relation + direction), dep, indep, n_types))
     rows = np.arange(n_rows)
     for texts, (_, parse), values in zip(number_texts, _NUMBERS, numbers):
         checks.append((rows >= len(values), lambda r, texts=texts, parse=parse: _parse_error(parse, texts[r])))
     parsed = min(map(len, numbers))  # the rows every number of which parses
+    columns = {}
     for texts, (name, _), values in zip(number_texts, _NUMBERS, numbers):
-        column = np.ones(n_rows, dtype=np.int64 if name == "support" else np.float64)
+        column = columns[name] = np.ones(n_rows, dtype=np.int64 if name == "support" else np.float64)
         column[:parsed] = values[:parsed]  # rows beyond ``parsed`` already fail their parse
         if name == "support":
             checks.append((column < 2, lambda r, texts=texts: f"support {texts[r]!r} below 2"))
             continue
         checks.append((~np.isfinite(column), lambda r, name=name, texts=texts: f"non-finite {name} {texts[r]!r}"))
-        if name in ("sigma2", "weight"):
-            checks.append((column <= 0.0, lambda r, name=name, texts=texts: f"non-positive {name} {texts[r]!r}"))
+        if name == "sigma2":
+            checks.append((column <= 0.0, lambda r, texts=texts: f"non-positive sigma2 {texts[r]!r}"))
         if name == "r2":
             checks.append(((column < 0.0) | (column > 1.0), lambda r, texts=texts: f"r2 {texts[r]!r} outside [0, 1]"))
-    checks.append((flag < 0, lambda r: f"unknown derived_reverse {derived[r]!r}"))
+    with np.errstate(all="ignore"):  # a row may derive infinities or zeros, which the last check refuses
+        registry = _with_reverses(codes, **columns, span=span, n_types=n_types)
+    params = np.stack([registry.eta, registry.tau, registry.sigma2, registry.weight]).reshape(4, n_rows, 2)
+    derives = np.isfinite(params).all(axis=(0, 2)) & (params[2:] > 0.0).all(axis=(0, 2))
+    eta_t, tau_t, sigma2_t = number_texts[:3]
+    checks.append((~derives, lambda r: (
+        f"eta {eta_t[r]!r}, tau {tau_t[r]!r} and sigma2 {sigma2_t[r]!r} derive no finite, positive-weighted model and reverse"
+    )))
     bad = np.logical_or.reduce([mask for mask, _ in checks])
     first = int(bad.argmax()) if bad.any() else n_rows
 
-    n_types, span = attrs.n_types, graph.n_relations
-    codes = _code(np.where(inner, 2 * span, 2 * relation + direction), dep, indep, n_types)
-    twice = np.flatnonzero(repeated(codes[:first]))
+    pair = registry.codes.reshape(-1, 2).min(axis=1)  # one code per row for its key and its reverse's
+    twice = np.flatnonzero(repeated(pair[:first]))
     if twice.size:
         raise ParseError("duplicate key", table.line(int(twice[0])))
     if first < n_rows:
         message = next(explain(first) for mask, explain in checks if mask[first])
         raise ParseError(message, table.line(first))
-    columns = [np.array(values, dtype=np.int64 if name == "support" else np.float64) for values, (name, _) in zip(numbers, _NUMBERS)]
-    registry = ModelRegistry(codes, *columns, flag == 1, span, n_types)
-
-    def key(r: int) -> str:
-        link = "within the node" if inner[r] else f"over {rel_l[r]} {dir_l[r]}"
-        return f"{dep_l[r]!r} from {indep_l[r]!r} {link}"
-
-    mirror = _mirror(codes, span, n_types)
-    lonely = np.flatnonzero(~np.isin(mirror, codes))
-    if lonely.size:
-        r = int(lonely[0])
-        return registry, ParseError(f"no mirror for {key(r)}", table.line(r))
-    pair_checks = _pair_checks(registry, mirror)
-    bad = np.logical_or.reduce(pair_checks)
-    if not bad.any():
-        return registry, None
-    r = int(bad.argmax())  # each pair's two rows fail alike: this is the first row of the first bad pair
-    messages = (
-        f"both have derived_reverse {derived[r]}",
-        "have a fit whose weight is not 1/sigma2",
-        "are not a fit and its derived reverse",
-        "differ in support or r2",
-    )
-    message = next(text for mask, text in zip(pair_checks, messages) if mask[r])
-    return registry, ParseError(f"{key(r)} and its mirror {message}", table.line(r))
-
-
-def _pair_checks(registry: ModelRegistry, mirror: np.ndarray) -> list[np.ndarray]:
-    """Per row, whether it and its mirror row fail each check of a fit and its derived reverse.
-
-    In order: the two rows are not one fit and one derived reverse; the fit's
-    weight is not ``1/sigma2``; the derived row's parameters are not those
-    ``build_registry`` derives from the fit's, bit for bit; the two rows
-    differ in support or r2. Each ``mirror`` code must be a row's code.
-    """
-    order = np.argsort(registry.codes)
-    partner = order[np.searchsorted(registry.codes, mirror, sorter=order)]
-    derived, rows = registry.derived, np.arange(len(registry))
-    fit, rev = np.where(derived, partner, rows), np.where(derived, rows, partner)
-    eta, tau, sigma2 = registry.eta[fit], registry.tau[fit], registry.sigma2[fit]
-    with np.errstate(all="ignore"):  # a zero slope derives infinities, which no finite row equals
-        eta2 = eta * eta
-        derivation = (registry.eta[rev], registry.tau[rev], registry.sigma2[rev], registry.weight[rev])
-        expected = (1.0 / eta, -tau / eta, sigma2 / eta2, eta2 / sigma2)
-        return [
-            derived == derived[partner],
-            registry.weight[fit] != 1.0 / sigma2,
-            np.logical_or.reduce([got != want for got, want in zip(derivation, expected)]),
-            (registry.support != registry.support[partner]) | (registry.r2 != registry.r2[partner]),
-        ]
+    return registry
 
 
 def read_model_dump(source: IO, graph: KnowledgeGraph, attrs: AttributeTable) -> ModelRegistry:
-    """Reload a registry written by :func:`write_model_dump`.
+    """Reload a registry written by :func:`write_model_dump`, equal to it row for row.
 
-    The first row with an unknown label, a non-finite number, a ``sigma2``
-    or ``weight`` that is not positive, a ``support`` below 2, an ``r2``
-    outside [0, 1], a ``derived_reverse`` other than ``true`` or ``false``,
-    or a key that an earlier row already has raises a ParseError. Once every
-    line has parsed, so does the first row whose mirror no row has, and
-    then the first row of the first pair of mirror rows that are not a fit
-    and its derived reverse (see :func:`_pair_checks`).
+    Each row is a fit; its weight and its reverse are derived as
+    :func:`build_registry` derives them. The first row with an unknown
+    label, a non-finite number, a ``sigma2`` that is not positive, a
+    ``support`` below 2, an ``r2`` outside [0, 1], parameters that derive no
+    finite, positive-weighted model and reverse, or a key or reverse key
+    that an earlier row already has raises a ParseError.
     """
-    registry, unpaired = read_table(source, 11, lambda table: _dump_registry(table, graph, attrs))
-    if unpaired is not None:
-        raise unpaired
-    return registry
+    return read_table(source, 9, lambda table: _dump_registry(table, graph, attrs))

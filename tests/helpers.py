@@ -887,6 +887,7 @@ _DIRECTION_NAMES = {Direction.FORWARD: "forward", Direction.REVERSE: "reverse"}
 
 
 def reference_write_model_dump(fh, registry, graph, attrs):
+    """One line per fit, its derived reverse left out, in key order."""
     def sort_key(key):
         return (
             key.is_inner,
@@ -898,6 +899,8 @@ def reference_write_model_dump(fh, registry, graph, attrs):
 
     for key in sorted(registry.models, key=sort_key):
         m = registry.models[key]
+        if m.fit.derived_reverse:
+            continue
         fields = (
             attrs.types.label(key.dep),
             attrs.types.label(key.indep),
@@ -906,98 +909,30 @@ def reference_write_model_dump(fh, registry, graph, attrs):
             f"{m.eta:.17g}",
             f"{m.tau:.17g}",
             f"{m.sigma2:.17g}",
-            f"{m.weight:.17g}",
             str(m.fit.support),
             f"{m.fit.r2:.17g}",
-            "true" if m.fit.derived_reverse else "false",
         )
         fh.write("\t".join(fields) + "\n")
 
 
 def reference_read_model_dump(lines, graph, attrs):
-    """Per-row model dump reader, with the range checks, the mirror rule and the pair rule of the library."""
-    models, rows = {}, []
+    """Per-line model dump reader: each row's fit, then its derived reverse, with the checks of the library."""
+    models = {}
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
-        if len(fields) != 11:
-            raise ParseError(f"expected 11 tab-separated fields, got {len(fields)}", line_no)
-        dep_l, indep_l, rel_l, dir_l, eta, tau, sigma2, weight, support, r2, derived = fields
-        dep = attrs.types.get(dep_l)
-        indep = attrs.types.get(indep_l)
-        if dep is None or indep is None:
-            raise ParseError(f"unknown attribute type in {dep_l!r}/{indep_l!r}", line_no)
+        if len(fields) != 9:
+            raise ParseError(f"expected 9 tab-separated fields, got {len(fields)}", line_no)
         try:
-            if rel_l == "INNER":
-                key = PathKey.inner(dep, indep)
-            else:
-                relation = graph.relations.get(rel_l)
-                if relation is None:
-                    raise ParseError(f"unknown relation {rel_l!r}", line_no)
-                direction = {v: k for k, v in _DIRECTION_NAMES.items()}.get(dir_l)
-                if direction is None:
-                    raise ParseError(f"unknown direction {dir_l!r}", line_no)
-                key = PathKey.relational(dep, indep, relation, direction)
-            params = [float(eta), float(tau), float(sigma2), float(weight)]  # parsed in column order
-            if not -(2**63) <= int(support) < 2**63:
-                raise ValueError(f"support {support!r} out of the int64 range")
-            model = RegressionModel(key, *params, FitSummary(support=int(support), r2=float(r2), derived_reverse=derived == "true"))
+            fit, reverse = _reference_dump_model(tuple(fields), graph, attrs)
         except ValueError as exc:
             raise ParseError(str(exc), line_no) from None
-        texts = {"eta": eta, "tau": tau, "sigma2": sigma2, "weight": weight, "support": support, "r2": r2}
-        for name, text in texts.items():
-            if name == "support":
-                if int(text) < 2:
-                    raise ParseError(f"support {text!r} below 2", line_no)
-                continue
-            if not math.isfinite(float(text)):
-                raise ParseError(f"non-finite {name} {text!r}", line_no)
-            if name in ("sigma2", "weight") and float(text) <= 0.0:
-                raise ParseError(f"non-positive {name} {text!r}", line_no)
-            if name == "r2" and not 0.0 <= float(text) <= 1.0:
-                raise ParseError(f"r2 {text!r} outside [0, 1]", line_no)
-        if derived not in ("true", "false"):
-            raise ParseError(f"unknown derived_reverse {derived!r}", line_no)
-        if key in models:
+        if fit.key in models:  # the models are closed under the mirror: the reverse's key is there too
             raise ParseError("duplicate key", line_no)
-        models[key] = model
-        rows.append((fields, line_no))
-    reference_check_mirrors(models, rows)
+        models[fit.key], models[reverse.key] = fit, reverse
     return models
-
-
-def reference_check_mirrors(models: dict[PathKey, RegressionModel], rows: list[tuple[list[str] | tuple[str, ...], int]]) -> None:
-    """Raise the ParseError of the first model whose mirror is absent, else of the first that is not paired with it.
-
-    ``rows`` holds each model's fields and line. A model and its mirror are
-    paired when one is a fit with weight ``1/sigma2``, the other its derived
-    reverse as ``derive_reverse`` computes it, and both have one support and r2.
-    """
-    def key_text(fields) -> str:
-        dep, indep, relation, direction = fields[:4]
-        link = "within the node" if relation == INNER_LABEL else f"over {relation} {direction}"
-        return f"{dep!r} from {indep!r} {link}"
-
-    for key, (fields, line_no) in zip(models, rows):
-        if key.reversed() not in models:
-            raise ParseError(f"no mirror for {key_text(fields)}", line_no)
-    for key, (fields, line_no) in zip(models, rows):
-        model, mirror = models[key], models[key.reversed()]
-        pair = f"{key_text(fields)} and its mirror"
-        if model.fit.derived_reverse == mirror.fit.derived_reverse:
-            raise ParseError(f"{pair} both have derived_reverse {fields[10]}", line_no)
-        fit, rev = (mirror, model) if model.fit.derived_reverse else (model, mirror)
-        if fit.weight != 1.0 / fit.sigma2:
-            raise ParseError(f"{pair} have a fit whose weight is not 1/sigma2", line_no)
-        eta2 = fit.eta * fit.eta
-        if eta2 == 0.0 or (rev.eta, rev.tau, rev.sigma2, rev.weight) != (
-            1.0 / fit.eta, -fit.tau / fit.eta, fit.sigma2 / eta2, eta2 / fit.sigma2
-        ):
-            raise ParseError(f"{pair} are not a fit and its derived reverse", line_no)
-        if (model.fit.support, model.fit.r2) != (mirror.fit.support, mirror.fit.r2):
-            raise ParseError(f"{pair} differ in support or r2", line_no)
 
 
 def reference_write_imputations(fh, bundle, values, report):
@@ -1494,9 +1429,11 @@ def write_differences(fh: IO[str], key_label: str, diffs: np.ndarray, mean: floa
 # per-row reader it replaced, over the same table.
 
 
-def _reference_dump_model(fields: tuple[str, ...], graph: KnowledgeGraph, attrs: AttributeTable) -> RegressionModel:
-    """The model of one model dump row; a ValueError says what is wrong with it."""
-    dep_l, indep_l, rel_l, dir_l, eta, tau, sigma2, weight, support, r2, derived = fields
+def _reference_dump_model(
+    fields: tuple[str, ...], graph: KnowledgeGraph, attrs: AttributeTable
+) -> tuple[RegressionModel, RegressionModel]:
+    """The fit of one model dump row and its derived reverse; a ValueError says what is wrong with the row."""
+    dep_l, indep_l, rel_l, dir_l, eta, tau, sigma2, support, r2 = fields
     dep = attrs.types.get(dep_l)
     indep = attrs.types.get(indep_l)
     if dep is None or indep is None:
@@ -1511,50 +1448,54 @@ def _reference_dump_model(fields: tuple[str, ...], graph: KnowledgeGraph, attrs:
         if direction is None:
             raise ValueError(f"unknown direction {dir_l!r}")
         key = PathKey.relational(dep, indep, relation, direction)
-    params = [float(eta), float(tau), float(sigma2), float(weight)]
+    params = [float(eta), float(tau), float(sigma2)]
     if not -(2**63) <= int(support) < 2**63:
         raise ValueError(f"support {support!r} out of the int64 range")
-    fit = FitSummary(int(support), float(r2), derived == "true")
-    texts = (eta, tau, sigma2, weight, support, r2)
-    for name, text, value in zip(("eta", "tau", "sigma2", "weight", "support", "r2"), texts, params + [fit.support, fit.r2]):
+    summary = FitSummary(int(support), float(r2))
+    texts = (eta, tau, sigma2, support, r2)
+    for name, text, value in zip(("eta", "tau", "sigma2", "support", "r2"), texts, params + [summary.support, summary.r2]):
         if name == "support":
             if value < 2:
                 raise ValueError(f"support {text!r} below 2")
             continue
         if not math.isfinite(value):
             raise ValueError(f"non-finite {name} {text!r}")
-        if name in ("sigma2", "weight") and value <= 0.0:
-            raise ValueError(f"non-positive {name} {text!r}")
+        if name == "sigma2" and value <= 0.0:
+            raise ValueError(f"non-positive sigma2 {text!r}")
         if name == "r2" and not 0.0 <= value <= 1.0:
             raise ValueError(f"r2 {text!r} outside [0, 1]")
-    if derived not in ("true", "false"):
-        raise ValueError(f"unknown derived_reverse {derived!r}")
-    return RegressionModel(key, *params, fit)
+    fit = make_model(key, *params, summary.support, summary.r2)
+    try:
+        reverse = derive_reverse(fit)
+        positive = [fit.weight, reverse.sigma2, reverse.weight]
+        derives = all(map(math.isfinite, [reverse.eta, reverse.tau, *positive])) and min(positive) > 0.0
+    except (NonInvertibleSlopeError, ZeroDivisionError):  # a slope, or its square, of 0
+        derives = False
+    if not derives:
+        raise ValueError(f"eta {eta!r}, tau {tau!r} and sigma2 {sigma2!r} derive no finite, positive-weighted model and reverse")
+    return fit, reverse
 
 
 def rowwise_read_model_dump(source: IO, graph: KnowledgeGraph, attrs: AttributeTable) -> ModelRegistry:
     """Per-row form of ``read_model_dump``: one row converted and checked at a time.
 
     The first row with an unknown label, a non-finite number, a ``sigma2``
-    or ``weight`` that is not positive, a ``support`` below 2, an ``r2``
-    outside [0, 1], or a key that an earlier row already has raises a
-    ParseError; then the first row whose mirror no row has, and then the
-    first row that is not paired with its mirror.
+    that is not positive, a ``support`` below 2, an ``r2`` outside [0, 1],
+    parameters that derive no finite, positive-weighted model and reverse,
+    or a key that an earlier row's fit or reverse already has raises a
+    ParseError. Each row gives its fit, then its derived reverse.
     """
-    def convert(table: Table) -> tuple[dict[PathKey, RegressionModel], list[tuple[tuple[str, ...], int]]]:
+    def convert(table: Table) -> dict[PathKey, RegressionModel]:
         models: dict[PathKey, RegressionModel] = {}
-        rows = []
         for row, fields in enumerate(zip(*table.columns)):
             try:
-                model = _reference_dump_model(fields, graph, attrs)
+                fit, reverse = _reference_dump_model(fields, graph, attrs)
             except ValueError as exc:
                 raise ParseError(str(exc), table.line(row)) from None
-            if model.key in models:
+            if fit.key in models:
                 raise ParseError("duplicate key", table.line(row))
-            models[model.key] = model
-            rows.append((fields, table.line(row)))
-        return models, rows
+            models[fit.key], models[reverse.key] = fit, reverse
+        return models
 
-    models, rows = read_table(source, 11, convert)
-    reference_check_mirrors(models, rows)  # once every line has parsed
+    models = read_table(source, 9, convert)
     return registry_of(*models.values(), span=graph.n_relations, n_types=attrs.n_types)

@@ -265,9 +265,9 @@ class TestWritersAndArtifactReaders:
             data = _render(rng, dump.decode().splitlines(), plain=rng.random() < 0.3)
             assert _outcome(new, data) == _outcome(ref, data)
             for _ in range(int(rng.integers(1, 3))):
-                bad_value = ["abc", "inf", "nan", "0", "-1.5", "forwards"][int(rng.integers(6))]
-                column = 3 if bad_value == "forwards" else int(rng.integers(4, 8))
-                data = _corrupt(rng, data, CORRUPTIONS[int(rng.integers(4))], 11, column, bad_value)
+                bad_value = ["abc", "inf", "nan", "0", "-1.5", "1e-320", "forwards"][int(rng.integers(7))]
+                column = 3 if bad_value == "forwards" else int(rng.integers(4, 9))
+                data = _corrupt(rng, data, CORRUPTIONS[int(rng.integers(4))], 9, column, bad_value)
                 assert _outcome(new, data) == _outcome(ref, data)
 
             if not len(bundle.target_indices()) or (attrs.status == 0).sum() == 0:

@@ -518,15 +518,33 @@ class TestModelDump:
             assert other.fit.support == model.fit.support
             assert other.fit.derived_reverse == model.fit.derived_reverse
 
+    def test_reload_equals_the_built_registry(self, tmp_path):
+        """Column for column and row for row: each fit, then its reverse, in code order."""
+        rng = np.random.default_rng(46)
+        reloaded_models = 0
+        for _ in range(60):
+            bundle, _ = random_instance(rng, quirks=rng.random() < 0.5)
+            registry = build_registry(bundle, AdmissionConfig(min_support=2))
+            write_model_dump(tmp_path / "models.tsv", registry, bundle.graph, bundle.attrs)
+            with open(tmp_path / "models.tsv", "rb") as fh:
+                reloaded = read_model_dump(fh, bundle.graph, bundle.attrs)
+            for name in ("codes", "eta", "tau", "sigma2", "weight", "support", "r2", "derived"):
+                built, got = getattr(registry, name), getattr(reloaded, name)
+                assert got.dtype == built.dtype and np.array_equal(got, built), name
+            assert (reloaded.span, reloaded.n_types) == (registry.span, registry.n_types)
+            reloaded_models += len(reloaded)
+        assert reloaded_models > 100
+
     def test_line_layout(self, tmp_path):
         bundle = _line_bundle()
         registry = build_registry(bundle, AdmissionConfig(min_support=5))
         write_model_dump(tmp_path / "models.tsv", registry, bundle.graph, bundle.attrs)
-        for line in (tmp_path / "models.tsv").read_text(encoding="utf-8").splitlines():
+        lines = (tmp_path / "models.tsv").read_text(encoding="utf-8").splitlines()
+        assert 2 * len(lines) == len(registry)  # one line per fit; its reverse is derived on read
+        for line in lines:
             fields = line.split("\t")
-            assert len(fields) == 11
+            assert len(fields) == 9
             assert fields[3] in ("forward", "reverse", "-")
-            assert fields[10] in ("true", "false")
 
     @pytest.mark.parametrize(
         "column, text, message",
@@ -535,15 +553,12 @@ class TestModelDump:
             (5, "inf", "non-finite tau 'inf'"),
             (6, "-inf", "non-finite sigma2 '-inf'"),
             (6, "0", "non-positive sigma2 '0'"),
-            (7, "nan", "non-finite weight 'nan'"),
-            (7, "-2.5", "non-positive weight '-2.5'"),
-            (9, "nan", "non-finite r2 'nan'"),
-            (9, "1.5", "r2 '1.5' outside [0, 1]"),
-            (9, "-0.25", "r2 '-0.25' outside [0, 1]"),
-            (8, "9223372036854775808", "support '9223372036854775808' out of the int64 range"),
-            (8, "-3", "support '-3' below 2"),
-            (8, "1", "support '1' below 2"),
-            (10, "maybe", "unknown derived_reverse 'maybe'"),
+            (8, "nan", "non-finite r2 'nan'"),
+            (8, "1.5", "r2 '1.5' outside [0, 1]"),
+            (8, "-0.25", "r2 '-0.25' outside [0, 1]"),
+            (7, "9223372036854775808", "support '9223372036854775808' out of the int64 range"),
+            (7, "-3", "support '-3' below 2"),
+            (7, "1", "support '1' below 2"),
         ],
     )
     def test_non_finite_or_non_positive_field_rejected(self, tmp_path, column, text, message):
@@ -559,32 +574,41 @@ class TestModelDump:
         assert str(err.value) == f"line 2: {message}"
 
     @pytest.mark.parametrize(
-        "row, column, text, line, message",
-        [
-            (1, 10, "true", 2, "'x' from 'y' over p forward and its mirror both have derived_reverse true"),
-            (6, 10, "false", 2, "'x' from 'y' over p forward and its mirror both have derived_reverse false"),
-            (1, 7, "next", 2, "'x' from 'y' over p forward and its mirror have a fit whose weight is not 1/sigma2"),
-            *[(6, column, "next", 2, "'x' from 'y' over p forward and its mirror are not a fit and its derived reverse") for column in (4, 5, 6, 7)],
-            (6, 8, "6", 2, "'x' from 'y' over p forward and its mirror differ in support or r2"),
-            (1, 9, "0.5", 2, "'x' from 'y' over p forward and its mirror differ in support or r2"),
-            (9, 4, "next", 9, "'x' from 'y' within the node and its mirror are not a fit and its derived reverse"),
-        ],
-        ids=["both-derived", "none-derived", "fit-weight", "eta", "tau", "sigma2", "weight", "support", "r2", "inner"],
+        "eta, tau, sigma2",
+        [("0", "5", "1"), ("1e-320", "5", "1"), ("2", "5", "1e-320"), ("1e200", "5", "1"), ("1e-10", "1e300", "1")],
+        ids=["eta-0", "eta-subnormal", "sigma2-subnormal", "eta-huge", "tau-over-eta-overflows"],
     )
-    def test_a_pair_that_is_not_a_fit_and_its_reverse_rejected(self, tmp_path, row, column, text, line, message):
-        # rows 1 and 6 are 'x' from 'y' over p forward (fit) and reverse (derived);
-        # rows 8 and 9 the derived and the fit model within the node
+    def test_a_row_that_derives_no_finite_reverse_rejected(self, tmp_path, eta, tau, sigma2):
+        # row 3 is 'y' from 'x' over p forward; its fit or reverse would be infinite or weightless
         bundle = _line_bundle()
         registry = build_registry(bundle, AdmissionConfig(min_support=5))
         write_model_dump(tmp_path / "models.tsv", registry, bundle.graph, bundle.attrs)
         rows = [line.split("\t") for line in (tmp_path / "models.tsv").read_text(encoding="utf-8").splitlines()]
-        assert [fields[10] for fields in rows] == ["false"] * 4 + ["true"] * 5 + ["false"]
-        rows[row][column] = f"{np.nextafter(float(rows[row][column]), np.inf):.17g}" if text == "next" else text
+        rows[2][4:7] = [eta, tau, sigma2]
         data = "".join("\t".join(fields) + "\n" for fields in rows)
+        message = f"eta {eta!r}, tau {tau!r} and sigma2 {sigma2!r} derive no finite, positive-weighted model and reverse"
         for read in (read_model_dump, rowwise_read_model_dump):
             with pytest.raises(ParseError) as err:
                 read(io.StringIO(data), bundle.graph, bundle.attrs)
-            assert str(err.value) == f"line {line}: {message}"
+            assert str(err.value) == f"line 3: {message}"
+
+    def test_a_fit_listed_with_its_reverse_is_a_duplicate_key(self, tmp_path):
+        # a hand-made dump that also lists the reverse of row 3 ('y' from 'x' over p forward) as a row
+        bundle = _line_bundle()
+        registry = build_registry(bundle, AdmissionConfig(min_support=5))
+        write_model_dump(tmp_path / "models.tsv", registry, bundle.graph, bundle.attrs)
+        lines = (tmp_path / "models.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        reverse = registry.models[PathKey.relational(0, 1, 0, Direction.REVERSE)]
+        assert reverse.fit.derived_reverse
+        numbers = f"{reverse.eta:.17g}\t{reverse.tau:.17g}\t{reverse.sigma2:.17g}\t{reverse.fit.support}\t{reverse.fit.r2:.17g}"
+        lines.insert(4, f"x\ty\tp\treverse\t{numbers}\n")
+        for read in (read_model_dump, rowwise_read_model_dump):
+            with pytest.raises(ParseError) as err:
+                read(io.StringIO("".join(lines)), bundle.graph, bundle.attrs)
+            assert str(err.value) == "line 5: duplicate key"
+        del lines[2]  # alone, the reverse is a fit of its own: its reverse is the dropped row's model
+        reloaded = read_model_dump(io.StringIO("".join(lines)), bundle.graph, bundle.attrs)
+        assert set(reloaded.models) == set(registry.models)
 
     def test_bad_line_rejected(self):
         bundle = _line_bundle()
@@ -598,11 +622,10 @@ class TestModelDump:
             "label": ["ghost", "", " x"],
             "relation": ["ghost", "INNER", "-"],
             "direction": ["forwards", "-", "forward", "reverse", ""],
-            "float": ["abc", "", "inf", "-inf", "nan", "0", "-0.0", "-1.5", " 2.5 ", "1_0", "1e400", "0x1p3"],
+            "float": ["abc", "", "inf", "-inf", "nan", "0", "-0.0", "-1.5", " 2.5 ", "1_0", "1e400", "0x1p3", "1e-320", "1e200"],
             "support": ["abc", "", "1.5", " 7 ", "-3", "1_000", "+4"],
-            "derived": ["maybe", "true", "false", ""],
         }
-        kinds = ["label", "label", "relation", "direction"] + ["float"] * 4 + ["support", "float", "derived"]
+        kinds = ["label", "label", "relation", "direction"] + ["float"] * 3 + ["support", "float"]
 
         def outcome(read, data):
             try:
@@ -612,7 +635,7 @@ class TestModelDump:
             return [(k, m.eta, m.tau, m.sigma2, m.weight, m.fit.support, m.fit.r2, m.fit.derived_reverse) for k, m in models.items()]
 
         seen = Counter()
-        for _ in range(200):
+        for _ in range(300):
             bundle, _ = random_instance(rng, quirks=rng.random() < 0.5)
             registry = build_registry(bundle, AdmissionConfig(min_support=2))
             if not len(registry):
@@ -623,13 +646,14 @@ class TestModelDump:
             for _ in range(int(rng.integers(0, 4))):
                 row = rows[int(rng.integers(len(rows)))]
                 draw = rng.random()
-                if draw < 0.2:  # repeat a row further down
+                if draw < 0.1:  # repeat a row further down
                     rows.insert(int(rng.integers(rows.index(row) + 1, len(rows) + 1)), list(row))
                     continue
-                if draw < 0.3 and len(rows) > 1:  # drop a row, which leaves its mirror alone
-                    rows.remove(row)
+                if draw < 0.2:  # list the row's reverse key further down
+                    mirror = [row[1], row[0], row[2], {"forward": "reverse", "reverse": "forward"}.get(row[3], row[3]), *row[4:]]
+                    rows.insert(int(rng.integers(rows.index(row) + 1, len(rows) + 1)), mirror)
                     continue
-                column = int(rng.integers(11))
+                column = int(rng.integers(9))
                 texts = bad_texts[kinds[column]]
                 if kinds[column] == "label" and rng.random() < 0.5:
                     texts = attrs.types.labels  # a known label: maybe a repeated key or a self-pair
@@ -641,5 +665,5 @@ class TestModelDump:
             assert got == outcome(rowwise_read_model_dump, data)
             seen["ok" if isinstance(got, list) else got[1].split(": ")[1].split(" ")[0]] += 1
         assert seen["ok"] > 20
-        for word in ("duplicate", "unknown", "inner", "could", "invalid", "non-finite", "non-positive", "no"):
+        for word in ("duplicate", "unknown", "inner", "could", "invalid", "non-finite", "non-positive", "eta"):
             assert seen[word] > 2, (word, seen)
