@@ -12,9 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from mrap import Table, load_dataset
-from mrap.graph import Direction
 from mrap.ingest import DatasetBundle
-from mrap.regression import AdmissionConfig, PathKey, build_registry, read_model_dump, training_pairs, write_model_dump
+from mrap.regression import AdmissionConfig, build_registry, read_model_dump, training_pairs, write_model_dump
 
 rng = np.random.default_rng(0)
 
@@ -39,33 +38,35 @@ code, ys, xs = training_pairs(bundle)
 ys, xs = ys[code == 0], xs[code == 0]
 print(f"{ys.size} parent->child pairs, e.g. parent {xs[0]:.1f} -> child {ys[0]:.1f}\n")
 
-# the registry fits every key in one grouped pass and derives the reverses
+# the registry fits every key in one grouped pass and derives the reverses;
+# it is a table with one row per model: each fit, then its derived reverse.
+# With T = 1 the reverse key (birth | birth, child_of, reverse) has code 1
 registry = build_registry(bundle, AdmissionConfig(min_support=5))
-key = PathKey.relational(dep=0, indep=0, relation=0, direction=Direction.FORWARD)
-forward = registry.models[key]
-reverse = registry.models[key.reversed()]
-print(f"fitted over {forward.fit.support} parent->child pairs:")
-print(f"  child_birth = {forward.eta:.4f} * parent_birth + {forward.tau:.2f}   sigma^2 = {forward.sigma2:.2f}")
-print(f"  r^2 = {forward.fit.r2:.3f}, weight = 1/sigma^2 = {forward.weight:.4f}")
+fit, rev = (int(np.flatnonzero(registry.codes == code)[0]) for code in (0, 1))
+eta, tau, sigma2, weight = (float(getattr(registry, name)[fit]) for name in ("eta", "tau", "sigma2", "weight"))
+print(f"fitted over {registry.support[fit]} parent->child pairs:")
+print(f"  child_birth = {eta:.4f} * parent_birth + {tau:.2f}   sigma^2 = {sigma2:.2f}")
+print(f"  r^2 = {registry.r2[fit]:.3f}, weight = 1/sigma^2 = {weight:.4f}")
 
 # the closed form is ordinary least squares: np.polyfit on the same pairs agrees
 slope, intercept = np.polyfit(xs, ys, 1)
-assert np.isclose(forward.eta, slope, rtol=1e-9) and np.isclose(forward.tau, intercept, rtol=1e-9)
+assert np.isclose(eta, slope, rtol=1e-9) and np.isclose(tau, intercept, rtol=1e-9)
 print(f"  np.polyfit on the same pairs: slope {slope:.4f}, intercept {intercept:.2f}\n")
 
 print("derived reverse model (parent_birth from child_birth):")
-print(f"  reverse: eta={reverse.eta:.4f} tau={reverse.tau:.2f} weight={reverse.weight:.4f}")
-print(f"  reverse is derived analytically: {reverse.fit.derived_reverse}")
+rev_eta, rev_tau, rev_weight = registry.eta[rev], registry.tau[rev], registry.weight[rev]
+print(f"  reverse: eta={rev_eta:.4f} tau={rev_tau:.2f} weight={rev_weight:.4f}")
+print(f"  reverse is derived analytically: {registry.derived[rev]}")
 # eta' = 1/eta, tau' = -tau/eta, w' = eta^2 / sigma^2
-assert np.isclose(reverse.eta, 1.0 / forward.eta) and np.isclose(reverse.tau, -forward.tau / forward.eta)
-assert np.isclose(reverse.weight, forward.eta**2 / forward.sigma2)
+assert np.isclose(rev_eta, 1.0 / eta) and np.isclose(rev_tau, -tau / eta)
+assert np.isclose(rev_weight, eta**2 / sigma2)
 print("  matches eta' = 1/eta, tau' = -tau/eta, w' = eta^2/sigma^2\n")
 
 x = 1935.0
 print("prediction round trip through the affine inverse:")
-y = forward.eta * x + forward.tau
+y = eta * x + tau
 print(f"  forward({x}) = {y:.3f}")
-print(f"  reverse(forward({x})) = {reverse.eta * y + reverse.tau:.6f}\n")
+print(f"  reverse(forward({x})) = {rev_eta * y + rev_tau:.6f}\n")
 
 print("model dump lines, one per fit at 17 significant digits; the reader derives each reverse and weight:")
 with tempfile.TemporaryDirectory() as tmp:

@@ -4,11 +4,10 @@ Each file is a table: one row per line, fields separated by tabs (commas in
 ``trace.csv``). Readers share one set of line rules: UTF-8; ``\n``,
 ``\r\n`` or a lone ``\r`` ends a line, and the last line needs no end;
 lines starting with ``#`` and blank or whitespace-only lines are skipped
-but counted; every other line has the format's field count. A file whose
-every line is a data line is checked and split in bulk. A file that has a
-``#`` line, a blank line or a line starting with whitespace, or that fails
-the bulk check, is read line by line (``_scan``), which also finds its
-first bad line.
+but counted; every other line has the format's field count. A file is
+decoded, cleared of its skipped lines and checked in bulk. A byte that is
+not UTF-8 or a line with the wrong field count ends the table above its
+line, and the first of them in line order is the file's error.
 """
 from __future__ import annotations
 
@@ -59,9 +58,7 @@ def read_table(source: IO, n_fields: int, convert: Callable[[Table], T]) -> T:
         data = data.encode("utf-8", "surrogatepass")
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    table, error = _split(data, n_fields), None
-    if table is None:
-        table, error = _scan(data, n_fields)
+    table, error = _split(data, n_fields)
     del data
     result = convert(table)
     if error is not None:
@@ -69,48 +66,38 @@ def read_table(source: IO, n_fields: int, convert: Callable[[Table], T]) -> T:
     return result
 
 
-def _split(data: bytes, n_fields: int) -> Table | None:
-    """The table of a file without skipped, malformed or undecodable lines, else None."""
+def _split(data: bytes, n_fields: int) -> tuple[Table, ParseError | None]:
+    """The table of the rows above the first bad line, and that line's error (None if there is none)."""
+    error = lines = None
     try:
         text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    if not text:
-        return Table([[] for _ in range(n_fields)])
-    if text[0] == "#" or text[0].isspace() or _UNUSUAL_LINE.search(text):
-        return None
+    except UnicodeDecodeError as exc:  # the rows end above the line of the first bad byte
+        cut = data.rfind(b"\n", 0, exc.start) + 1
+        error = ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", data.count(b"\n", 0, cut) + 1)
+        data = data[:cut]
+        text = data.decode("utf-8")
+    if text[:1] == "#" or text[:1].isspace() or _UNUSUAL_LINE.search(text):
+        # drop the skipped lines, keeping the file line of each other one
+        every = text.split("\n")
+        lines = [no for no, line in enumerate(every, start=1) if line.strip() and line[0] != "#"]
+        text = "\n".join([every[no - 1] for no in lines])
+        data = text.encode("utf-8")
     # every line has n_fields - 1 tabs exactly when the tabs and line ends,
-    # in file order, repeat n_fields - 1 tabs then one line end
-    seps = data.translate(None, _NOT_SEPARATOR).removesuffix(b"\n") + b"\n"
-    if seps != (b"\t" * (n_fields - 1) + b"\n") * (len(seps) // n_fields):
-        return None
+    # in file order, repeat n_fields - 1 tabs then one line end; a last line
+    # without its end gets one, so its tabs are counted as its own
+    seps = data.translate(None, _NOT_SEPARATOR) + (b"" if data.endswith(b"\n") else b"\n")
+    if text and seps != (b"\t" * (n_fields - 1) + b"\n") * (len(seps) // n_fields):
+        rows = text.split("\n")  # the rows end above the first line with a wrong tab count
+        row = next(r for r, line in enumerate(rows) if line.count("\t") != n_fields - 1)
+        got = rows[row].count("\t") + 1
+        error = ParseError(f"expected {n_fields} tab-separated fields, got {got}", row + 1 if lines is None else lines[row])
+        text = "\n".join(rows[:row])
+    if not text:
+        return Table([[] for _ in range(n_fields)], lines), error
     fields = text.replace("\n", "\t").split("\t")
     if text[-1] == "\n":
         fields.pop()
-    return Table([fields[k::n_fields] for k in range(n_fields)])
-
-
-def _scan(data: bytes, n_fields: int) -> tuple[Table, ParseError | None]:
-    """Line-by-line read: the table of the rows above the first bad line, and its error."""
-    rows: list[list[str]] = []
-    lines: list[int] = []
-    error = None
-    for line_no, raw in enumerate(data.split(b"\n"), start=1):
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            error = ParseError(f"invalid UTF-8 byte 0x{raw[exc.start]:02x}", line_no)
-            break
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != n_fields:
-            error = ParseError(f"expected {n_fields} tab-separated fields, got {len(fields)}", line_no)
-            break
-        rows.append(fields)
-        lines.append(line_no)
-    columns = [list(column) for column in zip(*rows)] if rows else [[] for _ in range(n_fields)]
-    return Table(columns, lines), error
+    return Table([fields[k::n_fields] for k in range(n_fields)], lines), error
 
 
 def parse_floats(table: Table, texts: Sequence[str], unparseable: str) -> np.ndarray:

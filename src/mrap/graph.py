@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import count, islice, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -65,12 +65,6 @@ class Vocabulary:
 
     def __contains__(self, label: str) -> bool:
         return label in self._ids
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._labels)
-
-    def __repr__(self) -> str:
-        return f"Vocabulary({len(self)} labels)"
 
 
 class Direction(IntEnum):

@@ -107,7 +107,13 @@ def parse_triples(source: IO) -> Table:
 def _attribute_columns(table: Table) -> tuple[Table, int]:
     entities, types, texts = table.columns
     empty = min((column.index("") for column in (entities, types) if "" in column), default=len(table))
-    values = parse_floats(table, texts[:empty], "unparseable float {!r}")
+    # a type label starting with "#" would start a model dump line, which reads as a comment
+    joined = "\t" + "\t".join(types)
+    at = joined.find("\t#")
+    labelled = empty if at < 0 else min(empty, joined.count("\t", 0, at))  # a label holds no tab
+    values = parse_floats(table, texts[:labelled], "unparseable float {!r}")
+    if labelled < empty:
+        raise ParseError(f"attribute type {types[labelled]!r} starts with '#'", table.line(labelled))
     if empty < len(table):
         raise ParseError("empty field in attribute row", table.line(empty))
     # keyed on "entity<TAB>type": a label holds no tab, and a string key, unlike

@@ -567,7 +567,8 @@ def _dump_registry(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -
     dep, indep = attrs.types.ids(dep_l), attrs.types.ids(indep_l)
     relation = graph.relations.ids(rel_l)
     direction = np.fromiter(map(_DIRECTIONS.get, dir_l, repeat(-1)), dtype=np.int64, count=n_rows)
-    inner = np.fromiter(map(INNER_LABEL.__eq__, rel_l), dtype=bool, count=n_rows)
+    # a relation may be named INNER: only the "-" direction marks a within-node key
+    inner = np.fromiter(map((INNER_LABEL, "-").__eq__, zip(rel_l, dir_l)), dtype=bool, count=n_rows)
     numbers = [parse_prefix(texts, parse) for texts, (_, parse) in zip(number_texts, _NUMBERS)]
 
     checks = [

@@ -842,6 +842,8 @@ def reference_parse_attributes(lines):
         entity, attr_type, value_text = fields
         if not entity or not attr_type:
             raise ParseError("empty field in attribute row", line_no)
+        if attr_type.startswith("#"):
+            raise ParseError(f"attribute type {attr_type!r} starts with '#'", line_no)
         try:
             value = float(value_text)
         except ValueError:
@@ -1438,7 +1440,7 @@ def _reference_dump_model(
     indep = attrs.types.get(indep_l)
     if dep is None or indep is None:
         raise ValueError(f"unknown attribute type in {dep_l!r}/{indep_l!r}")
-    if rel_l == INNER_LABEL:
+    if (rel_l, dir_l) == (INNER_LABEL, "-"):
         key = PathKey.inner(dep, indep)
     else:
         relation = graph.relations.get(rel_l)

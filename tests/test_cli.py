@@ -568,6 +568,7 @@ class TestExitCodes:
         [
             ("triples.tsv", None, "impute", lambda one, two: "p0\tknows\n", "expected 3 tab-separated fields, got 2"),
             ("attrs.tsv", None, "impute", lambda one, two: "p0\tbirth\tabc\n", "unparseable float 'abc'"),
+            ("attrs.tsv", None, "impute", lambda one, two: "p0\t#birth\t1.0\n", "attribute type '#birth' starts with '#'"),
             (
                 "split.tsv",
                 "split",
@@ -577,11 +578,12 @@ class TestExitCodes:
             ),
             ("split.tsv", "split", "impute", lambda one, two: one, "manifest labels ({0!r}, {1!r}) twice"),
             ("models.tsv", "fit", "impute", lambda one, two: re.sub(r"^([^\t]*\t[^\t]*\t)[^\t]*", r"\1Q", two), "unknown relation 'Q'"),
+            ("models.tsv", "fit", "impute", lambda one, two: re.sub(r"^([^\t]*\t[^\t]*\t)[^\t]*", r"\1INNER", two), "unknown relation 'INNER'"),
             ("models.tsv", "fit", "ablate", lambda one, two: one, "duplicate key"),
             ("imputed.tsv", "impute", "eval", lambda one, two: "zz\tbirth\t1.0\t1\t1.0\n", "unknown target ('zz', 'birth')"),
             ("split.tsv", "split", "impute", lambda one, two: "", "manifest leaves 1 attribute entries unlabeled"),
         ],
-        ids=["triples", "attrs", "split-unknown", "split-repeated", "models-relation", "models-repeated", "imputed", "split-short"],
+        ids=["triples", "attrs", "attrs-hash-type", "split-unknown", "split-repeated", "models-relation", "models-inner-forward", "models-repeated", "imputed", "split-short"],
     )
     def test_a_bad_row_names_its_file_and_line(self, dataset, tmp_path, capsys, name, before, command, line_2, reason):
         out = tmp_path / "out"
@@ -599,6 +601,17 @@ class TestExitCodes:
         where = f"{path}:2" if lines[1] else f"{path}"  # a deleted row leaves no line to name
         assert err == f"error: {where}: {reason.format(*lines[0].split(sep))}\n"
         assert "Traceback" not in err
+
+    def test_a_relation_named_inner_reloads(self, dataset, tmp_path):
+        triples = dataset[0]
+        triples.write_text(triples.read_text(encoding="utf-8").replace("\tknows\t", "\tINNER\t"), encoding="utf-8")
+        out = tmp_path / "out"
+        base = _args(dataset, out, "--seed", "7", "--min-support", "3")
+        assert main(["impute", *base]) == EXIT_OK
+        assert "\tINNER\tforward\t" in (out / "models.tsv").read_text(encoding="utf-8")
+        imputed = (out / "imputed.tsv").read_bytes()
+        assert main(["impute", *base]) == EXIT_OK  # reads models.tsv back
+        assert (out / "imputed.tsv").read_bytes() == imputed
 
     def test_impute_rejects_non_finite_model_dump(self, dataset, tmp_path, capsys):
         out = tmp_path / "out"

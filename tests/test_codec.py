@@ -22,10 +22,11 @@ from helpers import (
 )
 
 from mrap.cli import _read_imputed
-from mrap.codec import Table, _scan, _split, read_table, write_table
+from mrap.codec import Table, read_table, write_table
 from mrap.errors import DataError, ParseError
 from mrap.ingest import (
     SplitSpec,
+    apply_split_manifest,
     parse_attributes,
     parse_triples,
     read_split_manifest,
@@ -34,7 +35,7 @@ from mrap.ingest import (
     write_split_manifest,
 )
 from mrap.propagation import PropagationConfig, run, write_imputations, write_trace
-from mrap.regression import AdmissionConfig, build_registry, read_model_dump, write_model_dump
+from mrap.regression import INNER_LABEL, AdmissionConfig, build_registry, read_model_dump, write_model_dump
 
 # labels with non-ASCII text and inner spaces; none holds a tab or a line end
 LABELS = ("e", "Ünïcode", "東京", "two words", "x-y.z", "Ωmega", "a#b", "n0", "n1", "n2")
@@ -115,6 +116,37 @@ def _attributes(rng, n: int) -> list[str]:
     return [f"{_label(rng)}\t{_label(rng, 't')}\t{float(rng.normal(1950, 30))!r}" for _ in range(n)]
 
 
+def _table_read(data: bytes, n_fields: int):
+    """The columns, row lines and error message (or None) of ``read_table`` on ``data``."""
+    tables = []
+    try:
+        read_table(io.BytesIO(data), n_fields, tables.append)
+    except ParseError as exc:
+        error = str(exc)
+    else:
+        error = None
+    (table,) = tables
+    return table.columns, [table.line(row) for row in range(len(table))], error
+
+
+def _line_read(data: bytes, n_fields: int):
+    """What ``_table_read`` gives, read one line at a time through ``reference_lines``."""
+    rows, lines, error = [], [], None
+    try:
+        for line_no, raw in enumerate(reference_lines(data), start=1):
+            line = raw.rstrip("\r\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != n_fields:
+                raise ParseError(f"expected {n_fields} tab-separated fields, got {len(fields)}", line_no)
+            rows.append(fields)
+            lines.append(line_no)
+    except ParseError as exc:
+        error = str(exc)
+    return [[row[k] for row in rows] for k in range(n_fields)], lines, error
+
+
 class TestReaders:
     """≥200 random files per format: the same rows, or the same first error."""
 
@@ -143,8 +175,9 @@ class TestReaders:
             ref = lambda d: reference_parse_attributes(reference_lines(d))
             assert _outcome(new, data) == _outcome(ref, data)
             for _ in range(int(rng.integers(1, 3))):
-                bad_value = ["abc", "inf", "-inf", "nan", "1.0.0", ""][int(rng.integers(6))]
-                data = _corrupt(rng, data, READER_CORRUPTIONS[int(rng.integers(5))], 3, 2, bad_value)
+                bad_value = ["abc", "inf", "-inf", "nan", "1.0.0", "", "#t1"][int(rng.integers(7))]
+                column = 1 if bad_value == "#t1" else 2  # a type label starting with "#"
+                data = _corrupt(rng, data, READER_CORRUPTIONS[int(rng.integers(5))], 3, column, bad_value)
                 assert _outcome(new, data) == _outcome(ref, data)
 
     def test_duplicate_keys_keep_last_value_in_first_seen_order(self):
@@ -169,17 +202,29 @@ class TestReaders:
                 assert _outcome(new, data) == _outcome(ref, data)
 
     @pytest.mark.parametrize("n_fields", [3, 5, 11])
-    def test_bulk_check_rejects_what_the_line_scan_rejects(self, n_fields):
+    def test_read_table_matches_the_line_reader(self, n_fields):
         rng = np.random.default_rng(400 + n_fields)
         for _ in range(100):
             lines = ["\t".join(_label(rng) for _ in range(n_fields)) for _ in range(int(rng.integers(1, 12)))]
-            data = _render(rng, lines, plain=True)
-            if rng.random() < 0.5:
-                data = data.rstrip(b"\n")
+            lines = [" " + line if rng.random() < 0.1 else line for line in lines]  # a data line may start with a space
+            data = _render(rng, lines, plain=rng.random() < 0.5)
             for _ in range(int(rng.integers(0, 3))):
-                data = _corrupt(rng, data, ("arity", "shift")[int(rng.integers(2))], n_fields, 0, "")
-            _, error = _scan(data, n_fields)
-            assert (_split(data, n_fields) is None) == (error is not None)
+                data = _corrupt(rng, data, ("arity", "shift", "byte")[int(rng.integers(3))], n_fields, 0, "")
+            assert _table_read(data, n_fields) == _line_read(data, n_fields)
+
+    @pytest.mark.parametrize(
+        "data, rows, lines, error",
+        [
+            (b"a\tp\tb\n# \xff\nc\tq\td\n", [["a", "p", "b"]], [1], "line 2: invalid UTF-8 byte 0xff"),
+            (b"a\tp\nc\t\xff\td\n", [], [], "line 1: expected 3 tab-separated fields, got 2"),
+            (b"# x\n\n  \n\t\t\n#\ty\n", [], [], None),
+            (b"a\tp\tb\n \t \t\nc\tq\td", [["a", "p", "b"], ["c", "q", "d"]], [1, 3], None),
+            (b"a\tp\tb\nc", [["a", "p", "b"]], [1], "line 2: expected 3 tab-separated fields, got 1"),
+        ],
+        ids=["bad-byte-in-comment", "field-count-above-bad-byte", "skipped-lines-only", "tabs-in-blank-line", "short-last-line"],
+    )
+    def test_line_rules(self, data, rows, lines, error):
+        assert _table_read(data, 3) == _line_read(data, 3) == ([list(c) for c in zip(*rows)] or [[], [], []], lines, error)
 
     def test_error_line_counts_skipped_and_crlf_lines(self):
         data = b"# header\r\n\r\n  \na\tp\tb\r\nbad line\r\n"
@@ -307,6 +352,32 @@ class TestWritersAndArtifactReaders:
                     data = _corrupt(rng, data, kind, 5, 2, ["abc", "nan", "inf"][int(rng.integers(3))])
                 assert _outcome(new_imputed, data) == _outcome(ref_imputed, data)
         assert runs >= 100
+
+    def test_whitespace_led_labels_and_a_relation_named_inner_read_back(self, tmp_path):
+        rng = np.random.default_rng(5)
+        triples, rows = [], []
+        for i in range(30):
+            birth = 1900.0 + i + float(rng.normal(0, 1))
+            rows += [(f" p{i}", "birth", birth), (f" p{i}", " height", birth / 10 + float(rng.normal(0, 1)))]
+            triples.append((f" p{i}", INNER_LABEL, f" p{(i + 1) % 30}"))
+        bundle = split_attributes(*load_rows(triples, rows), SplitSpec(seed=3))
+        graph, attrs = bundle.graph, bundle.attrs
+        registry = build_registry(bundle, AdmissionConfig(min_support=2))
+        write_split_manifest(tmp_path / "split.tsv", bundle)
+        write_model_dump(tmp_path / "models.tsv", registry, graph, attrs)
+        split_lines = (tmp_path / "split.tsv").read_text(encoding="utf-8").splitlines()
+        model_lines = [line.split("\t")[:4] for line in (tmp_path / "models.tsv").read_text(encoding="utf-8").splitlines()]
+        assert all(line.startswith(" p") for line in split_lines)
+        assert [" height", " height", INNER_LABEL, "forward"] in model_lines  # a relational key, dep equal to indep
+        assert [" height", "birth", INNER_LABEL, "-"] in model_lines  # a within-node key
+
+        with open(tmp_path / "split.tsv", "rb") as fh:
+            reloaded = apply_split_manifest(graph, attrs, read_split_manifest(fh))
+        assert np.array_equal(reloaded.split, bundle.split) and np.array_equal(reloaded.attrs.status, attrs.status)
+        with open(tmp_path / "models.tsv", "rb") as fh:
+            dumped = read_model_dump(fh, graph, attrs)
+        for name in ("codes", "eta", "tau", "sigma2", "weight", "support", "r2", "derived"):
+            assert np.array_equal(getattr(dumped, name), getattr(registry, name)), name
 
 
 class TestTable:

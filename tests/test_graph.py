@@ -112,7 +112,7 @@ class TestVocabulary:
                 ids.setdefault(label, len(ids))
             assert bulk.intern(labels) == [ids[label] for label in labels]
             assert bulk.labels == list(ids)
-            assert all(bulk.id(label) == i for i, label in enumerate(bulk))
+            assert all(bulk.id(label) == i for i, label in enumerate(bulk.labels))
             with pytest.raises(KeyError):  # interning leaves no default behind
                 bulk.id("unseen")
             assert "unseen" not in bulk and bulk.get("unseen") is None and len(bulk) == len(ids)
