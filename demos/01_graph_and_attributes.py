@@ -6,9 +6,10 @@ rows, and every edge can be traversed in both directions: the edge
 director see the film (reverse). Numeric attributes live in a sparse table
 next to the graph.
 """
-from mrap import build_graph
+from mrap import Table, build_graph
 from mrap.attributes import AttributeTable
 from mrap.graph import Direction, Vocabulary
+from mrap.ingest import intern_triples
 
 triples = [
     ("coppola", "directed", "the_godfather"),
@@ -16,7 +17,9 @@ triples = [
     ("sofia", "child_of", "coppola"),
     ("sofia", "directed", "lost_in_translation"),
 ]
-graph = build_graph(*zip(*triples))  # head, relation and tail columns
+# labels become dense ids in order of first appearance, as the file parser interns them
+entities, relations = Vocabulary(), Vocabulary()
+graph = build_graph(entities, relations, intern_triples(Table(list(zip(*triples))), entities, relations))
 print(f"{graph.n_entities} entities, {graph.n_relations} relation types, {graph.n_edges} edges\n")
 
 edges = graph.edge_array

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from mrap import Table, load_dataset
-from mrap.ingest import DatasetBundle
+from mrap import Table, Vocabulary, load_dataset
+from mrap.ingest import DatasetBundle, intern_attributes, intern_triples
 from mrap.regression import AdmissionConfig, build_registry, read_model_dump, training_pairs, write_model_dump
 
 rng = np.random.default_rng(0)
@@ -27,8 +27,15 @@ for i in range(40):
     attr_rows.append((f"parent{i}", "birth", parent_birth))
     attr_rows.append((f"child{i}", "birth", child_birth))
 
-# the loader takes columns, as the file parsers return them
-graph, table = load_dataset(Table(list(zip(*triples))), Table(list(zip(*attr_rows))))
+# the labels are interned to ids, as the file parsers intern them, and the loader takes the id columns
+entities, relations, types = Vocabulary(), Vocabulary(), Vocabulary()
+graph, table = load_dataset(
+    entities,
+    relations,
+    types,
+    intern_triples(Table(list(zip(*triples))), entities, relations),
+    intern_attributes(Table(list(zip(*attr_rows))), entities, types),
+)
 bundle = DatasetBundle(graph=graph, attrs=table, split=np.zeros(table.n_entries, dtype=np.int8))
 
 # every observed training pair, sorted by the code of its fit key: the key

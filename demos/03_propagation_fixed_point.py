@@ -14,7 +14,7 @@ from mrap.ingest import DatasetBundle, Split
 from mrap.propagation import PropagationConfig, run
 from mrap.regression import ModelRegistry
 
-graph = build_graph(["a", "b"], ["p", "p"], ["b", "c"])  # a -p-> b -p-> c
+graph = build_graph(Vocabulary(["a", "b", "c"]), Vocabulary(["p"]), [[0, 0, 1], [1, 0, 2]])  # a -p-> b -p-> c
 types = Vocabulary(["v"])
 nodes = [graph.entities.id(n) for n in ("a", "b", "c")]
 table = AttributeTable.build(graph.n_entities, types, nodes, [0, 0, 0], [0.0, 0.0, 0.0])

@@ -19,7 +19,8 @@ from mrap.evaluation import (
     propagation_predictions,
 )
 from mrap.codec import Table
-from mrap.ingest import Split, SplitSpec, load_dataset, split_attributes, subsample_observed
+from mrap.graph import Vocabulary
+from mrap.ingest import Split, SplitSpec, intern_attributes, intern_triples, load_dataset, split_attributes, subsample_observed
 from mrap.propagation import PropagationConfig
 from mrap.regression import AdmissionConfig, build_registry, count_paths
 
@@ -36,7 +37,14 @@ for i in range(n_people):
     triples.append((f"p{i}", "made", f"i{i}"))
     triples.append((f"p{i}", "knows", f"p{int(rng.integers(n_people))}"))
 
-graph, table = load_dataset(Table(list(zip(*triples))), Table(list(zip(*attr_rows))))
+entities, relations, types = Vocabulary(), Vocabulary(), Vocabulary()
+graph, table = load_dataset(
+    entities,
+    relations,
+    types,
+    intern_triples(Table(list(zip(*triples))), entities, relations),
+    intern_attributes(Table(list(zip(*attr_rows))), entities, types),
+)
 print(f"dataset: {graph.n_entities} entities, {graph.n_edges} edges, {table.n_entries} attribute values")
 
 bundle = split_attributes(graph, table, SplitSpec(seed=1))

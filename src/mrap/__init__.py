@@ -30,6 +30,8 @@ from .ingest import (
     Split,
     SplitSpec,
     apply_split_manifest,
+    intern_attributes,
+    intern_triples,
     load_dataset,
     parse_attributes,
     parse_triples,

@@ -57,7 +57,7 @@ from .ingest import (
     subsample_observed,
     write_split_manifest,
 )
-from .graph import KnowledgeGraph
+from .graph import KnowledgeGraph, Vocabulary
 from .propagation import PropagationConfig, run, write_imputations, write_trace
 from .regression import (
     AdmissionConfig,
@@ -144,7 +144,8 @@ class RunConfig:
         from_flag=tuple,
         action="append",
         metavar="attrA,attrB[,link]",
-        help="skip models for an attribute pair (repeatable; link = relation or INNER)",
+        help="skip models for an attribute pair (repeatable; link = a relation, or INNER for the within-node "
+        "link and any relation named INNER)",
     )
     eval_split: str = _setting("test", choices=("dev", "test"))
 
@@ -246,9 +247,11 @@ def _load_inputs(cfg: RunConfig) -> tuple[KnowledgeGraph, AttributeTable]:
     if not cfg.triples or not cfg.attrs:
         raise ConfigError("both --triples and --attrs input paths are required")
     start = time.perf_counter()
-    triples = _read(cfg.triples, parse_triples)
-    attributes, _ = _read(cfg.attrs, parse_attributes)
-    return load_dataset(triples, attributes, start)
+    entities, relations, types = Vocabulary(), Vocabulary(), Vocabulary()
+    # the triples' strings are dropped before the attributes are read
+    triples = _read(cfg.triples, lambda fh: parse_triples(fh, entities, relations))
+    attributes = _read(cfg.attrs, lambda fh: parse_attributes(fh, entities, types))
+    return load_dataset(entities, relations, types, triples, attributes, start)
 
 
 def load_bundle(cfg: RunConfig) -> DatasetBundle:

@@ -7,7 +7,9 @@ lines starting with ``#`` and blank or whitespace-only lines are skipped
 but counted; every other line has the format's field count. A file is
 decoded, cleared of its skipped lines and checked in bulk. A byte that is
 not UTF-8 or a line with the wrong field count ends the table above its
-line, and the first of them in line order is the file's error.
+line, and the first of them in line order is the file's error. The input
+files are read the same way in chunks of about ``CHUNK_BYTES``, each cut
+at a line end (:func:`read_chunks`), so a load holds one chunk's strings.
 """
 from __future__ import annotations
 
@@ -15,13 +17,15 @@ import os
 import re
 from itertools import chain
 from pathlib import Path
-from typing import IO, Callable, Sequence, TypeVar
+from typing import IO, Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import ParseError
 
 T = TypeVar("T")
+
+CHUNK_BYTES = 1 << 20  # the read size of read_chunks
 
 # a line after the first that is skipped, or that starts with whitespace
 _UNUSUAL_LINE = re.compile(r"\n[#\s]")
@@ -30,7 +34,7 @@ _NOT_SEPARATOR = bytes(byte for byte in range(256) if byte not in b"\t\n")
 
 
 class Table:
-    """The fields of a file as columns, one row per data line."""
+    """The fields of a file, or of one chunk of it, as columns, one row per data line."""
 
     __slots__ = ("columns", "_lines")
 
@@ -42,7 +46,7 @@ class Table:
         return len(self.columns[0])
 
     def line(self, row: int) -> int:
-        """The 1-based file line of ``row``."""
+        """The 1-based line of ``row`` in the text it was read from (a chunk counts from its own first line)."""
         return row + 1 if self._lines is None else self._lines[row]
 
 
@@ -53,17 +57,59 @@ def read_table(source: IO, n_fields: int, convert: Callable[[Table], T]) -> T:
     bad row. Above a malformed line it still runs first, so the error raised
     is the one a line-by-line reader meets first.
     """
-    data = source.read()
-    if isinstance(data, str):
-        data = data.encode("utf-8", "surrogatepass")
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    table, error = _split(data, n_fields)
-    del data
-    result = convert(table)
-    if error is not None:
-        raise error
+    (result,) = _read(source, -1, n_fields, convert)
     return result
+
+
+def read_chunks(source: IO, n_fields: int, convert: Callable[[Table], T]) -> list[T]:
+    """``read_table`` of each chunk of a stream, in file order: ``convert``'s results.
+
+    A chunk is about ``CHUNK_BYTES`` long and ends at a line end, so it splits
+    no line, no UTF-8 character and no ``\r\n``. Its rows are dropped once
+    converted. A ParseError names the file line: the chunk's line offset is
+    added, and no chunk after the first bad one is read.
+    """
+    return _read(source, CHUNK_BYTES, n_fields, convert)
+
+
+def _read(source: IO, size: int, n_fields: int, convert: Callable[[Table], T]) -> list[T]:
+    results, offset = [], 0
+    for data in _line_chunks(source, size):
+        if b"\r" in data:  # every line end becomes a "\n"
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        lines = data.count(b"\n")
+        table, error = _split(data, n_fields)
+        del data
+        try:
+            results.append(convert(table))
+            if error is not None:
+                raise error
+        except ParseError as exc:
+            raise ParseError(exc.reason, offset + exc.line_no) from None
+        offset += lines
+    return results
+
+
+def _line_chunks(source: IO, size: int) -> Iterator[bytes]:
+    """The stream's bytes in reads of ``size`` (-1: all at once), cut after the last line end of each.
+
+    The rest of the stream is the last piece, so an empty stream is one empty piece.
+    """
+    data, searched = _bytes(source.read(size)), 0  # data[:searched] holds no line end
+    while block := _bytes(source.read(size)):
+        # a last "\r" may be the first half of a "\r\n", so it waits for the next block
+        cut = max(data.rfind(b"\n", searched), data.rfind(b"\r", searched, len(data) - 1)) + 1
+        if cut:
+            yield data[:cut]
+        data = data[cut:]
+        searched = max(len(data) - 1, 0)
+        data += block
+        del block
+    yield data
+
+
+def _bytes(data: bytes | str) -> bytes:
+    return data.encode("utf-8", "surrogatepass") if isinstance(data, str) else data
 
 
 def _split(data: bytes, n_fields: int) -> tuple[Table, ParseError | None]:
@@ -134,6 +180,19 @@ def repeated(keys: np.ndarray) -> np.ndarray:
     mask = np.zeros(len(keys), dtype=bool)
     mask[order[1:]] = keys[order[1:]] == keys[order[:-1]]
     return mask
+
+
+def last_occurrences(keys: np.ndarray) -> np.ndarray:
+    """The row of each key's last occurrence, keys in the order of their first."""
+    # a stable sort puts each key's rows in row order: a run's first row is
+    # the key's first occurrence, its last row the last occurrence
+    order = np.argsort(keys, kind="stable")
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = keys[order[1:]] != keys[order[:-1]]
+    if starts.all():
+        return np.arange(len(keys))
+    ends = np.append(starts[1:], True)
+    return order[ends][np.argsort(order[starts])]
 
 
 def write_table(

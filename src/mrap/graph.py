@@ -104,39 +104,22 @@ class KnowledgeGraph:
         return len(self.edge_array)
 
 
-def build_graph(
-    heads: Sequence[str],
-    relations: Sequence[str],
-    tails: Sequence[str],
-    extra_entities: Iterable[str] = (),
-) -> KnowledgeGraph:
-    """Build a graph from the label columns of its triples.
+def build_graph(entities: Vocabulary, relations: Vocabulary, triples: np.ndarray) -> KnowledgeGraph:
+    """Build a graph from the ``(head, relation, tail)`` id rows of its triples.
 
-    Entity ids follow first appearance in (head, tail) file order, relation
-    ids first appearance in file order. Duplicate (head, relation, tail)
-    triples are stored once. Entities listed in ``extra_entities`` (e.g.
-    nodes that only carry attributes) are interned as isolated nodes after
-    all triple entities.
+    The ids are those of the given vocabularies, which the parse fills in
+    first-appearance order. Duplicate triples are stored once; an entity
+    that no triple names (e.g. a node that only carries attributes) is an
+    isolated node.
     """
-    entity_vocab = Vocabulary()
-    relation_vocab = Vocabulary()
-    ends = [""] * (2 * len(heads))
-    ends[0::2] = heads
-    ends[1::2] = tails
-    ends = np.fromiter(entity_vocab.intern(ends), dtype=np.int64, count=len(ends))
-    rels = np.fromiter(relation_vocab.intern(relations), dtype=np.int64, count=len(relations))
-    if "" in entity_vocab or "" in relation_vocab:
-        row = min(column.index("") for column in (heads, relations, tails) if "" in column)
-        raise ValueError(f"triple with empty field: {(heads[row], relations[row], tails[row])!r}")
-    head_ids, tail_ids = ends[0::2], ends[1::2]
-    codes = edge_codes(head_ids, rels, tail_ids, len(entity_vocab), len(relation_vocab))
-    entity_vocab.intern(extra_entities)
-
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    if ((triples < 0) | (triples >= [len(entities), len(relations), len(entities)])).any():
+        raise ValueError("triple id out of range")
+    codes = edge_codes(*triples.T, len(entities), len(relations))
     order = np.argsort(codes)
     # once sorted, a duplicate triple's code equals its predecessor's
     order = np.append(order[:1], order[1:][np.diff(codes[order]) != 0])
-    edges = np.stack([head_ids[order], rels[order], tail_ids[order]], axis=1)
-    return KnowledgeGraph(entities=entity_vocab, relations=relation_vocab, edge_array=edges)
+    return KnowledgeGraph(entities=entities, relations=relations, edge_array=triples[order])
 
 
 def edge_codes(heads, relations, tails, n_entities: int, n_relations: int) -> np.ndarray:

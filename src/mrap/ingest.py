@@ -9,10 +9,16 @@ File formats (UTF-8, tab separated):
 All three go through :mod:`mrap.codec`, which sets the line rules (``#``
 and blank lines skipped, any line end) and names the first bad line in a
 ParseError: a wrong field count, a byte that is not UTF-8, an empty label,
-a value that is not a finite float, an unknown split label. Parsers return
-columns, which :func:`load_dataset` interns without per-row tuples. All
-random assignments are driven by seeded generators and reproduce
-byte-identical results for a given seed.
+a value that is not a finite float, an unknown split label.
+
+The two input files are loaded in bounded memory. Each is read in chunks
+of about ``codec.CHUNK_BYTES`` cut at line ends, and each chunk's labels are
+interned into vocabularies, and its strings dropped, before the next chunk
+is read. The triples are read first, so their strings are gone before the
+attributes are read. :func:`load_dataset` then builds the graph and the
+attribute table from id arrays, and applies the attribute duplicate rule
+to integer key codes. All random assignments are driven by seeded
+generators and reproduce byte-identical results for a given seed.
 """
 from __future__ import annotations
 
@@ -27,7 +33,7 @@ from typing import IO
 import numpy as np
 
 from .attributes import AttributeTable, Status
-from .codec import Table, parse_floats, read_table, repeated, write_table
+from .codec import Table, last_occurrences, parse_floats, read_chunks, read_table, repeated, write_table
 from .errors import DataError, ParseError
 from .graph import KnowledgeGraph, Vocabulary, build_graph
 
@@ -92,68 +98,98 @@ class DatasetBundle:
         return tuple(int((self.split == s).sum()) for s in Split)  # type: ignore[return-value]
 
 
-def _triple_columns(table: Table) -> Table:
+def intern_triples(table: Table, entities: Vocabulary, relations: Vocabulary) -> np.ndarray:
+    """The ``(head, relation, tail)`` id rows of a table of triple labels, interning new labels.
+
+    Entities are interned in (head, tail) row order and relations in row
+    order, so ids follow first appearance in the file. An empty label
+    raises a ParseError at its row.
+    """
     empty = [column.index("") for column in table.columns if "" in column]
     if empty:
         raise ParseError("empty field in triple", table.line(min(empty)))
-    return table
+    heads, rels, tails = table.columns
+    ends = [""] * (2 * len(heads))
+    ends[0::2] = heads
+    ends[1::2] = tails
+    rows = np.empty((len(heads), 3), dtype=np.int64)
+    rows[:, 0::2] = np.fromiter(entities.intern(ends), dtype=np.int64, count=len(ends)).reshape(-1, 2)
+    rows[:, 1] = np.fromiter(relations.intern(rels), dtype=np.int64, count=len(rels))
+    return rows
 
 
-def parse_triples(source: IO) -> Table:
-    """Parse a triple stream into head, relation and tail columns in file order."""
-    return read_table(source, 3, _triple_columns)
+def parse_triples(source: IO, entities: Vocabulary, relations: Vocabulary) -> np.ndarray:
+    """Parse a triple stream into its ``(head, relation, tail)`` id rows in file order.
+
+    The labels are interned chunk by chunk (see :func:`intern_triples`), so
+    no more than one chunk's strings are held at once.
+    """
+    return np.concatenate(read_chunks(source, 3, lambda table: intern_triples(table, entities, relations)))
 
 
-def _attribute_columns(table: Table) -> tuple[Table, int]:
-    entities, types, texts = table.columns
-    empty = min((column.index("") for column in (entities, types) if "" in column), default=len(table))
+def intern_attributes(
+    table: Table, entities: Vocabulary, types: Vocabulary
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entity id, type id and value columns of a table of attribute rows, interning new labels.
+
+    The first row with an empty label, a type label that starts with ``#``
+    or a value that is not a finite float raises a ParseError.
+    """
+    entity_labels, type_labels, texts = table.columns
+    empty = min((column.index("") for column in (entity_labels, type_labels) if "" in column), default=len(table))
     # a type label starting with "#" would start a model dump line, which reads as a comment
-    joined = "\t" + "\t".join(types)
+    joined = "\t" + "\t".join(type_labels)
     at = joined.find("\t#")
     labelled = empty if at < 0 else min(empty, joined.count("\t", 0, at))  # a label holds no tab
     values = parse_floats(table, texts[:labelled], "unparseable float {!r}")
     if labelled < empty:
-        raise ParseError(f"attribute type {types[labelled]!r} starts with '#'", table.line(labelled))
+        raise ParseError(f"attribute type {type_labels[labelled]!r} starts with '#'", table.line(labelled))
     if empty < len(table):
         raise ParseError("empty field in attribute row", table.line(empty))
-    # keyed on "entity<TAB>type": a label holds no tab, and a string key, unlike
-    # a tuple, is no object the garbage collector tracks, so no collection runs
-    last = dict(zip(map("\t".join, zip(entities, types)), range(len(table))))  # first-seen order, last row
-    duplicates = len(table) - len(last)
-    if duplicates:
-        logger.warning("attribute file contained %d duplicate keys (last occurrence kept)", duplicates)
-        rows = list(last.values())
-        entities, types, values = [entities[r] for r in rows], [types[r] for r in rows], values[rows]
-    return Table([entities, types, values]), duplicates
+    entity_ids = np.fromiter(entities.intern(entity_labels), dtype=np.int64, count=len(table))
+    type_ids = np.fromiter(types.intern(type_labels), dtype=np.int64, count=len(table))
+    return entity_ids, type_ids, values
 
 
-def parse_attributes(source: IO) -> tuple[Table, int]:
-    """Parse an attribute stream into entity, attribute type and value columns.
+def parse_attributes(
+    source: IO, entities: Vocabulary, types: Vocabulary
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parse an attribute stream into entity id, type id and value columns, one row per line.
 
-    Duplicate (entity, attribute_type) keys keep the last occurrence; the
-    number of overwritten rows is returned alongside the deduplicated rows
-    (first-seen key order).
+    The labels are interned chunk by chunk (see :func:`intern_attributes`).
+    Duplicate (entity, attribute type) keys are all kept here;
+    :func:`load_dataset` keeps the last of each.
     """
-    return read_table(source, 3, _attribute_columns)
+    chunks = read_chunks(source, 3, lambda table: intern_attributes(table, entities, types))
+    return tuple(np.concatenate(column) for column in zip(*chunks))
 
 
 def load_dataset(
-    triples: Table, attributes: Table, start: float | None = None
+    entities: Vocabulary,
+    relations: Vocabulary,
+    types: Vocabulary,
+    triples: np.ndarray,
+    attributes: tuple[np.ndarray, np.ndarray, np.ndarray],
+    start: float | None = None,
 ) -> tuple[KnowledgeGraph, AttributeTable]:
-    """Assemble graph and attribute table from parsed triple and attribute columns.
+    """Assemble graph and attribute table from the id rows and columns the parsers interned.
 
-    Entities that appear only in the attribute rows are retained as isolated
-    nodes; they can still receive inner-node messages. The ``loaded:`` line
-    times the load from ``start``, a ``time.perf_counter()`` reading (default:
-    this call), so a caller that read and parsed the files counts that too.
+    Duplicate (entity, attribute type) rows keep the last occurrence, keys in
+    first-seen order, and their count is logged as a warning. Entities that
+    appear only in the attribute rows are isolated nodes; they can still
+    receive inner-node messages. The ``loaded:`` line times the load from
+    ``start``, a ``time.perf_counter()`` reading (default: this call), so a
+    caller that read and parsed the files counts that too.
     """
     start = time.perf_counter() if start is None else start
-    entities, type_labels, values = attributes.columns
-    graph = build_graph(*triples.columns, extra_entities=entities)
-    types = Vocabulary()
-    table = AttributeTable.build(
-        graph.n_entities, types, graph.entities.ids(entities), types.intern(type_labels), values
-    )
+    entity_ids, type_ids, values = attributes
+    rows = last_occurrences(entity_ids * len(types) + type_ids)
+    duplicates = len(values) - len(rows)
+    if duplicates:
+        logger.warning("attribute file contained %d duplicate keys (last occurrence kept)", duplicates)
+        entity_ids, type_ids, values = entity_ids[rows], type_ids[rows], values[rows]
+    graph = build_graph(entities, relations, triples)
+    table = AttributeTable.build(graph.n_entities, types, entity_ids, type_ids, values)
     logger.info(
         "loaded: %d triples read, %d duplicates dropped, %d entities, %d relations, %d edges, "
         "%d attribute entries of %d types in %.3f s",

@@ -137,8 +137,9 @@ class AdmissionConfig:
     """Filters deciding which fitted models enter the registry.
 
     ``exclusions`` holds (attr_a, attr_b, link) label tuples; ``link`` is a
-    relation label, ``"INNER"``, or None for any link. The attribute pair is
-    unordered: excluding (latitude, longitude) removes both prediction
+    relation label, ``"INNER"`` (the within-node link, and a relation of
+    that label if there is one), or None for any link. The attribute pair
+    is unordered: excluding (latitude, longitude) removes both prediction
     directions.
     """
 
@@ -167,9 +168,12 @@ class AdmissionConfig:
         return tuple(rules)
 
     def excluded_ids(self, graph: KnowledgeGraph, attrs: AttributeTable) -> set[tuple[int, int, int | None]]:
-        """Each rule as (type id, type id, link): type ids ascending, the link a relation id, -1 for INNER or None.
+        """The rules as (type id, type id, link): type ids ascending, the link a relation id, -1 for INNER or None.
 
-        A rule naming a label that the data does not have raises a ConfigError.
+        The link ``INNER`` names the within-node link and, when the data has
+        a relation labelled ``INNER``, that relation too: such a rule gives
+        both. A rule naming a label that the data does not have raises a
+        ConfigError.
         """
         rules = set()
         for rule in self.exclusions:
@@ -180,8 +184,11 @@ class AdmissionConfig:
             for kind, vocab, label in named:
                 if vocab.get(label) is None:
                     raise ConfigError(f"exclusion {','.join(filter(None, rule))!r}: the data has no {kind} {label!r}")
-            link_id = None if link is None else -1 if link == INNER_LABEL else graph.relations.id(link)
-            rules.add((*sorted((attrs.types.id(a), attrs.types.id(b))), link_id))
+            pair = sorted((attrs.types.id(a), attrs.types.id(b)))
+            if link is None or link == INNER_LABEL:
+                rules.add((*pair, None if link is None else -1))
+            if link in graph.relations:
+                rules.add((*pair, graph.relations.id(link)))
         return rules
 
 

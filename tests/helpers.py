@@ -14,11 +14,22 @@ from typing import IO, Mapping, NamedTuple
 import numpy as np
 
 from mrap.attributes import AttributeTable, Status
-from mrap.codec import Table, _csv_field, read_table, write_text
+from mrap.codec import Table, _csv_field, last_occurrences, read_table, write_text
 from mrap.errors import DataError, MrapError, ParseError
 from mrap.evaluation import EvalReport, EvalRow
 from mrap.graph import Direction, KnowledgeGraph, Vocabulary, build_graph
-from mrap.ingest import DatasetBundle, Split, SplitSpec, load_dataset, split_attributes, subsample_observed
+from mrap.ingest import (
+    DatasetBundle,
+    Split,
+    SplitSpec,
+    intern_attributes,
+    intern_triples,
+    load_dataset,
+    parse_attributes,
+    parse_triples,
+    split_attributes,
+    subsample_observed,
+)
 from mrap.propagation import PropagationConfig, run
 from mrap.regression import (
     INNER_LABEL,
@@ -78,7 +89,7 @@ def make_bundle(
     """
     missing = missing or {}
     attr_entities = [e for e, _ in observed] + [e for e, _ in missing]
-    graph = build_graph(*table_of(triples).columns, extra_entities=attr_entities)
+    graph = graph_of(triples, extra_entities=attr_entities)
     types = Vocabulary(attr_order)
     types.intern(attr for _, attr in list(observed) + list(missing))
     entries = {**observed, **missing}
@@ -126,9 +137,39 @@ def imputed_table(bundle: DatasetBundle, values: np.ndarray) -> AttributeTable:
     return table
 
 
+def graph_of(triples, extra_entities=()) -> KnowledgeGraph:
+    """``build_graph`` of labelled triple tuples, interned as the parser interns them.
+
+    Entities listed in ``extra_entities`` are interned after all triple entities.
+    """
+    entities, relations = Vocabulary(), Vocabulary()
+    rows = intern_triples(table_of(triples), entities, relations)
+    entities.intern(extra_entities)
+    return build_graph(entities, relations, rows)
+
+
 def load_rows(triples, attr_rows):
-    """``load_dataset`` of labelled triple and attribute row tuples."""
-    return load_dataset(table_of(triples), table_of(attr_rows))
+    """``load_dataset`` of labelled triple and attribute row tuples, interned as the parsers intern them."""
+    entities, relations, types = Vocabulary(), Vocabulary(), Vocabulary()
+    rows = intern_triples(table_of(triples), entities, relations)
+    columns = intern_attributes(table_of(attr_rows), entities, types)
+    return load_dataset(entities, relations, types, rows, columns)
+
+
+def parsed_triples(source) -> list[tuple[str, str, str]]:
+    """The rows ``parse_triples`` reads from a stream, as label tuples."""
+    entities, relations = Vocabulary(), Vocabulary()
+    rows = parse_triples(source, entities, relations)
+    return [(entities.label(h), relations.label(r), entities.label(t)) for h, r, t in rows.tolist()]
+
+
+def loaded_attributes(source) -> tuple[list[tuple[str, str, float]], int]:
+    """The attribute rows of a stream that ``load_dataset`` keeps, as label tuples in key first-seen order, and the duplicate count."""
+    entities, types = Vocabulary(), Vocabulary()
+    entity_ids, type_ids, values = parse_attributes(source, entities, types)
+    rows = last_occurrences(entity_ids * len(types) + type_ids)
+    labelled = zip(entities.labels_of(entity_ids[rows]), types.labels_of(type_ids[rows]), values[rows].tolist())
+    return list(labelled), len(values) - len(rows)
 
 
 def make_model(key: PathKey, eta: float, tau: float, sigma2: float, support: int = 10, r2: float = 1.0):

@@ -297,19 +297,17 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
 )
 def test_criterion_9_fb15k_headline_numbers(tmp_path):
     """Optional dataset-level check on the 50% observed setup."""
-    start = time.perf_counter()
-    with open(os.environ["MRAP_FB15K_TRIPLES"], encoding="utf-8") as fh:
-        from mrap.ingest import parse_triples
-
-        triples = parse_triples(fh)
-    with open(os.environ["MRAP_FB15K_ATTRS"], encoding="utf-8") as fh:
-        from mrap.ingest import parse_attributes
-
-        attr_rows, _ = parse_attributes(fh)
-    from mrap.ingest import SplitSpec, load_dataset, split_attributes, subsample_observed
+    from mrap.graph import Vocabulary
+    from mrap.ingest import SplitSpec, load_dataset, parse_attributes, parse_triples, split_attributes, subsample_observed
     from mrap.regression import build_registry
 
-    graph, table = load_dataset(triples, attr_rows)
+    start = time.perf_counter()
+    entities, relations, types = Vocabulary(), Vocabulary(), Vocabulary()
+    with open(os.environ["MRAP_FB15K_TRIPLES"], "rb") as fh:
+        triples = parse_triples(fh, entities, relations)
+    with open(os.environ["MRAP_FB15K_ATTRS"], "rb") as fh:
+        attributes = parse_attributes(fh, entities, types)
+    graph, table = load_dataset(entities, relations, types, triples, attributes)
     bundle = subsample_observed(split_attributes(graph, table, SplitSpec(seed=0)), 0.5, seed=0)
     registry = build_registry(bundle)
     preds, _ = propagation_predictions(bundle, registry, PropagationConfig())

@@ -174,9 +174,9 @@ class TestPipeline:
         base = _args(dataset, out, "--seed", "1", "--min-support", "3")
         parse, pause = mrap.cli.parse_attributes, 0.25
 
-        def slow_parse(source):  # the load's seconds must count the parse
+        def slow_parse(*args):  # the load's seconds must count the parse
             time.sleep(pause)
-            return parse(source)
+            return parse(*args)
 
         monkeypatch.setattr(mrap.cli, "parse_attributes", slow_parse)
         with caplog.at_level(logging.INFO, logger="mrap.propagation"), caplog.at_level(
@@ -246,6 +246,31 @@ class TestPipeline:
     def test_exclude_counts_the_keys_it_drops(self, dataset, tmp_path, capsys):
         assert main(["fit", *_args(dataset, tmp_path / "o", "--min-support", "3", "--exclude", "birth,death")]) == EXIT_OK
         assert "  excluded: 3" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize(
+        "rule, excluded",
+        [
+            ("birth,birth,INNER", [("birth", "birth", "INNER", "forward")]),
+            (
+                "birth,death,INNER",  # the within-node key and the INNER relation's keys of the pair
+                [("birth", "death", "INNER", "forward"), ("death", "birth", "INNER", "forward"), ("death", "birth", "INNER", "-")],
+            ),
+        ],
+        ids=["relation", "both-links"],
+    )
+    def test_exclude_inner_also_names_a_relation_named_inner(self, dataset, tmp_path, capsys, rule, excluded):
+        triples = dataset[0]
+        triples.write_text(triples.read_text(encoding="utf-8").replace("\tknows\t", "\tINNER\t"), encoding="utf-8")
+
+        def fits(out, *flags):
+            assert main(["fit", *_args(dataset, out, "--seed", "7", "--min-support", "3", *flags)]) == EXIT_OK
+            return [tuple(line.split("\t")[:4]) for line in (out / "models.tsv").read_text(encoding="utf-8").splitlines()]
+
+        every = fits(tmp_path / "all")
+        capsys.readouterr()
+        kept = fits(tmp_path / "excluded", "--exclude", rule)
+        assert f"  excluded: {len(excluded)}" in capsys.readouterr().out.splitlines()
+        assert set(excluded) <= set(every) and kept == [key for key in every if key not in excluded]
 
 
 class TestBenchmarkSmoke:

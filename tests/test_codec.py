@@ -1,12 +1,18 @@
 """The bulk text codec against the per-row readers and writers it replaced."""
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import (
+    bench_generate,
     load_rows,
+    loaded_attributes,
+    parsed_triples,
+    reference_attribute_entries,
+    reference_build_graph,
     reference_lines,
     reference_parse_attributes,
     reference_parse_triples,
@@ -21,12 +27,15 @@ from helpers import (
     rows_of,
 )
 
-from mrap.cli import _read_imputed
-from mrap.codec import Table, read_table, write_table
+import mrap.codec
+from mrap.cli import RunConfig, _load_inputs, _read_imputed
+from mrap.codec import Table, last_occurrences, read_table, write_table
 from mrap.errors import DataError, ParseError
+from mrap.graph import Vocabulary
 from mrap.ingest import (
     SplitSpec,
     apply_split_manifest,
+    load_dataset,
     parse_attributes,
     parse_triples,
     read_split_manifest,
@@ -155,7 +164,7 @@ class TestReaders:
         rng = np.random.default_rng(100 + seed)
         for _ in range(60):
             data = _render(rng, _triples(rng, int(rng.integers(0, 25))), plain=rng.random() < 0.3)
-            new = lambda d: rows_of(parse_triples(io.BytesIO(d)))
+            new = lambda d: parsed_triples(io.BytesIO(d))
             ref = lambda d: reference_parse_triples(reference_lines(d))
             assert _outcome(new, data) == _outcome(ref, data)
             for _ in range(int(rng.integers(1, 3))):  # two faults: the first line's must win
@@ -168,10 +177,7 @@ class TestReaders:
         for _ in range(60):
             data = _render(rng, _attributes(rng, int(rng.integers(0, 25))), plain=rng.random() < 0.3)
 
-            def new(d):
-                table, duplicates = parse_attributes(io.BytesIO(d))
-                return rows_of(table), duplicates
-
+            new = lambda d: loaded_attributes(io.BytesIO(d))
             ref = lambda d: reference_parse_attributes(reference_lines(d))
             assert _outcome(new, data) == _outcome(ref, data)
             for _ in range(int(rng.integers(1, 3))):
@@ -179,12 +185,6 @@ class TestReaders:
                 column = 1 if bad_value == "#t1" else 2  # a type label starting with "#"
                 data = _corrupt(rng, data, READER_CORRUPTIONS[int(rng.integers(5))], 3, column, bad_value)
                 assert _outcome(new, data) == _outcome(ref, data)
-
-    def test_duplicate_keys_keep_last_value_in_first_seen_order(self):
-        data = b"a\tt\t1.0\nb\tt\t2.0\na\tt\t3.0\n"
-        table, duplicates = parse_attributes(io.BytesIO(data))
-        assert rows_of(table) == [("a", "t", 3.0), ("b", "t", 2.0)] and duplicates == 1
-        assert len(table) == 2
 
     @pytest.mark.parametrize("seed", range(4))
     def test_split_manifest(self, seed):
@@ -229,25 +229,149 @@ class TestReaders:
     def test_error_line_counts_skipped_and_crlf_lines(self):
         data = b"# header\r\n\r\n  \na\tp\tb\r\nbad line\r\n"
         with pytest.raises(ParseError) as err:
-            parse_triples(io.BytesIO(data))
+            parsed_triples(io.BytesIO(data))
         assert err.value.line_no == 5
 
     def test_lone_carriage_return_ends_a_line(self):
-        assert rows_of(parse_triples(io.BytesIO(b"a\tp\tb\rc\tq\td"))) == [("a", "p", "b"), ("c", "q", "d")]
+        assert parsed_triples(io.BytesIO(b"a\tp\tb\rc\tq\td")) == [("a", "p", "b"), ("c", "q", "d")]
 
     def test_bad_byte_names_its_line(self):
         with pytest.raises(ParseError, match=r"^line 2: invalid UTF-8 byte 0xff$"):
-            parse_triples(io.BytesIO(b"a\tp\tb\nc\t\xff\td\n"))
+            parsed_triples(io.BytesIO(b"a\tp\tb\nc\t\xff\td\n"))
 
     def test_field_counts_are_checked_per_line(self):
         # six fields over two lines, as many as two well-formed lines hold
         with pytest.raises(ParseError, match=r"^line 1: expected 3 tab-separated fields, got 2$"):
-            parse_triples(io.BytesIO(b"a\tb\nc\td\te\tf\n"))
+            parsed_triples(io.BytesIO(b"a\tb\nc\td\te\tf\n"))
 
     def test_earlier_row_error_wins_over_later_malformed_line(self):
         data = b"a\tt\t1.0\nb\tt\tabc\nc\tt\n"
         with pytest.raises(ParseError, match=r"^line 2: unparseable float 'abc'$"):
-            parse_attributes(io.BytesIO(data))
+            loaded_attributes(io.BytesIO(data))
+
+
+class TestLastOccurrences:
+    """The attribute duplicate rule, on the integer codes of the interned keys."""
+
+    def test_duplicate_keys_keep_last_value_in_first_seen_order(self):
+        data = b"a\tt\t1.0\nb\tt\t2.0\na\tt\t3.0\n"
+        entities, types = Vocabulary(), Vocabulary()
+        entity_ids, type_ids, values = parse_attributes(io.BytesIO(data), entities, types)
+        rows = last_occurrences(entity_ids * len(types) + type_ids)
+        assert rows.tolist() == [2, 1]  # key (a, t) first, at its last row
+        assert values[rows].tolist() == [3.0, 2.0] and len(values) - len(rows) == 1
+        assert loaded_attributes(io.BytesIO(data)) == ([("a", "t", 3.0), ("b", "t", 2.0)], 1)
+
+    def test_matches_a_dict_of_last_rows(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            keys = rng.integers(0, int(rng.integers(1, 12)), size=int(rng.integers(0, 30)))
+            last = dict(zip(keys.tolist(), range(len(keys))))  # first-seen order, last row
+            assert last_occurrences(keys).tolist() == list(last.values())
+
+
+def _tagged(name: str, read, *args):
+    """``read(*args)``, a ParseError naming the file ``name`` after its line."""
+    try:
+        return read(*args)
+    except ParseError as exc:
+        raise ParseError(f"{name}: {exc.reason}", exc.line_no) from None
+
+
+def _load(triples: bytes, attrs: bytes):
+    """The command line's load of two files: labels, edge rows, entry columns and the duplicate count."""
+    entities, relations, types = Vocabulary(), Vocabulary(), Vocabulary()
+    rows = _tagged("triples", parse_triples, io.BytesIO(triples), entities, relations)
+    columns = _tagged("attrs", parse_attributes, io.BytesIO(attrs), entities, types)
+    graph, table = load_dataset(entities, relations, types, rows, columns)
+    return (
+        graph.entities.labels,
+        graph.relations.labels,
+        graph.edge_array.tolist(),
+        table.types.labels,
+        table.entity_ids.tolist(),
+        table.attr_ids.tolist(),
+        table.values.tolist(),
+        len(columns[2]) - table.n_entries,
+    )
+
+
+def _reference_load(triples: bytes, attrs: bytes):
+    """What ``_load`` gives, from the line-by-line parsers and the scalar builds."""
+    triples = _tagged("triples", reference_parse_triples, reference_lines(triples))
+    rows, duplicates = _tagged("attrs", reference_parse_attributes, reference_lines(attrs))
+    entity_labels, relation_labels, edges = reference_build_graph(triples, [e for e, _, _ in rows])
+    types = Vocabulary(a for _, a, _ in rows)
+    entries = [(entity_labels.index(e), types.id(a), v) for e, a, v in rows]
+    entity_ids, attr_ids, values, _, _ = reference_attribute_entries(len(entity_labels), entries)
+    return entity_labels, relation_labels, [list(edge) for edge in edges], types.labels, entity_ids, attr_ids, values, duplicates
+
+
+TRIPLES = b"a\tp\tb\nb\tq\tc\nc\tp\ta\n"
+ATTRS = b"a\th\t1.5\nb\th\t2.5\nd\tg\t3.5\n"
+# a file pair with one line rule at work, and the error it gives (None: it loads)
+CUT_CASES = {
+    "crlf": (b"a\tp\tb\r\nb\tq\tc\r\n", b"a\th\t1\r\nd\th\t2\r\n", None),
+    "lone-cr": (b"a\tp\tb\rb\tq\tc\r", b"a\th\t1\rd\th\t2", None),
+    "skipped-lines": (b"# c\n\na\tp\tb\n \t \n#\tx\ty\nb\tq\tc\n", b"\n# h\na\th\t1\n  \nb\th\t2\n", None),
+    "bad-byte": (TRIPLES, b"a\th\t1\nb\t\xffh\t2\nc\th\t3\n", "line 2: attrs: invalid UTF-8 byte 0xff"),
+    "tab-count": (b"a\tp\tb\nb\tq\nc\tp\ta\n", ATTRS, "line 2: triples: expected 3 tab-separated fields, got 2"),
+    "empty-field": (b"a\tp\tb\nb\t\tc\n", ATTRS, "line 2: triples: empty field in triple"),
+    "hash-type": (TRIPLES, b"a\th\t1\nb\t#h\t2\n", "line 2: attrs: attribute type '#h' starts with '#'"),
+    "non-finite": (TRIPLES, b"a\th\t1\nb\th\tinf\nc\th\t2\n", "line 2: attrs: non-finite value 'inf'"),
+    "duplicate-key": (TRIPLES, b"a\th\t1\nb\th\t2\na\th\t3\n", None),
+    "no-last-line-end": (b"a\tp\tb\nb\tq\tc", b"a\th\t1\nb\th\t2", None),
+}
+
+
+class TestChunkedLoad:
+    """Chunk cuts change nothing: any chunk size loads what the line-by-line oracle loads, or fails at its line."""
+
+    @pytest.mark.parametrize("case", CUT_CASES)
+    def test_a_cut_at_every_byte(self, monkeypatch, case):
+        triples, attrs, error = CUT_CASES[case]
+        expected = _outcome(lambda d: _reference_load(d, attrs), triples)
+        assert expected[1] == error if error else expected[0] == "ok"
+        for chunk in range(1, max(len(triples), len(attrs)) + 2):
+            monkeypatch.setattr(mrap.codec, "CHUNK_BYTES", chunk)
+            assert _outcome(lambda d: _load(d, attrs), triples) == expected, chunk
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_random_files(self, monkeypatch, chunk):
+        monkeypatch.setattr(mrap.codec, "CHUNK_BYTES", chunk)
+        rng = np.random.default_rng(500 + chunk)
+        for _ in range(100):
+            files = [
+                _render(rng, _triples(rng, int(rng.integers(0, 25))), plain=rng.random() < 0.3),
+                _render(rng, _attributes(rng, int(rng.integers(0, 25))), plain=rng.random() < 0.3),
+            ]
+            assert _outcome(lambda d: _load(d, files[1]), files[0]) == _outcome(lambda d: _reference_load(d, files[1]), files[0])
+            for _ in range(int(rng.integers(1, 3))):
+                at = int(rng.integers(2))
+                bad_value = ["abc", "inf", "nan", "", "#t1"][int(rng.integers(5))]
+                column = 1 if bad_value == "#t1" else 2
+                kind = READER_CORRUPTIONS[int(rng.integers(5 if at else 4))]
+                files[at] = _corrupt(rng, files[at], kind, 3, column if at else 0, bad_value if at else "")
+                assert _outcome(lambda d: _load(d, files[1]), files[0]) == _outcome(lambda d: _reference_load(d, files[1]), files[0])
+
+    def test_the_load_holds_a_few_chunks_of_strings(self, tmp_path, monkeypatch):
+        chunk = 1 << 15
+        monkeypatch.setattr(mrap.codec, "CHUNK_BYTES", chunk)
+        generate = bench_generate()
+        spec = generate.GraphSpec(entities=4000, edges_per_entity=5, relations=20, noise_relations=0, types=2, density=0.5)
+        generate.write_graph(spec, 1, tmp_path)
+        assert (tmp_path / "triples.tsv").stat().st_size > 8 * chunk
+        cfg = RunConfig(triples=str(tmp_path / "triples.tsv"), attrs=str(tmp_path / "attrs.tsv"))
+        tracemalloc.start()
+        try:
+            graph, table = _load_inputs(cfg)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.n_edges > 19_000 and table.n_entries > 3_500
+        # what the load keeps (id arrays and labels), one transient copy of it and
+        # a few chunks of strings; read whole, these files peak at over twice this
+        assert peak < 2 * kept + 16 * chunk, (peak, kept)
 
 
 def _random_bundle(rng):

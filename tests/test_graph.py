@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from mrap.attributes import AttributeTable, Status
-from mrap.errors import DataError
+from mrap.errors import DataError, ParseError
 from mrap.graph import Direction, Vocabulary, build_graph, edge_codes
 
 from helpers import (
     OrientedRelation,
     entries_of,
+    graph_of,
     index,
     load_rows,
     neighbors,
@@ -21,7 +22,7 @@ from helpers import (
 
 class TestBuildGraph:
     def test_single_edge_orientation(self):
-        g = build_graph(*table_of([("a", "p", "b")]).columns)
+        g = graph_of([("a", "p", "b")])
         assert g.n_entities == 2
         assert g.n_relations == 1
         a, b = g.entities.id("a"), g.entities.id("b")
@@ -30,11 +31,11 @@ class TestBuildGraph:
         assert neighbors(g, a) == [(b, OrientedRelation(p, Direction.REVERSE))]
 
     def test_duplicate_triples_stored_once(self):
-        g = build_graph(*table_of([("a", "p", "b"), ("a", "p", "b")]).columns)
+        g = graph_of([("a", "p", "b"), ("a", "p", "b")])
         assert g.n_edges == 1
 
     def test_neighbors_deterministic_order(self):
-        g = build_graph(*table_of([("c", "q", "b"), ("a", "p", "b")]).columns)
+        g = graph_of([("c", "q", "b"), ("a", "p", "b")])
         b = g.entities.id("b")
         got = [(n, o.relation, o.direction) for n, o in neighbors(g, b)]
         assert got == sorted(got)  # neighbor id, then relation id, then direction
@@ -42,26 +43,32 @@ class TestBuildGraph:
         assert all(d is Direction.FORWARD for _, _, d in got)
 
     def test_invalid_entity_id(self):
-        g = build_graph(*table_of([("a", "p", "b")]).columns)
+        g = graph_of([("a", "p", "b")])
         with pytest.raises(ValueError):
             neighbors(g, 99)
 
     def test_empty_input(self):
-        g = build_graph(*table_of([]).columns)
+        g = graph_of([])
         assert g.n_entities == 0 and g.n_edges == 0
 
     def test_empty_field_rejected(self):
-        with pytest.raises(ValueError):
-            build_graph(*table_of([("a", "", "b")]).columns)
+        with pytest.raises(ParseError, match="^line 1: empty field in triple$"):
+            graph_of([("a", "", "b")])
+
+    def test_triple_id_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="triple id out of range"):
+            build_graph(Vocabulary(["a"]), Vocabulary(["p"]), [[0, 0, 1]])
+        with pytest.raises(ValueError, match="triple id out of range"):
+            build_graph(Vocabulary(["a"]), Vocabulary(["p"]), [[0, -1, 0]])
 
     def test_extra_entities_are_isolated(self):
-        g = build_graph(*table_of([("a", "p", "b")]).columns, extra_entities=["z", "a"])
+        g = graph_of([("a", "p", "b")], extra_entities=["z", "a"])
         z = g.entities.id("z")
         assert neighbors(g, z) == []
         assert g.n_entities == 3  # "a" not duplicated
 
     def test_self_loop_one_entry_per_direction(self):
-        g = build_graph(*table_of([("a", "p", "a")]).columns)
+        g = graph_of([("a", "p", "a")])
         a = g.entities.id("a")
         directions = sorted(o.direction for _, o in neighbors(g, a))
         assert directions == [Direction.FORWARD, Direction.REVERSE]
@@ -70,7 +77,7 @@ class TestBuildGraph:
 class TestGraphProperties:
     def test_round_trip_reproduces_triple_set(self):
         triples = [("a", "p", "b"), ("b", "q", "c"), ("a", "p", "b"), ("c", "p", "a")]
-        g = build_graph(*table_of(triples).columns)
+        g = graph_of(triples)
         assert set(triples_of(g)) == set(triples)
 
     def test_orientation_symmetry_random(self):
@@ -81,14 +88,14 @@ class TestGraphProperties:
             (names[rng.integers(12)], rels[rng.integers(3)], names[rng.integers(12)])
             for _ in range(60)
         ]
-        g = build_graph(*table_of(triples).columns)
+        g = graph_of(triples)
         for v in range(g.n_entities):
             for n, oriented in neighbors(g, v):
                 assert (v, oriented.flipped) in neighbors(g, n)
 
     def test_adjacency_total_twice_edges(self):
         triples = [("a", "p", "b"), ("b", "q", "c"), ("c", "p", "a"), ("a", "q", "c")]
-        g = build_graph(*table_of(triples).columns)
+        g = graph_of(triples)
         assert sum(len(neighbors(g, v)) for v in range(g.n_entities)) == 2 * g.n_edges
 
 
@@ -170,8 +177,8 @@ class TestArrayLoadMatchesReference:
         triples = [("a", "p", "b"), bad, ("b", "p", "c")]
         with pytest.raises(ValueError, match="empty field"):
             reference_build_graph(triples)
-        with pytest.raises(ValueError, match="empty field"):
-            build_graph(*table_of(triples).columns)
+        with pytest.raises(ParseError, match="^line 2: empty field in triple$"):
+            graph_of(triples)
 
     def test_duplicate_entry_rejected(self):
         entries = [(1, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0)]

@@ -1,20 +1,30 @@
 import io
+import logging
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from helpers import load_rows, neighbors, random_load_inputs, reference_apply_split_manifest, rows_of, table_of
+from helpers import (
+    load_rows,
+    loaded_attributes,
+    neighbors,
+    parsed_triples,
+    random_load_inputs,
+    reference_apply_split_manifest,
+    rows_of,
+    table_of,
+)
 
 from mrap.attributes import Status
 from mrap.errors import DataError, ParseError
+from mrap.graph import Vocabulary
 from mrap.ingest import (
     Split,
     SplitSpec,
     apply_split_manifest,
     largest_remainder_counts,
     parse_attributes,
-    parse_triples,
     read_split_manifest,
     split_attributes,
     subsample_observed,
@@ -24,46 +34,43 @@ from mrap.ingest import (
 
 class TestParseTriples:
     def test_basic(self):
-        assert rows_of(parse_triples(io.StringIO("e1\tp\te2\n"))) == [("e1", "p", "e2")]
+        assert parsed_triples(io.StringIO("e1\tp\te2\n")) == [("e1", "p", "e2")]
 
     def test_empty_stream(self):
-        assert rows_of(parse_triples(io.StringIO(""))) == []
+        assert parsed_triples(io.StringIO("")) == []
 
     def test_arity_error_carries_line(self):
         with pytest.raises(ParseError) as err:
-            parse_triples(io.StringIO("e1\tp\n"))
+            parsed_triples(io.StringIO("e1\tp\n"))
         assert err.value.line_no == 1
 
     def test_skips_blanks_and_comments(self):
         text = "# header\n\ne1\tp\te2\n"
-        assert rows_of(parse_triples(io.StringIO(text))) == [("e1", "p", "e2")]
+        assert parsed_triples(io.StringIO(text)) == [("e1", "p", "e2")]
 
     def test_error_line_number_counts_skipped_lines(self):
         with pytest.raises(ParseError) as err:
-            parse_triples(io.StringIO("# c\ne1\tp\te2\nbad line\n"))
+            parsed_triples(io.StringIO("# c\ne1\tp\te2\nbad line\n"))
         assert err.value.line_no == 3
 
 
 class TestParseAttributes:
     def test_basic(self):
-        rows, dups = parse_attributes(io.StringIO("e1\tdate_of_birth\t1939.0\n"))
-        assert rows_of(rows) == [("e1", "date_of_birth", 1939.0)]
-        assert dups == 0
+        assert loaded_attributes(io.StringIO("e1\tdate_of_birth\t1939.0\n")) == ([("e1", "date_of_birth", 1939.0)], 0)
 
     def test_unparseable_float(self):
         with pytest.raises(ParseError) as err:
-            parse_attributes(io.StringIO("e1\theight\tabc\n"))
+            loaded_attributes(io.StringIO("e1\theight\tabc\n"))
         assert err.value.line_no == 1
 
-    def test_duplicate_last_wins(self):
-        text = "e1\th\t1.0\ne1\th\t2.0\n"
-        rows, dups = parse_attributes(io.StringIO(text))
-        assert rows_of(rows) == [("e1", "h", 2.0)]
-        assert dups == 1
+    def test_every_row_is_kept(self):
+        entities, types = Vocabulary(), Vocabulary()
+        entity_ids, type_ids, values = parse_attributes(io.StringIO("e1\th\t1.0\ne2\th\t3.0\ne1\th\t2.0\n"), entities, types)
+        assert (entity_ids.tolist(), type_ids.tolist(), values.tolist()) == ([0, 1, 0], [0, 0, 0], [1.0, 3.0, 2.0])
 
     def test_scientific_notation(self):
-        rows, _ = parse_attributes(io.StringIO("e1\tarea\t5.4e5\n"))
-        assert rows_of(rows)[0][2] == 5.4e5
+        rows, _ = loaded_attributes(io.StringIO("e1\tarea\t5.4e5\n"))
+        assert rows[0][2] == 5.4e5
 
 
 class TestLargestRemainder:
@@ -264,6 +271,13 @@ class TestBulkManifestMatchesPerRow:
 
 
 class TestLoadDataset:
+    def test_duplicate_last_wins(self, caplog):
+        graph, table = load_rows([], [("e1", "h", 1.0), ("e2", "h", 3.0), ("e1", "h", 2.0)])
+        assert graph.entities.labels == ["e1", "e2"]
+        assert (table.entity_ids.tolist(), table.attr_ids.tolist(), table.values.tolist()) == ([0, 1], [0, 0], [2.0, 3.0])
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert warnings == ["attribute file contained 1 duplicate keys (last occurrence kept)"]
+
     def test_attribute_only_entities_are_isolated_nodes(self):
         graph, attrs = load_rows([("a", "p", "b")], [("lonely", "h", 1.0), ("a", "h", 2.0)])
         assert "lonely" in graph.entities
