@@ -7,7 +7,7 @@ director see the film (reverse). Numeric attributes live in a sparse table
 next to the graph.
 """
 from mrap import Table, build_graph
-from mrap.attributes import AttributeTable
+from mrap.attributes import AttributeTable, Status
 from mrap.graph import Direction, Vocabulary
 from mrap.ingest import intern_triples
 
@@ -51,6 +51,6 @@ table = AttributeTable.build(graph.n_entities, types, entity_ids, attr_ids, [v f
 
 print("attribute summaries over observed entries:")
 for attr in range(table.n_types):
-    observed = table.observed_values(attr)
-    print(f"  {types.label(attr):15s} count = {observed.size}, mean = {table.mean_value(attr)}")
+    observed = (table.attr_ids == attr) & (table.status == Status.OBSERVED)
+    print(f"  {types.label(attr):15s} count = {observed.sum()}, mean = {table.mean_value(attr)}")
     print(f"  {'':15s} observed range = {table.value_range(attr)}")

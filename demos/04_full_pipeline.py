@@ -16,12 +16,11 @@ from mrap.evaluation import (
     baseline_local,
     evaluate,
     format_report_table,
-    propagation_predictions,
 )
 from mrap.codec import Table
 from mrap.graph import Vocabulary
 from mrap.ingest import Split, SplitSpec, intern_attributes, intern_triples, load_dataset, split_attributes, subsample_observed
-from mrap.propagation import PropagationConfig
+from mrap.propagation import PropagationConfig, run
 from mrap.regression import AdmissionConfig, build_registry, count_paths
 
 rng = np.random.default_rng(7)
@@ -60,14 +59,14 @@ print(f"{len(registry)} regression models admitted (rejections: {registry.reject
 print(f"{count_paths(bundle.graph, registry, bundle.attrs)} message passing paths\n")
 
 cfg = PropagationConfig(damping=0.5, conv_frac=0.001, max_iters=500)
-preds, report = propagation_predictions(bundle, registry, cfg)
+values, report = run(bundle, registry, cfg)  # every test entry is a target
 print(
     f"propagation: {report.n_targets} targets, {report.iterations} iterations, "
     f"converged={report.converged}, {report.n_silent} targets never reached\n"
 )
 
 reports = [
-    evaluate(preds, bundle, Split.TEST, method="MrAP", setup="100%"),
+    evaluate(values, bundle, Split.TEST, method="MrAP", setup="100%"),
     evaluate(baseline_global(bundle), bundle, Split.TEST, method="Global", setup="100%"),
     evaluate(baseline_local(bundle), bundle, Split.TEST, method="Local", setup="100%"),
 ]

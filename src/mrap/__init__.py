@@ -21,7 +21,6 @@ from .evaluation import (
     baseline_local,
     evaluate,
     format_report_table,
-    propagation_predictions,
     write_report_csv,
 )
 from .graph import Direction, KnowledgeGraph, Vocabulary, build_graph

@@ -103,19 +103,17 @@ class AttributeTable:
 
     # -- per-type statistics over OBSERVED entries ---------------------------
 
-    def observed_values(self, attr: int) -> np.ndarray:
-        mask = (self.attr_ids == attr) & (self.status == Status.OBSERVED)
-        return self.values[mask]
-
     def _observed_stats(self, attr: int) -> tuple[int, float, float, float]:
         cached = self._stats.get(attr)
         if cached is None:
-            vals = self.observed_values(attr)
+            vals = self.values[(self.attr_ids == attr) & (self.status == Status.OBSERVED)]
+            label = self.types.label(attr)
             if vals.size == 0:
-                raise DataError(
-                    f"attribute type {self.types.label(attr)!r} has no observed entries"
-                )
-            cached = (vals.size, float(vals.min()), float(vals.max()), float(vals.mean()))
+                raise DataError(f"attribute type {label!r} has no observed entries")
+            with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range is refused below
+                cached = (vals.size, float(vals.min()), float(vals.max()), float(vals.mean()))
+            if not np.isfinite([cached[2] - cached[1], cached[3]]).all():
+                raise DataError(f"attribute type {label!r}: the range or the mean of its observed values overflows")
             self._stats[attr] = cached
         return cached
 

@@ -186,7 +186,7 @@ _SETTINGS = {setting.name: setting for setting in fields(RunConfig)}
 def read_config_file(path: str) -> dict[str, tuple[int, str]]:
     """Flat ``key=value`` lines as key -> (line number, value); blank lines and # comments skipped."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is no part of the first line
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None

@@ -1,15 +1,16 @@
 """Bulk reading and atomic writing of every text file mrap reads or writes.
 
 Each file is a table: one row per line, fields separated by tabs (commas in
-``trace.csv``). Readers share one set of line rules: UTF-8; ``\n``,
-``\r\n`` or a lone ``\r`` ends a line, and the last line needs no end;
-lines starting with ``#`` and blank or whitespace-only lines are skipped
-but counted; every other line has the format's field count. A file is
-decoded, cleared of its skipped lines and checked in bulk. A byte that is
-not UTF-8 or a line with the wrong field count ends the table above its
-line, and the first of them in line order is the file's error. The input
-files are read the same way in chunks of about ``CHUNK_BYTES``, each cut
-at a line end (:func:`read_chunks`), so a load holds one chunk's strings.
+``trace.csv``). Readers share one set of line rules: UTF-8, with one
+leading byte-order mark dropped; ``\n``, ``\r\n`` or a lone ``\r`` ends a
+line, and the last line needs no end; lines starting with ``#`` and blank
+or whitespace-only lines are skipped but counted; every other line has the
+format's field count. A file is decoded, cleared of its skipped lines and
+checked in bulk. A byte that is not UTF-8 or a line with the wrong field
+count ends the table above its line, and the first of them in line order
+is the file's error. The input files are read the same way in chunks of
+about ``CHUNK_BYTES``, each cut at a line end (:func:`read_chunks`), so a
+load holds one chunk's strings.
 """
 from __future__ import annotations
 
@@ -75,6 +76,8 @@ def read_chunks(source: IO, n_fields: int, convert: Callable[[Table], T]) -> lis
 def _read(source: IO, size: int, n_fields: int, convert: Callable[[Table], T]) -> list[T]:
     results, offset = [], 0
     for data in _line_chunks(source, size):
+        if not results:  # a UTF-8 byte-order mark at the start of the stream is dropped
+            data = data.removeprefix(b"\xef\xbb\xbf")
         if b"\r" in data:  # every line end becomes a "\n"
             data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         lines = data.count(b"\n")

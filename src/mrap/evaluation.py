@@ -5,8 +5,9 @@ attribute type; the Local baseline averages observed same-type values over
 the target's neighboring nodes (both edge directions, relation types
 ignored), falling back to Global when no neighbor has one. A method's
 predictions are one float64 vector over the attribute entries, NaN where it
-gives none. Errors are reported per attribute type as MAE and RMSE against
-the held-out values, on the entries of one split.
+gives none; MrAP's are the propagation's values, as every dev and test
+entry is a target. Errors are reported per attribute type as MAE and RMSE
+against the held-out values, on the entries of one split.
 """
 from __future__ import annotations
 
@@ -144,14 +145,6 @@ def evaluate(
     return report
 
 
-def propagation_predictions(bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig):
-    """Run propagation and return (prediction vector with the targets filled, report)."""
-    values, report = run(bundle, registry, cfg)
-    preds = np.full(bundle.attrs.n_entries, np.nan)
-    preds[report.target_entries] = values[report.target_entries]
-    return preds, report
-
-
 def ablation_suite(
     bundle: DatasetBundle,
     cfg: PropagationConfig,
@@ -175,8 +168,8 @@ def ablation_suite(
         ("w/o Cross", dep == indep),
     )
     for label, keeps in variants:
-        preds, run_report = propagation_predictions(bundle, registry.take(keeps), cfg)
-        report = evaluate(preds, bundle, split, method=label, setup=setup)
+        values, run_report = run(bundle, registry.take(keeps), cfg)  # every dev and test entry is a target
+        report = evaluate(values, bundle, split, method=label, setup=setup)
         report.converged = run_report.converged
         reports.append(report)
     return reports

@@ -73,10 +73,6 @@ class Direction(IntEnum):
     FORWARD = 0
     REVERSE = 1
 
-    @property
-    def flipped(self) -> "Direction":
-        return Direction.REVERSE if self is Direction.FORWARD else Direction.FORWARD
-
 
 @dataclass
 class KnowledgeGraph:

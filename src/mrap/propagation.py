@@ -242,7 +242,7 @@ def _compile(
     cuts = np.flatnonzero(np.diff((np.cumsum(work) - work) // BLOCK)) + 1
     bounds = np.concatenate([[0], cuts, [len(targets)]]).tolist()
     q, c = np.zeros(n), np.zeros(n)  # per entry
-    eta, tau, weight = inc.params
+    eta, tau, weight = registry.eta, registry.tau, registry.weight  # a model id is its registry row
     loss0 = 0.0
     for b0, b1 in zip(bounds[:-1], bounds[1:]):
         block = targets[b0:b1]

@@ -23,9 +23,8 @@ relational kind and swaps dep and indep. The fit, the model dump and the
 propagation's model table all number models by this code.
 
 A :class:`ModelRegistry` is a table: one row per model, with its code, its
-parameters and its fit summary as columns. Its ``models`` view, the rows as
-``RegressionModel`` objects keyed by ``PathKey``, is built on first read;
-the library reads only the columns.
+parameters and its fit summary as columns. A model's id is its row, and the
+library reads only the columns.
 
 All keys are fitted in one grouped pass: the training pairs, sorted by code,
 are summed per key with ``np.add.reduceat``. A key is rejected by the first
@@ -34,11 +33,13 @@ exclusion rule names the key), ``insufficient_support`` (fewer pairs than
 the minimum), ``degenerate_regressor`` (the independent values are all
 equal), ``low_r2`` (r2 below the minimum), ``non_invertible_slope`` (the
 slope is too close to zero to derive the reverse, as the exact slope 0 of a
-key whose dependent values are all equal is). An admitted fit's
-residual variance is raised to a floor, and it enters with its derived
-reverse: every registry is closed under the mirror, and the propagation's
-plan refuses one that is not. The model dump holds only the fits; its
-reader derives each reverse and weight as the fit does.
+key whose dependent values are all equal is), ``non_finite_fit`` (the fit
+with its floored residual variance, or its derived reverse, has a number
+that is not finite or a weight that is not positive). An admitted fit
+enters with its derived reverse: every registry is closed under the
+mirror, and the propagation's plan refuses one that is not. The model dump
+holds only the fits; its reader derives each reverse and weight as the fit
+does, and refuses a row that ``non_finite_fit`` would reject.
 
 The module also plans the message paths of the propagation from the edge
 and entry arrays: per attribute entry, the number of (source entry, model)
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
 from typing import IO, Iterable, NamedTuple
@@ -83,34 +84,6 @@ class PathKey:
     indep: int
     relation: int | None = None
     direction: Direction | None = None
-
-    def __post_init__(self):
-        if self.relation is None:
-            if self.direction is not None:
-                raise ValueError("inner key cannot carry a direction")
-            if self.dep == self.indep:
-                raise ValueError("inner key requires distinct attribute types")
-        elif self.direction is None:
-            raise ValueError("relational key requires a direction")
-
-    @classmethod
-    def relational(cls, dep: int, indep: int, relation: int, direction: Direction) -> "PathKey":
-        return cls(dep=dep, indep=indep, relation=relation, direction=direction)
-
-    @classmethod
-    def inner(cls, dep: int, indep: int) -> "PathKey":
-        return cls(dep=dep, indep=indep)
-
-    @property
-    def is_inner(self) -> bool:
-        return self.relation is None
-
-    def reversed(self) -> "PathKey":
-        """The key of the analytically derived opposite-direction model."""
-        if self.is_inner:
-            return PathKey.inner(self.indep, self.dep)
-        assert self.direction is not None
-        return PathKey.relational(self.indep, self.dep, self.relation, self.direction.flipped)
 
 
 @dataclass(frozen=True)
@@ -203,7 +176,7 @@ class ModelRegistry:
     ``span`` and ``n_types``; the other columns hold its parameters and fit
     summary, ``derived`` marking a derived reverse. ``models`` is a view of
     the rows as ``RegressionModel`` objects keyed by ``PathKey``, built on
-    first read for tests, demos and the benchmark's observer.
+    first read for tests and the benchmark's observer; no library code reads it.
     """
 
     codes: np.ndarray  # int64
@@ -331,8 +304,7 @@ class Incidences(NamedTuple):
     kind: np.ndarray  # 2 relation (forward), 2 relation + 1 (reverse) or 2 span (inner)
     first: np.ndarray  # per entity, plus one past the last: its first incidence
     entries: np.ndarray  # per entity, plus one past the last: its first entry
-    model: np.ndarray  # (kind, dep, indep), the model code -> int64 model id, -1 where there is none
-    params: np.ndarray  # (3, models): eta, tau, weight
+    model: np.ndarray  # (kind, dep, indep), the model code -> int64 model id (its registry row), -1 where there is none
 
 
 def incidences(graph: KnowledgeGraph, registry: ModelRegistry, attrs: AttributeTable) -> Incidences:
@@ -343,7 +315,8 @@ def incidences(graph: KnowledgeGraph, registry: ModelRegistry, attrs: AttributeT
     codes = _code(np.where(kind < 2 * registry.span, kind, 2 * span), dep, indep, n_types)
     lonely = np.flatnonzero(~np.isin(_mirror(codes, span, n_types), codes))
     if lonely.size:
-        raise ValueError(f"the registry has no mirror for {list(registry.models)[lonely[0]]}")
+        i = lonely[0]
+        raise ValueError(f"the registry has no mirror for its model (kind, dep, indep) = ({kind[i]}, {dep[i]}, {indep[i]})")
     model = np.full((2 * span + 1) * n_types * n_types, -1, dtype=np.int64)
     model[codes] = np.arange(codes.size)
     model = model.reshape(2 * span + 1, n_types, n_types)
@@ -362,7 +335,6 @@ def incidences(graph: KnowledgeGraph, registry: ModelRegistry, attrs: AttributeT
         np.concatenate([[0], np.cumsum(np.bincount(tgt, minlength=n_entities))]),
         np.concatenate([[0], np.cumsum(np.bincount(attrs.entity_ids, minlength=n_entities))]),
         model,
-        np.stack([registry.eta, registry.tau, registry.weight]),
     )
 
 
@@ -443,7 +415,7 @@ def _grouped_fit(code: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> tuple[np.n
         lo = np.minimum.reduceat(v, starts)
         return np.where(lo == np.maximum.reduceat(v, starts), lo, total(v) / n)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         dx = xs - mean(xs)[group]
         dy = ys - mean(ys)[group]
         sxx = total(dx * dx)
@@ -459,14 +431,20 @@ def _grouped_fit(code: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> tuple[np.n
 
 def _with_reverses(
     code: np.ndarray, eta: np.ndarray, tau: np.ndarray, sigma2: np.ndarray, support: np.ndarray, r2: np.ndarray,
-    span: int, n_types: int, rejections: dict[str, int] | None = None,
+    span: int, n_types: int,
 ) -> ModelRegistry:
     """The mirror-closed registry of the fit columns: each fit, weighted ``1/sigma2``, then its derived reverse."""
     eta2 = eta * eta
     params = np.stack([[eta, tau, sigma2, 1.0 / sigma2], [1.0 / eta, -tau / eta, sigma2 / eta2, eta2 / sigma2]], axis=-1)
     codes = np.column_stack([code, _mirror(code, span, n_types)]).ravel()
     derived = np.tile([False, True], code.size)
-    return ModelRegistry(codes, *params.reshape(4, -1), np.repeat(support, 2), np.repeat(r2, 2), derived, span, n_types, rejections or {})
+    return ModelRegistry(codes, *params.reshape(4, -1), np.repeat(support, 2), np.repeat(r2, 2), derived, span, n_types)
+
+
+def _derives(registry: ModelRegistry) -> np.ndarray:
+    """Per fit of a :func:`_with_reverses` registry: whether it and its reverse are finite, with positive sigma2 and weight."""
+    params = np.stack([registry.eta, registry.tau, registry.sigma2, registry.weight]).reshape(4, -1, 2)
+    return np.isfinite(params).all(axis=(0, 2)) & (params[2:] > 0.0).all(axis=(0, 2))
 
 
 def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = None) -> ModelRegistry:
@@ -491,12 +469,17 @@ def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = No
         ranges[t] = attrs.value_range(t)
     dep_range, indep_range = ranges[dep], ranges[indep]
     eta_min = np.divide(ETA_MIN_SCALE * dep_range, indep_range, out=np.zeros(code.size), where=indep_range > 0.0)
+    with np.errstate(all="ignore"):  # a fit may derive infinities or zeros, which non_finite_fit rejects
+        floor = VAR_FLOOR_SCALE * dep_range * dep_range
+        sigma2 = np.maximum(sigma2, np.where(floor > 0.0, floor, VAR_FLOOR_SCALE))  # a constant type: absolute floor
+        models = _with_reverses(code, eta, tau, sigma2, n, r2, span, n_types)
     rules = {
         "excluded": excluded,
         "insufficient_support": n < max(2, admission.min_support),
         "degenerate_regressor": sxx == 0.0,
         "low_r2": r2 < admission.r2_min,
         "non_invertible_slope": (eta == 0.0) | (np.abs(eta) < eta_min),
+        "non_finite_fit": ~_derives(models),
     }
     rejections: dict[str, int] = {}
     rejected = np.zeros(code.size, dtype=bool)
@@ -505,10 +488,7 @@ def build_registry(bundle: DatasetBundle, admission: AdmissionConfig | None = No
             rejections[reason] = count
         rejected |= mask
 
-    fit = np.flatnonzero(~rejected)
-    floor = VAR_FLOOR_SCALE * dep_range[fit] * dep_range[fit]
-    sigma2 = np.maximum(sigma2[fit], np.where(floor > 0.0, floor, VAR_FLOOR_SCALE))  # a constant type: absolute floor
-    registry = _with_reverses(code[fit], eta[fit], tau[fit], sigma2, n[fit], r2[fit], span, n_types, rejections)
+    registry = replace(models.take(np.repeat(~rejected, 2)), rejections=rejections)
     logger.info(
         "registry: %d models admitted, rejections %s", len(registry), registry.rejections
     )
@@ -605,10 +585,8 @@ def _dump_registry(table: Table, graph: KnowledgeGraph, attrs: AttributeTable) -
             checks.append(((column < 0.0) | (column > 1.0), lambda r, texts=texts: f"r2 {texts[r]!r} outside [0, 1]"))
     with np.errstate(all="ignore"):  # a row may derive infinities or zeros, which the last check refuses
         registry = _with_reverses(codes, **columns, span=span, n_types=n_types)
-    params = np.stack([registry.eta, registry.tau, registry.sigma2, registry.weight]).reshape(4, n_rows, 2)
-    derives = np.isfinite(params).all(axis=(0, 2)) & (params[2:] > 0.0).all(axis=(0, 2))
     eta_t, tau_t, sigma2_t = number_texts[:3]
-    checks.append((~derives, lambda r: (
+    checks.append((~_derives(registry), lambda r: (
         f"eta {eta_t[r]!r}, tau {tau_t[r]!r} and sigma2 {sigma2_t[r]!r} derive no finite, positive-weighted model and reverse"
     )))
     bad = np.logical_or.reduce([mask for mask, _ in checks])

@@ -1,6 +1,7 @@
 """Shared fixture builders and scalar reference implementations for the test suite."""
 from __future__ import annotations
 
+import codecs
 import csv
 import importlib.util
 import logging
@@ -190,7 +191,7 @@ def registry_of(*models: RegressionModel, span: int | None = None, n_types: int 
     """
     keys = [m.key for m in models]
     if span is None:
-        span = max([k.relation + 1 for k in keys if not k.is_inner], default=0)
+        span = max([k.relation + 1 for k in keys if k.relation is not None], default=0)
     if n_types is None:
         n_types = max([max(k.dep, k.indep) + 1 for k in keys], default=1)
     numbers = np.array([(m.eta, m.tau, m.sigma2, m.weight, m.fit.r2) for m in models], dtype=np.float64).reshape(-1, 5)
@@ -246,7 +247,7 @@ def derive_reverse(model: RegressionModel, eta_min: float = 0.0) -> RegressionMo
         raise NonInvertibleSlopeError(f"slope {model.eta!r} below invertibility threshold {eta_min!r}")
     eta2 = model.eta * model.eta
     return RegressionModel(
-        key=model.key.reversed(),
+        key=reversed_key(model.key),
         eta=1.0 / model.eta,
         tau=-model.tau / model.eta,
         sigma2=model.sigma2 / eta2,
@@ -257,12 +258,12 @@ def derive_reverse(model: RegressionModel, eta_min: float = 0.0) -> RegressionMo
 
 def relation_span(graph: KnowledgeGraph, registry: ModelRegistry) -> int:
     """One more than the largest relation id of the graph or of a registry key."""
-    return max([graph.n_relations] + [k.relation + 1 for k in registry.models if not k.is_inner])
+    return max([graph.n_relations] + [k.relation + 1 for k in registry.models if k.relation is not None])
 
 
 def code_of(key: PathKey, span: int, n_types: int) -> int:
     """The model code of a key: its kind is ``2 relation + direction`` if relational, ``2 span`` if inner."""
-    kind = 2 * span if key.is_inner else 2 * key.relation + key.direction
+    kind = 2 * span if key.relation is None else 2 * key.relation + key.direction
     return (kind * n_types + key.dep) * n_types + key.indep
 
 
@@ -270,8 +271,15 @@ def key_of(code: int, span: int, n_types: int) -> PathKey:
     """The key of a model code, the inverse of :func:`code_of`."""
     kind, dep, indep = (int(v) for v in np.unravel_index(code, (2 * span + 1, n_types, n_types)))
     if kind == 2 * span:
-        return PathKey.inner(dep, indep)
-    return PathKey.relational(dep, indep, kind // 2, Direction(kind % 2))
+        return PathKey(dep, indep)
+    return PathKey(dep, indep, kind // 2, Direction(kind % 2))
+
+
+def reversed_key(key: PathKey) -> PathKey:
+    """The key of the analytically derived opposite-direction model: dep and indep swap, a direction flips."""
+    if key.relation is None:
+        return PathKey(key.indep, key.dep)
+    return PathKey(key.indep, key.dep, key.relation, Direction(1 - key.direction))
 
 
 def one_key_per_relation(samples) -> tuple[DatasetBundle, list[PathKey]]:
@@ -290,7 +298,7 @@ def one_key_per_relation(samples) -> tuple[DatasetBundle, list[PathKey]]:
             observed[(tail, "y")] = float(y)
     bundle = make_bundle(triples, observed, attr_order=("x", "y"))
     relations = bundle.graph.relations
-    return bundle, [PathKey.relational(1, 0, relations.id(f"r{k}"), Direction.FORWARD) for k in range(len(samples))]
+    return bundle, [PathKey(1, 0, relations.id(f"r{k}"), Direction.FORWARD) for k in range(len(samples))]
 
 
 def entry_index(bundle, entity_label: str, attr_label: str) -> int:
@@ -346,12 +354,12 @@ def planted_exact_instance(rng: np.random.Generator, n: int = 10):
     range_u = bundle.attrs.value_range(0)
     range_w = bundle.attrs.value_range(1)
     fwd = make_model(
-        PathKey.relational(0, 0, 0, Direction.FORWARD),
+        PathKey(0, 0, 0, Direction.FORWARD),
         eta_p,
         tau_p,
         max(1e-12 * range_u * range_u, 1e-12),
     )
-    inner = make_model(PathKey.inner(1, 0), eta_i, tau_i, max(1e-12 * range_w * range_w, 1e-12))
+    inner = make_model(PathKey(1, 0), eta_i, tau_i, max(1e-12 * range_w * range_w, 1e-12))
     registry = registry_of(fwd, derive_reverse(fwd), inner, derive_reverse(inner))
     truth = {
         (bundle.graph.entities.id(name), bundle.attrs.types.id(attr)): value
@@ -474,7 +482,7 @@ def random_instance(rng: np.random.Generator, max_nodes: int = 20, quirks: bool 
             for indep in range(n_types):
                 if rng.random() < 0.5:
                     fwd = make_model(
-                        PathKey.relational(dep, indep, rid, Direction.FORWARD),
+                        PathKey(dep, indep, rid, Direction.FORWARD),
                         eta=float(rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0])),
                         tau=float(rng.uniform(-5, 5)),
                         sigma2=float(rng.uniform(0.25, 4.0)),
@@ -484,7 +492,7 @@ def random_instance(rng: np.random.Generator, max_nodes: int = 20, quirks: bool 
         for indep in range(dep):
             if rng.random() < 0.5:
                 inner = make_model(
-                    PathKey.inner(dep, indep),
+                    PathKey(dep, indep),
                     eta=float(rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0])),
                     tau=float(rng.uniform(-5, 5)),
                     sigma2=float(rng.uniform(0.25, 4.0)),
@@ -636,7 +644,7 @@ class OrientedRelation(NamedTuple):
 
     @property
     def flipped(self) -> "OrientedRelation":
-        return OrientedRelation(self.relation, self.direction.flipped)
+        return OrientedRelation(self.relation, Direction(1 - self.direction))
 
 
 def adjacency(graph) -> list[list[tuple[int, OrientedRelation]]]:
@@ -697,9 +705,9 @@ ABLATIONS = ("full", "no_inner", "no_cross")
 def allows(ablation: str, key: PathKey) -> bool:
     """Whether ``ablation`` keeps the model of ``key``: w/o Cross only same-type relational ones."""
     if ablation == "no_cross":
-        return not key.is_inner and key.dep == key.indep
+        return key.relation is not None and key.dep == key.indep
     if ablation == "no_inner":
-        return not key.is_inner
+        return key.relation is not None
     return True
 
 
@@ -732,7 +740,7 @@ def collect_messages(bundle, registry, values, target) -> list[Message]:
     messages: list[Message] = []
     for neighbor, oriented in neighbors(bundle.graph, entity):
         for entry in entries[neighbor]:
-            key = PathKey.relational(
+            key = PathKey(
                 attr, int(attrs.attr_ids[entry]), oriented.relation, oriented.direction
             )
             model = registry.models.get(key)
@@ -744,7 +752,7 @@ def collect_messages(bundle, registry, values, target) -> list[Message]:
         src_attr = int(attrs.attr_ids[entry])
         if src_attr == attr:
             continue
-        key = PathKey.inner(attr, src_attr)
+        key = PathKey(attr, src_attr)
         model = registry.models.get(key)
         if model is not None:
             messages.append(
@@ -790,7 +798,7 @@ def extract_pairs(bundle, key: PathKey) -> tuple[np.ndarray, np.ndarray]:
 
     ys: list[float] = []
     xs: list[float] = []
-    if key.is_inner:
+    if key.relation is None:
         for entity in range(bundle.graph.n_entities):
             y = value_if_observed(entity, key.dep)
             x = value_if_observed(entity, key.indep)
@@ -842,11 +850,12 @@ def reference_apply_split_manifest(graph, attrs, manifest):
 
 
 def reference_lines(data: bytes):
-    """Decoded lines of a file as a text-mode ``open`` yields them.
+    """Decoded lines of a file as a text-mode ``open`` with ``utf-8-sig`` yields them.
 
-    A line that is not UTF-8 raises a ParseError when it is reached, so the
-    parsers meet it in line order.
+    A leading byte-order mark is dropped. A line that is not UTF-8 raises a
+    ParseError when it is reached, so the parsers meet it in line order.
     """
+    data = data.removeprefix(codecs.BOM_UTF8)
     for line_no, raw in enumerate(data.splitlines(keepends=True), start=1):
         try:
             yield raw.decode("utf-8")
@@ -933,7 +942,7 @@ def reference_write_model_dump(fh, registry, graph, attrs):
     """One line per fit, its derived reverse left out, in key order."""
     def sort_key(key):
         return (
-            key.is_inner,
+            key.relation is None,
             -1 if key.relation is None else key.relation,
             int(key.direction) if key.direction is not None else -1,
             key.dep,
@@ -947,8 +956,8 @@ def reference_write_model_dump(fh, registry, graph, attrs):
         fields = (
             attrs.types.label(key.dep),
             attrs.types.label(key.indep),
-            "INNER" if key.is_inner else graph.relations.label(key.relation),
-            "-" if key.is_inner else _DIRECTION_NAMES[key.direction],
+            "INNER" if key.relation is None else graph.relations.label(key.relation),
+            "-" if key.relation is None else _DIRECTION_NAMES[key.direction],
             f"{m.eta:.17g}",
             f"{m.tau:.17g}",
             f"{m.sigma2:.17g}",
@@ -1083,7 +1092,7 @@ def _link(bundle: DatasetBundle, registry: ModelRegistry) -> tuple[np.ndarray, n
     relational = np.full(shape, -1, dtype=np.int32)  # direction, relation, dep, indep
     inner = np.full((n_types, n_types), -1, dtype=np.int32)  # dep, indep
     for i, key in enumerate(registry.models):
-        if key.is_inner:
+        if key.relation is None:
             inner[key.dep, key.indep] = i
         else:
             relational[key.direction, key.relation, key.dep, key.indep] = i
@@ -1405,6 +1414,14 @@ def reference_format_report_table(reports: list[EvalReport]) -> str:
     return "\n".join(out) + "\n"
 
 
+def propagation_predictions(bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig):
+    """Run propagation and return (prediction vector with the targets filled and NaN elsewhere, report)."""
+    values, report = run(bundle, registry, cfg)
+    preds = np.full(bundle.attrs.n_entries, np.nan)
+    preds[report.target_entries] = values[report.target_entries]
+    return preds, report
+
+
 def reference_propagation_predictions(bundle: DatasetBundle, registry: ModelRegistry, cfg: PropagationConfig):
     """Run propagation and return (predictions map, report)."""
     values, report = run(bundle, registry, cfg)
@@ -1438,13 +1455,13 @@ def export_differences(
     model intercept. Returns (differences, mean, std); empty keys yield an
     empty array and NaN parameters with a warning.
     """
-    if not key.is_inner and key.direction is not Direction.FORWARD:
+    if key.relation is not None and key.direction is not Direction.FORWARD:
         raise ValueError("pairs are extracted for FORWARD keys only")
-    swap = key.is_inner and key.dep < key.indep  # inner fits regress the higher attr id
-    fit_key = key.reversed() if swap else key
+    swap = key.relation is None and key.dep < key.indep  # inner fits regress the higher attr id
+    fit_key = reversed_key(key) if swap else key
     code, ys, xs = training_pairs(bundle)
     span = bundle.graph.n_relations
-    known = fit_key.is_inner or fit_key.relation < span  # a relation the graph lacks has no pairs
+    known = fit_key.relation is None or fit_key.relation < span  # a relation the graph lacks has no pairs
     mask = code == (code_of(fit_key, span, bundle.attrs.n_types) if known else -1)
     ys, xs = ys[mask], xs[mask]
     if swap:
@@ -1482,7 +1499,9 @@ def _reference_dump_model(
     if dep is None or indep is None:
         raise ValueError(f"unknown attribute type in {dep_l!r}/{indep_l!r}")
     if (rel_l, dir_l) == (INNER_LABEL, "-"):
-        key = PathKey.inner(dep, indep)
+        if dep == indep:
+            raise ValueError("inner key requires distinct attribute types")
+        key = PathKey(dep, indep)
     else:
         relation = graph.relations.get(rel_l)
         if relation is None:
@@ -1490,7 +1509,7 @@ def _reference_dump_model(
         direction = {v: k for k, v in _DIRECTION_NAMES.items()}.get(dir_l)
         if direction is None:
             raise ValueError(f"unknown direction {dir_l!r}")
-        key = PathKey.relational(dep, indep, relation, direction)
+        key = PathKey(dep, indep, relation, direction)
     params = [float(eta), float(tau), float(sigma2)]
     if not -(2**63) <= int(support) < 2**63:
         raise ValueError(f"support {support!r} out of the int64 range")

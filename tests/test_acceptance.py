@@ -23,7 +23,9 @@ from helpers import (
     loss,
     one_key_per_relation,
     planted_exact_instance,
+    propagation_predictions,
     random_instance,
+    reversed_key,
     registry_of,
     six_node_fixture,
     sparse_fixed_point,
@@ -36,7 +38,6 @@ from mrap.evaluation import (
     baseline_global,
     baseline_local,
     evaluate,
-    propagation_predictions,
 )
 from mrap.ingest import Split
 from mrap.propagation import PropagationConfig, run
@@ -94,10 +95,10 @@ def test_criterion_2_reverse_model_identities():
     bundle, keys = one_key_per_relation(samples)
     registry = build_registry(bundle, AdmissionConfig(min_support=2))
     for key in keys:
-        model, reverse = registry.models[key], registry.models[key.reversed()]
+        model, reverse = registry.models[key], registry.models[reversed_key(key)]
         eta, tau, sigma2 = model.eta, model.tau, model.sigma2
         # the reverse derived from the derived reverse is the fitted model
-        assert reverse.key.reversed() == key and reverse.fit.derived_reverse
+        assert reversed_key(reverse.key) == key and reverse.fit.derived_reverse
         assert abs(1.0 / reverse.eta - eta) <= 1e-12 * abs(eta)
         assert abs(-reverse.tau / reverse.eta - tau) <= 1e-12 * max(abs(tau), 1e-300)
         assert abs(reverse.sigma2 / (reverse.eta * reverse.eta) - sigma2) <= 1e-12 * sigma2

@@ -14,6 +14,7 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import bench_generate, bench_run, bench_spans, write_cli_dataset
@@ -62,6 +63,15 @@ def _logged_paths(records) -> int:
 
 def _stats_paths(text: str) -> int:
     return int(re.search(r"^message passing paths +(\d+)$", text, re.M).group(1))
+
+
+def _ring_dataset(tmp_path, values) -> tuple[Path, Path]:
+    """Triples and attributes of a ring over three relations: entity i has type a at ``values[i]`` and type b."""
+    n = len(values)
+    triples, attrs = tmp_path / "ring_triples.tsv", tmp_path / "ring_attrs.tsv"
+    triples.write_text("".join(f"e{i}\tr{i % 3}\te{(i + 1) % n}\n" for i in range(n)), encoding="utf-8")
+    attrs.write_text("".join(f"e{i}\ta\t{v!r}\ne{i}\tb\t{i % 10 / 10!r}\n" for i, v in enumerate(values)), encoding="utf-8")
+    return triples, attrs
 
 
 class TestPipeline:
@@ -627,16 +637,50 @@ class TestExitCodes:
         assert err == f"error: {where}: {reason.format(*lines[0].split(sep))}\n"
         assert "Traceback" not in err
 
-    def test_a_relation_named_inner_reloads(self, dataset, tmp_path):
-        triples = dataset[0]
-        triples.write_text(triples.read_text(encoding="utf-8").replace("\tknows\t", "\tINNER\t"), encoding="utf-8")
+    @pytest.mark.parametrize(
+        "edit, dump_holds",
+        [
+            (lambda text: text.replace("\tknows\t", "\tINNER\t"), "\tINNER\tforward\t"),
+            (lambda text: "\ufeff" + text, None),
+        ],
+        ids=["relation-named-inner", "byte-order-mark"],
+    )
+    def test_an_edited_input_imputes_as_the_plain_one_and_reloads(self, dataset, tmp_path, edit, dump_holds):
+        def base(out):
+            return _args(dataset, out, "--seed", "7", "--min-support", "3")
+
+        assert main(["impute", *base(tmp_path / "plain")]) == EXIT_OK
+        for path in dataset:
+            path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
         out = tmp_path / "out"
-        base = _args(dataset, out, "--seed", "7", "--min-support", "3")
-        assert main(["impute", *base]) == EXIT_OK
-        assert "\tINNER\tforward\t" in (out / "models.tsv").read_text(encoding="utf-8")
+        assert main(["impute", *base(out)]) == EXIT_OK
+        assert dump_holds is None or dump_holds in (out / "models.tsv").read_text(encoding="utf-8")
         imputed = (out / "imputed.tsv").read_bytes()
-        assert main(["impute", *base]) == EXIT_OK  # reads models.tsv back
+        assert imputed == (tmp_path / "plain" / "imputed.tsv").read_bytes()
+        assert main(["impute", *base(out)]) == EXIT_OK  # reads models.tsv back
         assert (out / "imputed.tsv").read_bytes() == imputed
+
+    @pytest.mark.parametrize(
+        "values", [(1.5e308, -1.5e308), (1.7e308, 1.6e308)], ids=["range-overflows", "mean-overflows"]
+    )
+    def test_values_whose_statistics_overflow_name_their_type(self, tmp_path, capsys, values):
+        out = tmp_path / "out"
+        assert main(["impute", *_args(_ring_dataset(tmp_path, values * 30), out, "--seed", "7")]) == EXIT_DATA
+        assert capsys.readouterr().err == "error: attribute type 'a': the range or the mean of its observed values overflows\n"
+        assert not (out / "imputed.tsv").exists()
+
+    def test_a_fit_past_the_float_range_is_rejected_and_the_dump_reloads(self, tmp_path, capsys):
+        # squares of values near 1e160 overflow; a warning would fail this test
+        values = (1e160 * np.random.default_rng(0).uniform(-1.0, 1.0, 60)).tolist()
+        out = tmp_path / "out"
+        base = _args(_ring_dataset(tmp_path, values), out, "--seed", "7")
+        assert main(["fit", *base]) == EXIT_OK
+        assert "  non_finite_fit: 6\n" in capsys.readouterr().out
+        rows = [line.split("\t") for line in (out / "models.tsv").read_text(encoding="utf-8").splitlines()]
+        assert rows and all(math.isfinite(float(number)) for row in rows for number in row[4:])
+        assert main(["impute", *base]) == EXIT_OK  # reads models.tsv back
+        imputed = [line.split("\t") for line in (out / "imputed.tsv").read_text(encoding="utf-8").splitlines()]
+        assert imputed and all(math.isfinite(float(row[2])) for row in imputed)
 
     def test_impute_rejects_non_finite_model_dump(self, dataset, tmp_path, capsys):
         out = tmp_path / "out"
@@ -845,6 +889,11 @@ class TestConfigFile:
         lines = capsys.readouterr().err.splitlines()
         reason = "No such file or directory" if kind == "missing" else "Is a directory"
         assert lines == [f"error: cannot read config file {config}: {reason}"]
+
+    def test_a_byte_order_mark_is_no_part_of_the_first_key(self, tmp_path):
+        config = tmp_path / "marked.cfg"
+        config.write_text("\ufeffseed=3\n", encoding="utf-8")
+        assert build_config(_build_parser().parse_args(["stats", "--config", str(config)])).seed == 3
 
     def test_malformed_config_line(self, tmp_path):
         config = tmp_path / "bad.cfg"

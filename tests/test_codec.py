@@ -321,6 +321,7 @@ CUT_CASES = {
     "non-finite": (TRIPLES, b"a\th\t1\nb\th\tinf\nc\th\t2\n", "line 2: attrs: non-finite value 'inf'"),
     "duplicate-key": (TRIPLES, b"a\th\t1\nb\th\t2\na\th\t3\n", None),
     "no-last-line-end": (b"a\tp\tb\nb\tq\tc", b"a\th\t1\nb\th\t2", None),
+    "byte-order-mark": (b"\xef\xbb\xbfa\tp\tb\nb\tq\tc\n", b"\xef\xbb\xbfa\th\t1\nb\th\t2\n", None),
 }
 
 

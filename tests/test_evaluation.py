@@ -12,6 +12,7 @@ from helpers import (
     export_differences,
     extract_pairs,
     make_bundle,
+    propagation_predictions,
     random_instance,
     reference_baseline_global,
     reference_baseline_local,
@@ -37,7 +38,6 @@ from mrap.evaluation import (
     baseline_local,
     evaluate,
     format_report_table,
-    propagation_predictions,
     write_report_csv,
 )
 from mrap.graph import Direction
@@ -325,9 +325,9 @@ class TestAblationSuite:
 
         def record(bundle, registry, cfg):
             seen.append(registry)
-            return propagation_predictions(bundle, registry, cfg)
+            return run(bundle, registry, cfg)
 
-        monkeypatch.setattr(evaluation, "propagation_predictions", record)
+        monkeypatch.setattr(evaluation, "run", record)
         for _ in range(10):
             bundle, _ = random_instance(rng, quirks=True)
             registry = build_registry(bundle, AdmissionConfig(min_support=2))
@@ -337,7 +337,7 @@ class TestAblationSuite:
             assert [list(kept.models.items()) for kept in seen] == [list(ablated(registry, a).models.items()) for a in ABLATIONS]
             for kept in seen:
                 assert np.isin(_mirror(kept.codes, kept.span, kept.n_types), kept.codes).all()
-            kinds.update("inner" if k.is_inner else "same" if k.dep == k.indep else "cross" for k in registry.models)
+            kinds.update("inner" if k.relation is None else "same" if k.dep == k.indep else "cross" for k in registry.models)
         assert min(kinds[kind] for kind in ("same", "cross", "inner")) > 10, kinds
 
 
@@ -348,14 +348,14 @@ class TestExportDifferences:
             observed[(f"e{i}", "x")] = float(i)
             observed[(f"e{i}", "y")] = float(i) + 25.0
         bundle = make_bundle([], observed, attr_order=("x", "y"))
-        diffs, mean, std = export_differences(bundle, PathKey.inner(1, 0))
+        diffs, mean, std = export_differences(bundle, PathKey(1, 0))
         np.testing.assert_allclose(diffs, 25.0)
         assert mean == 25.0 and std == 0.0
 
     def test_empty_key_warns(self, caplog):
         bundle = make_bundle([], {("e", "x"): 1.0}, attr_order=("x", "y"))
         with caplog.at_level("WARNING"):
-            diffs, mean, std = export_differences(bundle, PathKey.inner(1, 0))
+            diffs, mean, std = export_differences(bundle, PathKey(1, 0))
         assert diffs.size == 0
         assert math.isnan(mean) and math.isnan(std)
 
@@ -366,13 +366,13 @@ class TestExportDifferences:
             bundle, _ = random_instance(rng, quirks=True)
             n_rel, n_types = bundle.graph.n_relations, bundle.attrs.n_types
             keys = [
-                PathKey.relational(dep, indep, rel, Direction.FORWARD)
+                PathKey(dep, indep, rel, Direction.FORWARD)
                 for rel in range(n_rel + 1)  # relation n_rel has no edges
                 for dep in range(n_types)
                 for indep in range(n_types)
             ]
             keys += [
-                PathKey.inner(dep, indep) for dep in range(n_types) for indep in range(n_types) if dep != indep
+                PathKey(dep, indep) for dep in range(n_types) for indep in range(n_types) if dep != indep
             ]
             for key in keys:
                 ys, xs = extract_pairs(bundle, key)
@@ -390,7 +390,7 @@ class TestExportDifferences:
                 assert not caplog.text
                 with_pairs += 1
             with pytest.raises(ValueError):
-                export_differences(bundle, PathKey.relational(0, 0, 0, Direction.REVERSE))
+                export_differences(bundle, PathKey(0, 0, 0, Direction.REVERSE))
         assert with_pairs > 50 and without > 10
 
     def test_write_format(self):

@@ -94,7 +94,7 @@ def _chain_bundle():
 class TestCollectMessages:
     def test_affine_prediction(self):
         bundle = _chain_bundle()
-        model = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 1.0, 25.0, 0.5)
+        model = make_model(PathKey(0, 0, 0, Direction.FORWARD), 1.0, 25.0, 0.5)
         registry = registry_of(model)
         values = bundle.attrs.values
         msgs = collect_messages(bundle, registry, values, target_of(bundle, "b", "v"))
@@ -118,16 +118,16 @@ class TestCollectMessages:
         )
         x, y, z = 0, 1, 2
         registry = registry_of(
-            make_model(PathKey.relational(y, x, 0, Direction.FORWARD), 1.0, 0.0, 1.0),
-            make_model(PathKey.relational(y, y, 0, Direction.FORWARD), 1.0, 1.0, 1.0),
-            make_model(PathKey.inner(y, z), 2.0, 0.0, 1.0),
+            make_model(PathKey(y, x, 0, Direction.FORWARD), 1.0, 0.0, 1.0),
+            make_model(PathKey(y, y, 0, Direction.FORWARD), 1.0, 1.0, 1.0),
+            make_model(PathKey(y, z), 2.0, 0.0, 1.0),
         )
         return bundle, registry
 
     def test_all_message_kinds(self):
         bundle, registry = self._cross_setup()
         msgs = collect_messages(bundle, registry, bundle.attrs.values, target_of(bundle, "b", "y"))
-        kinds = {(m.key.is_inner, m.key.dep != m.key.indep) for m in msgs}
+        kinds = {(m.key.relation is None, m.key.dep != m.key.indep) for m in msgs}
         assert len(msgs) == 3
         assert kinds == {(False, True), (False, False), (True, True)}
 
@@ -135,14 +135,14 @@ class TestCollectMessages:
         bundle, registry = self._cross_setup()
         msgs = collect_messages(bundle, ablated(registry, "no_inner"), bundle.attrs.values, target_of(bundle, "b", "y"))
         assert len(msgs) == 2
-        assert all(not m.key.is_inner for m in msgs)
+        assert all(m.key.relation is not None for m in msgs)
 
     def test_no_cross_filter_subsumes_no_inner(self):
         bundle, registry = self._cross_setup()
         msgs = collect_messages(bundle, ablated(registry, "no_cross"), bundle.attrs.values, target_of(bundle, "b", "y"))
         assert len(msgs) == 1
         only = msgs[0].key
-        assert not only.is_inner and only.dep == only.indep
+        assert only.relation is not None and only.dep == only.indep
 
 
 def _oracle_paths(bundle, registry):
@@ -196,10 +196,9 @@ class TestTargetMajorCompile:
             bundle, registry = random_instance(rng, quirks=True)
             registry = ablated(registry, ablation)
             attrs, n = bundle.attrs, bundle.attrs.n_entries
-            src, tgt, mid, params = _link(bundle, registry)
+            src, tgt, mid, _ = _link(bundle, registry)
             order = np.argsort(tgt, kind="stable")
             inc = incidences(bundle.graph, registry, attrs)
-            np.testing.assert_array_equal(inc.params, params)
             # blocks cut at any entity boundaries give the same paths
             cuts = np.sort(rng.choice(inc.entries, size=3)).tolist()
             blocks = []
@@ -294,7 +293,7 @@ class TestTargetMajorCompile:
         # "c" carries no entries and comes last; with BLOCK 1, each block is one live target
         triples = [("a", "p", "b"), ("d", "p", "b"), ("b", "p", "c")]
         bundle = make_bundle(triples, {("a", "v"): 1.0, ("d", "v"): 3.0}, {("b", "v"): 0.0}, attr_order=("v",))
-        fwd = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 2.0, 1.0, 1.0)
+        fwd = make_model(PathKey(0, 0, 0, Direction.FORWARD), 2.0, 1.0, 1.0)
         instances = [(bundle, registry_of(fwd, derive_reverse(fwd)))]
         rng = np.random.default_rng(49)
         instances += [random_instance(rng, quirks=True) for _ in range(10)]
@@ -320,7 +319,7 @@ class TestTargetMajorCompile:
         missing = {(f"e{e}", "v"): 0.0 for e in range(1, n, 2)}
         bundle = make_bundle(triples, observed, missing, attr_order=("v",))
         assert bundle.graph.n_entities > 2**16
-        fwd = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 0.5, 1.0, 1.0)
+        fwd = make_model(PathKey(0, 0, 0, Direction.FORWARD), 0.5, 1.0, 1.0)
         registry = registry_of(fwd, derive_reverse(fwd))
         src, tgt, mid, _ = _link(bundle, registry)
         order = np.argsort(tgt, kind="stable")
@@ -344,7 +343,7 @@ class TestTargetMajorCompile:
             {("loner", "v"): 0.0},
             attr_order=("v",),
         )
-        fwd = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 2.0, 1.0, 1.0)
+        fwd = make_model(PathKey(0, 0, 0, Direction.FORWARD), 2.0, 1.0, 1.0)
         registry = registry_of(fwd, derive_reverse(fwd))
         values, report = run(bundle, registry, PropagationConfig())
         assert report.converged and report.n_silent == 1
@@ -444,7 +443,7 @@ class TestRun:
             {("b", "v"): 0.0},
             attr_order=("v",),
         )
-        model = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 2.0, 1.0, 1e-9)
+        model = make_model(PathKey(0, 0, 0, Direction.FORWARD), 2.0, 1.0, 1e-9)
         registry = registry_of(model, derive_reverse(model))  # the reverse flows into the observed a
         values, report = run(bundle, registry, PropagationConfig(conv_frac=1e-9, max_iters=500))
         assert report.converged
@@ -459,7 +458,7 @@ class TestRun:
             {("b", "v"): 0.0, ("c", "v"): 0.0},
             attr_order=("v",),
         )
-        fwd = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 1.0, 1.0, 1.0)
+        fwd = make_model(PathKey(0, 0, 0, Direction.FORWARD), 1.0, 1.0, 1.0)
         registry = registry_of(fwd, derive_reverse(fwd))
         values, report = run(bundle, registry, PropagationConfig(max_iters=1000))
         assert report.converged
@@ -519,7 +518,7 @@ class TestRun:
             {("u", "t"): 0.0, ("v", "t"): 0.0},
             attr_order=("t",),
         )
-        models = [make_model(PathKey.relational(0, 0, r, Direction.FORWARD), 1.0, 0.0, 1.0) for r in (0, 1)]
+        models = [make_model(PathKey(0, 0, r, Direction.FORWARD), 1.0, 0.0, 1.0) for r in (0, 1)]
         registry = registry_of(*models, *map(derive_reverse, models))
         initial = init_values(bundle)
         initial[entry_index(bundle, "u", "t")], initial[entry_index(bundle, "v", "t")] = 0.0, 1.0
@@ -565,7 +564,7 @@ class TestRun:
             {("b", "v"): 0.0},
             attr_order=("v",),
         )
-        model = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 2.0, 1.0, 1e-9)
+        model = make_model(PathKey(0, 0, 0, Direction.FORWARD), 2.0, 1.0, 1e-9)
         registry = registry_of(model, derive_reverse(model))
         values, report = run(bundle, registry, PropagationConfig(conv_frac=1e-9, max_iters=500))
         table = imputed_table(bundle, values)
@@ -577,7 +576,7 @@ class TestRun:
 
     def test_trace_rows_cover_target_types(self):
         bundle = _chain_bundle()
-        model = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 1.0, 25.0, 0.5)
+        model = make_model(PathKey(0, 0, 0, Direction.FORWARD), 1.0, 25.0, 0.5)
         _, report = run(bundle, registry_of(model, derive_reverse(model)), PropagationConfig())
         assert report.types == ["v"]
         assert report.deltas.shape == (report.iterations, 1) == (len(report.losses), 1)
@@ -599,7 +598,7 @@ class TestStopRule:
         observed = {("ov", "v"): 100.0, ("anchor", "v"): 0.0, ("oc", "c"): 5.0, ("anchor", "c"): 5.0}
         missing = {("tv", "v"): 0.0, ("t1", "c"): 0.0}
         bundle = make_bundle(triples, observed, missing, attr_order=("v", "c"))
-        models = [make_model(PathKey.relational(t, t, 0, Direction.FORWARD), 1.0, 0.0, 1.0) for t in (0, 1)]
+        models = [make_model(PathKey(t, t, 0, Direction.FORWARD), 1.0, 0.0, 1.0) for t in (0, 1)]
         return bundle, registry_of(*models, *map(derive_reverse, models))
 
     @staticmethod
@@ -659,7 +658,7 @@ class TestFixedPointOracle:
             {("b", "v"): 0.0},
             attr_order=("v",),
         )
-        model = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 2.0, 1.0, 1e-9)
+        model = make_model(PathKey(0, 0, 0, Direction.FORWARD), 2.0, 1.0, 1e-9)
         solution = fixed_point_oracle(bundle, registry_of(model))
         assert solution[target_of(bundle, "b", "v")] == 3.0
 
@@ -670,7 +669,7 @@ class TestFixedPointOracle:
             {("b", "v"): 0.0, ("c", "v"): 0.0},
             attr_order=("v",),
         )
-        fwd = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 1.0, 1.0, 1.0)
+        fwd = make_model(PathKey(0, 0, 0, Direction.FORWARD), 1.0, 1.0, 1.0)
         solution = fixed_point_oracle(bundle, registry_of(fwd, derive_reverse(fwd)))
         assert solution[target_of(bundle, "b", "v")] == pytest.approx(1.0, abs=1e-12)
         assert solution[target_of(bundle, "c", "v")] == pytest.approx(2.0, abs=1e-12)
@@ -709,7 +708,7 @@ class TestFixedPointOracle:
             {("u", "t"): 0.0, ("v", "t"): 0.0},
             attr_order=("t",),
         )
-        fwd = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 1.0, 0.0, 1.0)
+        fwd = make_model(PathKey(0, 0, 0, Direction.FORWARD), 1.0, 0.0, 1.0)
         with pytest.raises(SingularSystemError) as err:
             fixed_point_oracle(bundle, registry_of(fwd, derive_reverse(fwd)))
         assert sorted(err.value.targets) == [("u", "t"), ("v", "t")]
@@ -733,7 +732,7 @@ class TestLoss:
             {("b", "v"): 0.0},
             attr_order=("v",),
         )
-        model = make_model(PathKey.relational(0, 0, 0, Direction.FORWARD), 2.0, 1.0, 1e-6)
+        model = make_model(PathKey(0, 0, 0, Direction.FORWARD), 2.0, 1.0, 1e-6)
         return bundle, registry_of(model, derive_reverse(model))
 
     def test_perturbing_the_fixed_point_increases_loss(self):

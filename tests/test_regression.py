@@ -18,6 +18,7 @@ from helpers import (
     one_key_per_relation,
     random_instance,
     registry_of,
+    reversed_key,
     rowwise_read_model_dump,
     target_of,
 )
@@ -53,25 +54,25 @@ class TestExtractPairs:
 
     def test_single_qualifying_edge(self):
         bundle = self._bundle({("v", "y"): 5.0, ("n", "x"): 2.0})
-        key = PathKey.relational(1, 0, 0, Direction.FORWARD)
+        key = PathKey(1, 0, 0, Direction.FORWARD)
         ys, xs = extract_pairs(bundle, key)
         assert list(ys) == [5.0] and list(xs) == [2.0]
 
     def test_missing_source_excluded(self):
         bundle = self._bundle({("v", "y"): 5.0}, {("n", "x"): 2.0})
-        key = PathKey.relational(1, 0, 0, Direction.FORWARD)
+        key = PathKey(1, 0, 0, Direction.FORWARD)
         ys, xs = extract_pairs(bundle, key)
         assert len(ys) == 0
 
     def test_inner_pair(self):
         bundle = make_bundle([], {("e", "birth"): 1939.0, ("e", "death"): 2020.0}, attr_order=("birth", "death"))
-        ys, xs = extract_pairs(bundle, PathKey.inner(1, 0))
+        ys, xs = extract_pairs(bundle, PathKey(1, 0))
         assert list(ys) == [2020.0] and list(xs) == [1939.0]
 
     def test_reverse_key_rejected(self):
         bundle = self._bundle({("v", "y"): 5.0, ("n", "x"): 2.0})
         with pytest.raises(ValueError):
-            extract_pairs(bundle, PathKey.relational(0, 1, 0, Direction.REVERSE))
+            extract_pairs(bundle, PathKey(0, 1, 0, Direction.REVERSE))
 
 
 def _fit(ys, xs, **admission):
@@ -190,11 +191,11 @@ class TestFitSimpleRegression:
 
 class TestPredict:
     def test_affine(self):
-        model = make_model(PathKey.inner(1, 0), eta=2.0, tau=1.0, sigma2=1.0)
+        model = make_model(PathKey(1, 0), eta=2.0, tau=1.0, sigma2=1.0)
         assert model.eta * 3.0 + model.tau == 7.0
 
     def test_identity(self):
-        model = make_model(PathKey.inner(1, 0), eta=1.0, tau=0.0, sigma2=1.0)
+        model = make_model(PathKey(1, 0), eta=1.0, tau=0.0, sigma2=1.0)
         assert model.eta * 42.0 + model.tau == 42.0
 
     def test_fitted_model_prediction(self):
@@ -214,13 +215,13 @@ class TestDeriveReverse:
 
     def _pair(self, ys):
         registry, key = _fit(ys, self.XS)
-        return registry.models[key], registry.models[key.reversed()]
+        return registry.models[key], registry.models[reversed_key(key)]
 
     def test_basic(self):
         fwd, rev = self._pair([5.0, 3.0, 7.0, 5.0])
         assert (fwd.eta, fwd.tau, fwd.sigma2) == (2.0, 4.0, 1.0)
         assert (rev.eta, rev.tau, rev.weight) == (0.5, -2.0, 4.0)
-        assert rev.key == PathKey.relational(0, 1, 0, Direction.REVERSE)
+        assert rev.key == PathKey(0, 1, 0, Direction.REVERSE)
         assert rev.fit.derived_reverse and not fwd.fit.derived_reverse
 
     def test_identity_slope(self):
@@ -238,15 +239,15 @@ class TestDeriveReverse:
         # reverse, and a fit without its reverse is rejected whole
         for slope, invertible in ((0.0, False), (1e-12, False), (1e-8, True)):
             registry, key = _fit([1.0, -1.0, 1.0 + slope, -1.0 + slope], self.XS)
-            assert list(registry.models) == ([key, key.reversed()] if invertible else [])
+            assert list(registry.models) == ([key, reversed_key(key)] if invertible else [])
             assert registry.rejections == ({} if invertible else {"non_invertible_slope": 1})
 
     def test_double_reverse_round_trip(self):
         bundle, keys = one_key_per_relation(_random_lines(np.random.default_rng(21), 200))
         registry = build_registry(bundle, AdmissionConfig(min_support=2))
         for key in keys:
-            fwd, rev = registry.models[key], registry.models[key.reversed()]
-            assert rev.key.reversed() == fwd.key
+            fwd, rev = registry.models[key], registry.models[reversed_key(key)]
+            assert reversed_key(rev.key) == fwd.key
             # the reverse derived from the reverse is the fitted model
             assert 1.0 / rev.eta == pytest.approx(fwd.eta, rel=1e-12)
             assert -rev.tau / rev.eta == pytest.approx(fwd.tau, rel=1e-12, abs=1e-12)
@@ -257,7 +258,7 @@ class TestDeriveReverse:
         bundle, keys = one_key_per_relation(_random_lines(rng, 200))
         registry = build_registry(bundle, AdmissionConfig(min_support=2))
         for key in keys:
-            fwd, rev = registry.models[key], registry.models[key.reversed()]
+            fwd, rev = registry.models[key], registry.models[reversed_key(key)]
             x = rng.uniform(-100, 100)
             assert rev.eta * (fwd.eta * x + fwd.tau) + rev.tau == pytest.approx(x, rel=1e-9, abs=1e-9)
 
@@ -278,13 +279,23 @@ def _line_bundle(n=8, eta=2.0, tau=5.0):
     return make_bundle(triples, observed, attr_order=("x", "y"))
 
 
+def _far_ring_bundle(rng, scale, n=60):
+    """A ring over three relations: type a drawn from ``scale`` times [-1, 1), type b from [0, 1)."""
+    triples = [(f"e{i}", f"r{i % 3}", f"e{(i + 1) % n}") for i in range(n)]
+    observed = {}
+    for i in range(n):
+        observed[(f"e{i}", "a")] = scale * float(rng.uniform(-1.0, 1.0))
+        observed[(f"e{i}", "b")] = float(rng.uniform(0.0, 1.0))
+    return make_bundle(triples, observed, attr_order=("a", "b"))
+
+
 class TestBuildRegistry:
     def test_forward_and_reverse_admitted(self):
         bundle = _line_bundle()
         registry = build_registry(bundle, AdmissionConfig(min_support=5))
-        fwd = PathKey.relational(1, 0, 0, Direction.FORWARD)
+        fwd = PathKey(1, 0, 0, Direction.FORWARD)
         assert fwd in registry.models
-        assert fwd.reversed() in registry.models
+        assert reversed_key(fwd) in registry.models
         model = registry.models.get(fwd)
         assert model.eta == pytest.approx(2.0)
         assert model.tau == pytest.approx(5.0)
@@ -294,7 +305,7 @@ class TestBuildRegistry:
     def test_min_support_filter(self):
         bundle = _line_bundle(n=4)  # 3 pairs per key
         registry = build_registry(bundle, AdmissionConfig(min_support=5))
-        assert PathKey.relational(1, 0, 0, Direction.FORWARD) not in registry.models
+        assert PathKey(1, 0, 0, Direction.FORWARD) not in registry.models
         assert registry.rejections.get("insufficient_support", 0) > 0
 
     def test_exclusion_list(self):
@@ -308,8 +319,8 @@ class TestBuildRegistry:
             min_support=2, exclusions=AdmissionConfig.parse_exclusions(["latitude,longitude,INNER"])
         )
         registry = build_registry(bundle, admission)
-        assert PathKey.inner(1, 0) not in registry.models
-        assert PathKey.inner(0, 1) not in registry.models
+        assert PathKey(1, 0) not in registry.models
+        assert PathKey(0, 1) not in registry.models
         assert registry.rejections.get("excluded", 0) == 1
 
     def test_r2_filter(self):
@@ -332,7 +343,7 @@ class TestBuildRegistry:
         for key, model in registry.models.items():
             if model.fit.derived_reverse:
                 continue
-            assert key.reversed() in registry.models
+            assert reversed_key(key) in registry.models
             ys, xs = extract_pairs(bundle, key)
             assert_matches_oracle(model, ys, xs, bundle.attrs)
 
@@ -360,7 +371,7 @@ class TestBuildRegistry:
             "non_invertible_slope": 1,
         }
         line = keys[6]
-        assert list(registry.models) == [line, line.reversed()]
+        assert list(registry.models) == [line, reversed_key(line)]
         assert registry.models[line].sigma2 == 1e-12 * 6.0 * 6.0  # exact, so at the floor: y spans -1 to 5
 
     def test_inner_canonical_fit_and_derived_swap(self):
@@ -370,8 +381,8 @@ class TestBuildRegistry:
             observed[(f"e{i}", "death")] = 1900.0 + i + 80.0 + 0.01 * i * i  # slight curvature
         bundle = make_bundle([], observed, attr_order=("birth", "death"))
         registry = build_registry(bundle, AdmissionConfig(min_support=5))
-        fitted = registry.models.get(PathKey.inner(1, 0))  # death | birth, higher id on lower
-        derived = registry.models.get(PathKey.inner(0, 1))
+        fitted = registry.models.get(PathKey(1, 0))  # death | birth, higher id on lower
+        derived = registry.models.get(PathKey(0, 1))
         assert fitted is not None and not fitted.fit.derived_reverse
         assert derived is not None and derived.fit.derived_reverse
         assert derived.eta == pytest.approx(1.0 / fitted.eta, rel=1e-12)
@@ -387,11 +398,11 @@ class TestRegistryOnRandomInstances:
             graph, attrs = bundle.graph, bundle.attrs
             registry = build_registry(bundle, admission)
             keys = [
-                PathKey.relational(dep, indep, rel, Direction.FORWARD)
+                PathKey(dep, indep, rel, Direction.FORWARD)
                 for rel in range(graph.n_relations)
                 for dep in range(attrs.n_types)
                 for indep in range(attrs.n_types)
-            ] + [PathKey.inner(dep, indep) for dep in range(attrs.n_types) for indep in range(dep)]
+            ] + [PathKey(dep, indep) for dep in range(attrs.n_types) for indep in range(dep)]
             # the scalar oracle, key by key in code order: admitted keys and the rejection tally
             order, tally = [], Counter()
             for key in keys:
@@ -432,7 +443,7 @@ class TestRegistryOnRandomInstances:
             span, codes = registry.span, registry.codes
             for key, code, mirror in zip(registry.models, codes.tolist(), _mirror(codes, span, n_types).tolist()):
                 assert key_of(code, span, n_types) == key
-                assert key_of(mirror, span, n_types) == key.reversed()
+                assert key_of(mirror, span, n_types) == reversed_key(key)
                 mirrored += 1
         assert mirrored > 50
 
@@ -448,11 +459,11 @@ class TestTrainingPairs:
             codes = np.unique(code).tolist()
             keys = [key_of(c, graph.n_relations, attrs.n_types) for c in codes]
             every_key = [
-                PathKey.relational(dep, indep, rel, Direction.FORWARD)
+                PathKey(dep, indep, rel, Direction.FORWARD)
                 for rel in range(graph.n_relations)
                 for dep in range(attrs.n_types)
                 for indep in range(attrs.n_types)
-            ] + [PathKey.inner(dep, indep) for dep in range(attrs.n_types) for indep in range(dep)]
+            ] + [PathKey(dep, indep) for dep in range(attrs.n_types) for indep in range(dep)]
             assert keys == [key for key in every_key if extract_pairs(bundle, key)[0].size]
             for c, key in zip(codes, keys):
                 want_ys, want_xs = extract_pairs(bundle, key)
@@ -473,14 +484,14 @@ class TestCountPaths:
         if y_at_v:
             observed[("v", "y")] = 5.0
         bundle = make_bundle([("n", "p", "v")], observed, attr_order=("x", "y"))
-        fwd = make_model(PathKey.relational(1, 0, 0, Direction.FORWARD), 1.0, 0.0, 1.0)
+        fwd = make_model(PathKey(1, 0, 0, Direction.FORWARD), 1.0, 0.0, 1.0)
         models = [fwd] + ([derive_reverse(fwd)] if with_reverse else [])
         return bundle, registry_of(*models)
 
     def test_single_forward_path(self):
         # a model without its mirror: the plan refuses the registry
         bundle, registry = self._setup(with_reverse=False, y_at_v=True)
-        with pytest.raises(ValueError, match="no mirror for PathKey"):
+        with pytest.raises(ValueError, match=r"no mirror for its model \(kind, dep, indep\) = \(0, 1, 0\)"):
             count_paths(bundle.graph, registry, bundle.attrs)
 
     def test_target_without_the_dep_type_gets_no_path(self):
@@ -494,7 +505,7 @@ class TestCountPaths:
 
     def test_inner_paths(self):
         bundle = make_bundle([], {("e", "a"): 1.0, ("e", "b"): 2.0}, attr_order=("a", "b"))
-        model = make_model(PathKey.inner(1, 0), 1.0, 0.0, 1.0)
+        model = make_model(PathKey(1, 0), 1.0, 0.0, 1.0)
         registry = registry_of(model, derive_reverse(model))
         assert count_paths(bundle.graph, registry, bundle.attrs) == 2
 
@@ -521,9 +532,11 @@ class TestModelDump:
     def test_reload_equals_the_built_registry(self, tmp_path):
         """Column for column and row for row: each fit, then its reverse, in code order."""
         rng = np.random.default_rng(46)
+        bundles = [random_instance(rng, quirks=rng.random() < 0.5)[0] for _ in range(60)]
+        # squares of values near 1e160 overflow: those fits derive no finite model and are rejected
+        bundles.append(_far_ring_bundle(rng, 1e160))
         reloaded_models = 0
-        for _ in range(60):
-            bundle, _ = random_instance(rng, quirks=rng.random() < 0.5)
+        for bundle in bundles:
             registry = build_registry(bundle, AdmissionConfig(min_support=2))
             write_model_dump(tmp_path / "models.tsv", registry, bundle.graph, bundle.attrs)
             with open(tmp_path / "models.tsv", "rb") as fh:
@@ -534,6 +547,8 @@ class TestModelDump:
             assert (reloaded.span, reloaded.n_types) == (registry.span, registry.n_types)
             reloaded_models += len(reloaded)
         assert reloaded_models > 100
+        assert registry.rejections == {"non_invertible_slope": 4, "non_finite_fit": 6}  # the last bundle, the far ring
+        assert len(registry) == 6  # b from b over each relation, and the reverses
 
     def test_line_layout(self, tmp_path):
         bundle = _line_bundle()
@@ -598,7 +613,7 @@ class TestModelDump:
         registry = build_registry(bundle, AdmissionConfig(min_support=5))
         write_model_dump(tmp_path / "models.tsv", registry, bundle.graph, bundle.attrs)
         lines = (tmp_path / "models.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
-        reverse = registry.models[PathKey.relational(0, 1, 0, Direction.REVERSE)]
+        reverse = registry.models[PathKey(0, 1, 0, Direction.REVERSE)]
         assert reverse.fit.derived_reverse
         numbers = f"{reverse.eta:.17g}\t{reverse.tau:.17g}\t{reverse.sigma2:.17g}\t{reverse.fit.support}\t{reverse.fit.r2:.17g}"
         lines.insert(4, f"x\ty\tp\treverse\t{numbers}\n")
