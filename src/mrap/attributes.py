@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, ValueRangeError
 from .graph import Vocabulary
 
 
@@ -113,7 +113,7 @@ class AttributeTable:
             with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range is refused below
                 cached = (vals.size, float(vals.min()), float(vals.max()), float(vals.mean()))
             if not np.isfinite([cached[2] - cached[1], cached[3]]).all():
-                raise DataError(f"attribute type {label!r}: the range or the mean of its observed values overflows")
+                raise ValueRangeError(f"attribute type {label!r}: the range or the mean of its observed values overflows")
             self._stats[attr] = cached
         return cached
 

@@ -12,6 +12,7 @@ output directory:
     split.tsv     split manifest            models.tsv    model dump
     imputed.tsv   imputed values            trace.csv     convergence trace
     report.csv/.txt   evaluation reports    ablation.csv/.txt   ablation reports
+    triples.bin/attrs.bin   input parses, restored while the input is unchanged
 
 Each artifact is replaced atomically, so a failed write leaves the last one.
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .attributes import AttributeTable
 from .codec import Table, parse_floats, read_table, repeated, write_text
-from .errors import ConfigError, DataError, MrapError, ParseError
+from .errors import ConfigError, DataError, MrapError, ParseError, ValueRangeError
 from .evaluation import (
     ablation_suite,
     baseline_global,
@@ -243,20 +244,21 @@ def _read(path: str | os.PathLike, read: Callable[[IO[bytes]], T]) -> T:
             raise DataError(f"{path}: {exc}") from None
 
 
-def _load_inputs(cfg: RunConfig) -> tuple[KnowledgeGraph, AttributeTable]:
+def _load_inputs(cfg: RunConfig, snapshots: bool = True) -> tuple[KnowledgeGraph, AttributeTable]:
     if not cfg.triples or not cfg.attrs:
         raise ConfigError("both --triples and --attrs input paths are required")
     start = time.perf_counter()
     entities, relations, types = Vocabulary(), Vocabulary(), Vocabulary()
+    triples_bin, attrs_bin = (_out_path(cfg, "triples.bin"), _out_path(cfg, "attrs.bin")) if snapshots else (None, None)
     # the triples' strings are dropped before the attributes are read
-    triples = _read(cfg.triples, lambda fh: parse_triples(fh, entities, relations))
-    attributes = _read(cfg.attrs, lambda fh: parse_attributes(fh, entities, types))
+    triples = _read(cfg.triples, lambda fh: parse_triples(fh, entities, relations, triples_bin))
+    attributes = _read(cfg.attrs, lambda fh: parse_attributes(fh, entities, types, attrs_bin))
     return load_dataset(entities, relations, types, triples, attributes, start)
 
 
-def load_bundle(cfg: RunConfig) -> DatasetBundle:
-    """Parse inputs and restore (or compute) the split, then apply sparsity."""
-    graph, attrs = _load_inputs(cfg)
+def load_bundle(cfg: RunConfig, snapshots: bool = True) -> DatasetBundle:
+    """Parse inputs (through their snapshots in ``--out``) and restore (or compute) the split, then apply sparsity."""
+    graph, attrs = _load_inputs(cfg, snapshots)
     manifest_path = _out_path(cfg, SPLIT_FILE)
     if manifest_path.exists():
         bundle = _read(manifest_path, lambda fh: apply_split_manifest(graph, attrs, read_split_manifest(fh)))
@@ -306,7 +308,7 @@ def _read_imputed(path: Path, bundle: DatasetBundle) -> tuple[np.ndarray, np.nda
 
 
 def cmd_stats(cfg: RunConfig) -> int:
-    bundle = load_bundle(cfg)
+    bundle = load_bundle(cfg, snapshots=False)
     registry = build_registry(bundle, cfg.admission)
     train, dev, test = bundle.split_counts()
     observed = int((bundle.attrs.status == 0).sum())
@@ -467,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (MrapError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {cfg.attrs + ': ' if isinstance(exc, ValueRangeError) else ''}{exc}", file=sys.stderr)
         return EXIT_DATA
 
 

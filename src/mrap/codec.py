@@ -14,8 +14,10 @@ load holds one chunk's strings.
 """
 from __future__ import annotations
 
+import hashlib
 import os
 import re
+from contextlib import contextmanager, nullcontext
 from itertools import chain
 from pathlib import Path
 from typing import IO, Callable, Iterator, Sequence, TypeVar
@@ -26,7 +28,8 @@ from .errors import ParseError
 
 T = TypeVar("T")
 
-CHUNK_BYTES = 1 << 20  # the read size of read_chunks
+CHUNK_BYTES = 1 << 20  # the read size of read_chunks and fingerprint
+SNAPSHOT_FORMAT = "mrap-snapshot-1"
 
 # a line after the first that is skipped, or that starts with whitespace
 _UNUSUAL_LINE = re.compile(r"\n[#\s]")
@@ -227,17 +230,75 @@ def _csv_field(text: str) -> str:
 
 
 def write_text(path: str | os.PathLike, text: str) -> None:
-    """Replace ``path`` by ``text`` through a temporary file next to it.
+    """Replace ``path`` by ``text`` through a temporary file next to it (see :func:`_replacing`)."""
+    with _replacing(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
-    A write that fails leaves the previous file and no temporary one.
-    """
+
+@contextmanager
+def _replacing(path: str | os.PathLike, mode: str, **kwargs) -> Iterator[IO]:
+    """A temporary file next to ``path`` that replaces it when the block ends; a failed block leaves the previous file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+class Fingerprinting:
+    """A stream that hashes the bytes read from it (see :func:`fingerprint`)."""
+
+    def __init__(self, source: IO):
+        self.source, self.sha, self.size = source, hashlib.sha256(), 0
+
+    def read(self, size: int = -1) -> bytes:
+        data = _bytes(self.source.read(size))
+        self.sha.update(data)
+        self.size += len(data)
+        return data
+
+
+def fingerprint(source: str | os.PathLike | IO) -> str:
+    """``SHA256:SIZE`` of a file, or of a stream from its position to its end (a :class:`Fingerprinting` one: from its start)."""
+    with open(source, "rb") if isinstance(source, (str, os.PathLike)) else nullcontext(source) as fh:
+        reader = fh if isinstance(fh, Fingerprinting) else Fingerprinting(fh)
+        while reader.read(CHUNK_BYTES):
+            pass
+    return f"{reader.sha.hexdigest()}:{reader.size}"
+
+
+def write_snapshot(path: str | os.PathLike, key: str, columns: Sequence[np.ndarray], labels: Sequence[list[str]]) -> None:
+    """Replace ``path`` by a snapshot: a header line and the parts, the columns little-endian and the labels UTF-8."""
+    parts = [np.ascontiguousarray(column, column.dtype.newbyteorder("<")) for column in columns]
+    parts += ["\n".join(texts).encode("utf-8") for texts in labels]
+    head = " ".join([SNAPSHOT_FORMAT, key, *(str(memoryview(part).nbytes) for part in parts)]).encode("ascii")
+    sha = hashlib.sha256(head)
+    for part in parts:
+        sha.update(part)
+    with _replacing(path, "wb") as fh:
+        fh.writelines([head, f" {sha.hexdigest()}\n".encode("ascii"), *parts])
+
+
+def read_snapshot(path: str | os.PathLike, key: str, dtypes: Sequence[str]) -> tuple[list[np.ndarray], list[list[str]]] | None:
+    """The columns, of ``dtypes``, and label lists of the snapshot at ``path``; None unless it is whole and under ``key``."""
+    try:
+        with Path(path).open("rb") as fh:
+            head, _, digest = fh.readline(4096).rpartition(b" ")
+            if not head.startswith(f"{SNAPSHOT_FORMAT} {key} ".encode()):
+                return None
+            body = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
+            fh.readinto(body)
+    except OSError:
+        return None
+    sha = hashlib.sha256(head)
+    sha.update(body)
+    if digest != f"{sha.hexdigest()}\n".encode():
+        return None
+    parts = np.split(np.frombuffer(body, np.uint8), np.cumsum([int(n) for n in head.split(b" ")[2:-1]]))
+    labels = [part.tobytes().decode("utf-8").split("\n") if part.size else [] for part in parts[len(dtypes) :]]
+    return [part.view(dtype) for part, dtype in zip(parts, dtypes)], labels

@@ -22,5 +22,9 @@ class DataError(MrapError):
     """Loaded data cannot support the requested operation."""
 
 
+class ValueRangeError(DataError):
+    """The observed values of an attribute type span more than the float range."""
+
+
 class ConfigError(MrapError):
     """Invalid configuration value or combination (usage error for the CLI)."""

@@ -22,18 +22,20 @@ generators and reproduce byte-identical results for a given seed.
 """
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 import os
 import time
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
 from .attributes import AttributeTable, Status
-from .codec import Table, last_occurrences, parse_floats, read_chunks, read_table, repeated, write_table
+from .codec import Fingerprinting, Table, fingerprint, last_occurrences, parse_floats, read_chunks, read_snapshot
+from .codec import read_table, repeated, write_snapshot, write_table
 from .errors import DataError, ParseError
 from .graph import KnowledgeGraph, Vocabulary, build_graph
 
@@ -118,13 +120,17 @@ def intern_triples(table: Table, entities: Vocabulary, relations: Vocabulary) ->
     return rows
 
 
-def parse_triples(source: IO, entities: Vocabulary, relations: Vocabulary) -> np.ndarray:
+def parse_triples(
+    source: IO, entities: Vocabulary, relations: Vocabulary, snapshot: str | os.PathLike | None = None
+) -> np.ndarray:
     """Parse a triple stream into its ``(head, relation, tail)`` id rows in file order.
 
     The labels are interned chunk by chunk (see :func:`intern_triples`), so
-    no more than one chunk's strings are held at once.
+    no more than one chunk's strings are held at once. For ``snapshot`` see :func:`_parse_once`.
     """
-    return np.concatenate(read_chunks(source, 3, lambda table: intern_triples(table, entities, relations)))
+    convert = lambda t: (intern_triples(t, entities, relations),)  # noqa: E731
+    (rows,) = _parse_once("triples", source, snapshot, (entities, relations), ("<i8",), convert)
+    return rows.reshape(-1, 3)
 
 
 def intern_attributes(
@@ -152,16 +158,43 @@ def intern_attributes(
 
 
 def parse_attributes(
-    source: IO, entities: Vocabulary, types: Vocabulary
+    source: IO, entities: Vocabulary, types: Vocabulary, snapshot: str | os.PathLike | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parse an attribute stream into entity id, type id and value columns, one row per line.
 
     The labels are interned chunk by chunk (see :func:`intern_attributes`).
     Duplicate (entity, attribute type) keys are all kept here;
-    :func:`load_dataset` keeps the last of each.
+    :func:`load_dataset` keeps the last of each. For ``snapshot`` see :func:`_parse_once`.
     """
-    chunks = read_chunks(source, 3, lambda table: intern_attributes(table, entities, types))
-    return tuple(np.concatenate(column) for column in zip(*chunks))
+    convert = lambda t: intern_attributes(t, entities, types)  # noqa: E731
+    return tuple(_parse_once("attributes", source, snapshot, (entities, types), ("<i8", "<i8", "<f8"), convert))
+
+
+def _parse_once(name: str, source: IO, snapshot, vocabularies: tuple, dtypes: tuple, convert: Callable) -> list[np.ndarray]:
+    """The columns ``convert`` gives chunk by chunk, or their copy in ``snapshot``, which a parse replaces.
+
+    Its key covers the bytes read, the column types and the labels the
+    vocabularies held before, which fix the ids. A stream that cannot seek gets none.
+    """
+    reader = Fingerprinting(source) if snapshot is not None and source.seekable() else None
+    if reader:
+        start, known = source.tell(), [len(vocabulary) for vocabulary in vocabularies]
+        labels = hashlib.sha256(repr([dtypes, *(vocabulary.labels for vocabulary in vocabularies)]).encode()).hexdigest()
+        restored = read_snapshot(snapshot, f"{fingerprint(source)}:{labels}", dtypes)
+        if restored is not None:
+            for vocabulary, new in zip(vocabularies, restored[1]):
+                vocabulary.intern(new)
+            logger.info("%s restored from %s", name, snapshot)
+            return restored[0]
+        source.seek(start)
+    columns = [np.concatenate(column) for column in zip(*read_chunks(reader or source, 3, convert))]
+    if reader:
+        try:
+            new = [vocabulary.labels[n:] for vocabulary, n in zip(vocabularies, known)]
+            write_snapshot(snapshot, f"{fingerprint(reader)}:{labels}", columns, new)
+        except OSError as exc:  # a snapshot only saves time: the command goes on without it
+            logger.warning("%s snapshot not written to %s: %s", name, snapshot, exc)
+    return columns
 
 
 def load_dataset(

@@ -21,6 +21,7 @@ from helpers import bench_generate, bench_run, bench_spans, write_cli_dataset
 
 import mrap
 import mrap.codec
+import mrap.ingest
 import mrap.regression
 from mrap.cli import (
     EXIT_DATA,
@@ -109,7 +110,9 @@ class TestPipeline:
             stdout = capsys.readouterr().out.replace(str(out), "OUT")
             runs.append((stdout, {path.name: path.read_bytes() for path in sorted(out.iterdir())}))
         assert runs[0] == runs[1]
-        assert set(runs[0][1]) == {"split.tsv", "models.tsv", "imputed.tsv", "trace.csv", "report.csv", "report.txt", "ablation.csv", "ablation.txt"}
+        assert set(runs[0][1]) == {
+            "triples.bin", "attrs.bin", "split.tsv", "models.tsv", "imputed.tsv", "trace.csv", "report.csv", "report.txt", "ablation.csv", "ablation.txt"
+        }
 
     def test_stats_lists_counts(self, dataset, tmp_path, capsys):
         assert main(["stats", *_args(dataset, tmp_path / "o", "--min-support", "3")]) == EXIT_OK
@@ -665,9 +668,12 @@ class TestExitCodes:
     )
     def test_values_whose_statistics_overflow_name_their_type(self, tmp_path, capsys, values):
         out = tmp_path / "out"
-        assert main(["impute", *_args(_ring_dataset(tmp_path, values * 30), out, "--seed", "7")]) == EXIT_DATA
-        assert capsys.readouterr().err == "error: attribute type 'a': the range or the mean of its observed values overflows\n"
-        assert not (out / "imputed.tsv").exists()
+        dataset = _ring_dataset(tmp_path, values * 30)
+        for command in ("stats", "fit", "impute", "ablate"):  # every command that reads the statistics
+            assert main([command, *_args(dataset, out, "--seed", "7")]) == EXIT_DATA, command
+            message = f"error: {dataset[1]}: attribute type 'a': the range or the mean of its observed values overflows\n"
+            assert capsys.readouterr().err == message, command
+        assert sorted(path.name for path in out.iterdir()) == ["attrs.bin", "triples.bin"]
 
     def test_a_fit_past_the_float_range_is_rejected_and_the_dump_reloads(self, tmp_path, capsys):
         # squares of values near 1e160 overflow; a warning would fail this test
@@ -901,6 +907,130 @@ class TestConfigFile:
         assert main(["split", "--config", str(config)]) == EXIT_USAGE
 
 
+def _snapshots_of(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir()) if path.suffix == ".bin"}
+
+
+def _no_text_read(monkeypatch) -> None:
+    """Make every read of input text fail, so that only a restore from snapshots passes."""
+
+    def unread(*args):
+        raise AssertionError("an input was parsed from its text")
+
+    monkeypatch.setattr(mrap.ingest, "read_chunks", unread)
+
+
+def _truncate(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:-5])
+
+
+def _flip(path: Path) -> None:
+    data = bytearray(path.read_bytes())
+    data[data.index(b"\n") + 9] ^= 0x01  # one byte of the body
+    path.write_bytes(bytes(data))
+
+
+def _reversion(path: Path) -> None:
+    path.write_bytes(path.read_bytes().replace(mrap.codec.SNAPSHOT_FORMAT.encode(), b"mrap-snapshot-0", 1))
+
+
+class TestSnapshots:
+    def test_every_command_over_snapshots_matches_a_fresh_parse(self, dataset, tmp_path, capsys, monkeypatch):
+        fresh, restored = tmp_path / "fresh", tmp_path / "restored"
+        runs = {fresh: [], restored: []}
+        for out in (fresh, restored):
+            base = _args(dataset, out, "--seed", "7", "--min-support", "3", "--observed-fraction", "0.5")
+            for command in ("split", "fit", "impute", "eval", "ablate"):
+                if out == fresh:  # each command parses the text
+                    for path in out.glob("*.bin"):
+                        path.unlink()
+                elif not out.exists():  # each command restores the snapshots the fresh run wrote
+                    out.mkdir()
+                    for name, data in _snapshots_of(fresh).items():
+                        (out / name).write_bytes(data)
+                    _no_text_read(monkeypatch)
+                assert main([command, *base]) == EXIT_OK, (out.name, command)
+                stdout = capsys.readouterr().out.replace(str(out), "OUT")
+                runs[out].append((command, stdout, {path.name: path.read_bytes() for path in sorted(out.iterdir())}))
+        assert runs[fresh] == runs[restored]
+        assert set(runs[fresh][-1][2]) >= {"triples.bin", "attrs.bin", "split.tsv", "models.tsv", "imputed.tsv", "report.csv"}
+
+    def test_a_restore_logs_each_input_and_the_same_duplicate_warning(self, dataset, tmp_path, caplog):
+        triples, attrs = dataset
+        attrs.write_text(attrs.read_text(encoding="utf-8") + "p0\tbirth\t1900.25\n", encoding="utf-8")
+        out = tmp_path / "out"
+        logs = []
+        for _ in range(2):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="mrap.ingest"):
+                assert main(["split", *_args(dataset, out, "--seed", "7")]) == EXIT_OK
+            logs.append([r.getMessage() for r in caplog.records if r.name == "mrap.ingest" and not r.getMessage().startswith("loaded:")])
+        duplicate = "attribute file contained 1 duplicate keys (last occurrence kept)"
+        assert logs[0] == [duplicate]
+        assert logs[1] == [f"triples restored from {out / 'triples.bin'}", f"attributes restored from {out / 'attrs.bin'}", duplicate]
+
+    @pytest.mark.parametrize(
+        "case",
+        ["edited-input", "truncated-triples", "truncated-attrs", "flipped-triples", "flipped-attrs", "other-version", "other-triples"],
+    )
+    def test_a_refused_snapshot_is_rewritten_as_a_fresh_parse_writes_it(self, dataset, tmp_path, case):
+        triples, attrs = dataset
+        out = tmp_path / "out"
+        if case == "other-triples":  # the attrs snapshot of another entity order
+            other = tmp_path / "other.tsv"
+            other.write_text("".join(reversed(triples.read_text(encoding="utf-8").splitlines(True))), encoding="utf-8")
+            assert main(["split", *_args((other, attrs), out, "--seed", "7")]) == EXIT_OK
+        else:
+            assert main(["split", *_args(dataset, out, "--seed", "7")]) == EXIT_OK
+        for path in out.glob("*.tsv"):  # only the snapshots stay
+            path.unlink()
+        if case == "edited-input":
+            lines = attrs.read_text(encoding="utf-8").splitlines(True)
+            lines[3] = lines[3].rsplit("\t", 1)[0] + "\t1234.5\n"
+            attrs.write_text("".join(lines), encoding="utf-8")
+        elif case != "other-triples":
+            what, _, name = case.partition("-")
+            edit = {"truncated": _truncate, "flipped": _flip, "other": _reversion}[what]
+            for snapshot in ("triples.bin", "attrs.bin") if name == "version" else (f"{name}.bin",):
+                edit(out / snapshot)
+        assert main(["impute", *_args(dataset, out, "--seed", "7")]) == EXIT_OK
+        assert main(["impute", *_args(dataset, tmp_path / "fresh", "--seed", "7")]) == EXIT_OK
+        written = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        assert written == {path.name: path.read_bytes() for path in sorted((tmp_path / "fresh").iterdir())}
+
+    @pytest.mark.parametrize("bad", ["triples", "attrs"])
+    def test_a_parse_error_writes_no_snapshot(self, dataset, tmp_path, capsys, bad):
+        path = dataset[bad == "attrs"]
+        path.write_text(path.read_text(encoding="utf-8") + "x\ty\n", encoding="utf-8")
+        lines = path.read_text(encoding="utf-8").count("\n")
+        out = tmp_path / "out"
+        assert main(["split", *_args(dataset, out, "--seed", "7")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {path}:{lines}: expected 3 tab-separated fields, got 2\n"
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        assert written == ([] if bad == "triples" else ["triples.bin"])  # the triples parsed before the bad attrs row
+
+    def test_a_fifo_input_is_parsed_once_and_gets_no_snapshot(self, dataset, tmp_path):
+        triples, attrs = dataset
+        fifo = tmp_path / "triples.fifo"
+        os.mkfifo(fifo)
+        writer = subprocess.Popen(["sh", "-c", 'exec cat "$0" > "$1"', str(triples), str(fifo)])
+        try:
+            assert main(["impute", *_args((fifo, attrs), tmp_path / "out", "--seed", "7")]) == EXIT_OK
+            assert writer.wait(timeout=60) == 0
+        finally:
+            writer.kill()
+        assert main(["impute", *_args(dataset, tmp_path / "fresh", "--seed", "7")]) == EXIT_OK
+        written = {path.name: path.read_bytes() for path in sorted((tmp_path / "out").iterdir())}
+        fresh = {path.name: path.read_bytes() for path in sorted((tmp_path / "fresh").iterdir()) if path.name != "triples.bin"}
+        assert written == fresh
+
+    def test_stats_leaves_out_empty(self, dataset, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["stats", *_args(dataset, out, "--min-support", "3")]) == EXIT_OK
+        assert list(out.iterdir()) == []
+
+
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, dataset, tmp_path):
         outputs = []
@@ -936,7 +1066,7 @@ class TestDeterminism:
             result = _python("-m", "mrap.cli", "impute", *argv, OPENBLAS_NUM_THREADS=threads)
             assert result.returncode == EXIT_OK, result.stderr
             outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
-        assert set(outputs[0]) == {"models.tsv", "imputed.tsv", "trace.csv"}
+        assert set(outputs[0]) == {"triples.bin", "attrs.bin", "models.tsv", "imputed.tsv", "trace.csv"}
         assert outputs[0] == outputs[1]
 
 

@@ -362,17 +362,19 @@ class TestChunkedLoad:
         spec = generate.GraphSpec(entities=4000, edges_per_entity=5, relations=20, noise_relations=0, types=2, density=0.5)
         generate.write_graph(spec, 1, tmp_path)
         assert (tmp_path / "triples.tsv").stat().st_size > 8 * chunk
-        cfg = RunConfig(triples=str(tmp_path / "triples.tsv"), attrs=str(tmp_path / "attrs.tsv"))
-        tracemalloc.start()
-        try:
-            graph, table = _load_inputs(cfg)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert graph.n_edges > 19_000 and table.n_entries > 3_500
-        # what the load keeps (id arrays and labels), one transient copy of it and
-        # a few chunks of strings; read whole, these files peak at over twice this
-        assert peak < 2 * kept + 16 * chunk, (peak, kept)
+        cfg = RunConfig(triples=str(tmp_path / "triples.tsv"), attrs=str(tmp_path / "attrs.tsv"), out=str(tmp_path / "out"))
+        for _ in range(2):  # a parse that writes the snapshots, then a restore from them
+            tracemalloc.start()
+            try:
+                graph, table = _load_inputs(cfg)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert graph.n_edges > 19_000 and table.n_entries > 3_500
+            # what the load keeps (id arrays and labels), one transient copy of it and
+            # a few chunks of strings; read whole, these files peak at over twice this
+            assert peak < 2 * kept + 16 * chunk, (peak, kept)
+        assert sorted(path.name for path in (tmp_path / "out").iterdir()) == ["attrs.bin", "triples.bin"]
 
 
 def _random_bundle(rng):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import logging
 from collections import Counter
@@ -16,7 +17,9 @@ from helpers import (
     table_of,
 )
 
+import mrap.ingest
 from mrap.attributes import Status
+from mrap.codec import SNAPSHOT_FORMAT, fingerprint, read_snapshot, write_snapshot
 from mrap.errors import DataError, ParseError
 from mrap.graph import Vocabulary
 from mrap.ingest import (
@@ -25,6 +28,7 @@ from mrap.ingest import (
     apply_split_manifest,
     largest_remainder_counts,
     parse_attributes,
+    parse_triples,
     read_split_manifest,
     split_attributes,
     subsample_observed,
@@ -283,3 +287,122 @@ class TestLoadDataset:
         assert "lonely" in graph.entities
         assert neighbors(graph, graph.entities.id("lonely")) == []
         assert attrs.n_entries == 2
+
+
+TRIPLES = b"a\tp\tb\n# a comment\nb\tq\tc\nc\tp\ta\n"
+ATTRS = b"d\th\t1.5\na\tw\t2\nd\th\t-3e2\n"
+
+
+class _Stream(io.BytesIO):
+    """A byte stream that cannot seek, as a FIFO or a pipe."""
+
+    def seekable(self) -> bool:
+        return False
+
+
+class _Rewritten(io.BytesIO):
+    """A file rewritten whenever it is sought: it holds each of ``contents`` in turn."""
+
+    def __init__(self, *contents: bytes):
+        super().__init__(contents[0])
+        self.rest = list(contents[1:])
+
+    def seek(self, pos: int, whence: int = 0) -> int:
+        if self.rest:
+            self.truncate(0)
+            super().seek(0)
+            self.write(self.rest.pop(0))
+        return super().seek(pos, whence)
+
+
+def _parse_both(triples: bytes, attrs: bytes, snapshots, vocabularies=None):
+    entities, relations, types = vocabularies or (Vocabulary(), Vocabulary(), Vocabulary())
+    rows = parse_triples(io.BytesIO(triples), entities, relations, snapshots and snapshots[0])
+    columns = parse_attributes(io.BytesIO(attrs), entities, types, snapshots and snapshots[1])
+    return rows, columns, (entities.labels, relations.labels, types.labels)
+
+
+class TestSnapshots:
+    def test_fingerprint_is_the_sha256_and_size_of_the_bytes(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_bytes(TRIPLES)
+        expected = f"{hashlib.sha256(TRIPLES).hexdigest()}:{len(TRIPLES)}"
+        assert fingerprint(path) == fingerprint(str(path)) == fingerprint(io.BytesIO(TRIPLES)) == expected
+
+    def test_a_second_parse_restores_what_the_first_returned(self, tmp_path, monkeypatch, caplog):
+        snapshots = (tmp_path / "triples.bin", tmp_path / "attrs.bin")
+        plain = _parse_both(TRIPLES, ATTRS, None)
+        assert not any(path.exists() for path in snapshots)
+        first = _parse_both(TRIPLES, ATTRS, snapshots)
+        assert all(path.exists() for path in snapshots)
+        monkeypatch.setattr(mrap.ingest, "read_chunks", None)  # a text parse would fail
+        with caplog.at_level(logging.INFO, logger="mrap.ingest"):
+            restored = _parse_both(TRIPLES, ATTRS, snapshots)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"triples restored from {snapshots[0]}",
+            f"attributes restored from {snapshots[1]}",
+        ]
+        for got in (first, restored):
+            rows, columns, labels = got
+            assert rows.dtype == np.int64 and rows.shape == (3, 3) and rows.flags.writeable
+            assert [column.dtype for column in columns] == [np.int64, np.int64, np.float64]
+            assert rows.tolist() == plain[0].tolist()
+            assert [column.tolist() for column in columns] == [column.tolist() for column in plain[1]]
+            assert labels == plain[2] == (["a", "b", "c", "d"], ["p", "q"], ["h", "w"])
+
+    def test_the_key_covers_the_labels_interned_before(self, tmp_path):
+        snapshots = (tmp_path / "triples.bin", tmp_path / "attrs.bin")
+        _parse_both(TRIPLES, ATTRS, snapshots)
+        vocabularies = (Vocabulary(["c", "z"]), Vocabulary(), Vocabulary(["w"]))
+        expected = _parse_both(TRIPLES, ATTRS, None, (Vocabulary(["c", "z"]), Vocabulary(), Vocabulary(["w"])))
+        got = _parse_both(TRIPLES, ATTRS, snapshots, vocabularies)
+        assert got[0].tolist() == expected[0].tolist() and got[2] == expected[2]
+        assert [column.tolist() for column in got[1]] == [column.tolist() for column in expected[1]]
+        assert got[2][0] == ["c", "z", "a", "b", "d"]
+
+    def test_the_key_names_the_bytes_the_parse_read(self, tmp_path, monkeypatch):
+        snapshot, kept = tmp_path / "triples.bin", tmp_path / "kept.bin"
+        edited = b"x\tp\ty\n"
+        # hashed as one file, then parsed as TRIPLES; a later read would see the edit
+        rows = parse_triples(_Rewritten(b"a\tq\tb\n", TRIPLES, edited), Vocabulary(), Vocabulary(), snapshot)
+        assert rows.tolist() == [[0, 0, 1], [1, 1, 2], [2, 0, 0]]
+        kept.write_bytes(snapshot.read_bytes())
+        assert parse_triples(io.BytesIO(edited), Vocabulary(), Vocabulary(), snapshot).tolist() == [[0, 0, 1]]
+        monkeypatch.setattr(mrap.ingest, "read_chunks", None)  # a text parse would fail
+        assert parse_triples(io.BytesIO(TRIPLES), Vocabulary(), Vocabulary(), kept).tolist() == rows.tolist()
+
+    def test_a_stream_that_cannot_seek_gets_no_snapshot(self, tmp_path):
+        entities, relations = Vocabulary(), Vocabulary()
+        rows = parse_triples(_Stream(TRIPLES), entities, relations, tmp_path / "triples.bin")
+        assert rows.tolist() == [[0, 0, 1], [1, 1, 2], [2, 0, 0]]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_parse_error_writes_no_snapshot(self, tmp_path):
+        with pytest.raises(ParseError, match="line 2: expected 3 tab-separated fields, got 2"):
+            parse_triples(io.BytesIO(b"a\tp\tb\nx\ty\n"), Vocabulary(), Vocabulary(), tmp_path / "triples.bin")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_snapshot_that_cannot_be_written_is_left_out(self, tmp_path, caplog):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rows = parse_triples(io.BytesIO(TRIPLES), Vocabulary(), Vocabulary(), blocker / "triples.bin")
+        assert rows.tolist() == [[0, 0, 1], [1, 1, 2], [2, 0, 0]]
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert caplog.records[0].getMessage().startswith(f"triples snapshot not written to {blocker / 'triples.bin'}: ")
+
+    def test_snapshot_bytes_are_deterministic_and_checked(self, tmp_path):
+        columns = [np.arange(6, dtype=np.int64).reshape(2, 3), np.array([0.5, -1.0])]
+        labels = [["x", "é"], []]
+        write_snapshot(tmp_path / "one.bin", "k:1", columns, labels)
+        write_snapshot(tmp_path / "two.bin", "k:1", columns, labels)
+        data = (tmp_path / "one.bin").read_bytes()
+        assert data == (tmp_path / "two.bin").read_bytes()
+        assert data.startswith(f"{SNAPSHOT_FORMAT} k:1 48 16 4 0 ".encode())
+        got, texts = read_snapshot(tmp_path / "one.bin", "k:1", ("<i8", "<f8"))
+        assert got[0].tolist() == list(range(6)) and got[1].tolist() == [0.5, -1.0] and texts == labels
+        assert read_snapshot(tmp_path / "one.bin", "k:2", ("<i8", "<f8")) is None  # another key
+        assert read_snapshot(tmp_path / "absent.bin", "k:1", ("<i8", "<f8")) is None
+        lengths = data.replace(b" 48 16 ", b" 40 24 ", 1)  # the same body, cut elsewhere
+        for damaged in (data[:-1], data + b"\0", data[:-2] + bytes([data[-2] ^ 1]) + data[-1:], lengths):
+            (tmp_path / "one.bin").write_bytes(damaged)
+            assert read_snapshot(tmp_path / "one.bin", "k:1", ("<i8", "<f8")) is None
