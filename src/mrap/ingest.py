@@ -180,13 +180,14 @@ def _parse_once(name: str, source: IO, snapshot, vocabularies: tuple, dtypes: tu
     if reader:
         start, known = source.tell(), [len(vocabulary) for vocabulary in vocabularies]
         labels = hashlib.sha256(repr([dtypes, *(vocabulary.labels for vocabulary in vocabularies)]).encode()).hexdigest()
-        restored = read_snapshot(snapshot, f"{fingerprint(source)}:{labels}", dtypes)
-        if restored is not None:
-            for vocabulary, new in zip(vocabularies, restored[1]):
-                vocabulary.intern(new)
-            logger.info("%s restored from %s", name, snapshot)
-            return restored[0]
-        source.seek(start)
+        if os.path.exists(snapshot):  # else the input is hashed only as it is parsed
+            restored = read_snapshot(snapshot, f"{fingerprint(source)}:{labels}", dtypes)
+            if restored is not None:
+                for vocabulary, new in zip(vocabularies, restored[1]):
+                    vocabulary.intern(new)
+                logger.info("%s restored from %s", name, snapshot)
+                return restored[0]
+            source.seek(start)
     columns = [np.concatenate(column) for column in zip(*read_chunks(reader or source, 3, convert))]
     if reader:
         try:

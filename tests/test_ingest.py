@@ -363,6 +363,7 @@ class TestSnapshots:
     def test_the_key_names_the_bytes_the_parse_read(self, tmp_path, monkeypatch):
         snapshot, kept = tmp_path / "triples.bin", tmp_path / "kept.bin"
         edited = b"x\tp\ty\n"
+        snapshot.write_bytes(b"stale\n")  # compared with the input, so the input is hashed before the parse
         # hashed as one file, then parsed as TRIPLES; a later read would see the edit
         rows = parse_triples(_Rewritten(b"a\tq\tb\n", TRIPLES, edited), Vocabulary(), Vocabulary(), snapshot)
         assert rows.tolist() == [[0, 0, 1], [1, 1, 2], [2, 0, 0]]
@@ -370,6 +371,14 @@ class TestSnapshots:
         assert parse_triples(io.BytesIO(edited), Vocabulary(), Vocabulary(), snapshot).tolist() == [[0, 0, 1]]
         monkeypatch.setattr(mrap.ingest, "read_chunks", None)  # a text parse would fail
         assert parse_triples(io.BytesIO(TRIPLES), Vocabulary(), Vocabulary(), kept).tolist() == rows.tolist()
+
+    def test_without_a_snapshot_the_input_is_read_once(self, tmp_path, monkeypatch):
+        snapshot = tmp_path / "triples.bin"
+        # a seek would turn the stream into the edit
+        rows = parse_triples(_Rewritten(TRIPLES, b"x\tp\ty\n"), Vocabulary(), Vocabulary(), snapshot)
+        assert rows.tolist() == [[0, 0, 1], [1, 1, 2], [2, 0, 0]]
+        monkeypatch.setattr(mrap.ingest, "read_chunks", None)  # a text parse would fail
+        assert parse_triples(io.BytesIO(TRIPLES), Vocabulary(), Vocabulary(), snapshot).tolist() == rows.tolist()
 
     def test_a_stream_that_cannot_seek_gets_no_snapshot(self, tmp_path):
         entities, relations = Vocabulary(), Vocabulary()
