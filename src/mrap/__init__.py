@@ -48,10 +48,7 @@ from .propagation import (
 )
 from .regression import (
     AdmissionConfig,
-    FitSummary,
     ModelRegistry,
-    PathKey,
-    RegressionModel,
     build_registry,
     count_paths,
     read_model_dump,

@@ -34,7 +34,7 @@ from typing import IO, Callable, TypeVar
 
 import numpy as np
 
-from .attributes import AttributeTable
+from .attributes import AttributeTable, Status
 from .codec import Table, parse_floats, read_table, repeated, write_text
 from .errors import ConfigError, DataError, MrapError, ParseError, ValueRangeError
 from .evaluation import (
@@ -268,7 +268,8 @@ def load_bundle(cfg: RunConfig, snapshots: bool = True) -> DatasetBundle:
     return subsample_observed(bundle, cfg.observed_fraction, cfg.seed)
 
 
-def load_or_fit_registry(cfg: RunConfig, bundle: DatasetBundle, write_if_built: bool) -> ModelRegistry:
+def load_or_fit_registry(cfg: RunConfig, bundle: DatasetBundle) -> ModelRegistry:
+    """The models of ``models.tsv`` in ``--out``, or a fit, which is written there."""
     models_path = _out_path(cfg, MODELS_FILE)
     cfg.admission.excluded_ids(bundle.graph, bundle.attrs)  # a rule naming no label fails, even with a dump
     if models_path.exists():
@@ -276,21 +277,20 @@ def load_or_fit_registry(cfg: RunConfig, bundle: DatasetBundle, write_if_built: 
         logger.info("models restored from %s: %d models (%d fits)", models_path, len(registry), (~registry.derived).sum())
         return registry
     registry = build_registry(bundle, cfg.admission)
-    if write_if_built:
-        write_model_dump(models_path, registry, bundle.graph, bundle.attrs)
+    write_model_dump(models_path, registry, bundle.graph, bundle.attrs)
     return registry
 
 
 def _read_imputed(path: Path, bundle: DatasetBundle) -> tuple[np.ndarray, np.ndarray]:
-    """Entry index and value of every row of ``imputed.tsv`` that names an attribute entry."""
+    """Entry index and value of each row of ``imputed.tsv``; every row names its own attribute entry."""
     entities, attrs = bundle.graph.entities, bundle.attrs
 
     def convert(table: Table) -> tuple[np.ndarray, np.ndarray]:
         entity, attr, value = table.columns[:3]
-        eids, aids = entities.ids(entity), attrs.types.ids(attr)
-        known = (eids >= 0) & (aids >= 0)
+        idx = attrs.lookup(entities.ids(entity), attrs.types.ids(attr))
+        known = idx >= 0
         n = len(table) if known.all() else int(known.argmin())  # rows above the first unknown target
-        twice = np.flatnonzero(repeated(eids[:n] * attrs.n_types + aids[:n]))
+        twice = np.flatnonzero(repeated(idx[:n]))
         # a row's value is checked before whether its target repeats
         values = parse_floats(table, value[: twice[0] + 1 if twice.size else n], "unparseable value {!r}")
         if twice.size:
@@ -298,8 +298,7 @@ def _read_imputed(path: Path, bundle: DatasetBundle) -> tuple[np.ndarray, np.nda
             raise ParseError(f"duplicate target ({entity[row]!r}, {attr[row]!r})", table.line(row))
         if n < len(table):
             raise ParseError(f"unknown target ({entity[n]!r}, {attr[n]!r})", table.line(n))
-        idx = attrs.lookup(eids, aids)
-        return idx[idx >= 0], values[idx >= 0]
+        return idx, values
 
     return _read(path, lambda fh: read_table(fh, 5, convert))
 
@@ -311,7 +310,7 @@ def cmd_stats(cfg: RunConfig) -> int:
     bundle = load_bundle(cfg, snapshots=False)
     registry = build_registry(bundle, cfg.admission)
     train, dev, test = bundle.split_counts()
-    observed = int((bundle.attrs.status == 0).sum())
+    observed = int((bundle.attrs.status == Status.OBSERVED).sum())
     rows = [
         ("entities", bundle.graph.n_entities),
         ("edges", bundle.graph.n_edges),
@@ -356,7 +355,7 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 def cmd_impute(cfg: RunConfig) -> int:
     bundle = load_bundle(cfg)
-    registry = load_or_fit_registry(cfg, bundle, write_if_built=True)
+    registry = load_or_fit_registry(cfg, bundle)
     values, report = run(bundle, registry, cfg.propagation)
     write_imputations(_out_path(cfg, IMPUTED_FILE), bundle, values, report)
     write_trace(_out_path(cfg, TRACE_FILE), report)
@@ -373,7 +372,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     if not imputed_path.exists():
         raise DataError(f"no imputation output at {imputed_path}; run `mrap impute` first")
     entries, values = _read_imputed(imputed_path, bundle)
-    split = Split.DEV if cfg.eval_split == "dev" else Split.TEST
+    split = Split[cfg.eval_split.upper()]
     attrs = bundle.attrs
     preds = np.full(attrs.n_entries, np.nan)
     preds[entries] = values
@@ -398,8 +397,8 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_ablate(cfg: RunConfig) -> int:
     bundle = load_bundle(cfg)
-    registry = load_or_fit_registry(cfg, bundle, write_if_built=False)
-    split = Split.DEV if cfg.eval_split == "dev" else Split.TEST
+    registry = load_or_fit_registry(cfg, bundle)
+    split = Split[cfg.eval_split.upper()]
     reports = ablation_suite(
         bundle, cfg.propagation, registry=registry, split=split, setup=cfg.setup_label
     )

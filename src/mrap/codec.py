@@ -188,19 +188,6 @@ def repeated(keys: np.ndarray) -> np.ndarray:
     return mask
 
 
-def last_occurrences(keys: np.ndarray) -> np.ndarray:
-    """The row of each key's last occurrence, keys in the order of their first."""
-    # a stable sort puts each key's rows in row order: a run's first row is
-    # the key's first occurrence, its last row the last occurrence
-    order = np.argsort(keys, kind="stable")
-    starts = np.ones(len(keys), dtype=bool)
-    starts[1:] = keys[order[1:]] != keys[order[:-1]]
-    if starts.all():
-        return np.arange(len(keys))
-    ends = np.append(starts[1:], True)
-    return order[ends][np.argsort(order[starts])]
-
-
 def write_table(
     path: str | os.PathLike, columns: Sequence, sep: str = "\t", header: str | None = None
 ) -> None:

@@ -133,11 +133,16 @@ def evaluate(
         if n_unpredicted:
             pred[unpredicted] = attrs.mean_value(attr)
         errors = pred - truth[mask]
+        with np.errstate(over="ignore"):  # a square past the float range is scaled down below
+            rmse = np.sqrt(np.mean(errors * errors))
+        if not np.isfinite(rmse):
+            scale = np.abs(errors).max()
+            rmse = scale * np.sqrt(np.mean((errors / scale) ** 2))
         report.rows.append(
             EvalRow(
                 attr=attrs.types.label(attr),
                 mae=float(np.mean(np.abs(errors))),
-                rmse=float(np.sqrt(np.mean(errors * errors))),
+                rmse=float(rmse),
                 n=n,
                 n_unpredicted=n_unpredicted,
             )

@@ -34,7 +34,7 @@ from typing import IO, Callable
 import numpy as np
 
 from .attributes import AttributeTable, Status
-from .codec import Fingerprinting, Table, fingerprint, last_occurrences, parse_floats, read_chunks, read_snapshot
+from .codec import Fingerprinting, Table, fingerprint, parse_floats, read_chunks, read_snapshot
 from .codec import read_table, repeated, write_snapshot, write_table
 from .errors import DataError, ParseError
 from .graph import KnowledgeGraph, Vocabulary, build_graph
@@ -208,20 +208,20 @@ def load_dataset(
 ) -> tuple[KnowledgeGraph, AttributeTable]:
     """Assemble graph and attribute table from the id rows and columns the parsers interned.
 
-    Duplicate (entity, attribute type) rows keep the last occurrence, keys in
-    first-seen order, and their count is logged as a warning. Entities that
-    appear only in the attribute rows are isolated nodes; they can still
-    receive inner-node messages. The ``loaded:`` line times the load from
-    ``start``, a ``time.perf_counter()`` reading (default: this call), so a
-    caller that read and parsed the files counts that too.
+    Duplicate (entity, attribute type) rows keep the last occurrence, and
+    their count is logged as a warning. Entities that appear only in the
+    attribute rows are isolated nodes; they can still receive inner-node
+    messages. The ``loaded:`` line times the load from ``start``, a
+    ``time.perf_counter()`` reading (default: this call), so a caller that
+    read and parsed the files counts that too.
     """
     start = time.perf_counter() if start is None else start
     entity_ids, type_ids, values = attributes
-    rows = last_occurrences(entity_ids * len(types) + type_ids)
-    duplicates = len(values) - len(rows)
+    last = ~repeated((entity_ids * len(types) + type_ids)[::-1])[::-1]  # no later row has its key
+    duplicates = len(values) - int(last.sum())
     if duplicates:
         logger.warning("attribute file contained %d duplicate keys (last occurrence kept)", duplicates)
-        entity_ids, type_ids, values = entity_ids[rows], type_ids[rows], values[rows]
+        entity_ids, type_ids, values = entity_ids[last], type_ids[last], values[last]
     graph = build_graph(entities, relations, triples)
     table = AttributeTable.build(graph.n_entities, types, entity_ids, type_ids, values)
     logger.info(

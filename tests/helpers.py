@@ -15,7 +15,7 @@ from typing import IO, Mapping, NamedTuple
 import numpy as np
 
 from mrap.attributes import AttributeTable, Status
-from mrap.codec import Table, _csv_field, last_occurrences, read_table, write_text
+from mrap.codec import Table, _csv_field, read_table, write_text
 from mrap.errors import DataError, MrapError, ParseError
 from mrap.evaluation import EvalReport, EvalRow
 from mrap.graph import Direction, KnowledgeGraph, Vocabulary, build_graph
@@ -168,9 +168,10 @@ def loaded_attributes(source) -> tuple[list[tuple[str, str, float]], int]:
     """The attribute rows of a stream that ``load_dataset`` keeps, as label tuples in key first-seen order, and the duplicate count."""
     entities, types = Vocabulary(), Vocabulary()
     entity_ids, type_ids, values = parse_attributes(source, entities, types)
-    rows = last_occurrences(entity_ids * len(types) + type_ids)
-    labelled = zip(entities.labels_of(entity_ids[rows]), types.labels_of(type_ids[rows]), values[rows].tolist())
-    return list(labelled), len(values) - len(rows)
+    last = {}  # a key keeps the place of its first row and the value of its last
+    for entity, attr, value in zip(entities.labels_of(entity_ids), types.labels_of(type_ids), values.tolist()):
+        last[entity, attr] = value
+    return [(*key, value) for key, value in last.items()], len(values) - len(last)
 
 
 def make_model(key: PathKey, eta: float, tau: float, sigma2: float, support: int = 10, r2: float = 1.0):
@@ -1032,6 +1033,7 @@ def reference_read_imputed(lines, path, bundle):
 
 
 def _reference_imputed_rows(lines, bundle):
+    entries = set(zip(bundle.attrs.entity_ids.tolist(), bundle.attrs.attr_ids.tolist()))
     preds = {}
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
@@ -1043,7 +1045,7 @@ def _reference_imputed_rows(lines, bundle):
         entity, attr, value = fields[0], fields[1], fields[2]
         eid = bundle.graph.entities.get(entity)
         aid = bundle.attrs.types.get(attr)
-        if eid is None or aid is None:
+        if (eid, aid) not in entries:  # an unknown label, or two labels that name no entry
             raise ParseError(f"unknown target ({entity!r}, {attr!r})", line_no)
         try:
             prediction = float(value)

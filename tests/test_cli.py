@@ -94,6 +94,14 @@ class TestPipeline:
         table = capsys.readouterr().out
         assert "w/o Cross" in table
 
+    def test_ablate_in_a_fresh_out_writes_the_models_fit_writes(self, dataset, tmp_path):
+        dumps = []
+        for command in ("fit", "ablate"):  # every command that fits keeps its models
+            out = tmp_path / command
+            assert main([command, *_args(dataset, out, "--seed", "7", "--min-support", "3")]) == EXIT_OK
+            dumps.append((out / "models.tsv").read_bytes())
+        assert dumps[0] and dumps[0] == dumps[1]
+
     def test_no_command_builds_model_objects(self, dataset, tmp_path, capsys, monkeypatch):
         # the registry is columns: the ``models`` view serves tests, demos and the benchmark's observer only
         def unbuilt(registry):
@@ -558,6 +566,14 @@ class TestExitCodes:
         entity, attr = imputed.read_text().split("\t")[:2]
         assert capsys.readouterr().err == f"error: {imputed}:2: duplicate target ({entity!r}, {attr!r})\n"
 
+    def test_eval_rejects_a_row_naming_no_attribute_entry(self, dataset, tmp_path, capsys):
+        # both labels are known, but p0 has no release entry
+        assert self._corrupt_imputed(dataset, tmp_path, lambda lines: "".join([*lines, "p0\trelease\t1.0\t1\t1.0\n"])) == EXIT_DATA
+        imputed = tmp_path / "out" / "imputed.tsv"
+        line = len(imputed.read_text().splitlines())
+        assert capsys.readouterr().err == f"error: {imputed}:{line}: unknown target ('p0', 'release')\n"
+        assert not (tmp_path / "out" / "report.csv").exists()
+
     def test_eval_names_at_most_20_missing_targets(self, dataset, tmp_path, capsys):
         out = tmp_path / "out"
         base = _args(dataset, out, "--seed", "1", "--min-support", "3", "--split", "0.5/0.1/0.4")
@@ -687,6 +703,20 @@ class TestExitCodes:
         assert main(["impute", *base]) == EXIT_OK  # reads models.tsv back
         imputed = [line.split("\t") for line in (out / "imputed.tsv").read_text(encoding="utf-8").splitlines()]
         assert imputed and all(math.isfinite(float(row[2])) for row in imputed)
+
+    def test_errors_whose_squares_overflow_score_a_finite_rmse(self, tmp_path, capsys):
+        # errors near 1e160 square past the float range; a warning would fail this test
+        values = (1e160 * np.random.default_rng(0).uniform(-1.0, 1.0, 60)).tolist()
+        out = tmp_path / "out"
+        base = _args(_ring_dataset(tmp_path, values), out, "--seed", "7")
+        for command in ("impute", "eval", "ablate"):
+            assert main([command, *base]) == EXIT_OK, command
+        for name in ("report.csv", "ablation.csv"):
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+            assert {row["attr_type"] for row in rows} == {"a", "b"}, name
+            assert all(math.isfinite(float(row["rmse"])) for row in rows), name
+        assert capsys.readouterr().err == ""
 
     def test_impute_rejects_non_finite_model_dump(self, dataset, tmp_path, capsys):
         out = tmp_path / "out"

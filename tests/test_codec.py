@@ -29,7 +29,7 @@ from helpers import (
 
 import mrap.codec
 from mrap.cli import RunConfig, _load_inputs, _read_imputed
-from mrap.codec import Table, last_occurrences, read_table, write_table
+from mrap.codec import Table, read_table, write_table
 from mrap.errors import DataError, ParseError
 from mrap.graph import Vocabulary
 from mrap.ingest import (
@@ -250,26 +250,6 @@ class TestReaders:
             loaded_attributes(io.BytesIO(data))
 
 
-class TestLastOccurrences:
-    """The attribute duplicate rule, on the integer codes of the interned keys."""
-
-    def test_duplicate_keys_keep_last_value_in_first_seen_order(self):
-        data = b"a\tt\t1.0\nb\tt\t2.0\na\tt\t3.0\n"
-        entities, types = Vocabulary(), Vocabulary()
-        entity_ids, type_ids, values = parse_attributes(io.BytesIO(data), entities, types)
-        rows = last_occurrences(entity_ids * len(types) + type_ids)
-        assert rows.tolist() == [2, 1]  # key (a, t) first, at its last row
-        assert values[rows].tolist() == [3.0, 2.0] and len(values) - len(rows) == 1
-        assert loaded_attributes(io.BytesIO(data)) == ([("a", "t", 3.0), ("b", "t", 2.0)], 1)
-
-    def test_matches_a_dict_of_last_rows(self):
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            keys = rng.integers(0, int(rng.integers(1, 12)), size=int(rng.integers(0, 30)))
-            last = dict(zip(keys.tolist(), range(len(keys))))  # first-seen order, last row
-            assert last_occurrences(keys).tolist() == list(last.values())
-
-
 def _tagged(name: str, read, *args):
     """``read(*args)``, a ParseError naming the file ``name`` after its line."""
     try:
@@ -461,16 +441,16 @@ class TestWritersAndArtifactReaders:
                 return dict(zip(keys, values.tolist()))
 
             def ref_imputed(d):
-                preds = reference_read_imputed(reference_lines(d), tmp_path / "imputed.tsv", bundle)
-                entries = attrs.lookup([e for e, _ in preds], [a for _, a in preds])
-                return {key: value for key, value, i in zip(preds, preds.values(), entries) if i >= 0}
+                return reference_read_imputed(reference_lines(d), tmp_path / "imputed.tsv", bundle)
 
             data = _render(rng, imputed.decode().splitlines(), plain=rng.random() < 0.3)
             assert _outcome(new_imputed, data) == _outcome(ref_imputed, data)
             for _ in range(int(rng.integers(1, 3))):
-                kind = ("arity", "byte", "value", "unknown", "repeat")[int(rng.integers(5))]
+                kind = ("arity", "byte", "value", "unknown", "repeat", "other-type")[int(rng.integers(6))]
                 if kind == "unknown":
                     data = _corrupt(rng, data, "value", 5, int(rng.integers(2)), "ghost")
+                elif kind == "other-type":  # known labels that may name no entry
+                    data = _corrupt(rng, data, "value", 5, 1, attrs.types.label(int(rng.integers(attrs.n_types))))
                 elif kind == "repeat":
                     lines = data.splitlines(keepends=True)
                     at = int(rng.integers(len(lines) + 1))
